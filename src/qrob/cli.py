@@ -146,9 +146,14 @@ def _cmd_kunneth_ideal(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    coeffs = tuple(
-        Fraction(tok.strip()) for tok in args.coeff_set.split(",") if tok.strip()
-    )
+    try:
+        coeffs = tuple(
+            Fraction(tok.strip()) for tok in args.coeff_set.split(",") if tok.strip()
+        )
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"bad --coeff-set {args.coeff_set!r}: {exc}") from exc
+    if args.enum_budget < 0:
+        raise _UsageError(f"--enum-budget must be >= 0, got {args.enum_budget}")
     jobs = args.jobs
     if jobs is None and os.environ.get("QROB_JOBS"):
         jobs = int(os.environ["QROB_JOBS"])

@@ -322,15 +322,36 @@ class _LazySeq:
         return min(stage, len(self._pool) - 1)
 
 
-def _index_tuples(total: int, caps: list[int]):
-    """Index tuples with the given caps summing to total, lexicographically."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(0, min(total, caps[0]) + 1):
-        for rest in _index_tuples(total - first, caps[1:]):
-            yield (first,) + rest
+def _extend_counts(counts: list[list[int]], running: list[list[int]], caps: list[int]):
+    """Append the next stage's column to the bounded-composition count table.
+
+    counts[g][s] is the number of index tuples for generators g.. within their
+    caps that sum to s; running[g][s] sums counts[g][:s + 1]. A cap below the
+    stage is the sequence's last index and a cap at the stage never binds a
+    smaller sum, so earlier columns stay valid and a column costs one
+    subtraction per generator.
+    """
+    t = len(counts[-1])
+    size = len(caps)
+    for g in range(size, -1, -1):
+        if g == size:
+            column = 1 if t == 0 else 0
+        else:
+            below = running[g + 1]
+            column = below[t] - (below[t - caps[g] - 1] if t > caps[g] else 0)
+        counts[g].append(column)
+        running[g].append(column + (running[g][-1] if t else 0))
+
+
+def _reorder_sign(word: tuple[int, ...], degrees: list[int]) -> int:
+    """Sign that sorts a word's homogeneous factors into generator order."""
+    odd = sum(
+        degrees[a] * degrees[b]
+        for i, a in enumerate(word)
+        for b in word[i + 1:]
+        if a > b
+    )
+    return -1 if odd % 2 else 1
 
 
 @dataclass
@@ -350,8 +371,13 @@ def enumerate_hom_detailed(
 
     Assignments are ordered by the total of the per-generator sequence
     indices, then lexicographically, so simple witnesses on any generator are
-    found early. The first assignment passing `verify_hom` wins; the image of
-    omega is checked first as a cheap filter.
+    found early. Each stage is walked depth first over the generators, keeping
+    for every support word of omega the wedge of its assigned images. Once all
+    of these vanish, no completion maps omega to nonzero (the images are
+    homogeneous, so reordering a word only changes its sign), and the
+    completions are added to `nodes` without being visited. Every other
+    assignment is one node: the image of omega is checked first as a cheap
+    filter, then `verify_hom`; the first assignment passing both wins.
     """
     pres = ring.presentation
     if pres is None:
@@ -362,23 +388,77 @@ def enumerate_hom_detailed(
         else _LazySeq(iter([ExtElement.zero(n)]))
         for g in pres.generators
     ]
-    omega_words = _support_words(ring, omega)
+    size = len(sequences)
+    degrees = [g.degree for g in pres.generators]
+    # (signed coefficient, word) for omega's support; words above n map to 0
+    words = [
+        (c * _reorder_sign(pres.words[k][i], degrees), pres.words[k][i])
+        for k, vec in omega.coords().items()
+        if k <= n
+        for i, c in enumerate(vec)
+        if c
+    ]
+    # touches[g]: (word position, multiplicity) for each omega word using g
+    touches = [
+        [(w, word.count(g)) for w, (_, word) in enumerate(words) if g in word]
+        for g in range(size)
+    ]
+    roots = [ExtElement.scalar(n, c) for c, _ in words]
+    counts: list[list[int]] = [[] for _ in range(size + 1)]
+    running: list[list[int]] = [[] for _ in range(size + 1)]
     nodes = 0
+    witness: HomWitness | None = None
+
+    def walk(g: int, remaining: int, partials: list, chosen: list) -> bool:
+        """Count or visit this stage's assignments below a prefix; True stops."""
+        nonlocal nodes, witness
+        if g == size:
+            if nodes >= budget.max_nodes:
+                return True
+            nodes += 1
+            if sum(partials, ExtElement.zero(n)).is_zero():
+                return False
+            candidate = witness_from_generators(ring, chosen, n)
+            if verify_hom(candidate, omega):
+                witness = candidate
+                return True
+            return False
+        lowest = max(0, remaining - reach[g + 1])
+        for i in range(lowest, min(remaining, caps[g]) + 1):
+            image = sequences[g].get(i)
+            extended = partials
+            if touches[g]:
+                extended = list(partials)
+                for w, mult in touches[g]:
+                    for _ in range(mult):
+                        if extended[w].is_zero():
+                            break
+                        extended[w] = extended[w].wedge(image)
+            if all(part.is_zero() for part in extended):
+                subtree = counts[g + 1][remaining - i]
+                if nodes + subtree > budget.max_nodes:
+                    # a node-by-node walk would stop inside this subtree
+                    nodes = max(nodes, budget.max_nodes)
+                    return True
+                nodes += subtree
+                continue
+            chosen.append(image)
+            stop = walk(g + 1, remaining - i, extended, chosen)
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
     total = 0
     while True:
         caps = [seq.cap(total) for seq in sequences]
         if all(seq.exhausted for seq in sequences) and total > sum(caps):
             return EnumerationOutcome(None, nodes, True)
-        for combo in _index_tuples(total, caps):
-            if nodes >= budget.max_nodes:
-                return EnumerationOutcome(None, nodes, False)
-            nodes += 1
-            gen_images = [sequences[g].get(idx) for g, idx in enumerate(combo)]
-            if _phi_omega(gen_images, omega_words, n).is_zero():
-                continue
-            witness = witness_from_generators(ring, gen_images, n)
-            if verify_hom(witness, omega):
-                return EnumerationOutcome(witness, nodes, False)
+        # reach[g]: the largest index sum generators g.. can still absorb
+        reach = [sum(caps[g:]) for g in range(size + 1)]
+        _extend_counts(counts, running, caps)
+        if walk(0, total, roots, []):
+            return EnumerationOutcome(witness, nodes, False)
         total += 1
 
 
@@ -389,27 +469,3 @@ def enumerate_hom(
     budget: EnumBudget = EnumBudget(),
 ) -> HomWitness | None:
     return enumerate_hom_detailed(ring, omega, n, budget).witness
-
-
-def _support_words(ring: GradedRing, omega: RingElement):
-    """(coefficient, generator word) pairs spanning omega's support."""
-    words = []
-    for k, vec in omega.coords().items():
-        for i, c in enumerate(vec):
-            if c:
-                words.append((c, ring.presentation.words[k][i], k))
-    return words
-
-
-def _phi_omega(gen_images, words, n: int) -> ExtElement:
-    out = ExtElement.zero(n)
-    for coeff, word, degree in words:
-        if degree > n:
-            continue
-        acc = ExtElement.scalar(n, coeff)
-        for gid in word:
-            acc = wedge(acc, gen_images[gid])
-            if acc.is_zero():
-                break
-        out = out + acc
-    return out

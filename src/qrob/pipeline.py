@@ -430,6 +430,11 @@ def verify_document(
                 _fail("obstructed verdict without a certificate")
             if int(obj["certificate"]["n"]) != n:
                 _fail("certificate target dimension does not match the query")
+            # the certificate must obstruct the query class, not one of its own
+            if obj["certificate"].get("omega") is None:
+                _fail("obstructed verdict certificate names no omega")
+            if element_from_obj(rebuilt, obj["certificate"]["omega"]) != omega:
+                _fail("certificate omega does not match the query omega")
             verify_certificate_obj(obj["certificate"], rebuilt)
             return f"certificate re-verified ({obj['certificate']['kind']})"
         if verdict == WITNESS:

@@ -173,6 +173,38 @@ def test_custom_coefficient_set_accepted(capsys):
     assert code == 0 and "verdict: WITNESS" in out
 
 
+def test_coeff_set_zero_denominator_exit_three(capsys):
+    code, _, err = run(
+        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
+        "--coeff-set", "1/0",
+    )
+    assert code == 3 and "--coeff-set" in err
+
+
+def test_coeff_set_not_a_number_exit_three(capsys):
+    code, _, err = run(
+        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
+        "--coeff-set", "abc",
+    )
+    assert code == 3 and "--coeff-set" in err
+
+
+def test_negative_enum_budget_exit_three(capsys, tmp_path):
+    out_file = tmp_path / "verdict.json"
+    code, _, err = run(
+        capsys, "check", "connsum(s2xs2,2) * cp(2)", "--omega", "vol(1)^sym(2)",
+        "--n", "6", "--enum-budget", "-5", "-o", str(out_file),
+    )
+    assert code == 3 and "--enum-budget" in err
+    assert not out_file.exists()
+    # a zero budget is still a valid (empty) search
+    code, _, _ = run(
+        capsys, "check", "connsum(s2xs2,2) * cp(2)", "--omega", "vol(1)^sym(2)",
+        "--n", "6", "--enum-budget", "0",
+    )
+    assert code == 2
+
+
 def test_check_json_format(capsys):
     code, out, _ = run(
         capsys, "check", "surface(2) * cp(2)", "--omega", "vol(1)^sym(2)",

@@ -1,5 +1,8 @@
 """Homomorphism witnesses: verification, templates, bounded enumeration."""
 
+from fractions import Fraction
+from itertools import combinations, islice, product
+
 import pytest
 
 from conftest import e, wedge_oracle
@@ -183,3 +186,147 @@ def test_witness_json_round_trip():
     back = HomWitness.from_obj(ring, witness.to_obj())
     assert back.to_obj() == witness.to_obj()
     assert verify_hom(back, omega)
+
+
+# -- brute-force enumeration oracle ---------------------------------------------
+
+
+def _oracle_images(n, degree, coefficients):
+    """One generator's candidates: zero, then by support size, blades, coefficients."""
+    yield ExtElement.zero(n)
+    if degree > n:
+        return
+    nonzero = sorted(
+        {Fraction(c) for c in coefficients if c}, key=lambda c: (abs(c), c < 0)
+    )
+    basis = list(combinations(range(1, n + 1), degree))
+    for size in range(1, len(basis) + 1):
+        for support in combinations(basis, size):
+            for pattern in product(nonzero, repeat=size):
+                yield ExtElement(n, dict(zip(support, pattern)))
+
+
+def _oracle_word(n, factors):
+    acc = ExtElement.scalar(n, 1)
+    for factor in factors:
+        acc = wedge_oracle(acc, factor)
+    return acc
+
+
+def _oracle_enumerate(ring, omega, n, coefficients, max_nodes):
+    """(witness, nodes, space_exhausted) from every index tuple sorted by (sum, tuple).
+
+    No stage beyond max_nodes is ever reached, so each generator needs at most
+    max_nodes + 1 candidates; the stage bound grows until its tuples outnumber
+    the budget or cover the whole space.
+    """
+    pres = ring.presentation
+    pools = [
+        list(islice(_oracle_images(n, g.degree, coefficients), max_nodes + 1))
+        for g in pres.generators
+    ]
+    bound = 0
+    while True:
+        ranges = [range(min(len(pool), bound + 1)) for pool in pools]
+        tuples = sorted(
+            (t for t in product(*ranges) if sum(t) <= bound),
+            key=lambda t: (sum(t), t),
+        )
+        if len(tuples) > max_nodes or bound >= sum(len(p) - 1 for p in pools):
+            break
+        bound += 1
+    words = [
+        (c, pres.words[k][i])
+        for k, vec in omega.coords().items()
+        for i, c in enumerate(vec)
+        if c
+    ]
+    nodes = 0
+    for combo in tuples:
+        if nodes >= max_nodes:
+            return None, nodes, False
+        nodes += 1
+        gens = [pools[g][i] for g, i in enumerate(combo)]
+        phi_omega = ExtElement.zero(n)
+        for c, word in words:
+            phi_omega = phi_omega + _oracle_word(n, [gens[g] for g in word]).scale(c)
+        if phi_omega.is_zero():
+            continue
+        images = {
+            k: [_oracle_word(n, [gens[g] for g in word]) for word in pres.words[k]]
+            for k in range(1, min(ring.top_degree, n) + 1)
+        }
+        witness = HomWitness(ring, n, images)
+        if verify_hom(witness, omega):
+            return witness, nodes, False
+    return None, nodes, True
+
+
+def _query(manifold, omega_text):
+    ring, factors = build_with_classes(parse_manifold(manifold))
+    return ring, parse_omega(omega_text, ring, factors)
+
+
+def _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes):
+    ring, omega = _query(manifold, omega_text)
+    budget = EnumBudget(
+        coefficients=tuple(Fraction(c) for c in coefficients), max_nodes=max_nodes
+    )
+    outcome = enumerate_hom_detailed(ring, omega, n, budget)
+    witness, nodes, exhausted = _oracle_enumerate(
+        ring, omega, n, coefficients, max_nodes
+    )
+    assert (outcome.nodes, outcome.space_exhausted) == (nodes, exhausted)
+    if witness is None:
+        assert outcome.witness is None
+    else:
+        assert outcome.witness.to_obj() == witness.to_obj()
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "manifold, omega_text, n, coefficients, budgets",
+    [
+        ("torus(2)", "vol(1)", 2, (-1, 0, 1), (0, 3, 100)),
+        ("torus(3)", "vol(1)", 3, (-1, 0, 1), (40, 400)),
+        ("torus(3)", "vol(1)", 2, (0, 1), (5, 1000)),
+        ("cp(2)", "sym(1)^sym(1)", 4, (-1, 0, 1), (10, 100)),
+        ("cp(2)", "sym(1)^sym(1)", 4, (0, 2), (100,)),
+        ("surface(1) * cp(2)", "vol(1)^sym(2)", 4, (-1, 0, 1), (100, 1000)),
+        ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (-1, 0, 1), (1, 200)),
+        ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (0, 1, -2), (150,)),
+    ],
+)
+def test_enumeration_matches_brute_force_oracle(
+    manifold, omega_text, n, coefficients, budgets
+):
+    for max_nodes in budgets:
+        _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes)
+
+
+@pytest.mark.parametrize(
+    "max_nodes, nodes, exhausted", [(255, 255, False), (256, 256, True), (257, 256, True)]
+)
+def test_enumeration_budget_edges_against_oracle(max_nodes, nodes, exhausted):
+    # four degree-1 generators with 2^2 candidates each: 256 assignments in all
+    outcome = _assert_matches_oracle("surface(2)", "vol(1)", 2, (0, 1), max_nodes)
+    assert outcome.witness is None
+    assert (outcome.nodes, outcome.space_exhausted) == (nodes, exhausted)
+
+
+def test_enumeration_counts_skipped_assignments(monkeypatch):
+    # every assignment that leaves c1 at zero already forces phi(omega) = 0;
+    # those subtrees are counted in bulk rather than visited
+    ring, omega = _query("connsum(s2xs2,5) * cp(2)", "vol(1)^sym(2)")
+    calls = []
+    original = ExtElement.wedge
+
+    def counting_wedge(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(ExtElement, "wedge", counting_wedge)
+    outcome = enumerate_hom_detailed(ring, omega, 6)
+    assert outcome.witness is None and not outcome.space_exhausted
+    assert outcome.nodes == 50_000
+    assert len(calls) < 1_000

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from qrob import Query, QrobError, run_query, verify_document
+from qrob import (
+    Query,
+    QrobError,
+    build_with_classes,
+    parse_manifold,
+    parse_omega,
+    run_query,
+    verify_document,
+)
 from qrob.errors import VerificationFailure
 from qrob.homsearch import EnumBudget
 from qrob.pipeline import document_json, result_to_obj
@@ -91,6 +99,26 @@ def test_verdict_document_rejects_downgrade_with_payload():
     doc = result_to_obj(result)
     doc["verdict"] = "UNKNOWN"
     with pytest.raises(VerificationFailure):
+        verify_document(doc)
+
+
+def test_obstructed_verdict_rejects_query_omega_swap():
+    # the H1Annihilator certificate obstructs vol(1)^sym(2), not sym(2)^sym(2),
+    # for which the query has a witness
+    result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    doc = json.loads(document_json(result_to_obj(result)))
+    doc["query"]["omega"] = "sym(2)^sym(2)"
+    ring, factors = build_with_classes(parse_manifold(doc["query"]["manifold"]))
+    doc["omega"] = parse_omega("sym(2)^sym(2)", ring, factors).to_obj()
+    with pytest.raises(VerificationFailure, match="omega"):
+        verify_document(doc)
+
+
+def test_obstructed_verdict_requires_certificate_omega():
+    result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    doc = json.loads(document_json(result_to_obj(result)))
+    del doc["certificate"]["omega"]
+    with pytest.raises(VerificationFailure, match="omega"):
         verify_document(doc)
 
 
