@@ -25,7 +25,7 @@ from .manifolds import (
     build,
     factor_list,
 )
-from .ring import GradedRing, RingElement, multiply
+from .ring import GradedRing, RingElement, SparseVec
 
 
 @dataclass
@@ -61,13 +61,18 @@ class HomWitness:
     def apply(self, x: RingElement) -> ExtElement:
         out = ExtElement.zero(self.ambient_n)
         for k, vec in x.coords().items():
-            if k == 0:
-                out = out + ExtElement.scalar(self.ambient_n, vec[0])
-            elif k <= self.ambient_n and k <= self.ring.top_degree:
-                per = self.images[k]
-                for i, c in enumerate(vec):
-                    if c:
-                        out = out + per[i].scale(c)
+            out = out + self.apply_vec(k, dict(enumerate(vec)))
+        return out
+
+    def apply_vec(self, k: int, vec: SparseVec) -> ExtElement:
+        """Image of the degree-k class with sparse coordinates vec."""
+        if k == 0:
+            return ExtElement.scalar(self.ambient_n, vec.get(0, 0))
+        out = ExtElement.zero(self.ambient_n)
+        if k <= self.ambient_n and k <= self.ring.top_degree:
+            for i, c in vec.items():
+                if c:
+                    out = out + self.images[k][i].scale(c)
         return out
 
     def to_obj(self) -> dict:
@@ -108,10 +113,8 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
                 img_i = per_p[i] if per_p else zero
                 for j in range(ring.dims[q]):
                     img_j = per_q[j] if per_q else zero
-                    prod = multiply(
-                        ring.basis_element(p, i), ring.basis_element(q, j)
-                    )
-                    if witness.apply(prod) != wedge(img_i, img_j):
+                    prod = witness.apply_vec(p + q, ring.product_vec(p, i, q, j))
+                    if prod != wedge(img_i, img_j):
                         return False
     return not witness.apply(omega).is_zero()
 

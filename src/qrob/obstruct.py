@@ -226,15 +226,40 @@ def verify_annihilator_system(system: AnnihilatorSystem, n: int) -> Certificate 
 # -- system assembly ----------------------------------------------------------
 
 
-def _multiple_of(vec: list[Fraction], target: list[Fraction]) -> Fraction | None:
-    """lambda with vec == lambda * target, or None; target must be nonzero."""
-    pivot = next((t for t, c in enumerate(target) if c), None)
-    if pivot is None:
-        raise ValueError("target vector is zero")
-    lam = vec[pivot] / target[pivot]
-    if all(v == lam * t for v, t in zip(vec, target)):
-        return lam
-    return None
+def _terms(x: RingElement) -> list[tuple[int, int, Fraction]]:
+    """Nonzero coordinates of x as (degree, index, coefficient)."""
+    return [(p, i, c) for p, vec in x.coords().items() for i, c in enumerate(vec) if c]
+
+
+def _lambda_matrix(
+    rows: list[RingElement], cols: list[RingElement], target: RingElement
+) -> list[list[Fraction | None]]:
+    """lam[r][c] with rows[r] * cols[c] == lam * target, or None where no such lam.
+
+    Products are summed from the sparse structure tables; a zero product gives
+    0, and one off the target's support or not proportional to it gives None.
+    """
+    k = target.degree()
+    goal = {(k, t): c for t, c in enumerate(target.vector(k)) if c}
+    pivot = min(goal)
+    ring = target.ring
+    col_terms = [_terms(y) for y in cols]
+    lam: list[list[Fraction | None]] = []
+    for x in rows:
+        x_terms = _terms(x)
+        lam_row: list[Fraction | None] = []
+        for y_terms in col_terms:
+            prod: dict[tuple[int, int], Fraction] = {}
+            for p, i, a in x_terms:
+                for q, j, b in y_terms:
+                    for t, c in ring.product_vec(p, i, q, j).items():
+                        prod[p + q, t] = prod.get((p + q, t), 0) + a * b * c
+            prod = {key: c for key, c in prod.items() if c}
+            ratio = prod.get(pivot, 0) / goal[pivot]
+            scaled = {key: ratio * c for key, c in goal.items()} if ratio else {}
+            lam_row.append(ratio if prod == scaled else None)
+        lam.append(lam_row)
+    return lam
 
 
 def kronecker_systems(
@@ -251,17 +276,8 @@ def kronecker_systems(
     """
     if not rows or not cols:
         return
-    k = target.degree()
-    tvec = target.vector(k)
     ring = target.ring
-    lam: list[list[Fraction | None]] = []
-    for x in rows:
-        lam_row: list[Fraction | None] = []
-        for y in cols:
-            prod = multiply(x, y)
-            vec = prod.vector(k) if (prod.is_zero() or prod.degree() == k) else None
-            lam_row.append(None if vec is None else _multiple_of(vec, tvec))
-        lam.append(lam_row)
+    lam = _lambda_matrix(rows, cols, target)
     masks = [
         frozenset(j for j, v in enumerate(lam_row) if v is not None)
         for lam_row in lam
@@ -426,11 +442,9 @@ def check_ring_map(
                 xi = apply_linear(mats, source.basis_element(p, i), target)
                 for j in range(source.dims[q]):
                     yj = apply_linear(mats, source.basis_element(q, j), target)
-                    lhs = apply_linear(
-                        mats,
-                        multiply(source.basis_element(p, i), source.basis_element(q, j)),
-                        target,
-                    )
+                    vec = source.product_vec(p, i, q, j)
+                    dense = [vec.get(t, 0) for t in range(source.dims[p + q])]
+                    lhs = apply_linear(mats, source.element(p + q, dense), target)
                     if lhs != multiply(xi, yj):
                         raise VerificationFailure(
                             f"restriction map is not multiplicative at ({p},{i})*({q},{j})"

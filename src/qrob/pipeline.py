@@ -235,9 +235,10 @@ def verify_certificate_obj(
             _fail(f"C({n},{k}) is {bound}, certificate says {rhs}")
         if not (lhs > rhs):
             _fail("inequality does not hold")
-        if omega is not None:
-            if omega.is_zero() or omega.degree() != n or n != ring.top_degree:
-                _fail("omega does not justify the dimension-bound obstruction")
+        if n != ring.top_degree:
+            _fail("the dimension bound needs n equal to the top degree")
+        if omega is not None and (omega.is_zero() or omega.degree() != n):
+            _fail("omega does not justify the dimension-bound obstruction")
         return
 
     if kind == "H1Annihilator":
@@ -277,10 +278,11 @@ def verify_certificate_obj(
         right = [element_from_obj(ring, o) for o in obj["classes"]["right"]]
         if target.is_zero():
             _fail("target class is zero")
-        if omega is not None and "cofactor" in obj["classes"]:
-            cofactor = element_from_obj(ring, obj["classes"]["cofactor"])
-            if multiply(target, cofactor) != omega:
-                _fail("target * cofactor does not equal omega")
+        if obj["classes"].get("cofactor") is None:
+            _fail("DualPair certificate carries no cofactor")
+        cofactor = element_from_obj(ring, obj["classes"]["cofactor"])
+        if omega is not None and multiply(target, cofactor) != omega:
+            _fail("target * cofactor does not equal omega")
         kp = int(obj["k_prime"])
         for i, a in enumerate(left):
             if a.is_zero() or a.degree() != kp:
@@ -405,12 +407,12 @@ def verify_document(
     """Re-check an emitted document; returns a summary line, raises on failure."""
     fmt = obj.get("format")
     if fmt == VERDICT_FORMAT:
-        embedded = GradedRing.from_obj(obj["ring"])
-        if embedded.hash_hex() != obj.get("ring_hash"):
-            _fail("embedded ring does not match the recorded hash")
+        # the rebuilt ring is validated; the embedded copy must be its exact bytes
         rebuilt, factors = build_with_classes(parse_manifold(obj["query"]["manifold"]))
-        if rebuilt.hash_hex() != embedded.hash_hex():
+        if obj.get("ring") != rebuilt.to_obj():
             _fail("query does not rebuild to the embedded ring")
+        if obj.get("ring_hash") != rebuilt.hash_hex():
+            _fail("embedded ring does not match the recorded hash")
         omega = parse_omega(obj["query"]["omega"], rebuilt, factors)
         if element_to_obj(omega) != obj["omega"]:
             _fail("query omega does not recompute to the recorded class")

@@ -120,7 +120,7 @@ class GradedRing:
             raise ValueError(f"no basis element ({k}, {i})")
         vec = [Fraction(0)] * self.dims[k]
         vec[i] = Fraction(1)
-        return RingElement(self, {k: vec})
+        return RingElement._trusted(self, {k: tuple(vec)})
 
     def basis(self, k: int) -> list["RingElement"]:
         return [self.basis_element(k, i) for i in range(self.dims[k])]
@@ -351,6 +351,13 @@ class RingElement:
                 clean[k] = tup
         self._coords = clean
 
+    @classmethod
+    def _trusted(cls, ring: GradedRing, coords: dict[int, tuple[Fraction, ...]]):
+        """Wrap exact Fraction tuples of the right lengths, each one nonzero."""
+        self = object.__new__(cls)
+        self.ring, self._coords = ring, coords
+        return self
+
     def coords(self) -> dict[int, tuple[Fraction, ...]]:
         return dict(self._coords)
 
@@ -495,7 +502,7 @@ def multiply(x: RingElement, y: RingElement) -> RingElement:
                     f = xi * yj
                     for t, c in vec.items():
                         acc[t] += f * c
-    return RingElement(ring, out)
+    return RingElement._trusted(ring, {k: tuple(v) for k, v in out.items() if any(v)})
 
 
 def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
@@ -519,14 +526,12 @@ def mult_matrix(ring: GradedRing, c: RingElement, q: int) -> Matrix:
     target = k + q
     if target > ring.top_degree:
         return []
-    rows = ring.dims[target]
-    cols = ring.dims[q]
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for j in range(cols):
-        prod = c * ring.basis_element(q, j)
-        vec = prod.vector(target)
-        for t in range(rows):
-            out[t][j] = vec[t]
+    out = [[Fraction(0)] * ring.dims[q] for _ in range(ring.dims[target])]
+    for i, ci in enumerate(c.vector(k)):
+        if ci:
+            for j in range(ring.dims[q]):
+                for t, v in ring.product_vec(k, i, q, j).items():
+                    out[t][j] += ci * v
     return out
 
 

@@ -1,8 +1,13 @@
 """Obstruction verifiers and searchers, including the hand-built paper systems."""
 
 import json
+from fractions import Fraction
 
 import pytest
+
+import qrob.obstruct
+import qrob.ring
+from conftest import CATALOG
 
 from qrob import (
     AnnihilatorSystem,
@@ -17,6 +22,8 @@ from qrob import (
     build,
     build_with_classes,
     connsum_power,
+    factorizations,
+    multiply,
     parse_manifold,
     parse_omega,
     prywes_bound,
@@ -29,6 +36,7 @@ from qrob import (
     verify_dual_system,
 )
 from qrob.errors import VerificationFailure
+from qrob.obstruct import _annihilator_candidates, _lambda_matrix, kronecker_systems
 from qrob.pipeline import certificate_to_obj, verify_certificate_obj
 
 
@@ -185,6 +193,85 @@ def test_search_deterministic_output():
     a = certificate_to_obj(search_obstruction(ring, omega, 4), ring)
     b = certificate_to_obj(search_obstruction(ring, omega, 4, jobs=4), ring)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _reference_lambda(rows, cols, target):
+    """The lambda matrix from full products and a dense multiple-of-target test."""
+    k = target.degree()
+    tvec = target.vector(k)
+    pivot = next(t for t, c in enumerate(tvec) if c)
+    out = []
+    for x in rows:
+        row = []
+        for y in cols:
+            prod = multiply(x, y)
+            if prod.is_zero():
+                row.append(Fraction(0))
+            elif prod.degrees() != {k}:
+                row.append(None)
+            else:
+                vec = prod.vector(k)
+                lam = vec[pivot] / tvec[pivot]
+                exact = all(v == lam * t for v, t in zip(vec, tvec))
+                row.append(lam if exact else None)
+        out.append(row)
+    return out
+
+
+def _basis_rows(ring, p):
+    """basis(p) plus two sums of basis classes, one of them skewed."""
+    rows = ring.basis(p)
+    if len(rows) < 2:
+        return rows
+    return rows + [rows[0] + rows[-1], rows[0] + rows[-1].scale(Fraction(-1, 2))]
+
+
+def _two_term_target(ring, p):
+    """Some basis(p)[0] * y + basis(p)[-1] * y with a two-term support, or None."""
+    rows = ring.basis(p)
+    for q in range(1, ring.top_degree - p + 1) if len(rows) >= 2 else ():
+        for y in ring.basis(q):
+            two = multiply(rows[0], y) + multiply(rows[-1], y)
+            if sum(map(bool, two.vector(p + q))) > 1:
+                return two
+    return None
+
+
+def test_lambda_matrix_matches_dense_products_on_catalog():
+    for manifold, omega_text, n in CATALOG:
+        ring, omega = _query(manifold, omega_text, n)
+        targets = []
+        for ell in range(1, n):
+            targets += [f for f, _ in factorizations(ring, omega, ell)[:1]]
+        twos = (_two_term_target(ring, p) for p in range(ring.top_degree))
+        targets += [t for t in twos if t is not None]
+        for target in targets:
+            k = target.degree()
+            row_sets = [_annihilator_candidates(ring, target)]
+            row_sets += [_basis_rows(ring, p) for p in range(k + 1)]
+            for rows in filter(None, row_sets):
+                p = rows[0].degree()
+                for q in (k - p, k - p + 1):  # the target degree, and one above
+                    cols = ring.basis(q) if q <= ring.top_degree else []
+                    if cols:
+                        assert _lambda_matrix(rows, cols, target) == (
+                            _reference_lambda(rows, cols, target)
+                        ), (manifold, k, p, q)
+
+
+def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
+    ring, omega = _query("connsum(s2xs2,10) * cp(2)", "vol(1)^sym(2)", 6)
+    factor = factorizations(ring, omega, 4)[0][0]
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(qrob.obstruct, "multiply", counting)
+    monkeypatch.setattr(qrob.ring, "multiply", counting)
+    systems = list(kronecker_systems(ring.basis(2), ring.basis(2), factor))
+    assert systems and calls == []
 
 
 def test_certificate_m_matches_family_parameters():

@@ -1,21 +1,27 @@
 """Query pipeline paths and document re-verification."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from qrob import (
     Query,
     QrobError,
+    S2xS2,
+    build,
     build_with_classes,
+    connsum_power,
     parse_manifold,
     parse_omega,
+    prywes_bound,
     run_query,
     verify_document,
 )
+from qrob.cli import main
 from qrob.errors import VerificationFailure
 from qrob.homsearch import EnumBudget
-from qrob.pipeline import document_json, result_to_obj
+from qrob.pipeline import certificate_to_obj, document_json, result_to_obj
 
 
 def test_prywes_path_end_to_end():
@@ -131,4 +137,41 @@ def test_verdict_document_rejects_dimension_swaps():
     doc = result_to_obj(result)
     doc["certificate"]["n"] = 4
     with pytest.raises(VerificationFailure):
+        verify_document(doc)
+
+
+def test_dual_pair_verdict_requires_cofactor(tmp_path, capsys):
+    result = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    assert result.certificate.kind == "DualPair"
+    doc = json.loads(document_json(result_to_obj(result)))
+    del doc["certificate"]["classes"]["cofactor"]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "cofactor" in capsys.readouterr().out
+
+
+def test_prywes_certificate_requires_top_degree_n():
+    ring = build(connsum_power(S2xS2(), 8))
+    for n, ok in ((4, True), (3, False)):
+        cert = prywes_bound(ring, n)
+        assert cert is not None and cert.degree == 2
+        doc = certificate_to_obj(cert, ring)
+        doc["ring"] = ring.to_obj()
+        if ok:
+            assert verify_document(doc) == "certificate re-verified (PrywesBound)"
+        else:
+            with pytest.raises(VerificationFailure, match="top degree"):
+                verify_document(doc)
+
+
+def test_verdict_document_requires_canonical_embedded_ring():
+    # an equal value written non-canonically ("2/2" for "1") is rejected too
+    result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    doc = json.loads(document_json(result_to_obj(result)))
+    verify_document(doc)
+    coords = doc["ring"]["structure"][0]["products"][0][2]
+    t, value = next((t, Fraction(c)) for t, c in enumerate(coords) if c != "0")
+    coords[t] = f"{2 * value.numerator}/{2 * value.denominator}"
+    with pytest.raises(VerificationFailure, match="embedded ring"):
         verify_document(doc)

@@ -1,6 +1,7 @@
 """Graded ring constructors, products, duality pairings, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qrob import (
     CPm,
     GradedRing,
     Product,
+    RingElement,
     RingMismatchError,
     RingValidationError,
     S2xS2,
@@ -191,3 +193,34 @@ def test_presentation_words_multiply_out():
                 g = pres.generators[gid]
                 acc = acc * ring.basis_element(g.degree, g.index)
             assert acc == ring.basis_element(k, i)
+
+
+def _random_element(ring, rng):
+    coords = {}
+    for k in rng.sample(range(ring.top_degree + 1), rng.randint(0, 2)):
+        coords[k] = [
+            Fraction(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 3]))
+            for _ in range(ring.dims[k])
+        ]
+    return RingElement(ring, coords)
+
+
+def test_multiply_matches_public_constructor():
+    # products use the trusted constructor; they must equal the checked one
+    rng = random.Random(5)
+    for text in ("torus(3)", "surface(2) * cp(2)", "connsum(s2xs2,3) * cp(2)"):
+        ring = build(parse_manifold(text))
+        zeros = 0  # zero products of nonzero factors
+        for _ in range(300):
+            x, y = _random_element(ring, rng), _random_element(ring, rng)
+            prod = multiply(x, y)
+            public = RingElement(ring, prod.coords())
+            assert prod == public and hash(prod) == hash(public)
+            assert prod.degrees() == public.degrees()
+            assert prod.is_zero() == public.is_zero()
+            zeros += prod.is_zero() and not (x.is_zero() or y.is_zero())
+        assert zeros
+        for k in range(ring.top_degree + 1):
+            for i, x in enumerate(ring.basis(k)):
+                public = ring.element(k, [int(t == i) for t in range(ring.dims[k])])
+                assert x == public and hash(x) == hash(public)
