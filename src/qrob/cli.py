@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -67,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated exact coefficients for the enumeration search",
     )
     check.add_argument("--enum-budget", type=int, default=50_000)
+    # accepted for compatibility; the search is sequential
     check.add_argument("--jobs", type=int, default=None)
     _output_flags(check)
 
@@ -154,13 +154,8 @@ def _cmd_check(args) -> int:
         raise _UsageError(f"bad --coeff-set {args.coeff_set!r}: {exc}") from exc
     if args.enum_budget < 0:
         raise _UsageError(f"--enum-budget must be >= 0, got {args.enum_budget}")
-    jobs = args.jobs
-    if jobs is None and os.environ.get("QROB_JOBS"):
-        jobs = int(os.environ["QROB_JOBS"])
     budget = EnumBudget(coefficients=coeffs, max_nodes=args.enum_budget)
-    result = run_query(
-        Query(args.expr, args.omega, args.n), budget=budget, jobs=jobs
-    )
+    result = run_query(Query(args.expr, args.omega, args.n), budget=budget)
     doc = result_to_obj(result)
     lines = [f"verdict: {result.verdict}"]
     lines.append(

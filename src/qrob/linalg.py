@@ -33,19 +33,15 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+def _eliminate(m: Matrix, ncols: int) -> list[int]:
+    """Gauss-Jordan on m in place, pivoting only in columns < ncols.
 
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (new matrix, pivot columns)."""
-    m = [row[:] for row in a]
-    if not m:
-        return [], []
-    rows, cols = len(m), len(m[0])
+    Returns the pivot columns; pivot rows are the first len(pivots) rows.
+    """
+    rows = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pr is None:
             continue
@@ -60,7 +56,15 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return pivots
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (new matrix, pivot columns)."""
+    m = [row[:] for row in a]
+    if not m:
+        return [], []
+    return m, _eliminate(m, len(m[0]))
 
 
 def rank(a: Matrix) -> int:
@@ -71,14 +75,6 @@ def row_space_basis(a: Matrix) -> Matrix:
     """Canonical (RREF) basis of the row space."""
     r, pivots = rref(a)
     return [row[:] for row in r[: len(pivots)]]
-
-
-def in_row_space(basis: Matrix, v: list[Fraction]) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    return rank(basis) == rank(basis + [v])
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
@@ -117,23 +113,7 @@ def solve_many(a: Matrix, bs: list[list[Fraction]]) -> list[list[Fraction] | Non
         # No constraints: x = 0 works iff each b is the empty vector.
         return [[Fraction(0)] * cols for _ in bs]
     aug = [a[i][:] + [bs[k][i] for k in range(len(bs))] for i in range(rows)]
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivots = _eliminate(aug, cols)
     # Rows below the pivot block have zero coefficient part, so a nonzero
     # right-hand entry there means that system is inconsistent.
     out: list[list[Fraction] | None] = []

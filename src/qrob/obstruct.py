@@ -57,6 +57,55 @@ class Certificate:
     k_prime: int | None = None
 
 
+# Row role, column role and diagonal role of each Kronecker certificate.
+_PATTERNS = {
+    "DualPair": ("left", "right", "target"),
+    "H1Annihilator": ("annihilators", "duals", "factor"),
+}
+
+
+def _check_pattern(
+    rows: list[RingElement], cols: list[RingElement], diag: RingElement,
+    roles: tuple[str, str, str],
+) -> None:
+    """Require rows[i] * cols[j] == diag when i == j and 0 otherwise."""
+    row_role, col_role, diag_role = roles
+    zero = diag.ring.zero()
+    for i, x in enumerate(rows):
+        for j, y in enumerate(cols):
+            if multiply(x, y) != (diag if i == j else zero):
+                raise InvalidSystemError(
+                    f"product of {row_role}[{i}] and {col_role}[{j}] is not "
+                    f"{'the ' + diag_role if i == j else 'zero'}",
+                    detail=(i, j),
+                )
+
+
+def products_table(cert: Certificate) -> list[dict]:
+    """The products that the system check of a Kronecker certificate proved.
+
+    rows[i] * cols[j] is the diagonal class when i == j and 0 otherwise, and
+    an H1Annihilator also has factor * annihilators[i] = 0. Other kinds have
+    no table.
+    """
+    if cert.kind not in _PATTERNS:
+        return []
+    rows, cols, diag = _PATTERNS[cert.kind]
+    classes = cert.classes
+    zero, on_diag = classes[diag].ring.zero().to_obj(), classes[diag].to_obj()
+    entries = []
+    if cert.kind == "H1Annihilator":
+        entries = [
+            ("factor", f"{rows}[{i}]", zero) for i in range(len(classes[rows]))
+        ]
+    entries += [
+        (f"{rows}[{i}]", f"{cols}[{j}]", on_diag if i == j else zero)
+        for i in range(len(classes[rows]))
+        for j in range(len(classes[cols]))
+    ]
+    return [{"left": a, "right": b, "product": p} for a, b, p in entries]
+
+
 @dataclass
 class DualSystem:
     """Classes c_i, c'_j with c_i * c'_j = delta_ij * target, all verified."""
@@ -83,16 +132,7 @@ class DualSystem:
         for y in self.right:
             if y.is_zero() or y.degree() != k - kp:
                 raise InvalidSystemError("right classes must have complementary degree")
-        for i, x in enumerate(self.left):
-            for j, y in enumerate(self.right):
-                expected = self.target if i == j else self.ring.zero()
-                got = multiply(x, y)
-                if got != expected:
-                    raise InvalidSystemError(
-                        f"product of left[{i}] and right[{j}] is not "
-                        f"{'target' if i == j else 'zero'}",
-                        detail=(i, j),
-                    )
+        _check_pattern(self.left, self.right, self.target, _PATTERNS["DualPair"])
 
 
 @dataclass
@@ -128,25 +168,27 @@ class AnnihilatorSystem:
         for y in self.duals:
             if y.is_zero() or y.degree() != k - 1:
                 raise InvalidSystemError(f"duals must have degree {k - 1}")
-        for i, x in enumerate(self.annihilators):
-            for j, y in enumerate(self.duals):
-                expected = self.factor if i == j else self.ring.zero()
-                if multiply(x, y) != expected:
-                    raise InvalidSystemError(
-                        f"product of annihilators[{i}] and duals[{j}] is not "
-                        f"{'the factor' if i == j else 'zero'}",
-                        detail=(i, j),
-                    )
+        _check_pattern(
+            self.annihilators, self.duals, self.factor, _PATTERNS["H1Annihilator"]
+        )
 
 
 def prywes_bound(
     ring: GradedRing, n: int, omega: RingElement | None = None
 ) -> Certificate | None:
-    """First degree where the dimension exceeds the binomial bound C(n, k)."""
+    """First degree where the dimension exceeds the binomial bound C(n, k).
+
+    The bound is sound only for n equal to the top degree, where a
+    homomorphism that maps the orientation class nontrivially is injective.
+    Returns None for any other n, and when omega is given but is not a
+    nonzero class of degree n.
+    """
     if n < 2:
         raise ValueError("target dimension must be >= 2")
-    for k in range(ring.top_degree + 1):
-        bound = math.comb(n, k) if k <= n else 0
+    if n != ring.top_degree or (omega is not None and omega.degrees() != {n}):
+        return None
+    for k in range(n + 1):
+        bound = math.comb(n, k)
         if ring.dims[k] > bound:
             return Certificate(
                 kind="PrywesBound",
@@ -323,17 +365,14 @@ def _annihilator_candidates(
 
 
 def search_obstruction(
-    ring: GradedRing, omega: RingElement, n: int, jobs: int | None = None
+    ring: GradedRing, omega: RingElement, n: int
 ) -> Certificate | None:
     """Deterministic certificate search in canonical order.
 
-    Order: the dimension bound (only when n equals the top degree, where the
-    orientation class makes it sound), then annihilator systems over the
-    factorizations of omega, then dual-pair systems. `jobs` is accepted for
-    interface compatibility; evaluation is sequential and the result is the
-    canonically least certificate either way.
+    Order: the dimension bound (which applies only when n equals the top
+    degree), then annihilator systems over the factorizations of omega, then
+    dual-pair systems.
     """
-    del jobs
     if omega.is_zero():
         raise ValueError("omega must be nonzero")
     if not omega.is_homogeneous() or omega.degree() != n:
@@ -341,10 +380,9 @@ def search_obstruction(
     if not in_kunneth_ideal(ring, omega):
         raise ValueError("omega must lie in the degree-n product ideal")
 
-    if n == ring.top_degree:
-        cert = prywes_bound(ring, n, omega=omega)
-        if cert is not None:
-            return cert
+    cert = prywes_bound(ring, n, omega=omega)
+    if cert is not None:
+        return cert
 
     # Annihilator systems: factor classes of omega with degree-1 annihilators.
     if ring.dims[1] > 0:
@@ -467,6 +505,10 @@ def submanifold_bound(
     if ring_m.top_degree != n:
         raise VerificationFailure(
             f"submanifold ring must have top degree {n}, got {ring_m.top_degree}"
+        )
+    if n > ring_n.top_degree:
+        raise VerificationFailure(
+            f"submanifold dimension {n} exceeds the top degree {ring_n.top_degree}"
         )
     check_ring_map(ring_n, ring_m, iota_star)
     if apply_linear(iota_star, omega, ring_m).is_zero():

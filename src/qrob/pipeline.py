@@ -9,11 +9,10 @@ deterministic and re-checkable via `verify_document`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .dsl import parse_manifold, parse_omega
-from .errors import QrobError, VerificationFailure
+from .errors import InvalidSystemError, QrobError, VerificationFailure
 from .homsearch import (
     EnumBudget,
     HomWitness,
@@ -21,14 +20,19 @@ from .homsearch import (
     verify_hom,
     witness_template,
 )
-from .linalg import Matrix, fraction_from_str, fraction_to_str, rank
+from .linalg import Matrix, fraction_from_str, fraction_to_str
 from .manifolds import ManifoldExpr, build_with_classes
 from .obstruct import (
+    AnnihilatorSystem,
     Certificate,
+    DualSystem,
     SubmanifoldReport,
-    apply_linear,
-    check_ring_map,
+    products_table,
+    prywes_bound,
     search_obstruction,
+    submanifold_bound,
+    verify_annihilator_system,
+    verify_dual_system,
 )
 from .ring import GradedRing, RingElement, in_kunneth_ideal, multiply
 
@@ -68,11 +72,7 @@ class QueryResult:
         return EXIT_BY_VERDICT[self.verdict]
 
 
-def run_query(
-    query: Query,
-    budget: EnumBudget = EnumBudget(),
-    jobs: int | None = None,
-) -> QueryResult:
+def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
     expr = parse_manifold(query.manifold)
     ring, factors = build_with_classes(expr)
     omega = parse_omega(query.omega, ring, factors)
@@ -103,7 +103,7 @@ def run_query(
                 "detail": "the necessary-condition hypotheses fail; no search run",
             },
         )
-    certificate = search_obstruction(ring, omega, query.n, jobs=jobs)
+    certificate = search_obstruction(ring, omega, query.n)
     if certificate is not None:
         return QueryResult(
             query, expr, ring, omega, OBSTRUCTED, preconditions,
@@ -139,60 +139,22 @@ def run_query(
 # -- JSON documents -----------------------------------------------------------
 
 
-def element_to_obj(x: RingElement) -> dict:
-    return x.to_obj()
-
-
-def element_from_obj(ring: GradedRing, obj: dict) -> RingElement:
-    return RingElement.from_obj(ring, obj)
-
-
 def certificate_to_obj(cert: Certificate, ring: GradedRing) -> dict:
     classes = {}
-    products = []
     for role, value in cert.classes.items():
         if isinstance(value, RingElement):
-            classes[role] = element_to_obj(value)
+            classes[role] = value.to_obj()
         elif isinstance(value, list):
-            classes[role] = [element_to_obj(v) for v in value]
+            classes[role] = [v.to_obj() for v in value]
         else:
             classes[role] = value
-    if cert.kind == "H1Annihilator":
-        factor = cert.classes["factor"]
-        for i, a in enumerate(cert.classes["annihilators"]):
-            products.append(
-                {
-                    "left": "factor",
-                    "right": f"annihilators[{i}]",
-                    "product": element_to_obj(multiply(factor, a)),
-                }
-            )
-        for i, a in enumerate(cert.classes["annihilators"]):
-            for j, b in enumerate(cert.classes["duals"]):
-                products.append(
-                    {
-                        "left": f"annihilators[{i}]",
-                        "right": f"duals[{j}]",
-                        "product": element_to_obj(multiply(a, b)),
-                    }
-                )
-    elif cert.kind == "DualPair":
-        for i, a in enumerate(cert.classes["left"]):
-            for j, b in enumerate(cert.classes["right"]):
-                products.append(
-                    {
-                        "left": f"left[{i}]",
-                        "right": f"right[{j}]",
-                        "product": element_to_obj(multiply(a, b)),
-                    }
-                )
     obj = {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,
         "ring_hash": cert.ring_hash,
         "n": cert.n,
         "classes": classes,
-        "products_table": products,
+        "products_table": products_table(cert),
         "inequality": cert.inequality.to_obj(),
         "conclusion": cert.conclusion,
     }
@@ -201,7 +163,7 @@ def certificate_to_obj(cert: Certificate, ring: GradedRing) -> dict:
     if cert.k_prime is not None:
         obj["k_prime"] = cert.k_prime
     if cert.omega is not None:
-        obj["omega"] = element_to_obj(cert.omega)
+        obj["omega"] = cert.omega.to_obj()
     return obj
 
 
@@ -209,144 +171,83 @@ def _fail(message: str) -> None:
     raise VerificationFailure(message)
 
 
+def _recorded_omega(obj: dict, ring: GradedRing) -> RingElement | None:
+    raw = obj.get("omega")
+    return None if raw is None else RingElement.from_obj(ring, raw)
+
+
+# Payload that travels with a certificate document but is not re-derived.
+_CARRIED_KEYS = ("ring", "subring", "iota_star")
+
+
 def verify_certificate_obj(
     obj: dict, ring: GradedRing, subring: GradedRing | None = None,
     iota_star: list[Matrix] | None = None,
 ) -> None:
-    """Recompute a certificate's products and inequality; raise on mismatch."""
+    """Re-derive a certificate with the search's own code; raise on mismatch.
+
+    Kronecker certificates are rebuilt from their recorded classes, the
+    dimension bound from the ring, and the submanifold bound from the ring,
+    subring, restriction map and omega. Every recorded field except the
+    carried payload must equal the rebuilt one.
+    """
     kind = obj.get("kind")
     if obj.get("ring_hash") != ring.hash_hex():
         _fail("certificate ring hash does not match the ring")
-    ineq = obj.get("inequality", {})
-    lhs, rel, rhs = ineq.get("lhs"), ineq.get("rel"), ineq.get("rhs")
-    if rel not in (">", ">="):
-        _fail(f"unknown inequality relation {rel!r}")
     n = int(obj["n"])
-    omega = (
-        element_from_obj(ring, obj["omega"]) if obj.get("omega") is not None else None
-    )
+    omega = _recorded_omega(obj, ring)
+    classes = obj.get("classes", {})
 
-    if kind == "PrywesBound":
-        k = int(obj["degree"])
-        bound = math.comb(n, k) if k <= n else 0
-        if ring.dims[k] != lhs:
-            _fail(f"dim H^{k} is {ring.dims[k]}, certificate says {lhs}")
-        if bound != rhs:
-            _fail(f"C({n},{k}) is {bound}, certificate says {rhs}")
-        if not (lhs > rhs):
-            _fail("inequality does not hold")
-        if n != ring.top_degree:
-            _fail("the dimension bound needs n equal to the top degree")
-        if omega is not None and (omega.is_zero() or omega.degree() != n):
-            _fail("omega does not justify the dimension-bound obstruction")
-        return
+    def one(role: str) -> RingElement:
+        return RingElement.from_obj(ring, classes[role])
 
-    if kind == "H1Annihilator":
-        factor = element_from_obj(ring, obj["classes"]["factor"])
-        cofactor = element_from_obj(ring, obj["classes"]["cofactor"])
-        anns = [element_from_obj(ring, o) for o in obj["classes"]["annihilators"]]
-        duals = [element_from_obj(ring, o) for o in obj["classes"]["duals"]]
-        prod = multiply(factor, cofactor)
-        if prod.is_zero():
-            _fail("factor * cofactor is zero")
-        if omega is not None and prod != omega:
-            _fail("factor * cofactor does not equal omega")
-        for i, a in enumerate(anns):
-            if a.is_zero() or a.degree() != 1:
-                _fail(f"annihilators[{i}] is not a degree-1 class")
-            if not multiply(factor, a).is_zero():
-                _fail(f"product of factor and annihilators[{i}] is nonzero")
-        for i, a in enumerate(anns):
-            for j, b in enumerate(duals):
-                expected = factor if i == j else ring.zero()
-                if multiply(a, b) != expected:
-                    _fail(
-                        f"product of annihilators[{i}] and duals[{j}] breaks the "
-                        "Kronecker pattern"
-                    )
-        if len(anns) != lhs or len(duals) != lhs:
-            _fail("family size does not match the inequality")
-        if rhs != n or not (lhs >= rhs):
-            _fail("inequality does not hold")
-        _check_products_table(obj, ring, {"factor": factor,
-                                          "annihilators": anns, "duals": duals})
-        return
+    def many(role: str) -> list[RingElement]:
+        return [RingElement.from_obj(ring, o) for o in classes[role]]
 
-    if kind == "DualPair":
-        target = element_from_obj(ring, obj["classes"]["target"])
-        left = [element_from_obj(ring, o) for o in obj["classes"]["left"]]
-        right = [element_from_obj(ring, o) for o in obj["classes"]["right"]]
-        if target.is_zero():
-            _fail("target class is zero")
-        if obj["classes"].get("cofactor") is None:
-            _fail("DualPair certificate carries no cofactor")
-        cofactor = element_from_obj(ring, obj["classes"]["cofactor"])
-        if omega is not None and multiply(target, cofactor) != omega:
-            _fail("target * cofactor does not equal omega")
-        kp = int(obj["k_prime"])
-        for i, a in enumerate(left):
-            if a.is_zero() or a.degree() != kp:
-                _fail(f"left[{i}] does not have degree {kp}")
-        for i, a in enumerate(left):
-            for j, b in enumerate(right):
-                expected = target if i == j else ring.zero()
-                if multiply(a, b) != expected:
-                    _fail(
-                        f"product of left[{i}] and right[{j}] breaks the "
-                        "Kronecker pattern"
-                    )
-        bound = math.comb(n, kp) if kp <= n else 0
-        if len(left) != lhs or len(right) != lhs or bound != rhs:
-            _fail("inequality data does not match the families")
-        if not (lhs > rhs):
-            _fail("inequality does not hold")
-        _check_products_table(obj, ring, {"left": left, "right": right})
-        return
-
-    if kind == "SubmanifoldBound":
-        if subring is None or iota_star is None:
-            _fail("submanifold certificate needs the subring and restriction map")
-        if obj["classes"].get("subring_hash") != subring.hash_hex():
-            _fail("subring hash does not match")
-        check_ring_map(ring, subring, iota_star)
-        if omega is None or apply_linear(iota_star, omega, subring).is_zero():
-            _fail("omega does not restrict nontrivially")
-        k = int(obj["degree"])
-        image_dim = rank(iota_star[k]) if iota_star[k] else 0
-        comp = n - k
-        comp_dim = rank(iota_star[comp]) if iota_star[comp] else 0
-        if comp_dim != subring.dims[comp]:
-            _fail(f"restriction is not surjective in degree {comp}")
-        if image_dim != lhs or math.comb(n, k) != rhs or not (lhs > rhs):
-            _fail("inequality does not hold for the restricted image")
-        return
-
-    _fail(f"unknown certificate kind {kind!r}")
-
-
-def _check_products_table(obj: dict, ring: GradedRing, elements: dict) -> None:
-    for entry in obj.get("products_table", []):
-        left = _resolve_role(entry["left"], elements)
-        right = _resolve_role(entry["right"], elements)
-        if element_to_obj(multiply(left, right)) != entry["product"]:
-            _fail(
-                f"recorded product of {entry['left']} and {entry['right']} does "
-                "not recompute"
+    try:
+        if kind == "PrywesBound":
+            if n != ring.top_degree:
+                _fail("the dimension bound needs n equal to the top degree")
+            cert = prywes_bound(ring, n, omega)
+        elif kind == "H1Annihilator":
+            system = AnnihilatorSystem(
+                ring, one("factor"), one("cofactor"),
+                many("annihilators"), many("duals"),
             )
-
-
-def _resolve_role(ref: str, elements: dict):
-    if "[" in ref:
-        role, idx = ref[:-1].split("[")
-        return elements[role][int(idx)]
-    return elements[ref]
+            cert = verify_annihilator_system(system, n)
+        elif kind == "DualPair":
+            system = DualSystem(ring, one("target"), many("left"), many("right"))
+            if classes.get("cofactor") is None:
+                _fail("DualPair certificate carries no cofactor")
+            cert = verify_dual_system(system, n)
+            if cert is not None:
+                cert.classes["cofactor"] = one("cofactor")
+                cert.omega = multiply(system.target, cert.classes["cofactor"])
+        elif kind == "SubmanifoldBound":
+            if omega is None or subring is None or iota_star is None:
+                _fail("submanifold certificate needs omega, subring and iota_star")
+            cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
+        else:
+            _fail(f"unknown certificate kind {kind!r}")
+    except InvalidSystemError as exc:
+        raise VerificationFailure(str(exc)) from exc
+    if cert is None:
+        _fail(f"the recorded {kind} data do not obstruct in dimension {n}")
+    rederived = certificate_to_obj(cert, ring)
+    recorded = {k: v for k, v in obj.items() if k not in _CARRIED_KEYS}
+    differing = sorted(
+        k for k in rederived.keys() | recorded.keys()
+        if rederived.get(k) != recorded.get(k)
+    )
+    if differing:
+        _fail("certificate does not match its re-derivation in " + ", ".join(differing))
 
 
 def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dict:
     obj = witness.to_obj()
     obj["format"] = WITNESS_FORMAT
     if omega is not None:
-        obj["omega"] = element_to_obj(omega)
+        obj["omega"] = omega.to_obj()
     return obj
 
 
@@ -356,9 +257,7 @@ def verify_witness_obj(
     if obj.get("ring_hash") != ring.hash_hex():
         _fail("witness ring hash does not match the ring")
     witness = HomWitness.from_obj(ring, obj)
-    recorded = (
-        element_from_obj(ring, obj["omega"]) if obj.get("omega") is not None else None
-    )
+    recorded = _recorded_omega(obj, ring)
     if omega is None:
         omega = recorded
     elif recorded is not None and recorded != omega:
@@ -379,7 +278,7 @@ def result_to_obj(result: QueryResult) -> dict:
         },
         "ring_hash": result.ring.hash_hex(),
         "ring": result.ring.to_obj(),
-        "omega": element_to_obj(result.omega),
+        "omega": result.omega.to_obj(),
         "preconditions": result.preconditions,
         "verdict": result.verdict,
         "certificate": (
@@ -414,7 +313,7 @@ def verify_document(
         if obj.get("ring_hash") != rebuilt.hash_hex():
             _fail("embedded ring does not match the recorded hash")
         omega = parse_omega(obj["query"]["omega"], rebuilt, factors)
-        if element_to_obj(omega) != obj["omega"]:
+        if omega.to_obj() != obj["omega"]:
             _fail("query omega does not recompute to the recorded class")
         n = int(obj["query"]["n"])
         nonzero = not omega.is_zero()
@@ -435,7 +334,7 @@ def verify_document(
             # the certificate must obstruct the query class, not one of its own
             if obj["certificate"].get("omega") is None:
                 _fail("obstructed verdict certificate names no omega")
-            if element_from_obj(rebuilt, obj["certificate"]["omega"]) != omega:
+            if RingElement.from_obj(rebuilt, obj["certificate"]["omega"]) != omega:
                 _fail("certificate omega does not match the query omega")
             verify_certificate_obj(obj["certificate"], rebuilt)
             return f"certificate re-verified ({obj['certificate']['kind']})"
@@ -503,7 +402,7 @@ def kunneth_ideal_basis_doc(
         "ring_hash": ring.hash_hex(),
         "degree": k,
         "dim": len(basis),
-        "basis": [element_to_obj(b) for b in basis],
+        "basis": [b.to_obj() for b in basis],
     }
 
 
@@ -525,7 +424,7 @@ def submanifold_report_obj(
         "format": "qrob.submanifold-report/1",
         "ring_hash": ring_n.hash_hex(),
         "subring_hash": ring_m.hash_hex(),
-        "omega": element_to_obj(omega),
+        "omega": omega.to_obj(),
         "degrees": [
             {
                 "degree": r.degree,

@@ -191,7 +191,7 @@ def test_search_requires_preconditions():
 def test_search_deterministic_output():
     ring, omega = _query("surface(2) * cp(2)", "vol(1)^sym(2)", 4)
     a = certificate_to_obj(search_obstruction(ring, omega, 4), ring)
-    b = certificate_to_obj(search_obstruction(ring, omega, 4, jobs=4), ring)
+    b = certificate_to_obj(search_obstruction(ring, omega, 4), ring)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -331,6 +331,20 @@ def test_submanifold_rejects_non_multiplicative_map():
     iota[2][0][0] += 1  # break multiplicativity
     with pytest.raises(VerificationFailure):
         submanifold_bound(ring, left, iota, ring.fundamental_class(), 2)
+
+
+def test_submanifold_rejects_larger_dimension():
+    # the projection pull-back H*(T^2) -> H*(T^2 x T^2) is a ring map, but the
+    # target has top degree 4 > 2, so it is no submanifold restriction
+    ring, right = build(Torus(2)), build(Torus(2))
+    big = build(parse_manifold("torus(2) * torus(2)"))
+    iota = [
+        [[pull_left(big, ring, right, b).vector(k)[r] for b in ring.basis(k)]
+         for r in range(big.dims[k])]
+        for k in range(ring.top_degree + 1)
+    ]
+    with pytest.raises(VerificationFailure, match="exceeds the top degree"):
+        submanifold_bound(ring, big, iota, ring.fundamental_class(), 4)
 
 
 def test_submanifold_rejects_vanishing_restriction():

@@ -9,6 +9,8 @@ from qrob import (
     Query,
     QrobError,
     S2xS2,
+    Surface,
+    Torus,
     build,
     build_with_classes,
     connsum_power,
@@ -16,12 +18,20 @@ from qrob import (
     parse_omega,
     prywes_bound,
     run_query,
+    slice_restriction,
+    submanifold_bound,
     verify_document,
 )
 from qrob.cli import main
 from qrob.errors import VerificationFailure
 from qrob.homsearch import EnumBudget
-from qrob.pipeline import certificate_to_obj, document_json, result_to_obj
+from qrob.pipeline import (
+    certificate_to_obj,
+    document_json,
+    result_to_obj,
+    ring_document,
+    submanifold_report_obj,
+)
 
 
 def test_prywes_path_end_to_end():
@@ -153,16 +163,17 @@ def test_dual_pair_verdict_requires_cofactor(tmp_path, capsys):
 
 def test_prywes_certificate_requires_top_degree_n():
     ring = build(connsum_power(S2xS2(), 8))
-    for n, ok in ((4, True), (3, False)):
-        cert = prywes_bound(ring, n)
-        assert cert is not None and cert.degree == 2
-        doc = certificate_to_obj(cert, ring)
-        doc["ring"] = ring.to_obj()
-        if ok:
-            assert verify_document(doc) == "certificate re-verified (PrywesBound)"
-        else:
-            with pytest.raises(VerificationFailure, match="top degree"):
-                verify_document(doc)
+    assert prywes_bound(ring, 3) is None  # the bound is unsound below the top degree
+    cert = prywes_bound(ring, 4)
+    assert cert is not None and cert.degree == 2
+    doc = certificate_to_obj(cert, ring)
+    doc["ring"] = ring.to_obj()
+    assert verify_document(doc) == "certificate re-verified (PrywesBound)"
+    # C(3,2) = 3 < 16 still holds, but n = 3 is not the top degree
+    doc["n"] = 3
+    doc["inequality"]["rhs"] = 3
+    with pytest.raises(VerificationFailure, match="top degree"):
+        verify_document(doc)
 
 
 def test_verdict_document_requires_canonical_embedded_ring():
@@ -175,3 +186,42 @@ def test_verdict_document_requires_canonical_embedded_ring():
     coords[t] = f"{2 * value.numerator}/{2 * value.denominator}"
     with pytest.raises(VerificationFailure, match="embedded ring"):
         verify_document(doc)
+
+
+def test_obstructed_verdict_rejects_emptied_products_table():
+    result = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    doc = json.loads(document_json(result_to_obj(result)))
+    assert doc["certificate"]["products_table"]
+    doc["certificate"]["products_table"] = []
+    with pytest.raises(VerificationFailure, match="products_table"):
+        verify_document(doc)
+
+
+def test_obstructed_verdict_rejects_edited_conclusion():
+    result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    doc = json.loads(document_json(result_to_obj(result)))
+    doc["certificate"]["conclusion"] = "no homomorphism exists for any omega."
+    with pytest.raises(VerificationFailure, match="conclusion"):
+        verify_document(doc)
+
+
+def test_submanifold_certificate_round_trip(tmp_path, capsys):
+    left, right = build(Surface(2)), build(Torus(2))
+    ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
+    omega = parse_omega("vol(1) + vol(2)", ring, factors)
+    iota = slice_restriction(left, right)
+    report = submanifold_bound(ring, left, iota, omega, 2)
+    cert = submanifold_report_obj(report, ring, left, iota, omega)["certificate"]
+    assert cert["kind"] == "SubmanifoldBound" and cert["degree"] == 1
+    ring_path = tmp_path / "ring.json"
+    ring_path.write_text(document_json(ring_document(ring)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(document_json(cert))
+    assert main(["verify", str(cert_path), "--ring", str(ring_path)]) == 0
+    assert capsys.readouterr().out == "OK: certificate re-verified (SubmanifoldBound)\n"
+    cert["degree"] = 9
+    cert_path.write_text(document_json(cert))
+    assert main(["verify", str(cert_path), "--ring", str(ring_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL:") and "degree" in captured.out
+    assert "Traceback" not in captured.out + captured.err
