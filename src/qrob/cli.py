@@ -91,11 +91,17 @@ def _output_flags(parser) -> None:
     parser.add_argument("-o", "--output", default=None)
 
 
+def _read_ring(path: str) -> GradedRing:
+    """A ring file: a ring document or a bare ring object."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(obj, dict) and "ring" in obj:
+        obj = obj["ring"]
+    return GradedRing.from_obj(obj)
+
+
 def _load_expr(text: str):
     if text.startswith("@"):
-        obj = json.loads(Path(text[1:]).read_text(encoding="utf-8"))
-        ring = GradedRing.from_obj(obj["ring"] if "ring" in obj else obj)
-        return None, ring, None
+        return None, _read_ring(text[1:]), None
     expr = parse_manifold(text)
     ring, factors = build_with_classes(expr)
     return expr, ring, factors
@@ -182,14 +188,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     obj = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    ring = None
-    subring = None
-    if args.ring_file:
-        rdoc = json.loads(Path(args.ring_file).read_text(encoding="utf-8"))
-        ring = GradedRing.from_obj(rdoc.get("ring", rdoc))
-    if args.subring_file:
-        sdoc = json.loads(Path(args.subring_file).read_text(encoding="utf-8"))
-        subring = GradedRing.from_obj(sdoc.get("ring", sdoc))
+    ring = _read_ring(args.ring_file) if args.ring_file else None
+    subring = _read_ring(args.subring_file) if args.subring_file else None
     try:
         summary = verify_document(obj, ring=ring, subring=subring)
     except (QrobError, ValueError, KeyError, TypeError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import MissingPresentationError, ShapeMismatchError
 from .exterior import ExtElement, blades, wedge
@@ -291,7 +291,10 @@ class EnumBudget:
 
 
 def _image_stream(n: int, k: int, coeffs: list[Fraction]):
-    """Candidate images of one degree-k generator, by support size then blades."""
+    """Candidate images of one degree-k generator, by support size then blades.
+
+    Above degree n there are no blades, and zero is the only candidate.
+    """
     yield ExtElement.zero(n)
     base = list(blades(n, k))
     for size in range(1, len(base) + 1):
@@ -303,34 +306,12 @@ def _image_stream(n: int, k: int, coeffs: list[Fraction]):
                 yield ExtElement(n, dict(zip(support, pattern)))
 
 
-class _LazySeq:
-    """Lazily materialized image sequence with random access by index."""
-
-    def __init__(self, stream):
-        self._stream = stream
-        self._pool: list[ExtElement] = []
-        self.exhausted = False
-
-    def get(self, idx: int) -> ExtElement | None:
-        while len(self._pool) <= idx and not self.exhausted:
-            try:
-                self._pool.append(next(self._stream))
-            except StopIteration:
-                self.exhausted = True
-        return self._pool[idx] if idx < len(self._pool) else None
-
-    def cap(self, stage: int) -> int:
-        """Largest usable index at this stage (indices never exceed the stage)."""
-        self.get(stage)
-        return min(stage, len(self._pool) - 1)
-
-
 def _extend_counts(counts: list[list[int]], running: list[list[int]], caps: list[int]):
     """Append the next stage's column to the bounded-composition count table.
 
     counts[g][s] is the number of index tuples for generators g.. within their
     caps that sum to s; running[g][s] sums counts[g][:s + 1]. A cap below the
-    stage is the sequence's last index and a cap at the stage never binds a
+    stage is the pool's last index and a cap at the stage never binds a
     smaller sum, so earlier columns stay valid and a column costs one
     subtraction per generator.
     """
@@ -386,12 +367,9 @@ def enumerate_hom_detailed(
     if pres is None:
         raise MissingPresentationError("enumeration needs a monomial presentation")
     coeffs = budget.nonzero()
-    sequences = [
-        _LazySeq(_image_stream(n, g.degree, coeffs)) if g.degree <= n
-        else _LazySeq(iter([ExtElement.zero(n)]))
-        for g in pres.generators
-    ]
-    size = len(sequences)
+    streams = [_image_stream(n, g.degree, coeffs) for g in pres.generators]
+    pools: list[list[ExtElement]] = [[] for _ in streams]
+    size = len(streams)
     degrees = [g.degree for g in pres.generators]
     # (signed coefficient, word) for omega's support; words above n map to 0
     words = [
@@ -428,7 +406,7 @@ def enumerate_hom_detailed(
             return False
         lowest = max(0, remaining - reach[g + 1])
         for i in range(lowest, min(remaining, caps[g]) + 1):
-            image = sequences[g].get(i)
+            image = pools[g][i]
             extended = partials
             if touches[g]:
                 extended = list(partials)
@@ -454,8 +432,12 @@ def enumerate_hom_detailed(
 
     total = 0
     while True:
-        caps = [seq.cap(total) for seq in sequences]
-        if all(seq.exhausted for seq in sequences) and total > sum(caps):
+        # indices never exceed the stage; a stream that has not run out fills
+        # its pool to index total, so total > sum(caps) only once all have
+        for pool, stream in zip(pools, streams):
+            pool.extend(islice(stream, total + 1 - len(pool)))
+        caps = [min(total, len(pool) - 1) for pool in pools]
+        if total > sum(caps):
             return EnumerationOutcome(None, nodes, True)
         # reach[g]: the largest index sum generators g.. can still absorb
         reach = [sum(caps[g:]) for g in range(size + 1)]

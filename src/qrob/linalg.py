@@ -33,19 +33,24 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _eliminate(m: Matrix, ncols: int) -> list[int]:
+def _eliminate(m: Matrix, ncols: int) -> tuple[list[int], list[int]]:
     """Gauss-Jordan on m in place, pivoting only in columns < ncols.
 
-    Returns the pivot columns; pivot rows are the first len(pivots) rows.
+    Each pivot row is moved up below the previous one, so the other rows keep
+    their order and the pivot in each column is the first unused row with a
+    nonzero entry there. Returns the pivot columns and the original index of
+    every row; pivot rows are the first len(pivots) rows.
     """
     rows = len(m)
+    order = list(range(rows))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        m.insert(r, m.pop(pr))
+        order.insert(r, order.pop(pr))
         inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
@@ -56,7 +61,7 @@ def _eliminate(m: Matrix, ncols: int) -> list[int]:
         r += 1
         if r == rows:
             break
-    return pivots
+    return pivots, order
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -64,7 +69,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     m = [row[:] for row in a]
     if not m:
         return [], []
-    return m, _eliminate(m, len(m[0]))
+    return m, _eliminate(m, len(m[0]))[0]
 
 
 def rank(a: Matrix) -> int:
@@ -113,7 +118,7 @@ def solve_many(a: Matrix, bs: list[list[Fraction]]) -> list[list[Fraction] | Non
         # No constraints: x = 0 works iff each b is the empty vector.
         return [[Fraction(0)] * cols for _ in bs]
     aug = [a[i][:] + [bs[k][i] for k in range(len(bs))] for i in range(rows)]
-    pivots = _eliminate(aug, cols)
+    pivots, _ = _eliminate(aug, cols)
     # Rows below the pivot block have zero coefficient part, so a nonzero
     # right-hand entry there means that system is inconsistent.
     out: list[list[Fraction] | None] = []
@@ -146,23 +151,6 @@ def pivot_rows_cols(a: Matrix) -> tuple[list[int], list[int]]:
     Deterministic: columns are scanned left to right, and the first
     not-yet-used row with a nonzero entry becomes the pivot row.
     """
-    if not a:
-        return [], []
     m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    used: list[bool] = [False] * rows
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    for c in range(cols):
-        pr = next((i for i in range(rows) if not used[i] and m[i][c] != 0), None)
-        if pr is None:
-            continue
-        used[pr] = True
-        piv_rows.append(pr)
-        piv_cols.append(c)
-        inv = Fraction(1) / m[pr][c]
-        for i in range(rows):
-            if i != pr and not used[i] and m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[pr])]
-    return piv_rows, piv_cols
+    pivots, order = _eliminate(m, len(m[0]) if m else 0)
+    return order[: len(pivots)], pivots

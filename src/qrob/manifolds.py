@@ -269,32 +269,31 @@ def _product_ring(left: GradedRing, right: GradedRing) -> GradedRing:
     return GradedRing(d, dims, labels, structure, fund, pres)
 
 
+def _pull_back(
+    product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement,
+    cell,
+) -> RingElement:
+    """Image of a factor class; cell(k, i) is its Kunneth cell in the product."""
+    _, index = kunneth_layout(left, right)
+    out = {k: [Fraction(0)] * product_ring.dims[k] for k in x.coords()}
+    for k, vec in x.coords().items():
+        for i, c in enumerate(vec):
+            out[k][index[cell(k, i)]] = c
+    return RingElement(product_ring, out)
+
+
 def pull_left(
     product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement
 ) -> RingElement:
     """Image of a left-factor class under the projection pull-back."""
-    _, index = kunneth_layout(left, right)
-    out: dict[int, list[Fraction]] = {}
-    for k, vec in x.coords().items():
-        dense = [Fraction(0)] * product_ring.dims[k]
-        for i, c in enumerate(vec):
-            dense[index[(k, i, 0, 0)]] = c
-        out[k] = dense
-    return RingElement(product_ring, out)
+    return _pull_back(product_ring, left, right, x, lambda k, i: (k, i, 0, 0))
 
 
 def pull_right(
     product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement
 ) -> RingElement:
     """Image of a right-factor class under the projection pull-back."""
-    _, index = kunneth_layout(left, right)
-    out: dict[int, list[Fraction]] = {}
-    for k, vec in x.coords().items():
-        dense = [Fraction(0)] * product_ring.dims[k]
-        for j, c in enumerate(vec):
-            dense[index[(0, 0, k, j)]] = c
-        out[k] = dense
-    return RingElement(product_ring, out)
+    return _pull_back(product_ring, left, right, x, lambda k, j: (0, 0, k, j))
 
 
 def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:

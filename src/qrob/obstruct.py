@@ -339,10 +339,8 @@ def kronecker_systems(
         piv_rows, piv_cols = pivot_rows_cols(block)
         if not piv_rows:
             continue
-        square = [[block[r][c] for c in piv_cols] for r in piv_rows]
-        inv = invert(square)
-        if inv is None:
-            continue
+        # a maximal pivot block is invertible
+        inv = invert([[block[r][c] for c in piv_cols] for r in piv_rows])
         lefts = [rows[group[r]] for r in piv_rows]
         rights = []
         for j in range(len(piv_cols)):

@@ -72,7 +72,9 @@ class QueryResult:
         return EXIT_BY_VERDICT[self.verdict]
 
 
-def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
+def _prepare(query: Query) -> tuple[ManifoldExpr, GradedRing, RingElement, dict]:
+    """Build the query's ring and omega, check n and omega's degree, and
+    compute the preconditions report; raise QrobError on a malformed query."""
     expr = parse_manifold(query.manifold)
     ring, factors = build_with_classes(expr)
     omega = parse_omega(query.omega, ring, factors)
@@ -90,14 +92,14 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
         )
     in_ideal = nonzero and in_kunneth_ideal(ring, omega)
     preconditions = {"omega_nonzero": nonzero, "omega_in_kunneth_ideal": in_ideal}
-    if not (nonzero and in_ideal):
+    return expr, ring, omega, preconditions
+
+
+def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
+    expr, ring, omega, preconditions = _prepare(query)
+    if not all(preconditions.values()):
         return QueryResult(
-            query,
-            expr,
-            ring,
-            omega,
-            UNKNOWN,
-            preconditions,
+            query, expr, ring, omega, UNKNOWN, preconditions,
             search_log={
                 "stopped": "precondition",
                 "detail": "the necessary-condition hypotheses fail; no search run",
@@ -306,26 +308,25 @@ def verify_document(
     """Re-check an emitted document; returns a summary line, raises on failure."""
     fmt = obj.get("format")
     if fmt == VERDICT_FORMAT:
+        q = obj["query"]
+        n = int(q["n"])
+        try:
+            query = Query(q["manifold"], q["omega"], n)
+            _, rebuilt, omega, preconditions = _prepare(query)
+        except QrobError as exc:
+            raise VerificationFailure(f"query does not re-run: {exc}") from exc
         # the rebuilt ring is validated; the embedded copy must be its exact bytes
-        rebuilt, factors = build_with_classes(parse_manifold(obj["query"]["manifold"]))
         if obj.get("ring") != rebuilt.to_obj():
             _fail("query does not rebuild to the embedded ring")
         if obj.get("ring_hash") != rebuilt.hash_hex():
             _fail("embedded ring does not match the recorded hash")
-        omega = parse_omega(obj["query"]["omega"], rebuilt, factors)
         if omega.to_obj() != obj["omega"]:
             _fail("query omega does not recompute to the recorded class")
-        n = int(obj["query"]["n"])
-        nonzero = not omega.is_zero()
-        if nonzero and (not omega.is_homogeneous() or omega.degree() != n):
-            _fail("query omega does not have the query degree")
-        in_ideal = nonzero and in_kunneth_ideal(rebuilt, omega)
-        if obj["preconditions"] != {
-            "omega_nonzero": nonzero,
-            "omega_in_kunneth_ideal": in_ideal,
-        }:
+        if obj["preconditions"] != preconditions:
             _fail("preconditions report does not recompute")
         verdict = obj.get("verdict")
+        if verdict != UNKNOWN and not all(preconditions.values()):
+            _fail(f"a {verdict} verdict needs both preconditions to hold")
         if verdict == OBSTRUCTED:
             if not obj.get("certificate"):
                 _fail("obstructed verdict without a certificate")

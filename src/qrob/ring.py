@@ -171,30 +171,37 @@ class GradedRing:
 
     @classmethod
     def from_obj(cls, obj: dict, validate: bool = True) -> "GradedRing":
-        structure: Structure = {}
-        for entry in obj.get("structure", []):
-            p, q = int(entry["p"]), int(entry["q"])
-            if p < 1 or q < 1:
-                raise RingValidationError("structure tables exist only for p, q >= 1")
-            table: dict[tuple[int, int], SparseVec] = {}
-            for i, j, dense in entry["products"]:
-                vec = {
-                    t: fraction_from_str(c)
-                    for t, c in enumerate(dense)
-                    if fraction_from_str(c)
-                }
-                if vec:
-                    table[(int(i), int(j))] = vec
-            structure[(p, q)] = table
-        pres_obj = obj.get("monomial_presentation")
-        ring = cls(
-            obj["top_degree"],
-            obj["dims"],
-            obj["labels"],
-            structure,
-            obj.get("fundamental_index", 0),
-            Presentation.from_obj(pres_obj) if pres_obj else None,
-        )
+        if not isinstance(obj, dict):
+            raise RingValidationError(f"a ring must be a JSON object, got {obj!r}")
+        try:
+            structure: Structure = {}
+            for entry in obj.get("structure", []):
+                p, q = int(entry["p"]), int(entry["q"])
+                if p < 1 or q < 1:
+                    raise RingValidationError(
+                        "structure tables exist only for p, q >= 1"
+                    )
+                table: dict[tuple[int, int], SparseVec] = {}
+                for i, j, dense in entry["products"]:
+                    vec = {
+                        t: fraction_from_str(c)
+                        for t, c in enumerate(dense)
+                        if fraction_from_str(c)
+                    }
+                    if vec:
+                        table[(int(i), int(j))] = vec
+                structure[(p, q)] = table
+            pres_obj = obj.get("monomial_presentation")
+            ring = cls(
+                obj["top_degree"],
+                obj["dims"],
+                obj["labels"],
+                structure,
+                obj.get("fundamental_index", 0),
+                Presentation.from_obj(pres_obj) if pres_obj else None,
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise RingValidationError(f"malformed ring object: {exc!r}") from exc
         if validate:
             ring.validate()
         return ring

@@ -225,3 +225,22 @@ def test_check_output_stable_across_runs(capsys, tmp_path):
         )
         files.append(out_file.read_bytes())
     assert files[0] == files[1]
+
+
+def test_malformed_ring_files_exit_three(capsys, tmp_path):
+    doc_file = tmp_path / "verdict.json"
+    run(
+        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
+        "-o", str(doc_file),
+    )
+    for i, bad in enumerate(({"foo": 1}, [1, 2], "ring", None, {"ring": [1, 2]})):
+        bad_file = tmp_path / f"bad{i}.json"
+        bad_file.write_text(json.dumps(bad))
+        for argv in (
+            ("ring", "show", f"@{bad_file}"),
+            ("verify", str(doc_file), "--ring", str(bad_file)),
+            ("verify", str(doc_file), "--subring", str(bad_file)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3, (bad, argv)
+            assert err.startswith("error:") and "Traceback" not in out + err

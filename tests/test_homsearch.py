@@ -295,6 +295,7 @@ def _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes):
         ("surface(1) * cp(2)", "vol(1)^sym(2)", 4, (-1, 0, 1), (100, 1000)),
         ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (-1, 0, 1), (1, 200)),
         ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (0, 1, -2), (150,)),
+        ("surface(2) * sphere(3)", "vol(1)", 2, (0, 1), (255, 256, 257)),
     ],
 )
 def test_enumeration_matches_brute_force_oracle(

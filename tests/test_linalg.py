@@ -1,6 +1,8 @@
 """Exact rational matrix routines."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -70,6 +72,64 @@ def test_pivot_rows_cols_give_invertible_block():
     block = [[a[r][c] for c in cols] for r in rows]
     assert invert(block) is not None
     assert len(rows) == rank(a)
+
+
+def _det_oracle(m):
+    """Determinant by permutation expansion."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _pivots_oracle(a):
+    """Columns left to right; each takes the lowest unused row that keeps the
+    chosen minor nonzero."""
+    rows, cols = [], []
+    for c in range(len(a[0]) if a else 0):
+        for r in range(len(a)):
+            if r in rows:
+                continue
+            minor = [[a[i][j] for j in cols + [c]] for i in rows + [r]]
+            if _det_oracle(minor) != 0:
+                rows.append(r)
+                cols.append(c)
+                break
+    return rows, cols
+
+
+def _random_matrix(rng):
+    width = rng.randint(1, 5)
+    m = [
+        [Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2)))
+         for _ in range(width)]
+        for _ in range(rng.randint(1, 5))
+    ]
+    for i in range(len(m)):
+        roll = rng.random()
+        if roll < 0.15:
+            m[i] = [Fraction(0)] * width
+        elif roll < 0.35:
+            # a repeat, or a multiple, of an earlier row
+            m[i] = [rng.choice((1, -1, 2)) * x for x in m[rng.randrange(i + 1)]]
+    return m
+
+
+def test_pivot_rows_cols_match_minor_oracle():
+    rng = random.Random(20231207)
+    for _ in range(400):
+        a = _random_matrix(rng)
+        assert pivot_rows_cols(a) == _pivots_oracle(a), a
+    assert pivot_rows_cols([]) == ([], [])
+    assert pivot_rows_cols(mat([[0, 0], [0, 0]])) == ([], [])
+    # repeated and zero rows are never chosen twice
+    assert pivot_rows_cols(mat([[0, 1], [1, 1], [1, 1], [2, 0]])) == ([1, 0], [0, 1])
 
 
 def test_fraction_strings():

@@ -225,3 +225,43 @@ def test_submanifold_certificate_round_trip(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL:") and "degree" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_obstructed_verdict_requires_preconditions(tmp_path, capsys):
+    # an honest DualPair certificate, zeroed to match a zero omega: the claim
+    # would be vacuous, and check never searches a query whose preconditions fail
+    honest = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    assert honest.certificate.kind == "DualPair"
+    cert = json.loads(document_json(result_to_obj(honest)))["certificate"]
+    zero_query = Query(
+        "connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2) - vol(1)^sym(2)", 6
+    )
+    result = run_query(zero_query)
+    assert result.verdict == "UNKNOWN"
+    assert not any(result.preconditions.values())
+    doc = json.loads(document_json(result_to_obj(result)))
+    zero = result.ring.zero().to_obj()
+    cert["omega"] = zero
+    cert["classes"]["cofactor"] = zero
+    doc["verdict"] = "OBSTRUCTED"
+    doc["certificate"] = cert
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "preconditions" in capsys.readouterr().out
+    with pytest.raises(VerificationFailure, match="preconditions"):
+        verify_document(doc)
+
+
+def test_verdict_document_rejects_dimension_above_top_degree(tmp_path, capsys):
+    # check rejects n = 99 on a 4-dimensional ring, so verify must too
+    result = run_query(Query("torus(2) * torus(2)", "vol(1) - vol(1)", 2))
+    doc = json.loads(document_json(result_to_obj(result)))
+    verify_document(doc)
+    doc["query"]["n"] = 99
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "top degree" in capsys.readouterr().out
+    with pytest.raises(VerificationFailure, match="top degree"):
+        verify_document(doc)
