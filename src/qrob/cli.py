@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes for `check`: 0 WITNESS, 1 OBSTRUCTED, 2 UNKNOWN, 3 and up errors.
-`verify` exits 0 on success and 1 on a failed re-verification.
+`verify` exits 0 on success and 1 on a failed re-verification. An input
+file that is missing or does not hold JSON exits 3.
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from pathlib import Path
 from .dsl import parse_manifold
 from .errors import QrobError
 from .homsearch import EnumBudget
-from .linalg import fraction_to_str
 from .manifolds import build_with_classes
 from .pipeline import (
     Query,
     document_json,
     kunneth_ideal_basis_doc,
+    pairings_obj,
     result_to_obj,
     ring_document,
     run_query,
     verify_document,
 )
-from .ring import GradedRing, kunneth_ideal_basis, poincare_pairing
+from .ring import GradedRing, kunneth_ideal_basis
 
 USAGE_ERROR = 3
 INTERNAL_ERROR = 4
@@ -66,19 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated exact coefficients for the enumeration search",
     )
     check.add_argument("--enum-budget", type=int, default=50_000)
-    # accepted for compatibility; the search is sequential
-    check.add_argument("--jobs", type=int, default=None)
     _output_flags(check)
 
     verify = sub.add_parser("verify", help="re-check an emitted document")
     verify.add_argument("file")
     verify.add_argument("--ring", dest="ring_file", default=None)
     verify.add_argument("--subring", dest="subring_file", default=None)
-
-    verify_w = sub.add_parser("verify-witness", help="re-check a witness file")
-    verify_w.add_argument("file")
-    verify_w.add_argument("--ring", dest="ring_file", default=None)
-    verify_w.add_argument("--subring", dest="subring_file", default=None)
 
     export = sub.add_parser("export", help="write a ring file for an expression")
     export.add_argument("expr")
@@ -119,11 +113,7 @@ def _emit(args, obj: dict, text: str) -> None:
 def _cmd_ring_show(args) -> int:
     _, ring, _ = _load_expr(args.expr)
     doc = ring_document(ring)
-    pairings = {
-        k: [[fraction_to_str(c) for c in row] for row in poincare_pairing(ring, k)]
-        for k in range(ring.top_degree + 1)
-    }
-    doc["pairings"] = {str(k): v for k, v in pairings.items()}
+    doc["pairings"] = pairings_obj(ring)
     lines = [
         f"top_degree: {ring.top_degree}",
         f"dims: {list(ring.dims)}",
@@ -135,7 +125,7 @@ def _cmd_ring_show(args) -> int:
     for k in range(ring.top_degree + 1):
         if ring.dims[k]:
             lines.append(f"pairing H^{k} x H^{ring.top_degree - k}:")
-            for row in pairings[k]:
+            for row in doc["pairings"][str(k)]:
                 lines.append("  [" + ", ".join(row) + "]")
     _emit(args, doc, "\n".join(lines))
     return 0
@@ -192,8 +182,7 @@ def _cmd_verify(args) -> int:
     subring = _read_ring(args.subring_file) if args.subring_file else None
     try:
         summary = verify_document(obj, ring=ring, subring=subring)
-    except (QrobError, ValueError, KeyError, TypeError) as exc:
-        # malformed payloads count as failed verification, not tool errors
+    except QrobError as exc:
         sys.stdout.write(f"FAIL: {exc}\n")
         return 1
     sys.stdout.write(f"OK: {summary}\n")
@@ -217,7 +206,7 @@ def main(argv=None) -> int:
             return _cmd_kunneth_ideal(args)
         if args.command == "check":
             return _cmd_check(args)
-        if args.command in ("verify", "verify-witness"):
+        if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "export":
             return _cmd_export(args)
@@ -225,10 +214,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR
-    except QrobError as exc:
+    except (QrobError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INTERNAL_ERROR
 

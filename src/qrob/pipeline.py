@@ -8,11 +8,13 @@ deterministic and re-checkable via `verify_document`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .dsl import parse_manifold, parse_omega
-from .errors import InvalidSystemError, QrobError, VerificationFailure
+from .errors import QrobError, VerificationFailure
 from .homsearch import (
     EnumBudget,
     HomWitness,
@@ -34,7 +36,7 @@ from .obstruct import (
     verify_annihilator_system,
     verify_dual_system,
 )
-from .ring import GradedRing, RingElement, in_kunneth_ideal, multiply
+from .ring import GradedRing, RingElement, in_kunneth_ideal, multiply, poincare_pairing
 
 VERDICT_FORMAT = "qrob.verdict/1"
 CERTIFICATE_FORMAT = "qrob.certificate/1"
@@ -169,35 +171,26 @@ def certificate_to_obj(cert: Certificate, ring: GradedRing) -> dict:
     return obj
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     raise VerificationFailure(message)
-
-
-def _recorded_omega(obj: dict, ring: GradedRing) -> RingElement | None:
-    raw = obj.get("omega")
-    return None if raw is None else RingElement.from_obj(ring, raw)
-
-
-# Payload that travels with a certificate document but is not re-derived.
-_CARRIED_KEYS = ("ring", "subring", "iota_star")
 
 
 def verify_certificate_obj(
     obj: dict, ring: GradedRing, subring: GradedRing | None = None,
     iota_star: list[Matrix] | None = None,
-) -> None:
-    """Re-derive a certificate with the search's own code; raise on mismatch.
+) -> Certificate:
+    """Re-derive a certificate with the search's own code and return it.
 
     Kronecker certificates are rebuilt from their recorded classes, the
     dimension bound from the ring, and the submanifold bound from the ring,
-    subring, restriction map and omega. Every recorded field except the
-    carried payload must equal the rebuilt one.
+    subring, restriction map and omega. Raises when the recorded data do not
+    obstruct; `verify_document` then compares the re-emitted certificate
+    with the recorded one.
     """
-    kind = obj.get("kind")
-    if obj.get("ring_hash") != ring.hash_hex():
-        _fail("certificate ring hash does not match the ring")
+    kind = obj["kind"]
     n = int(obj["n"])
-    omega = _recorded_omega(obj, ring)
+    omega = obj.get("omega")
+    omega = None if omega is None else RingElement.from_obj(ring, omega)
     classes = obj.get("classes", {})
 
     def one(role: str) -> RingElement:
@@ -206,43 +199,31 @@ def verify_certificate_obj(
     def many(role: str) -> list[RingElement]:
         return [RingElement.from_obj(ring, o) for o in classes[role]]
 
-    try:
-        if kind == "PrywesBound":
-            if n != ring.top_degree:
-                _fail("the dimension bound needs n equal to the top degree")
-            cert = prywes_bound(ring, n, omega)
-        elif kind == "H1Annihilator":
-            system = AnnihilatorSystem(
-                ring, one("factor"), one("cofactor"),
-                many("annihilators"), many("duals"),
-            )
-            cert = verify_annihilator_system(system, n)
-        elif kind == "DualPair":
-            system = DualSystem(ring, one("target"), many("left"), many("right"))
-            if classes.get("cofactor") is None:
-                _fail("DualPair certificate carries no cofactor")
-            cert = verify_dual_system(system, n)
-            if cert is not None:
-                cert.classes["cofactor"] = one("cofactor")
-                cert.omega = multiply(system.target, cert.classes["cofactor"])
-        elif kind == "SubmanifoldBound":
-            if omega is None or subring is None or iota_star is None:
-                _fail("submanifold certificate needs omega, subring and iota_star")
-            cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
-        else:
-            _fail(f"unknown certificate kind {kind!r}")
-    except InvalidSystemError as exc:
-        raise VerificationFailure(str(exc)) from exc
+    if kind == "PrywesBound":
+        if n != ring.top_degree:
+            _fail("the dimension bound needs n equal to the top degree")
+        cert = prywes_bound(ring, n, omega)
+    elif kind == "H1Annihilator":
+        system = AnnihilatorSystem(
+            ring, one("factor"), one("cofactor"),
+            many("annihilators"), many("duals"),
+        )
+        cert = verify_annihilator_system(system, n)
+    elif kind == "DualPair":
+        system = DualSystem(ring, one("target"), many("left"), many("right"))
+        cert = verify_dual_system(system, n)
+        if cert is not None:
+            cert.classes["cofactor"] = one("cofactor")
+            cert.omega = multiply(system.target, cert.classes["cofactor"])
+    elif kind == "SubmanifoldBound":
+        if omega is None or subring is None or iota_star is None:
+            _fail("submanifold certificate needs omega, subring and iota_star")
+        cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
+    else:
+        _fail(f"unknown certificate kind {kind!r}")
     if cert is None:
         _fail(f"the recorded {kind} data do not obstruct in dimension {n}")
-    rederived = certificate_to_obj(cert, ring)
-    recorded = {k: v for k, v in obj.items() if k not in _CARRIED_KEYS}
-    differing = sorted(
-        k for k in rederived.keys() | recorded.keys()
-        if rederived.get(k) != recorded.get(k)
-    )
-    if differing:
-        _fail("certificate does not match its re-derivation in " + ", ".join(differing))
+    return cert
 
 
 def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dict:
@@ -251,23 +232,6 @@ def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dic
     if omega is not None:
         obj["omega"] = omega.to_obj()
     return obj
-
-
-def verify_witness_obj(
-    obj: dict, ring: GradedRing, omega: RingElement | None = None
-) -> None:
-    if obj.get("ring_hash") != ring.hash_hex():
-        _fail("witness ring hash does not match the ring")
-    witness = HomWitness.from_obj(ring, obj)
-    recorded = _recorded_omega(obj, ring)
-    if omega is None:
-        omega = recorded
-    elif recorded is not None and recorded != omega:
-        _fail("recorded omega does not match the query omega")
-    if omega is None:
-        _fail("no omega available to check nonvanishing against")
-    if not verify_hom(witness, omega):
-        _fail("witness fails multiplicativity or maps omega to zero")
 
 
 def result_to_obj(result: QueryResult) -> dict:
@@ -300,91 +264,127 @@ def document_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+_ABSENT = object()
+
+
+def _differences(expected, recorded, path: str = "") -> list[str]:
+    """Paths where two JSON values differ in bytes: a missing key is not a
+    null one, and 0 is not false nor 1 the same as 1.0, as `==` would say."""
+    if isinstance(expected, dict) and isinstance(recorded, dict):
+        return [
+            bad
+            for key in sorted(expected.keys() | recorded.keys())
+            for bad in _differences(
+                expected.get(key, _ABSENT), recorded.get(key, _ABSENT),
+                f"{path}.{key}" if path else key,
+            )
+        ]
+    same = expected is recorded or _ABSENT not in (expected, recorded) and (
+        json.dumps(expected, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+    )
+    return [] if same else [path]
+
+
 def verify_document(
     obj: dict,
     ring: GradedRing | None = None,
     subring: GradedRing | None = None,
 ) -> str:
-    """Re-check an emitted document; returns a summary line, raises on failure."""
+    """Re-check an emitted document; returns a summary line.
+
+    The payload is re-derived with the search's own code and re-emitted with
+    the emitters' own code, and every top-level key must serialize to the
+    recorded bytes; only a verdict's advisory `search_log` is left out. Any
+    failure, a malformed document included, raises VerificationFailure.
+    """
+    try:
+        expected, summary = _rederive(obj, ring, subring)
+        differing = _differences(expected, obj)
+    except VerificationFailure:
+        raise
+    # a failed proof, or what the search's own code raises on a malformed payload
+    except (QrobError, KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError, IndexError) as exc:
+        raise VerificationFailure(f"{type(exc).__name__}: {exc}") from exc
+    if differing:
+        _fail("document does not match its re-derivation at " + ", ".join(differing))
+    return summary
+
+
+def _rederive(
+    obj: dict, ring: GradedRing | None, subring: GradedRing | None
+) -> tuple[dict, str]:
+    """The document that the emitters write for obj's re-derived payload."""
     fmt = obj.get("format")
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
-        n = int(q["n"])
-        try:
-            query = Query(q["manifold"], q["omega"], n)
-            _, rebuilt, omega, preconditions = _prepare(query)
-        except QrobError as exc:
-            raise VerificationFailure(f"query does not re-run: {exc}") from exc
-        # the rebuilt ring is validated; the embedded copy must be its exact bytes
-        if obj.get("ring") != rebuilt.to_obj():
+        query = Query(q["manifold"], q["omega"], int(q["n"]))
+        expr, rebuilt, omega, preconditions = _prepare(query)
+        embedded = json.dumps(obj["ring"], sort_keys=True, separators=(",", ":"))
+        if hashlib.sha256(embedded.encode("utf-8")).hexdigest() != rebuilt.hash_hex():
             _fail("query does not rebuild to the embedded ring")
-        if obj.get("ring_hash") != rebuilt.hash_hex():
-            _fail("embedded ring does not match the recorded hash")
-        if omega.to_obj() != obj["omega"]:
-            _fail("query omega does not recompute to the recorded class")
-        if obj["preconditions"] != preconditions:
-            _fail("preconditions report does not recompute")
-        verdict = obj.get("verdict")
+        verdict = obj["verdict"]
         if verdict != UNKNOWN and not all(preconditions.values()):
             _fail(f"a {verdict} verdict needs both preconditions to hold")
+        result = QueryResult(query, expr, rebuilt, omega, verdict, preconditions)
         if verdict == OBSTRUCTED:
-            if not obj.get("certificate"):
-                _fail("obstructed verdict without a certificate")
-            if int(obj["certificate"]["n"]) != n:
-                _fail("certificate target dimension does not match the query")
-            # the certificate must obstruct the query class, not one of its own
-            if obj["certificate"].get("omega") is None:
-                _fail("obstructed verdict certificate names no omega")
-            if RingElement.from_obj(rebuilt, obj["certificate"]["omega"]) != omega:
-                _fail("certificate omega does not match the query omega")
-            verify_certificate_obj(obj["certificate"], rebuilt)
-            return f"certificate re-verified ({obj['certificate']['kind']})"
-        if verdict == WITNESS:
-            if not obj.get("witness"):
-                _fail("witness verdict without a witness")
-            if int(obj["witness"]["ambient_n"]) != n:
+            cert = verify_certificate_obj(obj["certificate"], rebuilt)
+            if cert.n != query.n or cert.omega != omega:
+                _fail("the certificate's n and omega must be the query's")
+            result.certificate = cert
+            summary = f"certificate re-verified ({cert.kind})"
+        elif verdict == WITNESS:
+            witness = HomWitness.from_obj(rebuilt, obj["witness"])
+            if witness.ambient_n != query.n:
                 _fail("witness ambient dimension does not match the query")
-            verify_witness_obj(obj["witness"], rebuilt, omega)
-            return "witness re-verified"
-        if verdict == UNKNOWN:
-            if obj.get("certificate") is not None or obj.get("witness") is not None:
-                _fail("UNKNOWN verdict must not carry a certificate or witness")
-            return "preconditions re-verified (verdict UNKNOWN carries no payload)"
-        _fail(f"unknown verdict {verdict!r}")
-    if fmt == CERTIFICATE_FORMAT:
-        ring = _ring_for(obj, ring)
-        sub = subring
-        iota = None
-        if obj.get("kind") == "SubmanifoldBound":
-            if sub is None and obj.get("subring") is not None:
-                sub = GradedRing.from_obj(obj["subring"])
-            if obj.get("iota_star") is not None:
-                iota = [
-                    [[fraction_from_str(c) for c in row] for row in mat]
-                    for mat in obj["iota_star"]
-                ]
-        verify_certificate_obj(obj, ring, subring=sub, iota_star=iota)
-        return f"certificate re-verified ({obj.get('kind')})"
-    if fmt == WITNESS_FORMAT:
-        ring = _ring_for(obj, ring)
-        verify_witness_obj(obj, ring)
-        return "witness re-verified"
+            if not verify_hom(witness, omega):
+                _fail("witness fails multiplicativity or maps omega to zero")
+            result.witness = witness
+            summary = "witness re-verified"
+        elif verdict == UNKNOWN:
+            summary = "preconditions re-verified (verdict UNKNOWN carries no payload)"
+        else:
+            _fail(f"unknown verdict {verdict!r}")
+        expected = result_to_obj(result)
+        # the embedded ring matched the rebuilt ring's hash; the log is advisory
+        for key in ("ring", "search_log"):
+            expected[key] = obj.get(key, _ABSENT)
+        return expected, summary
     if fmt == RING_FORMAT:
         embedded = GradedRing.from_obj(obj["ring"])
-        if embedded.hash_hex() != obj.get("ring_hash"):
-            _fail("ring does not match the recorded hash")
-        return "ring re-validated"
-    _fail(f"unrecognized document format {fmt!r}")
-    return ""  # unreachable
-
-
-def _ring_for(obj: dict, ring: GradedRing | None) -> GradedRing:
-    if ring is not None:
-        return ring
-    if obj.get("ring") is not None:
-        return GradedRing.from_obj(obj["ring"])
-    _fail("no ring available: pass --ring or embed the ring in the document")
-    raise AssertionError  # unreachable
+        expected = ring_document(embedded)
+        if "pairings" in obj:
+            expected["pairings"] = pairings_obj(embedded)
+        return expected, "ring re-validated"
+    if fmt not in (CERTIFICATE_FORMAT, WITNESS_FORMAT):
+        _fail(f"unrecognized document format {fmt!r}")
+    if ring is None:
+        if obj.get("ring") is None:
+            _fail("no ring available: pass --ring or embed the ring in the document")
+        ring = GradedRing.from_obj(obj["ring"])
+    if fmt == CERTIFICATE_FORMAT:
+        if subring is None and "subring" in obj:
+            subring = GradedRing.from_obj(obj["subring"])
+        iota = obj.get("iota_star")
+        if iota is not None:
+            iota = [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
+        cert = verify_certificate_obj(obj, ring, subring, iota)
+        expected = certificate_to_obj(cert, ring)
+        if "subring" in obj:
+            expected["subring"] = subring.to_obj()
+        if iota is not None:
+            expected["iota_star"] = [_matrix_obj(m) for m in iota]
+        summary = f"certificate re-verified ({cert.kind})"
+    else:
+        witness = HomWitness.from_obj(ring, obj)
+        omega = RingElement.from_obj(ring, obj["omega"])
+        if not verify_hom(witness, omega):
+            _fail("witness fails multiplicativity or maps omega to zero")
+        expected = witness_to_obj(witness, omega)
+        summary = "witness re-verified"
+    if "ring" in obj:
+        expected["ring"] = ring.to_obj()
+    return expected, summary
 
 
 def ring_document(ring: GradedRing) -> dict:
@@ -407,6 +407,18 @@ def kunneth_ideal_basis_doc(
     }
 
 
+def _matrix_obj(mat: Matrix) -> list:
+    return [[fraction_to_str(c) for c in row] for row in mat]
+
+
+def pairings_obj(ring: GradedRing) -> dict:
+    """The duality pairing matrices that `ring show` adds to a ring document."""
+    return {
+        str(k): _matrix_obj(poincare_pairing(ring, k))
+        for k in range(ring.top_degree + 1)
+    }
+
+
 def submanifold_report_obj(
     report: SubmanifoldReport,
     ring_n: GradedRing,
@@ -418,9 +430,7 @@ def submanifold_report_obj(
     if report.certificate is not None:
         cert_obj = certificate_to_obj(report.certificate, ring_n)
         cert_obj["subring"] = ring_m.to_obj()
-        cert_obj["iota_star"] = [
-            [[fraction_to_str(c) for c in row] for row in mat] for mat in iota_star
-        ]
+        cert_obj["iota_star"] = [_matrix_obj(m) for m in iota_star]
     return {
         "format": "qrob.submanifold-report/1",
         "ring_hash": ring_n.hash_hex(),

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qrob.cli import main
 
 
@@ -147,13 +149,13 @@ def test_standalone_witness_file_with_ring(capsys, tmp_path):
     rfile = tmp_path / "ring.json"
     wfile.write_text(document_json(witness_to_obj(witness, omega)))
     rfile.write_text(document_json(ring_document(ring)))
-    code, out, _ = run(capsys, "verify-witness", str(wfile), "--ring", str(rfile))
+    code, out, _ = run(capsys, "verify", str(wfile), "--ring", str(rfile))
     assert code == 0 and "witness re-verified" in out
     # single-coefficient tampering is caught
     obj = json.loads(wfile.read_text())
     obj["images"]["1"][0]["terms"][0]["coeff"] = "2"
     wfile.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "verify-witness", str(wfile), "--ring", str(rfile))
+    code, out, _ = run(capsys, "verify", str(wfile), "--ring", str(rfile))
     assert code == 1
 
 
@@ -221,7 +223,7 @@ def test_check_output_stable_across_runs(capsys, tmp_path):
         out_file = tmp_path / name
         run(
             capsys, "check", "surface(3) * cp(2)", "--omega", "vol(1)^sym(2)",
-            "--n", "4", "-o", str(out_file), "--jobs", "2" if name == "b.json" else "1",
+            "--n", "4", "-o", str(out_file),
         )
         files.append(out_file.read_bytes())
     assert files[0] == files[1]
@@ -244,3 +246,45 @@ def test_malformed_ring_files_exit_three(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert code == 3, (bad, argv)
             assert err.startswith("error:") and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{garbage}"),
+    ("verify", "{missing}"),
+    ("verify", "{doc}", "--ring", "{garbage}"),
+    ("verify", "{doc}", "--subring", "{missing}"),
+    ("ring", "show", "@{garbage}"),
+    ("kunneth-ideal", "@{missing}", "--k", "2"),
+])
+def test_unreadable_input_exit_three(capsys, tmp_path, argv):
+    # a missing file or text that is not JSON is an input error
+    doc = tmp_path / "verdict.json"
+    run(capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2", "-o", str(doc))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    paths = {"doc": doc, "garbage": garbage, "missing": tmp_path / "missing.json"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 3 and err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("value", [[1, 2], "verdict", 3, None])
+def test_verify_non_object_document_fails(capsys, tmp_path, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(value))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("FAIL:")
+    assert "Traceback" not in out + err
+
+
+def test_ring_show_document_verifies(capsys, tmp_path):
+    # `ring show` adds the duality pairings, which verify re-derives too
+    out_file = tmp_path / "ring.json"
+    run(capsys, "ring", "show", "torus(2)", "-o", str(out_file))
+    code, out, _ = run(capsys, "verify", str(out_file))
+    assert code == 0 and "ring re-validated" in out
+    doc = json.loads(out_file.read_text())
+    doc["pairings"]["1"][0][1] = "2"
+    out_file.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(out_file))
+    assert code == 1 and "pairings.1" in out

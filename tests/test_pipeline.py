@@ -265,3 +265,36 @@ def test_verdict_document_rejects_dimension_above_top_degree(tmp_path, capsys):
     assert "top degree" in capsys.readouterr().out
     with pytest.raises(VerificationFailure, match="top degree"):
         verify_document(doc)
+
+
+def _first_ring_product_index_to_false(doc):
+    products = doc["ring"]["structure"][0]["products"]
+    assert products[0][0] == 0
+    products[0][0] = False
+
+
+_OBSTRUCTED_QUERY = Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4)
+_WITNESS_QUERY = Query("surface(1) * cp(2)", "vol(1)^sym(2)", 4)
+
+
+@pytest.mark.parametrize("query, edit", [
+    pytest.param(_OBSTRUCTED_QUERY, lambda doc: doc["query"].update(n=4.0),
+                 id="query-n-float"),
+    pytest.param(_OBSTRUCTED_QUERY, _first_ring_product_index_to_false,
+                 id="ring-zero-as-false"),
+    pytest.param(_WITNESS_QUERY, lambda doc: doc["witness"].update(format="edited"),
+                 id="witness-format"),
+    pytest.param(_WITNESS_QUERY, lambda doc: doc.update(note="edited"),
+                 id="extra-top-level-key"),
+    pytest.param(_WITNESS_QUERY, lambda doc: doc.update(certificate=[]),
+                 id="witness-verdict-empty-certificate"),
+])
+def test_verdict_document_rejects_edit_outside_the_payload_checks(query, edit):
+    # each edited value compares equal under `==` or sits in a field that no
+    # payload check reads; only the byte comparison with the re-emitted
+    # document catches it
+    doc = json.loads(document_json(result_to_obj(run_query(query))))
+    verify_document(doc)
+    edit(doc)
+    with pytest.raises(VerificationFailure):
+        verify_document(doc)

@@ -1,13 +1,26 @@
 """Algebraic laws under randomized inputs."""
 
+import functools
 import json
+import operator
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrob import ExtElement, build, multiply, parse_manifold, wedge
+from qrob import (
+    ExtElement,
+    Query,
+    build,
+    multiply,
+    parse_manifold,
+    run_query,
+    verify_document,
+    wedge,
+)
+from qrob.errors import VerificationFailure
+from qrob.pipeline import document_json, result_to_obj
 
 
 def ext_elements(max_n=5):
@@ -128,3 +141,82 @@ def test_ring_multiplication_laws(data):
         p, q = x.degree(), y.degree()
         sign = -1 if (p * q) % 2 else 1
         assert multiply(x, y) == multiply(y, x).scale(sign)
+
+
+# One document per verdict and certificate kind: H1Annihilator, DualPair,
+# WITNESS, UNKNOWN.
+_VERDICT_QUERIES = [
+    ("surface(2) * cp(2)", "vol(1)^sym(2)", 4),
+    ("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6),
+    ("surface(1) * cp(2)", "vol(1)^sym(2)", 4),
+    ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6),
+]
+
+# Edits that replace the leaf, as JSON text.
+_REPLACEMENTS = {"1/0": '"1/0"', "2/2": '"2/2"', "[]": "[]", "{}": "{}", "null": "null"}
+_EDITS = (*_REPLACEMENTS, "0<->false", "int->float", "delete", "sibling")
+
+
+@functools.lru_cache(maxsize=None)
+def _verdict_documents() -> tuple:
+    return tuple(
+        document_json(result_to_obj(run_query(Query(*q)))) for q in _VERDICT_QUERIES
+    )
+
+
+def _leaves(value, path=()):
+    """(path, value) of every scalar and empty container in a JSON value."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, value
+
+
+def _applies(edit: str, path: tuple, value) -> bool:
+    if edit == "0<->false":
+        return value is False or (type(value) is int and value == 0)
+    if edit == "int->float":
+        return type(value) is int
+    if edit == "sibling":
+        return isinstance(path[-1], str)  # the leaf sits in an object
+    return edit == "delete" or json.dumps(value) != _REPLACEMENTS[edit]
+
+
+@st.composite
+def edited_verdict_documents(draw):
+    """A verdict document with one leaf edited, and the path of that leaf."""
+    doc = json.loads(draw(st.sampled_from(_verdict_documents())))
+    edit = draw(st.sampled_from(_EDITS))
+    leaves = [(p, v) for p, v in _leaves(doc) if _applies(edit, p, v)]
+    # pick the top-level key first, so the large embedded ring does not crowd
+    # out the payload
+    top = draw(st.sampled_from(sorted({p[0] for p, _ in leaves})))
+    path, value = draw(st.sampled_from([leaf for leaf in leaves if leaf[0][0] == top]))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    if edit == "0<->false":
+        parent[key] = 0 if value is False else False
+    elif edit == "int->float":
+        parent[key] = float(value)
+    elif edit == "delete":
+        del parent[key]
+    elif edit == "sibling":
+        parent[key + "_extra"] = 0
+    else:
+        parent[key] = json.loads(_REPLACEMENTS[edit])
+    return path, doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_verdict_documents())
+def test_edited_verdict_documents_fail_verification(edited):
+    path, doc = edited
+    try:
+        verify_document(doc)
+    except VerificationFailure:
+        return
+    # an edited cofactor with the same product with the factor still proves
+    # the claim; the search log is advisory
+    assert path[0] == "search_log" or path[:2] == ("certificate", "classes"), path
