@@ -36,12 +36,20 @@ from .obstruct import (
     verify_annihilator_system,
     verify_dual_system,
 )
-from .ring import GradedRing, RingElement, in_kunneth_ideal, multiply, poincare_pairing
+from .ring import (
+    GradedRing,
+    RingElement,
+    in_kunneth_ideal,
+    kunneth_ideal_basis,
+    multiply,
+    poincare_pairing,
+)
 
 VERDICT_FORMAT = "qrob.verdict/1"
 CERTIFICATE_FORMAT = "qrob.certificate/1"
 WITNESS_FORMAT = "qrob.witness/1"
 RING_FORMAT = "qrob.ring/1"
+KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/1"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"
@@ -356,13 +364,17 @@ def _rederive(
         if "pairings" in obj:
             expected["pairings"] = pairings_obj(embedded)
         return expected, "ring re-validated"
-    if fmt not in (CERTIFICATE_FORMAT, WITNESS_FORMAT):
+    if fmt not in (CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT):
         _fail(f"unrecognized document format {fmt!r}")
     if ring is None:
         if obj.get("ring") is None:
             _fail("no ring available: pass --ring or embed the ring in the document")
         ring = GradedRing.from_obj(obj["ring"])
-    if fmt == CERTIFICATE_FORMAT:
+    if fmt == KUNNETH_IDEAL_FORMAT:
+        k = obj["degree"]
+        expected = kunneth_ideal_basis_doc(ring, k, kunneth_ideal_basis(ring, k))
+        summary = "product ideal basis re-derived"
+    elif fmt == CERTIFICATE_FORMAT:
         if subring is None and "subring" in obj:
             subring = GradedRing.from_obj(obj["subring"])
         iota = obj.get("iota_star")
@@ -399,7 +411,7 @@ def kunneth_ideal_basis_doc(
     ring: GradedRing, k: int, basis: list[RingElement]
 ) -> dict:
     return {
-        "format": "qrob.kunneth-ideal/1",
+        "format": KUNNETH_IDEAL_FORMAT,
         "ring_hash": ring.hash_hex(),
         "degree": k,
         "dim": len(basis),

@@ -35,6 +35,7 @@ SparseVec = dict[int, Fraction]
 # in degree p+q; only degrees p, q >= 1 with p+q <= top_degree are stored, and
 # missing entries mean the product is zero.
 Structure = dict[tuple[int, int], dict[tuple[int, int], SparseVec]]
+_ZERO: SparseVec = {}
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,19 @@ class GradedRing:
     # -- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every structural invariant; raise RingValidationError."""
+        """Check every structural invariant; raise RingValidationError.
+
+        The order is tables, graded commutativity, presentation words,
+        associativity, duality pairing. Associativity is checked on the
+        triples (g*y)*z = g*(y*z) with y, z basis elements and g a
+        presentation generator, or every basis element when the ring has no
+        presentation. That is exact: once commutativity holds and every basis
+        element is the left-nested product of its word's generators, induction
+        on the length of a left-nested product w'g gives
+        ((w'g)y)z = ±(g(w'y))z = ±g((w'y)z) = ±g(w'(yz)) = (w'g)(yz),
+        where the sign ± is that of commuting w' past g, so associativity
+        holds on every triple of basis elements.
+        """
         d = self.top_degree
         if d < 1:
             raise RingValidationError("top degree must be >= 1")
@@ -244,9 +257,13 @@ class GradedRing:
             raise RingValidationError("fundamental class index out of range")
         self._validate_tables()
         self._validate_commutativity()
-        self._validate_associativity()
-        self._validate_pairing()
         self._validate_presentation()
+        if self.presentation is None:
+            left = [(p, i) for p in range(1, d + 1) for i in range(self.dims[p])]
+        else:
+            left = [(g.degree, g.index) for g in self.presentation.generators]
+        self._validate_associativity(left)
+        self._validate_pairing()
 
     def _validate_tables(self) -> None:
         d = self.top_degree
@@ -262,48 +279,56 @@ class GradedRing:
                     )
 
     def _validate_commutativity(self) -> None:
-        d = self.top_degree
-        for p in range(1, d):
-            for q in range(1, d - p + 1):
-                sign = -1 if (p * q) % 2 else 1
-                for i in range(self.dims[p]):
-                    for j in range(self.dims[q]):
-                        ab = self.product_vec(p, i, q, j)
-                        ba = self.product_vec(q, j, p, i)
-                        flipped = {t: sign * c for t, c in ba.items()}
-                        if ab != flipped:
-                            raise RingValidationError(
-                                f"graded commutativity fails at ({p},{i})*({q},{j})"
-                            )
+        # every nonzero product is checked against its mirror, so a product
+        # whose mirror is missing fails from one side or the other
+        for (p, q), table in self.structure.items():
+            sign, mirror = (-1 if p * q % 2 else 1), self._table(q, p)
+            for (i, j), vec in table.items():
+                if mirror.get((j, i)) != {t: sign * c for t, c in vec.items()}:
+                    raise RingValidationError(
+                        f"graded commutativity fails at ({p},{i})*({q},{j})"
+                    )
 
-    def _validate_associativity(self) -> None:
+    def _validate_associativity(self, left: list[tuple[int, int]]) -> None:
+        """(x*y)*z == x*(y*z) for each left factor x = (p, i), y and z basis
+        elements of positive degree and total degree at most the top."""
         d = self.top_degree
-        for p in range(1, d + 1):
-            for q in range(1, d - p + 1):
+        # nonzero[(q, r)][j]: the k with basis_q[j] * basis_r[k] != 0
+        nonzero: dict[tuple[int, int], dict[int, list[int]]] = {}
+        for qr, table in self.structure.items():
+            for j, k in table:
+                nonzero.setdefault(qr, {}).setdefault(j, []).append(k)
+        for p, i in left:
+            for q in range(1, d - p):
+                xy_table = self._table(p, q)
                 for r in range(1, d - p - q + 1):
-                    for i in range(self.dims[p]):
-                        for j in range(self.dims[q]):
-                            left_pq = self.product_vec(p, i, q, j)
-                            for k in range(self.dims[r]):
-                                lhs: SparseVec = {}
-                                for t, c in left_pq.items():
-                                    for u, c2 in self.product_vec(
-                                        p + q, t, r, k
-                                    ).items():
-                                        lhs[u] = lhs.get(u, Fraction(0)) + c * c2
-                                rhs: SparseVec = {}
-                                for s, c in self.product_vec(q, j, r, k).items():
-                                    for u, c2 in self.product_vec(
-                                        p, i, q + r, s
-                                    ).items():
-                                        rhs[u] = rhs.get(u, Fraction(0)) + c * c2
-                                lhs = {t: c for t, c in lhs.items() if c}
-                                rhs = {t: c for t, c in rhs.items() if c}
-                                if lhs != rhs:
-                                    raise RingValidationError(
-                                        "associativity fails at "
-                                        f"({p},{i})*({q},{j})*({r},{k})"
-                                    )
+                    xy_z, yz_table = self._table(p + q, r), self._table(q, r)
+                    x_yz = self._table(p, q + r)
+                    xy_z_nonzero = nonzero.get((p + q, r), {})
+                    yz_nonzero = nonzero.get((q, r), {})
+                    for j in range(self.dims[q]):
+                        xy = xy_table.get((i, j), _ZERO)
+                        # only these z can make (x*y)*z or x*(y*z) nonzero
+                        ks = set(yz_nonzero.get(j, ()))
+                        for t in xy:
+                            ks.update(xy_z_nonzero.get(t, ()))
+                        for k in sorted(ks):
+                            yz = yz_table.get((j, k), _ZERO)
+                            lhs: SparseVec = {}
+                            for t, c in xy.items():
+                                for u, c2 in xy_z.get((t, k), _ZERO).items():
+                                    lhs[u] = lhs[u] + c * c2 if u in lhs else c * c2
+                            rhs: SparseVec = {}
+                            for s, c in yz.items():
+                                for u, c2 in x_yz.get((i, s), _ZERO).items():
+                                    rhs[u] = rhs[u] + c * c2 if u in rhs else c * c2
+                            if {u: c for u, c in lhs.items() if c} != {
+                                u: c for u, c in rhs.items() if c
+                            }:
+                                raise RingValidationError(
+                                    "associativity fails at "
+                                    f"({p},{i})*({q},{j})*({r},{k})"
+                                )
 
     def _validate_pairing(self) -> None:
         d = self.top_degree
@@ -330,11 +355,21 @@ class GradedRing:
             if len(pres.words[k]) != self.dims[k]:
                 raise RingValidationError(f"presentation incomplete in degree {k}")
             for i, word in enumerate(pres.words[k]):
-                acc = self.unit()
+                degree, acc = 0, {0: Fraction(1)}
                 for gid in word:
+                    if not 0 <= gid < len(pres.generators):
+                        raise RingValidationError(
+                            f"presentation word for ({k},{i}) names no generator {gid}"
+                        )
                     g = pres.generators[gid]
-                    acc = acc * self.basis_element(g.degree, g.index)
-                if acc != self.basis_element(k, i):
+                    out: SparseVec = {}
+                    for t, c in acc.items():
+                        for u, c2 in self.product_vec(
+                            degree, t, g.degree, g.index
+                        ).items():
+                            out[u] = out[u] + c * c2 if u in out else c * c2
+                    degree, acc = degree + g.degree, {u: c for u, c in out.items() if c}
+                if degree != k or acc != {i: 1}:
                     raise RingValidationError(
                         f"presentation word for ({k},{i}) does not multiply out"
                     )

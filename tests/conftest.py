@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from qrob import ExtElement
 
@@ -85,3 +88,121 @@ CATALOG = (
     + [(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6) for v in range(1, 11)]
     + [("cp(2)", "sym(1)^sym(1)", 4), ("cp(3)", "sym(1)^sym(1)^sym(1)", 6)]
 )
+
+
+def _workload_manifolds() -> tuple[str, ...]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return tuple(q.manifold for qs in module.WORKLOADS.values() for q in qs)
+
+
+# Every CATALOG ring and every ring the benchmark workloads build, once each.
+LAW_RINGS = tuple(dict.fromkeys([m for m, _, _ in CATALOG] + list(_workload_manifolds())))
+
+
+def oracle_products(obj: dict) -> dict:
+    """Every nonzero product of two basis elements, read from a ring object's
+    raw structure tables: {((p, i), (q, j)): {(p + q, t): coefficient}}.
+
+    The unit is basis element (0, 0), products above the top degree vanish,
+    and a missing table entry is a zero product.
+    """
+    d, dims = obj["top_degree"], obj["dims"]
+    out = {}
+    for p in range(d + 1):
+        for i in range(dims[p]):
+            out[(0, 0), (p, i)] = out[(p, i), (0, 0)] = {(p, i): Fraction(1)}
+    for entry in obj["structure"]:
+        p, q = entry["p"], entry["q"]
+        for i, j, dense in entry["products"]:
+            vec = {(p + q, t): Fraction(c) for t, c in enumerate(dense) if Fraction(c)}
+            if vec:
+                out[(p, i), (q, j)] = vec
+    return out
+
+
+def _oracle_mul(products: dict, x: dict, y: dict) -> dict:
+    acc: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for t, c in products.get((a, b), {}).items():
+                acc[t] = acc.get(t, 0) + ca * cb * c
+    return {t: c for t, c in acc.items() if c}
+
+
+def ring_law_failure(obj: dict) -> str | None:
+    """The first basis pair or triple of a ring object that breaks graded
+    commutativity or associativity, or None when both laws hold.
+
+    Exhaustive over all basis pairs and over all basis triples whose degrees
+    sum to at most the top degree (above it both groupings vanish).
+    """
+    d = obj["top_degree"]
+    products = oracle_products(obj)
+    by_degree = [[(p, i) for i in range(obj["dims"][p])] for p in range(d + 1)]
+    basis = [x for per_degree in by_degree for x in per_degree]
+    for x in basis:
+        for y in basis:
+            sign = -1 if x[0] * y[0] % 2 else 1
+            yx = {t: sign * c for t, c in products.get((y, x), {}).items()}
+            if products.get((x, y), {}) != yx:
+                return f"commutativity fails at {x}*{y}"
+    for p in range(d + 1):
+        for q in range(d + 1 - p):
+            for r in range(d + 1 - p - q):
+                for x in by_degree[p]:
+                    for y in by_degree[q]:
+                        xy = products.get((x, y), {})
+                        for z in by_degree[r]:
+                            yz = products.get((y, z), {})
+                            if (xy or yz) and _oracle_mul(products, xy, {z: 1}) != (
+                                _oracle_mul(products, {x: 1}, yz)
+                            ):
+                                return f"associativity fails at {x}*{y}*{z}"
+    return None
+
+
+def _oracle_rank(rows: list[list[Fraction]]) -> int:
+    rows = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ring_oracle_accepts(obj: dict) -> bool:
+    """Whether a well-shaped ring object is a Poincaré-duality algebra whose
+    presentation words, if any, multiply out; products from the raw tables."""
+    d, dims = obj["top_degree"], obj["dims"]
+    if ring_law_failure(obj) is not None:
+        return False
+    products = oracle_products(obj)
+    top = (d, obj.get("fundamental_index", 0))
+    for k in range(d + 1):
+        pairing = [
+            [products.get(((k, i), (d - k, j)), {}).get(top, 0) for j in range(dims[d - k])]
+            for i in range(dims[k])
+        ]
+        if dims[k] != dims[d - k] or _oracle_rank(pairing) != dims[k]:
+            return False
+    pres = obj.get("monomial_presentation")
+    if pres:
+        gens = [(g["degree"], g["index"]) for g in pres["generators"]]
+        for k, per_degree in enumerate(pres["words"]):
+            for i, word in enumerate(per_degree):
+                acc = {(0, 0): Fraction(1)}
+                for gid in word:
+                    acc = _oracle_mul(products, acc, {gens[gid]: 1})
+                if acc != {(k, i): 1}:
+                    return False
+    return True

@@ -288,3 +288,41 @@ def test_ring_show_document_verifies(capsys, tmp_path):
     out_file.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(out_file))
     assert code == 1 and "pairings.1" in out
+
+
+@pytest.mark.parametrize("gid", [7, -1])
+def test_presentation_word_with_unknown_generator_exit_three(capsys, tmp_path, gid):
+    # an out-of-range id used to raise IndexError; a negative one resolved to
+    # the last generator, which for words[1][1] is the right one
+    ring_file = tmp_path / "ring.json"
+    run(capsys, "export", "torus(2)", "-o", str(ring_file))
+    doc = json.loads(ring_file.read_text())
+    doc["ring"]["monomial_presentation"]["words"][1][1] = [gid]
+    ring_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ring", "show", f"@{ring_file}")
+    assert code == 3 and err.startswith("error:") and f"no generator {gid}" in err
+    assert "Traceback" not in out + err
+
+
+def test_verify_kunneth_ideal_document(capsys, tmp_path):
+    ideal_file, ring_file = tmp_path / "ki.json", tmp_path / "ring.json"
+    run(capsys, "kunneth-ideal", "cp(2)", "--k", "4", "-o", str(ideal_file))
+    run(capsys, "export", "cp(2)", "-o", str(ring_file))
+    code, out, _ = run(capsys, "verify", str(ideal_file), "--ring", str(ring_file))
+    assert code == 0 and out.startswith("OK:")
+    code, out, _ = run(capsys, "verify", str(ideal_file))
+    assert code == 1 and "no ring available" in out
+    doc = json.loads(ideal_file.read_text())
+    doc["basis"][0]["coords"]["4"] = ["2"]
+    ideal_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(ideal_file), "--ring", str(ring_file))
+    assert code == 1 and out.startswith("FAIL:") and "basis" in out
+    assert "Traceback" not in out + err
+
+
+def test_verify_kunneth_ideal_against_another_ring_fails(capsys, tmp_path):
+    ideal_file, ring_file = tmp_path / "ki.json", tmp_path / "ring.json"
+    run(capsys, "kunneth-ideal", "surface(2) * cp(2)", "--k", "2", "-o", str(ideal_file))
+    run(capsys, "export", "surface(3) * cp(2)", "-o", str(ring_file))
+    code, out, _ = run(capsys, "verify", str(ideal_file), "--ring", str(ring_file))
+    assert code == 1 and "ring_hash" in out

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG, convolve
+from conftest import CATALOG, LAW_RINGS, convolve, ring_law_failure, ring_oracle_accepts
 from qrob import (
     ConnSum,
     CPm,
@@ -120,9 +120,10 @@ def test_surface_equals_connsum_of_tori():
 
 
 def test_catalog_rings_validate():
-    for manifold, _, _ in CATALOG:
+    for manifold in LAW_RINGS:
         ring = build(parse_manifold(manifold))
         ring.validate()
+        assert ring_law_failure(ring.to_obj()) is None, manifold
 
 
 def test_build_is_deterministic():
@@ -146,6 +147,70 @@ def test_from_obj_rejects_corruption():
     obj = ring.to_obj()
     obj["structure"][0]["products"][0][2][0] = "5"  # break commutativity
     with pytest.raises(RingValidationError):
+        GradedRing.from_obj(obj)
+
+
+def _set_coefficient(obj: dict, p: int, q: int, i: int, j: int, t: int, value) -> None:
+    """Set coordinate t of basis_p[i] * basis_q[j] in a ring object's tables."""
+    table = next((e for e in obj["structure"] if (e["p"], e["q"]) == (p, q)), None)
+    if table is None:
+        table = {"p": p, "q": q, "products": []}
+        obj["structure"].append(table)
+    entry = next((e for e in table["products"] if (e[0], e[1]) == (i, j)), None)
+    if entry is None:
+        entry = [i, j, ["0"] * obj["dims"][p + q]]
+        table["products"].append(entry)
+    entry[2][t] = str(value)
+
+
+def test_from_obj_agrees_with_oracle_on_corruptions():
+    # Random edits of one product coefficient, most of them mirrored so that
+    # graded commutativity still holds and the later checks are reached; a
+    # zero deletes a product. In torus(2) a mirrored edit of a square breaks
+    # only commutativity.
+    rng = random.Random(7)
+    rings = [
+        build(parse_manifold(m)).to_obj()
+        for m in ("torus(2)", "torus(3)", "torus(4)", "cp(3)", "surface(1) * cp(2)",
+                  "s2xs2 * cp(2)")
+    ]
+    outcomes = {"accepted": 0, "rejected": 0}
+    generator_left = 0
+    for _ in range(300):
+        obj = json.loads(json.dumps(rng.choice(rings)))
+        d, dims = obj["top_degree"], obj["dims"]
+        p, q = rng.choice(
+            [(p, q) for p in range(1, d) for q in range(1, d - p + 1) if dims[p] and dims[q]]
+        )
+        i, j, t = rng.randrange(dims[p]), rng.randrange(dims[q]), rng.randrange(dims[p + q])
+        value = Fraction(rng.choice([-2, -1, 0, 0, 0, 1, 2, 3])) / rng.choice([1, 1, 2])
+        _set_coefficient(obj, p, q, i, j, t, value)
+        if rng.random() < 0.8:
+            _set_coefficient(obj, q, p, j, i, t, (-1) ** (p * q) * value)
+        for with_presentation in (True, False):
+            if not with_presentation:
+                obj["monomial_presentation"] = None
+            expected = ring_oracle_accepts(obj)
+            try:
+                GradedRing.from_obj(obj)
+                accepted = True
+            except RingValidationError as exc:
+                accepted = False
+                generator_left += with_presentation and "associativity fails" in str(exc)
+            assert accepted == expected, (obj, with_presentation)
+            outcomes["accepted" if accepted else "rejected"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+    assert generator_left >= 10, generator_left
+
+
+def test_associativity_failure_behind_a_vanishing_product():
+    # s * s^2 := vol*s in s2xs2 * cp(2): (s*s)*s^2 = s^4 = 0 but s*(s*s^2) =
+    # vol*s^2, so the failure shows only through the nonzero y*z.
+    obj = build(parse_manifold("s2xs2 * cp(2)")).to_obj()
+    _set_coefficient(obj, 2, 4, 0, 0, 2, 1)
+    _set_coefficient(obj, 4, 2, 0, 0, 2, 1)
+    assert ring_law_failure(obj) is not None
+    with pytest.raises(RingValidationError, match=r"associativity fails at \(2,0\)\*\(2,0\)"):
         GradedRing.from_obj(obj)
 
 
