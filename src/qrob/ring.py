@@ -64,14 +64,28 @@ class Presentation:
     @classmethod
     def from_obj(cls, obj: dict) -> "Presentation":
         gens = tuple(
-            Generator(int(g["degree"]), int(g["index"]), str(g["name"]))
+            Generator(
+                _require_int(g["degree"], "generator degree"),
+                _require_int(g["index"], "generator index"),
+                str(g["name"]),
+            )
             for g in obj["generators"]
         )
         words = tuple(
-            tuple(tuple(int(i) for i in w) for w in per_degree)
+            tuple(
+                tuple(_require_int(i, "word generator id") for i in w)
+                for w in per_degree
+            )
             for per_degree in obj["words"]
         )
         return cls(gens, words)
+
+
+def _require_int(value, field: str) -> int:
+    """A ring file's integer field; a float or bool would be truncated."""
+    if type(value) is not int:
+        raise RingValidationError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 class GradedRing:
@@ -152,11 +166,10 @@ class GradedRing:
             table = self.structure[(p, q)]
             products = []
             for (i, j) in sorted(table):
-                vec = table[(i, j)]
-                dense = [Fraction(0)] * self.dims[p + q]
-                for t, c in vec.items():
-                    dense[t] = c
-                products.append([i, j, [fraction_to_str(c) for c in dense]])
+                dense = ["0"] * self.dims[p + q]
+                for t, c in table[(i, j)].items():
+                    dense[t] = fraction_to_str(c)
+                products.append([i, j, dense])
             if products:
                 tables.append({"p": p, "q": q, "products": products})
         return {
@@ -177,28 +190,30 @@ class GradedRing:
         try:
             structure: Structure = {}
             for entry in obj.get("structure", []):
-                p, q = int(entry["p"]), int(entry["q"])
+                p = _require_int(entry["p"], "table p")
+                q = _require_int(entry["q"], "table q")
                 if p < 1 or q < 1:
                     raise RingValidationError(
                         "structure tables exist only for p, q >= 1"
                     )
                 table: dict[tuple[int, int], SparseVec] = {}
                 for i, j, dense in entry["products"]:
+                    ij = tuple(_require_int(x, "product index") for x in (i, j))
                     vec = {
                         t: fraction_from_str(c)
                         for t, c in enumerate(dense)
                         if fraction_from_str(c)
                     }
                     if vec:
-                        table[(int(i), int(j))] = vec
+                        table[ij] = vec
                 structure[(p, q)] = table
             pres_obj = obj.get("monomial_presentation")
             ring = cls(
-                obj["top_degree"],
-                obj["dims"],
+                _require_int(obj["top_degree"], "top_degree"),
+                [_require_int(dim, "dims entry") for dim in obj["dims"]],
                 obj["labels"],
                 structure,
-                obj.get("fundamental_index", 0),
+                _require_int(obj.get("fundamental_index", 0), "fundamental_index"),
                 Presentation.from_obj(pres_obj) if pres_obj else None,
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -258,12 +273,17 @@ class GradedRing:
         self._validate_tables()
         self._validate_commutativity()
         self._validate_presentation()
-        if self.presentation is None:
-            left = [(p, i) for p in range(1, d + 1) for i in range(self.dims[p])]
-        else:
-            left = [(g.degree, g.index) for g in self.presentation.generators]
-        self._validate_associativity(left)
+        self._validate_associativity(self.left_factors())
         self._validate_pairing()
+
+    def left_factors(self) -> list[tuple[int, int]]:
+        """The basis elements (degree, index) that generator-left checks take
+        as the left factor: the presentation generators, or every basis
+        element of positive degree when the ring has no presentation."""
+        if self.presentation is None:
+            d = self.top_degree
+            return [(p, i) for p in range(1, d + 1) for i in range(self.dims[p])]
+        return [(g.degree, g.index) for g in self.presentation.generators]
 
     def _validate_tables(self) -> None:
         d = self.top_degree

@@ -206,3 +206,40 @@ def ring_oracle_accepts(obj: dict) -> bool:
                 if acc != {(k, i): 1}:
                     return False
     return True
+
+
+def hom_oracle_accepts(ring_obj: dict, witness_obj: dict, omega_obj: dict) -> bool:
+    """Whether a witness object is multiplicative on every pair of basis
+    elements and maps omega to nonzero.
+
+    Products come from the raw ring tables (`oracle_products`) and wedges
+    from `wedge_oracle`; the unit maps to 1 and a class with no image (its
+    degree exceeds the ambient dimension) to 0. Every pair is checked, those
+    whose degrees sum past the top degree included: their product is zero.
+    """
+    n, d, dims = witness_obj["ambient_n"], ring_obj["top_degree"], ring_obj["dims"]
+    zero = ExtElement.zero(n)
+    images = {(0, 0): ExtElement.scalar(n, 1)}
+    for k, per_degree in witness_obj["images"].items():
+        for i, image in enumerate(per_degree):
+            images[(int(k), i)] = ExtElement.from_obj(image)
+
+    def phi(vec: dict) -> ExtElement:
+        out = zero
+        for x, c in vec.items():
+            out = out + images.get(x, zero).scale(c)
+        return out
+
+    products = oracle_products(ring_obj)
+    basis = [(p, i) for p in range(d + 1) for i in range(dims[p])]
+    for x in basis:
+        for y in basis:
+            xy = products.get((x, y), {})
+            if phi(xy) != wedge_oracle(images.get(x, zero), images.get(y, zero)):
+                return False
+    omega = {
+        (int(k), i): Fraction(c)
+        for k, vec in omega_obj["coords"].items()
+        for i, c in enumerate(vec)
+    }
+    return not phi(omega).is_zero()

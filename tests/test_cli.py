@@ -304,6 +304,37 @@ def test_presentation_word_with_unknown_generator_exit_three(capsys, tmp_path, g
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("top_degree",), 2.5),
+    (("dims", 1), 2.0),
+    (("fundamental_index",), 0.4),
+    (("structure", 0, "p"), 1.9),
+    (("structure", 0, "products", 0, 0), 0.2),
+    (("monomial_presentation", "generators", 0, "index"), False),
+    (("monomial_presentation", "words", 1, 1, 0), 1.7),
+])
+def test_ring_file_integer_fields_must_be_integers(capsys, tmp_path, path, value):
+    # int() would truncate each value to the honest torus(2) one, so the
+    # edited file would load and hash like the real ring
+    doc_file, ring_file = tmp_path / "verdict.json", tmp_path / "ring.json"
+    run(capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2", "-o", str(doc_file))
+    run(capsys, "export", "torus(2)", "-o", str(ring_file))
+    doc = json.loads(ring_file.read_text())
+    target = doc["ring"]
+    for key in path[:-1]:
+        target = target[key]
+    assert target[path[-1]] == int(value)
+    target[path[-1]] = value
+    ring_file.write_text(json.dumps(doc))
+    for argv in (
+        ("ring", "show", f"@{ring_file}"),
+        ("verify", str(doc_file), "--ring", str(ring_file)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("error:"), argv
+        assert "must be an integer" in err and "Traceback" not in out + err
+
+
 def test_verify_kunneth_ideal_document(capsys, tmp_path):
     ideal_file, ring_file = tmp_path / "ki.json", tmp_path / "ring.json"
     run(capsys, "kunneth-ideal", "cp(2)", "--k", "4", "-o", str(ideal_file))

@@ -1,17 +1,22 @@
 """Homomorphism witnesses: verification, templates, bounded enumeration."""
 
+import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
 
 import pytest
 
-from conftest import e, wedge_oracle
+from conftest import CATALOG, e, hom_oracle_accepts, wedge_oracle
 from qrob import (
     CPm,
     EnumBudget,
     ExtElement,
+    GradedRing,
     HomWitness,
     MissingPresentationError,
+    Query,
     Surface,
     Torus,
     build,
@@ -19,6 +24,7 @@ from qrob import (
     enumerate_hom,
     parse_manifold,
     parse_omega,
+    run_query,
     verify_hom,
     witness_template,
 )
@@ -331,3 +337,65 @@ def test_enumeration_counts_skipped_assignments(monkeypatch):
     assert outcome.witness is None and not outcome.space_exhausted
     assert outcome.nodes == 50_000
     assert len(calls) < 1_000
+
+
+def test_verify_hom_wedges_generator_times_basis(monkeypatch):
+    # at most one wedge per (generator, positive-degree basis element):
+    # 7 x 127 for torus(7)
+    _, omega = _query("torus(7)", "vol(1)")
+    witness = witness_template(parse_manifold("torus(7)"), omega, 7)
+    calls = []
+    original = ExtElement.wedge
+
+    def counting_wedge(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(ExtElement, "wedge", counting_wedge)
+    assert verify_hom(witness, omega)
+    assert len(calls) <= 7 * 127
+
+
+def _edit_one_coefficient(rng: random.Random, witness_obj: dict) -> dict:
+    """A copy of a witness object with one image coefficient changed."""
+    obj = json.loads(json.dumps(witness_obj))
+    n = obj["ambient_n"]
+    k, i = rng.choice(
+        [(k, i) for k, per in obj["images"].items() for i in range(len(per))]
+    )
+    axes = list(rng.choice(list(combinations(range(1, n + 1), int(k)))))
+    terms = obj["images"][k][i]["terms"]
+    old = next((t for t in terms if t["axes"] == axes), None)
+    choices = ("-2", "-1", "0", "1", "2", "1/2")
+    value = rng.choice([c for c in choices if old is None or c != old["coeff"]])
+    kept = [t for t in terms if t is not old]
+    if value != "0":
+        kept.append({"axes": axes, "coeff": value})
+    obj["images"][k][i]["terms"] = sorted(kept, key=lambda t: t["axes"])
+    return obj
+
+
+def test_verify_hom_agrees_with_all_pairs_oracle():
+    # every CATALOG witness and 25 one-coefficient edits of each, on the
+    # built ring and on the same ring loaded without a presentation (where
+    # every basis element is a left factor)
+    rng = random.Random(8)
+    counts = Counter()
+    for query in CATALOG:
+        result = run_query(Query(*query))
+        if result.verdict != "WITNESS":
+            continue
+        ring_obj, omega_obj = result.ring.to_obj(), result.omega.to_obj()
+        bare = GradedRing.from_obj(dict(ring_obj, monomial_presentation=None))
+        witness_obj = result.witness.to_obj()
+        cases = [witness_obj] + [
+            _edit_one_coefficient(rng, witness_obj) for _ in range(25)
+        ]
+        for obj in cases:
+            expected = hom_oracle_accepts(ring_obj, obj, omega_obj)
+            for ring in (result.ring, bare):
+                witness = HomWitness.from_obj(ring, obj)
+                accepted = verify_hom(witness, result.omega)
+                assert accepted == expected, (query, obj, ring.presentation is None)
+                counts[ring.presentation is not None, accepted] += 1
+    assert len(counts) == 4, counts  # accepts and rejects on both paths

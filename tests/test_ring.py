@@ -142,6 +142,42 @@ def test_ring_serialization_round_trip():
         assert back.to_obj() == ring.to_obj()
 
 
+def _dense_ring_obj(ring: GradedRing) -> dict:
+    """A ring's serialized object with every product vector formatted in
+    full, zero coordinates included."""
+    tables = []
+    for p, q in sorted(ring.structure):
+        table = ring.structure[(p, q)]
+        width = ring.dims[p + q]
+        products = [
+            [i, j, [str(Fraction(table[(i, j)].get(t, 0))) for t in range(width)]]
+            for i, j in sorted(table)
+        ]
+        if products:
+            tables.append({"p": p, "q": q, "products": products})
+    pres = ring.presentation
+    return {
+        "top_degree": ring.top_degree,
+        "dims": list(ring.dims),
+        "labels": [list(per_degree) for per_degree in ring.labels],
+        "structure": tables,
+        "fundamental_index": ring.fundamental_index,
+        "monomial_presentation": pres and {
+            "generators": [
+                {"degree": g.degree, "index": g.index, "name": g.name}
+                for g in pres.generators
+            ],
+            "words": [[list(w) for w in per_degree] for per_degree in pres.words],
+        },
+    }
+
+
+def test_to_obj_matches_dense_formatting():
+    for manifold in LAW_RINGS:
+        ring = build(parse_manifold(manifold))
+        assert ring.to_obj() == _dense_ring_obj(ring), manifold
+
+
 def test_from_obj_rejects_corruption():
     ring = build(Torus(2))
     obj = ring.to_obj()
