@@ -47,16 +47,13 @@ from .manifolds import (
     slice_restriction,
 )
 from .obstruct import (
-    AnnihilatorSystem,
     Certificate,
-    DualSystem,
     Inequality,
+    KroneckerSystem,
     SubmanifoldReport,
     prywes_bound,
     search_obstruction,
     submanifold_bound,
-    verify_annihilator_system,
-    verify_dual_system,
 )
 from .homsearch import (
     EnumBudget,
@@ -71,13 +68,11 @@ from .pipeline import Query, QueryResult, run_query, verify_document
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnihilatorSystem",
     "Blade",
     "Certificate",
     "ConnSum",
     "CPm",
     "DimensionMismatchError",
-    "DualSystem",
     "EnumBudget",
     "ExtElement",
     "GradedRing",
@@ -85,6 +80,7 @@ __all__ = [
     "IdealUndefinedError",
     "Inequality",
     "InvalidSystemError",
+    "KroneckerSystem",
     "ManifoldExpr",
     "MissingPresentationError",
     "NonHomogeneousError",
@@ -124,9 +120,7 @@ __all__ = [
     "search_obstruction",
     "slice_restriction",
     "submanifold_bound",
-    "verify_annihilator_system",
     "verify_document",
-    "verify_dual_system",
     "verify_hom",
     "wedge",
     "witness_template",

@@ -24,13 +24,14 @@ class RingValidationError(QrobError):
 
 
 class IdealUndefinedError(QrobError):
-    """The product ideal has no layer below degree 2."""
+    """The product ideal has no layer below degree 2 or above the top degree."""
 
 
 class InvalidSystemError(QrobError):
-    """A dual or annihilator system fails its defining product relations.
+    """A Kronecker system fails its definition: a zero diag * cofactor, a
+    family of the wrong size or degree, or a product off its pattern.
 
-    `detail` identifies the offending pair so a caller can report it.
+    `detail` names a wrong product's pair by role, as ("left[0]", "right[1]").
     """
 
     def __init__(self, message: str, detail: tuple | None = None):

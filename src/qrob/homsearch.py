@@ -100,17 +100,17 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
     nonzero.
 
     phi(g*y) = phi(g)^phi(y) is checked for g in `ring.left_factors()` and
-    y any basis element of positive degree with deg g + deg y at most the
-    top degree. Pairs whose degree sum exceeds the ambient dimension are
-    checked too; they must land on zero, which the exterior algebra forces
-    on the wedge side.
+    y any basis element of positive degree with deg g + deg y at most
+    s = max(top degree, ambient n). Above the top degree the ring product
+    is zero, so there the wedge of the images must vanish too; above the
+    ambient n the wedge vanishes on its own, and so does phi.
 
     Without a presentation the left factors are every basis element, so
     every pair is checked. With one, the check is exact provided the ring
     is validated (every built or loaded ring is): let P(m) say
     phi(u*y) = phi(u)^phi(y) for every product u of m generators and every
-    basis element y with deg u + deg y at most the top degree. P(0) holds
-    because phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
+    basis element y with deg u + deg y at most s. P(0) holds because
+    phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
     associativity, P(m - 1) and the check give
     phi(u*y) = phi(u'*(g*y)) = phi(u')^phi(g*y) = phi(u')^phi(g)^phi(y),
     and P(m - 1) with y = g gives phi(u')^phi(g) = phi(u), so P(m) holds.
@@ -120,11 +120,12 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
     witness.check_shape()
     ring = witness.ring
     d = ring.top_degree
+    s = max(d, witness.ambient_n)
     zero = ExtElement.zero(witness.ambient_n)
     for p, i in ring.left_factors():
         per_p = witness.images.get(p)
         img_i = per_p[i] if per_p else zero
-        for q in range(1, d - p + 1):
+        for q in range(1, min(d, s - p) + 1):
             per_q = witness.images.get(q)
             for j in range(ring.dims[q]):
                 img_j = per_q[j] if per_q else zero

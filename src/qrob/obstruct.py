@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InvalidSystemError, NonHomogeneousError, VerificationFailure
 from .linalg import Matrix, invert, nullspace, pivot_rows_cols, rank
@@ -57,120 +58,156 @@ class Certificate:
     k_prime: int | None = None
 
 
-# Row role, column role and diagonal role of each Kronecker certificate.
+@dataclass(frozen=True)
+class _Pattern:
+    """What one Kronecker certificate kind adds to the common check."""
+
+    roles: tuple[str, str, str]  # row role, column role, diagonal role
+    row_degrees: Callable[[int], range]  # allowed k' for a diagonal of degree k
+    annihilated: bool  # diag * rows[i] = 0 is proved too
+    bound: Callable[[int, int], tuple[str, int]]  # (n, k') -> (rel, rhs) for m
+    conclusion: str  # formatted with m, kp, n and rhs
+    records_k_prime: bool
+
+
 _PATTERNS = {
-    "DualPair": ("left", "right", "target"),
-    "H1Annihilator": ("annihilators", "duals", "factor"),
+    "DualPair": _Pattern(
+        roles=("left", "right", "target"),
+        row_degrees=lambda k: range(1, k),
+        annihilated=False,
+        bound=lambda n, kp: (">", math.comb(n, kp)),
+        conclusion=(
+            "{m} classes of degree {kp} pair off against the target class, but "
+            "the degree-{kp} component of the exterior algebra on {n} generators "
+            "has dimension C({n},{kp}) = {rhs} < {m}; no graded algebra "
+            "homomorphism maps the target class nontrivially."
+        ),
+        records_k_prime=True,
+    ),
+    "H1Annihilator": _Pattern(
+        roles=("annihilators", "duals", "factor"),
+        row_degrees=lambda k: range(1, 2),
+        annihilated=True,
+        bound=lambda n, kp: (">=", n),
+        conclusion=(
+            "{m} independent degree-1 classes annihilate the factor and admit "
+            "dual classes, which forces fewer than n = {n} of them under any "
+            "graded algebra homomorphism to the exterior algebra on {n} "
+            "generators mapping factor*cofactor nontrivially; no such "
+            "homomorphism exists."
+        ),
+        records_k_prime=False,
+    ),
 }
 
 
-def _check_pattern(
-    rows: list[RingElement], cols: list[RingElement], diag: RingElement,
-    roles: tuple[str, str, str],
-) -> None:
-    """Require rows[i] * cols[j] == diag when i == j and 0 otherwise."""
-    row_role, col_role, diag_role = roles
-    zero = diag.ring.zero()
-    for i, x in enumerate(rows):
-        for j, y in enumerate(cols):
-            if multiply(x, y) != (diag if i == j else zero):
+@dataclass
+class KroneckerSystem:
+    """rows[i] * cols[j] = delta_ij * diag, with omega = diag * cofactor nonzero.
+
+    A graded algebra homomorphism that is nonzero on omega is nonzero on diag,
+    so it keeps the rows linearly independent (wedge a relation with the image
+    of cols[j]); the kind's bound on their number then obstructs it.
+    """
+
+    kind: str  # a key of _PATTERNS
+    diag: RingElement
+    cofactor: RingElement
+    rows: list[RingElement]
+    cols: list[RingElement]
+
+    @classmethod
+    def from_classes(
+        cls, kind: str, classes: dict, decode=lambda obj: obj
+    ) -> KroneckerSystem:
+        """The system that a certificate's classes record by role; each class
+        is passed through decode."""
+        if kind not in _PATTERNS:
+            raise InvalidSystemError(f"unknown certificate kind {kind!r}")
+        row, col, diag = _PATTERNS[kind].roles
+        return cls(
+            kind, decode(classes[diag]), decode(classes["cofactor"]),
+            [decode(x) for x in classes[row]], [decode(y) for y in classes[col]],
+        )
+
+    def entries(self) -> list[tuple]:
+        """(left role, right role, left, right, on_diagonal) for every product
+        that check() proves and the products table lists, in that order; the
+        product is the diag class on the diagonal and zero elsewhere."""
+        pattern = _PATTERNS[self.kind]
+        row, col, diag = pattern.roles
+        out = [
+            (diag, f"{row}[{i}]", self.diag, x, False)
+            for i, x in enumerate(self.rows) if pattern.annihilated
+        ]
+        out += [
+            (f"{row}[{i}]", f"{col}[{j}]", x, y, i == j)
+            for i, x in enumerate(self.rows)
+            for j, y in enumerate(self.cols)
+        ]
+        return out
+
+    def check(self) -> None:
+        """Require a nonzero omega, two nonzero families of one size and of the
+        kind's degrees, and every entry's product; else InvalidSystemError."""
+        pattern = _PATTERNS[self.kind]
+        row, col, diag = pattern.roles
+        if multiply(self.diag, self.cofactor).is_zero():
+            raise InvalidSystemError(f"{diag} * cofactor is zero")
+        k = self.diag.degree()
+        if len(self.rows) != len(self.cols) or not self.rows:
+            raise InvalidSystemError(f"{row} and {col} must pair off one to one")
+        kp = self.rows[0].degree()
+        if kp not in pattern.row_degrees(k):
+            raise InvalidSystemError(f"{row} of degree {kp} against degree {k}")
+        for role, family, degree in ((row, self.rows, kp), (col, self.cols, k - kp)):
+            if any(x.is_zero() or x.degree() != degree for x in family):
+                raise InvalidSystemError(f"{role} must be nonzero of degree {degree}")
+        zero = self.diag.ring.zero()
+        for a, b, x, y, on_diag in self.entries():
+            if multiply(x, y) != (self.diag if on_diag else zero):
+                expected = f"the {diag}" if on_diag else "zero"
                 raise InvalidSystemError(
-                    f"product of {row_role}[{i}] and {col_role}[{j}] is not "
-                    f"{'the ' + diag_role if i == j else 'zero'}",
-                    detail=(i, j),
+                    f"product of {a} and {b} is not {expected}", detail=(a, b)
                 )
+
+    def certificate(self, n: int) -> Certificate | None:
+        """The certificate when the checked system breaks the kind's bound."""
+        self.check()
+        pattern = _PATTERNS[self.kind]
+        row, col, diag = pattern.roles
+        m, kp = len(self.rows), self.rows[0].degree()
+        rel, rhs = pattern.bound(n, kp)
+        inequality = Inequality(m, rel, rhs)
+        if not inequality.holds():
+            return None
+        return Certificate(
+            kind=self.kind,
+            ring_hash=self.diag.ring.hash_hex(),
+            n=n,
+            degree=self.diag.degree(),
+            k_prime=kp if pattern.records_k_prime else None,
+            inequality=inequality,
+            classes={
+                diag: self.diag, "cofactor": self.cofactor,
+                row: list(self.rows), col: list(self.cols),
+            },
+            omega=multiply(self.diag, self.cofactor),
+            conclusion=pattern.conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
+        )
 
 
 def products_table(cert: Certificate) -> list[dict]:
-    """The products that the system check of a Kronecker certificate proved.
-
-    rows[i] * cols[j] is the diagonal class when i == j and 0 otherwise, and
-    an H1Annihilator also has factor * annihilators[i] = 0. Other kinds have
-    no table.
-    """
+    """The products that the check of a Kronecker certificate proved, from the
+    same entry list; other kinds have no table."""
     if cert.kind not in _PATTERNS:
         return []
-    rows, cols, diag = _PATTERNS[cert.kind]
-    classes = cert.classes
-    zero, on_diag = classes[diag].ring.zero().to_obj(), classes[diag].to_obj()
-    entries = []
-    if cert.kind == "H1Annihilator":
-        entries = [
-            ("factor", f"{rows}[{i}]", zero) for i in range(len(classes[rows]))
-        ]
-    entries += [
-        (f"{rows}[{i}]", f"{cols}[{j}]", on_diag if i == j else zero)
-        for i in range(len(classes[rows]))
-        for j in range(len(classes[cols]))
+    system = KroneckerSystem.from_classes(cert.kind, cert.classes)
+    product = {True: system.diag.to_obj(), False: system.diag.ring.zero().to_obj()}
+    return [
+        {"left": a, "right": b, "product": product[on_diag]}
+        for a, b, _, _, on_diag in system.entries()
     ]
-    return [{"left": a, "right": b, "product": p} for a, b, p in entries]
-
-
-@dataclass
-class DualSystem:
-    """Classes c_i, c'_j with c_i * c'_j = delta_ij * target, all verified."""
-
-    ring: GradedRing
-    target: RingElement
-    left: list[RingElement]
-    right: list[RingElement]
-
-    def check(self) -> None:
-        if self.target.is_zero():
-            raise InvalidSystemError("target class is zero")
-        k = self.target.degree()
-        if k < 2:
-            raise InvalidSystemError("target class must have degree >= 2")
-        if len(self.left) != len(self.right) or not self.left:
-            raise InvalidSystemError("left/right families must match and be nonempty")
-        kp = self.left[0].degree()
-        if not (1 <= kp <= k - 1):
-            raise InvalidSystemError(f"left degree {kp} out of range 1..{k - 1}")
-        for x in self.left:
-            if x.is_zero() or x.degree() != kp:
-                raise InvalidSystemError("left classes must share one degree")
-        for y in self.right:
-            if y.is_zero() or y.degree() != k - kp:
-                raise InvalidSystemError("right classes must have complementary degree")
-        _check_pattern(self.left, self.right, self.target, _PATTERNS["DualPair"])
-
-
-@dataclass
-class AnnihilatorSystem:
-    """Degree-1 annihilators of a factor class, with exact dual classes."""
-
-    ring: GradedRing
-    factor: RingElement
-    cofactor: RingElement
-    annihilators: list[RingElement]
-    duals: list[RingElement]
-
-    def omega_class(self) -> RingElement:
-        return multiply(self.factor, self.cofactor)
-
-    def check(self) -> None:
-        if self.factor.is_zero():
-            raise InvalidSystemError("factor class is zero")
-        k = self.factor.degree()
-        if self.omega_class().is_zero():
-            raise InvalidSystemError("factor * cofactor is zero")
-        if len(self.annihilators) != len(self.duals) or not self.annihilators:
-            raise InvalidSystemError(
-                "annihilator/dual families must match and be nonempty"
-            )
-        for i, x in enumerate(self.annihilators):
-            if x.is_zero() or x.degree() != 1:
-                raise InvalidSystemError(f"annihilators[{i}] is not of degree 1")
-            if not multiply(self.factor, x).is_zero():
-                raise InvalidSystemError(
-                    f"factor * annihilators[{i}] is nonzero", detail=(i,)
-                )
-        for y in self.duals:
-            if y.is_zero() or y.degree() != k - 1:
-                raise InvalidSystemError(f"duals must have degree {k - 1}")
-        _check_pattern(
-            self.annihilators, self.duals, self.factor, _PATTERNS["H1Annihilator"]
-        )
 
 
 def prywes_bound(
@@ -205,64 +242,6 @@ def prywes_bound(
                 omega=omega,
             )
     return None
-
-
-def verify_dual_system(system: DualSystem, n: int) -> Certificate | None:
-    """Certificate when the verified system exceeds the binomial bound."""
-    system.check()
-    m = len(system.left)
-    kp = system.left[0].degree()
-    bound = math.comb(n, kp) if kp <= n else 0
-    if m <= bound:
-        return None
-    return Certificate(
-        kind="DualPair",
-        ring_hash=system.ring.hash_hex(),
-        n=n,
-        degree=system.target.degree(),
-        k_prime=kp,
-        inequality=Inequality(m, ">", bound),
-        classes={
-            "target": system.target,
-            "left": list(system.left),
-            "right": list(system.right),
-        },
-        conclusion=(
-            f"{m} classes of degree {kp} pair off against the target class, but "
-            f"the degree-{kp} component of the exterior algebra on {n} generators "
-            f"has dimension C({n},{kp}) = {bound} < {m}; no graded algebra "
-            "homomorphism maps the target class nontrivially."
-        ),
-    )
-
-
-def verify_annihilator_system(system: AnnihilatorSystem, n: int) -> Certificate | None:
-    """Certificate when at least n verified degree-1 annihilators exist."""
-    system.check()
-    m = len(system.annihilators)
-    if m < n:
-        return None
-    return Certificate(
-        kind="H1Annihilator",
-        ring_hash=system.ring.hash_hex(),
-        n=n,
-        degree=system.factor.degree(),
-        inequality=Inequality(m, ">=", n),
-        classes={
-            "factor": system.factor,
-            "cofactor": system.cofactor,
-            "annihilators": list(system.annihilators),
-            "duals": list(system.duals),
-        },
-        omega=system.omega_class(),
-        conclusion=(
-            f"{m} independent degree-1 classes annihilate the factor and admit "
-            f"dual classes, which forces fewer than n = {n} of them under any "
-            f"graded algebra homomorphism to the exterior algebra on {n} "
-            "generators mapping factor*cofactor nontrivially; no such "
-            "homomorphism exists."
-        ),
-    )
 
 
 # -- system assembly ----------------------------------------------------------
@@ -362,14 +341,39 @@ def _annihilator_candidates(
     return [ring.element(1, v) for v in kernel]
 
 
+def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
+    """Yield (kind, factor, cofactor, rows, cols) in canonical order.
+
+    First the degree-1 annihilators of each factor of omega against the basis
+    one degree below it, then each basis degree k' of each factor of degree at
+    least 2 whose dimension exceeds C(n, k') against the complementary basis.
+    """
+    if ring.dims[1] > 0:
+        for ell in range(1, n):
+            if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
+                continue
+            for factor, cofactor in factorizations(ring, omega, ell):
+                anns = _annihilator_candidates(ring, factor)
+                if len(anns) >= n:
+                    cols = ring.basis(ell - 1)
+                    yield "H1Annihilator", factor, cofactor, anns, cols
+    for ell in range(2, n):
+        if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
+            continue
+        for factor, cofactor in factorizations(ring, omega, ell):
+            for kp in range(1, ell):
+                if ring.dims[ell - kp] and ring.dims[kp] > math.comb(n, kp):
+                    rows, cols = ring.basis(kp), ring.basis(ell - kp)
+                    yield "DualPair", factor, cofactor, rows, cols
+
+
 def search_obstruction(
     ring: GradedRing, omega: RingElement, n: int
 ) -> Certificate | None:
     """Deterministic certificate search in canonical order.
 
     Order: the dimension bound (which applies only when n equals the top
-    degree), then annihilator systems over the factorizations of omega, then
-    dual-pair systems.
+    degree), then the Kronecker systems of `_kronecker_candidates`.
     """
     if omega.is_zero():
         raise ValueError("omega must be nonzero")
@@ -381,44 +385,11 @@ def search_obstruction(
     cert = prywes_bound(ring, n, omega=omega)
     if cert is not None:
         return cert
-
-    # Annihilator systems: factor classes of omega with degree-1 annihilators.
-    if ring.dims[1] > 0:
-        for ell in range(1, n):
-            if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
-                continue
-            for factor, cofactor in factorizations(ring, omega, ell):
-                anns = _annihilator_candidates(ring, factor)
-                if len(anns) < n:
-                    continue
-                duals_degree = ell - 1
-                cols = ring.basis(duals_degree)
-                for lefts, rights in kronecker_systems(anns, cols, factor):
-                    system = AnnihilatorSystem(ring, factor, cofactor, lefts, rights)
-                    cert = verify_annihilator_system(system, n)
-                    if cert is not None:
-                        cert.omega = omega
-                        return cert
-
-    # Dual-pair systems over every factor class of omega.
-    for ell in range(2, n):
-        if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
-            continue
-        for factor, cofactor in factorizations(ring, omega, ell):
-            for kp in range(1, ell):
-                if ring.dims[kp] == 0 or ring.dims[ell - kp] == 0:
-                    continue
-                if ring.dims[kp] <= math.comb(n, kp):
-                    continue
-                rows = ring.basis(kp)
-                cols = ring.basis(ell - kp)
-                for lefts, rights in kronecker_systems(rows, cols, factor):
-                    system = DualSystem(ring, factor, lefts, rights)
-                    cert = verify_dual_system(system, n)
-                    if cert is not None:
-                        cert.omega = omega
-                        cert.classes["cofactor"] = cofactor
-                        return cert
+    for kind, factor, cofactor, rows, cols in _kronecker_candidates(ring, omega, n):
+        for lefts, rights in kronecker_systems(rows, cols, factor):
+            cert = KroneckerSystem(kind, factor, cofactor, lefts, rights).certificate(n)
+            if cert is not None:
+                return cert
     return None
 
 

@@ -25,23 +25,19 @@ from .homsearch import (
 from .linalg import Matrix, fraction_from_str, fraction_to_str
 from .manifolds import ManifoldExpr, build_with_classes
 from .obstruct import (
-    AnnihilatorSystem,
     Certificate,
-    DualSystem,
+    KroneckerSystem,
     SubmanifoldReport,
     products_table,
     prywes_bound,
     search_obstruction,
     submanifold_bound,
-    verify_annihilator_system,
-    verify_dual_system,
 )
 from .ring import (
     GradedRing,
     RingElement,
     in_kunneth_ideal,
     kunneth_ideal_basis,
-    multiply,
     poincare_pairing,
 )
 
@@ -199,36 +195,19 @@ def verify_certificate_obj(
     n = int(obj["n"])
     omega = obj.get("omega")
     omega = None if omega is None else RingElement.from_obj(ring, omega)
-    classes = obj.get("classes", {})
-
-    def one(role: str) -> RingElement:
-        return RingElement.from_obj(ring, classes[role])
-
-    def many(role: str) -> list[RingElement]:
-        return [RingElement.from_obj(ring, o) for o in classes[role]]
-
     if kind == "PrywesBound":
         if n != ring.top_degree:
             _fail("the dimension bound needs n equal to the top degree")
         cert = prywes_bound(ring, n, omega)
-    elif kind == "H1Annihilator":
-        system = AnnihilatorSystem(
-            ring, one("factor"), one("cofactor"),
-            many("annihilators"), many("duals"),
-        )
-        cert = verify_annihilator_system(system, n)
-    elif kind == "DualPair":
-        system = DualSystem(ring, one("target"), many("left"), many("right"))
-        cert = verify_dual_system(system, n)
-        if cert is not None:
-            cert.classes["cofactor"] = one("cofactor")
-            cert.omega = multiply(system.target, cert.classes["cofactor"])
     elif kind == "SubmanifoldBound":
         if omega is None or subring is None or iota_star is None:
             _fail("submanifold certificate needs omega, subring and iota_star")
         cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
-    else:
-        _fail(f"unknown certificate kind {kind!r}")
+    else:  # a Kronecker kind; from_classes rejects any other
+        system = KroneckerSystem.from_classes(
+            kind, obj.get("classes", {}), lambda o: RingElement.from_obj(ring, o)
+        )
+        cert = system.certificate(n)
     if cert is None:
         _fail(f"the recorded {kind} data do not obstruct in dimension {n}")
     return cert

@@ -184,7 +184,7 @@ class GradedRing:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict, validate: bool = True) -> "GradedRing":
+    def from_obj(cls, obj: dict) -> "GradedRing":
         if not isinstance(obj, dict):
             raise RingValidationError(f"a ring must be a JSON object, got {obj!r}")
         try:
@@ -218,8 +218,7 @@ class GradedRing:
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise RingValidationError(f"malformed ring object: {exc!r}") from exc
-        if validate:
-            ring.validate()
+        ring.validate()
         return ring
 
     def canonical_json(self) -> str:
@@ -605,7 +604,7 @@ def kunneth_ideal_basis(ring: GradedRing, k: int) -> list[RingElement]:
     if k < 2:
         raise IdealUndefinedError("the product ideal starts at degree 2")
     if k > ring.top_degree:
-        raise ValueError(f"degree {k} exceeds top degree {ring.top_degree}")
+        raise IdealUndefinedError(f"degree {k} exceeds top degree {ring.top_degree}")
     key = (ring.hash_hex(), k)
     if key not in _IDEAL_CACHE:
         rows: list[tuple[Fraction, ...]] = []

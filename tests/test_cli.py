@@ -35,6 +35,13 @@ def test_kunneth_ideal_dims(capsys):
     assert code == 0 and "dim K^4 = 0" in out
 
 
+@pytest.mark.parametrize("k", ["1", "5"])
+def test_kunneth_ideal_undefined_degree_exit_three(capsys, k):
+    # below degree 2 and above the top degree the ideal is undefined
+    code, _, err = run(capsys, "kunneth-ideal", "torus(2)", "--k", k)
+    assert code == 3 and err.startswith("error:")
+
+
 def test_check_witness_exit_zero(capsys, tmp_path):
     out_file = tmp_path / "verdict.json"
     code, out, _ = run(
@@ -156,14 +163,6 @@ def test_standalone_witness_file_with_ring(capsys, tmp_path):
     obj["images"]["1"][0]["terms"][0]["coeff"] = "2"
     wfile.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", str(wfile), "--ring", str(rfile))
-    assert code == 1
-
-
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("QROB_JOBS", "4")
-    code, out, _ = run(
-        capsys, "check", "surface(2) * cp(2)", "--omega", "vol(1)^sym(2)", "--n", "4"
-    )
     assert code == 1
 
 

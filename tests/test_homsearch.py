@@ -17,6 +17,7 @@ from qrob import (
     HomWitness,
     MissingPresentationError,
     Query,
+    Sphere,
     Surface,
     Torus,
     build,
@@ -25,10 +26,13 @@ from qrob import (
     parse_manifold,
     parse_omega,
     run_query,
+    verify_document,
     verify_hom,
     witness_template,
 )
+from qrob.errors import VerificationFailure
 from qrob.homsearch import enumerate_hom_detailed, witness_from_generators
+from qrob.pipeline import witness_to_obj
 
 
 def _t1_cp2():
@@ -381,21 +385,41 @@ def test_verify_hom_agrees_with_all_pairs_oracle():
     # every basis element is a left factor)
     rng = random.Random(8)
     counts = Counter()
+    runs = []
     for query in CATALOG:
         result = run_query(Query(*query))
-        if result.verdict != "WITNESS":
-            continue
-        ring_obj, omega_obj = result.ring.to_obj(), result.omega.to_obj()
+        if result.verdict == "WITNESS":
+            witness_obj = result.witness.to_obj()
+            cases = [witness_obj] + [
+                _edit_one_coefficient(rng, witness_obj) for _ in range(25)
+            ]
+            runs.append((query, result.ring, result.omega, cases))
+    # and one map into more axes than the top degree: x * x = 0 in H*(S^2),
+    # but (e12 + e34)^(e12 + e34) = 2 e1234
+    sphere = build(Sphere(2))
+    over_top = HomWitness(sphere, 4, {1: [], 2: [e(4, 1, 2) + e(4, 3, 4)]})
+    runs.append(("sphere(2), n = 4", sphere, sphere.fundamental_class(),
+                 [over_top.to_obj()]))
+    for query, built, omega, cases in runs:
+        ring_obj, omega_obj = built.to_obj(), omega.to_obj()
         bare = GradedRing.from_obj(dict(ring_obj, monomial_presentation=None))
-        witness_obj = result.witness.to_obj()
-        cases = [witness_obj] + [
-            _edit_one_coefficient(rng, witness_obj) for _ in range(25)
-        ]
         for obj in cases:
             expected = hom_oracle_accepts(ring_obj, obj, omega_obj)
-            for ring in (result.ring, bare):
+            for ring in (built, bare):
                 witness = HomWitness.from_obj(ring, obj)
-                accepted = verify_hom(witness, result.omega)
+                accepted = verify_hom(witness, omega)
                 assert accepted == expected, (query, obj, ring.presentation is None)
                 counts[ring.presentation is not None, accepted] += 1
+    vol = sphere.fundamental_class().to_obj()
+    assert not hom_oracle_accepts(sphere.to_obj(), over_top.to_obj(), vol)
     assert len(counts) == 4, counts  # accepts and rejects on both paths
+
+
+def test_witness_document_above_top_degree_fails():
+    # the same map as a standalone witness document
+    sphere = build(Sphere(2))
+    witness = HomWitness(sphere, 4, {1: [], 2: [e(4, 1, 2) + e(4, 3, 4)]})
+    doc = witness_to_obj(witness, sphere.fundamental_class())
+    doc["ring"] = sphere.to_obj()
+    with pytest.raises(VerificationFailure, match="multiplicativity"):
+        verify_document(doc)

@@ -107,7 +107,7 @@ def test_ideal_errors():
     ring = build(Torus(2))
     with pytest.raises(IdealUndefinedError):
         kunneth_ideal_basis(ring, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(IdealUndefinedError):
         kunneth_ideal_basis(ring, 3)
     mixed = ring.unit() + ring.fundamental_class()
     with pytest.raises(NonHomogeneousError):

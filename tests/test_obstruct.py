@@ -10,10 +10,9 @@ import qrob.ring
 from conftest import CATALOG
 
 from qrob import (
-    AnnihilatorSystem,
     CPm,
-    DualSystem,
     InvalidSystemError,
+    KroneckerSystem,
     Product,
     S2xS2,
     Sphere,
@@ -32,8 +31,6 @@ from qrob import (
     search_obstruction,
     slice_restriction,
     submanifold_bound,
-    verify_annihilator_system,
-    verify_dual_system,
 )
 from qrob.errors import VerificationFailure
 from qrob.obstruct import _annihilator_candidates, _lambda_matrix, kronecker_systems
@@ -70,12 +67,13 @@ def test_dual_system_s8_times_cp2():
     left_ring = build(connsum_power(S2xS2(), 8))
     right_ring = build(CPm(2))
     target = pull_left(ring, left_ring, right_ring, left_ring.fundamental_class())
+    cofactor = pull_right(ring, left_ring, right_ring, right_ring.basis_element(2, 0))
     lefts = [
         pull_left(ring, left_ring, right_ring, c) for c in left_ring.basis(2)
     ]
     rights = _paired_right_classes(lefts, 1)  # even classes commute, no sign
-    system = DualSystem(ring, target, lefts, rights)
-    cert = verify_dual_system(system, 6)
+    system = KroneckerSystem("DualPair", target, cofactor, lefts, rights)
+    cert = system.certificate(6)
     assert cert is not None
     assert cert.kind == "DualPair"
     assert (cert.inequality.lhs, cert.inequality.rel, cert.inequality.rhs) == (
@@ -88,16 +86,20 @@ def test_dual_system_s8_times_cp2():
 def test_dual_system_small_returns_none():
     ring = build(Torus(2))
     a, b = ring.basis(1)
-    system = DualSystem(ring, ring.fundamental_class(), [a], [b])
-    assert verify_dual_system(system, 2) is None
+    system = KroneckerSystem(
+        "DualPair", ring.fundamental_class(), ring.unit(), [a], [b]
+    )
+    assert system.certificate(2) is None
 
 
 def test_dual_system_corruption_detected():
     ring = build(Torus(2))
     a, b = ring.basis(1)
-    bad = DualSystem(ring, ring.fundamental_class(), [a, b], [b, a])
+    bad = KroneckerSystem(
+        "DualPair", ring.fundamental_class(), ring.unit(), [a, b], [b, a]
+    )
     with pytest.raises(InvalidSystemError) as err:
-        verify_dual_system(bad, 2)
+        bad.certificate(2)
     assert err.value.detail is not None
 
 
@@ -110,8 +112,8 @@ def test_annihilator_system_t2_times_cp2():
     cofactor = pull_right(ring, left_ring, right_ring, right_ring.basis_element(2, 0))
     anns = [pull_left(ring, left_ring, right_ring, c) for c in left_ring.basis(1)]
     duals = _paired_right_classes(anns, -1)  # odd classes anticommute
-    system = AnnihilatorSystem(ring, factor, cofactor, anns, duals)
-    cert = verify_annihilator_system(system, 4)
+    system = KroneckerSystem("H1Annihilator", factor, cofactor, anns, duals)
+    cert = system.certificate(4)
     assert cert is not None
     assert cert.kind == "H1Annihilator"
     assert (cert.inequality.lhs, cert.inequality.rel, cert.inequality.rhs) == (
@@ -130,8 +132,8 @@ def test_annihilator_system_t1_returns_none():
     cofactor = pull_right(ring, left_ring, right_ring, right_ring.basis_element(2, 0))
     anns = [pull_left(ring, left_ring, right_ring, c) for c in left_ring.basis(1)]
     duals = _paired_right_classes(anns, -1)
-    system = AnnihilatorSystem(ring, factor, cofactor, anns, duals)
-    assert verify_annihilator_system(system, 4) is None  # m = 2 < 4
+    system = KroneckerSystem("H1Annihilator", factor, cofactor, anns, duals)
+    assert system.certificate(4) is None  # m = 2 < 4
 
 
 def test_annihilator_system_corruption_detected():
@@ -142,11 +144,11 @@ def test_annihilator_system_corruption_detected():
     factor = pull_left(ring, left_ring, right_ring, left_ring.fundamental_class())
     cofactor = pull_right(ring, left_ring, right_ring, right_ring.basis_element(2, 0))
     anns = [pull_left(ring, left_ring, right_ring, c) for c in left_ring.basis(1)]
-    bad = AnnihilatorSystem(
-        ring, cofactor, factor, anns, _paired_right_classes(anns, -1)
+    bad = KroneckerSystem(
+        "H1Annihilator", cofactor, factor, anns, _paired_right_classes(anns, -1)
     )
     with pytest.raises(InvalidSystemError):
-        verify_annihilator_system(bad, 4)  # cofactor * anns[i] != 0
+        bad.certificate(4)  # cofactor * anns[i] != 0
 
 
 def _query(manifold, omega_text, n):

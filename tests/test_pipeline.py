@@ -161,6 +161,20 @@ def test_dual_pair_verdict_requires_cofactor(tmp_path, capsys):
     assert "cofactor" in capsys.readouterr().out
 
 
+def test_dual_pair_certificate_requires_nonzero_omega():
+    # a family that pairs off against the target proves nothing about a zero
+    # omega = target * cofactor, so the standalone certificate must fail
+    result = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    assert result.certificate.kind == "DualPair"
+    doc = certificate_to_obj(result.certificate, result.ring)
+    doc["ring"] = result.ring.to_obj()
+    assert verify_document(doc) == "certificate re-verified (DualPair)"
+    zero = result.ring.zero().to_obj()
+    doc["classes"]["cofactor"] = doc["omega"] = zero
+    with pytest.raises(VerificationFailure, match="cofactor is zero"):
+        verify_document(doc)
+
+
 def test_prywes_certificate_requires_top_degree_n():
     ring = build(connsum_power(S2xS2(), 8))
     assert prywes_bound(ring, 3) is None  # the bound is unsound below the top degree
