@@ -138,7 +138,7 @@ def invert(a: Matrix) -> Matrix | None:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("invert needs a square matrix")
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row[:] + unit for row, unit in zip(a, identity(n))]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

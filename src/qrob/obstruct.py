@@ -5,6 +5,13 @@ re-verifies from its payload alone (products recomputed from the ring, the
 inequality recomputed from integers). Searchers are heuristic and restricted
 to basis-aligned candidates plus exact linear solves, so absence of a
 certificate never means existence of a homomorphism.
+
+The Kronecker search skips only work that cannot certify. A system has
+m <= min(rows, columns) classes for its candidate, and for its group
+m <= min(rows with a nonzero lambda, columns with one); every kind's bound
+is monotone in m. A candidate or group whose size bound is below the least
+m that breaks its kind's bound is skipped, and the rest come in the same
+canonical order, so the first certificate is that of an unpruned search.
 """
 
 from __future__ import annotations
@@ -68,6 +75,11 @@ class _Pattern:
     bound: Callable[[int, int], tuple[str, int]]  # (n, k') -> (rel, rhs) for m
     conclusion: str  # formatted with m, kp, n and rhs
     records_k_prime: bool
+
+    def min_size(self, n: int, kp: int) -> int:
+        """The least family size m that breaks the bound."""
+        rel, rhs = self.bound(n, kp)
+        return rhs + (rel == ">")
 
 
 _PATTERNS = {
@@ -252,53 +264,93 @@ def _terms(x: RingElement) -> list[tuple[int, int, Fraction]]:
     return [(p, i, c) for p, vec in x.coords().items() for i, c in enumerate(vec) if c]
 
 
-def _lambda_matrix(
-    rows: list[RingElement], cols: list[RingElement], target: RingElement
-) -> list[list[Fraction | None]]:
-    """lam[r][c] with rows[r] * cols[c] == lam * target, or None where no such lam.
-
-    Products are summed from the sparse structure tables; a zero product gives
-    0, and one off the target's support or not proportional to it gives None.
-    """
-    k = target.degree()
-    goal = {(k, t): c for t, c in enumerate(target.vector(k)) if c}
-    pivot = min(goal)
-    ring = target.ring
+def _product_table(
+    rows: list[RingElement], cols: list[RingElement]
+) -> list[list[dict[tuple[int, int], Fraction]]]:
+    """rows[r] * cols[c] as sparse {(degree, index): coefficient}, summed from
+    the structure tables; a zero product is the empty dict."""
     col_terms = [_terms(y) for y in cols]
-    lam: list[list[Fraction | None]] = []
+    table = []
     for x in rows:
         x_terms = _terms(x)
-        lam_row: list[Fraction | None] = []
+        table_row = []
         for y_terms in col_terms:
             prod: dict[tuple[int, int], Fraction] = {}
             for p, i, a in x_terms:
                 for q, j, b in y_terms:
-                    for t, c in ring.product_vec(p, i, q, j).items():
+                    for t, c in x.ring.product_vec(p, i, q, j).items():
                         prod[p + q, t] = prod.get((p + q, t), 0) + a * b * c
-            prod = {key: c for key, c in prod.items() if c}
-            ratio = prod.get(pivot, 0) / goal[pivot]
-            scaled = {key: ratio * c for key, c in goal.items()} if ratio else {}
-            lam_row.append(ratio if prod == scaled else None)
+            table_row.append({key: c for key, c in prod.items() if c})
+        table.append(table_row)
+    return table
+
+
+def _lambda_matrix(
+    products: list[list[dict[tuple[int, int], Fraction]]], target: RingElement
+) -> list[list[Fraction | None]]:
+    """lam[r][c] with products[r][c] == lam * target, or None where no such lam.
+
+    A zero product gives 0 without a division; one off the target's support
+    or not proportional to it gives None.
+    """
+    k = target.degree()
+    goal = {(k, t): c for t, c in enumerate(target.vector(k)) if c}
+    pivot = min(goal)
+    zero = Fraction(0)
+    lam: list[list[Fraction | None]] = []
+    for table_row in products:
+        lam_row: list[Fraction | None] = []
+        for prod in table_row:
+            if not prod:
+                lam_row.append(zero)
+            elif prod.keys() != goal.keys():
+                lam_row.append(None)
+            else:
+                ratio = prod[pivot] / goal[pivot]
+                exact = all(prod[key] == ratio * c for key, c in goal.items())
+                lam_row.append(ratio if exact else None)
         lam.append(lam_row)
     return lam
+
+
+def _block_bound(lam: list[list[Fraction | None]]) -> int:
+    """No invertible block of lam is larger than its rows with a nonzero
+    entry, nor than its columns with one."""
+    return min(sum(map(any, lam)), sum(map(any, zip(*lam))))
 
 
 def kronecker_systems(
     rows: list[RingElement],
     cols: list[RingElement],
     target: RingElement,
+    products: list[list[dict[tuple[int, int], Fraction]]],
+    min_size: int,
 ):
-    """Yield exact Kronecker systems (lefts, rights) against the target class.
+    """Yield exact Kronecker systems (lefts, rights) against the target class,
+    each of at least min_size >= 1 classes.
 
-    Row classes are grouped by which column products are exact multiples of
-    the target; in each group the coefficient matrix is restricted to a
-    maximal invertible pivot block and inverted, so the returned families
-    satisfy left_i * right_j = delta_ij * target on the nose. Deterministic.
+    `products` is `_product_table(rows, cols)`, and the columns share one
+    degree. Row classes are grouped by which column products are exact
+    multiples of the target; in each group the coefficient matrix is
+    restricted to a maximal invertible pivot block and inverted, so the
+    returned families satisfy left_i * right_j = delta_ij * target on the
+    nose. Deterministic.
+
+    A pivot block has no more rows than its group has rows with a nonzero
+    lambda, nor more columns than columns with one (`_block_bound`). When
+    that bound on the whole lambda matrix, or on a group's block, is below
+    min_size, it is skipped before any elimination. Every kind's bound is
+    monotone in the family size m, and the search passes the least m that
+    breaks it; so exactly the systems that cannot certify are skipped, and
+    the others come in the same order.
     """
     if not rows or not cols:
         return
     ring = target.ring
-    lam = _lambda_matrix(rows, cols, target)
+    q = cols[0].degree()
+    lam = _lambda_matrix(products, target)
+    if _block_bound(lam) < min_size:
+        return
     masks = [
         frozenset(j for j, v in enumerate(lam_row) if v is not None)
         for lam_row in lam
@@ -315,19 +367,20 @@ def kronecker_systems(
         seen.add(key)
         col_ids = sorted(mask)
         block = [[lam[r][c] for c in col_ids] for r in group]
-        piv_rows, piv_cols = pivot_rows_cols(block)
-        if not piv_rows:
+        if _block_bound(block) < min_size:
             continue
+        piv_rows, piv_cols = pivot_rows_cols(block)
         # a maximal pivot block is invertible
         inv = invert([[block[r][c] for c in piv_cols] for r in piv_rows])
         lefts = [rows[group[r]] for r in piv_rows]
-        rights = []
-        for j in range(len(piv_cols)):
-            acc = ring.zero()
-            for t in range(len(piv_cols)):
-                acc = acc + cols[col_ids[piv_cols[t]]].scale(inv[t][j])
-            rights.append(acc)
-        yield lefts, rights
+        # rights[j] = sum over t of inv[t][j] * (the t-th pivot column class)
+        duals = [[Fraction(0)] * ring.dims[q] for _ in piv_cols]
+        for t, c in enumerate(piv_cols):
+            for i, coeff in enumerate(cols[col_ids[c]].vector(q)):
+                if coeff:
+                    for dual, f in zip(duals, inv[t]):
+                        dual[i] += f * coeff
+        yield lefts, [ring.element(q, dual) for dual in duals]
 
 
 def _annihilator_candidates(
@@ -342,29 +395,48 @@ def _annihilator_candidates(
 
 
 def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
-    """Yield (kind, factor, cofactor, rows, cols) in canonical order.
+    """Yield (kind, factor, cofactor, rows, cols, products, min_size) in
+    canonical order, with products = _product_table(rows, cols) and min_size
+    the least family size that breaks the kind's bound.
 
     First the degree-1 annihilators of each factor of omega against the basis
     one degree below it, then each basis degree k' of each factor of degree at
-    least 2 whose dimension exceeds C(n, k') against the complementary basis.
+    least 2 against the complementary basis.
+
+    Only candidates that cannot certify are left out, so the first
+    certificate is unchanged. A system from rows and cols has
+    m <= min(len(rows), len(cols)) classes, and every kind's bound is
+    monotone in m; so a degree k' with min(dims[k'], dims[l - k']) below
+    min_size is skipped, and a degree l with no k' left is skipped before
+    `factorizations` runs. The basis families and their product table are
+    shared by every factor of one (l, k'); annihilator rows depend on the
+    factor, so their table is built per factor.
     """
-    if ring.dims[1] > 0:
+    for kind in ("H1Annihilator", "DualPair"):
+        pattern = _PATTERNS[kind]
         for ell in range(1, n):
-            if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
+            sizes = {
+                kp: pattern.min_size(n, kp) for kp in pattern.row_degrees(ell)
+                if min(ring.dims[kp], ring.dims[ell - kp]) >= pattern.min_size(n, kp)
+            }
+            if not sizes or not ring.dims[n - ell]:
                 continue
-            for factor, cofactor in factorizations(ring, omega, ell):
-                anns = _annihilator_candidates(ring, factor)
-                if len(anns) >= n:
-                    cols = ring.basis(ell - 1)
-                    yield "H1Annihilator", factor, cofactor, anns, cols
-    for ell in range(2, n):
-        if ring.dims[ell] == 0 or ring.dims[n - ell] == 0:
-            continue
-        for factor, cofactor in factorizations(ring, omega, ell):
-            for kp in range(1, ell):
-                if ring.dims[ell - kp] and ring.dims[kp] > math.comb(n, kp):
-                    rows, cols = ring.basis(kp), ring.basis(ell - kp)
-                    yield "DualPair", factor, cofactor, rows, cols
+            factors = factorizations(ring, omega, ell)
+            bases = {kp: (ring.basis(kp), ring.basis(ell - kp)) for kp in sizes}
+            tables = {
+                kp: _product_table(*bases[kp])
+                for kp in sizes if factors and not pattern.annihilated
+            }
+            for factor, cofactor in factors:
+                for kp, size in sizes.items():
+                    rows, cols = bases[kp]
+                    products = tables.get(kp)
+                    if pattern.annihilated:
+                        rows = _annihilator_candidates(ring, factor)
+                        if len(rows) < size:
+                            continue
+                        products = _product_table(rows, cols)
+                    yield kind, factor, cofactor, rows, cols, products, size
 
 
 def search_obstruction(
@@ -385,8 +457,9 @@ def search_obstruction(
     cert = prywes_bound(ring, n, omega=omega)
     if cert is not None:
         return cert
-    for kind, factor, cofactor, rows, cols in _kronecker_candidates(ring, omega, n):
-        for lefts, rights in kronecker_systems(rows, cols, factor):
+    candidates = _kronecker_candidates(ring, omega, n)
+    for kind, factor, cofactor, rows, cols, products, size in candidates:
+        for lefts, rights in kronecker_systems(rows, cols, factor, products, size):
             cert = KroneckerSystem(kind, factor, cofactor, lefts, rights).certificate(n)
             if cert is not None:
                 return cert

@@ -46,6 +46,7 @@ CERTIFICATE_FORMAT = "qrob.certificate/1"
 WITNESS_FORMAT = "qrob.witness/1"
 RING_FORMAT = "qrob.ring/1"
 KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/1"
+SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/1"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"
@@ -343,7 +344,9 @@ def _rederive(
         if "pairings" in obj:
             expected["pairings"] = pairings_obj(embedded)
         return expected, "ring re-validated"
-    if fmt not in (CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT):
+    if fmt not in (
+        CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT, SUBMANIFOLD_REPORT_FORMAT
+    ):
         _fail(f"unrecognized document format {fmt!r}")
     if ring is None:
         if obj.get("ring") is None:
@@ -353,12 +356,16 @@ def _rederive(
         k = obj["degree"]
         expected = kunneth_ideal_basis_doc(ring, k, kunneth_ideal_basis(ring, k))
         summary = "product ideal basis re-derived"
+    elif fmt == SUBMANIFOLD_REPORT_FORMAT:
+        if obj["certificate"] is None:
+            _fail("a submanifold report without a certificate records no restriction map")
+        subring, iota = _recorded_restriction(obj["certificate"], subring)
+        omega = RingElement.from_obj(ring, obj["omega"])
+        report = submanifold_bound(ring, subring, iota, omega, int(obj["certificate"]["n"]))
+        expected = submanifold_report_obj(report, ring, subring, iota, omega)
+        summary = "submanifold report re-derived"
     elif fmt == CERTIFICATE_FORMAT:
-        if subring is None and "subring" in obj:
-            subring = GradedRing.from_obj(obj["subring"])
-        iota = obj.get("iota_star")
-        if iota is not None:
-            iota = [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
+        subring, iota = _recorded_restriction(obj, subring)
         cert = verify_certificate_obj(obj, ring, subring, iota)
         expected = certificate_to_obj(cert, ring)
         if "subring" in obj:
@@ -376,6 +383,19 @@ def _rederive(
     if "ring" in obj:
         expected["ring"] = ring.to_obj()
     return expected, summary
+
+
+def _recorded_restriction(
+    obj: dict, subring: GradedRing | None
+) -> tuple[GradedRing | None, list[Matrix] | None]:
+    """The subring (the given one first) and restriction map that a
+    certificate object records; each is None when absent."""
+    if subring is None and "subring" in obj:
+        subring = GradedRing.from_obj(obj["subring"])
+    iota = obj.get("iota_star")
+    if iota is not None:
+        iota = [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
+    return subring, iota
 
 
 def ring_document(ring: GradedRing) -> dict:
@@ -423,7 +443,7 @@ def submanifold_report_obj(
         cert_obj["subring"] = ring_m.to_obj()
         cert_obj["iota_star"] = [_matrix_obj(m) for m in iota_star]
     return {
-        "format": "qrob.submanifold-report/1",
+        "format": SUBMANIFOLD_REPORT_FORMAT,
         "ring_hash": ring_n.hash_hex(),
         "subring_hash": ring_m.hash_hex(),
         "omega": omega.to_obj(),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -90,17 +91,20 @@ CATALOG = (
 )
 
 
-def _workload_manifolds() -> tuple[str, ...]:
+def _workload_queries() -> tuple[tuple[str, str, int], ...]:
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return tuple(q.manifold for qs in module.WORKLOADS.values() for q in qs)
+    return tuple((q.manifold, q.omega, q.n) for qs in module.WORKLOADS.values() for q in qs)
 
+
+# (manifold text, omega text, n) of every query the benchmark workloads run.
+WORKLOAD_QUERIES = _workload_queries()
 
 # Every CATALOG ring and every ring the benchmark workloads build, once each.
-LAW_RINGS = tuple(dict.fromkeys([m for m, _, _ in CATALOG] + list(_workload_manifolds())))
+LAW_RINGS = tuple(dict.fromkeys(m for m, _, _ in [*CATALOG, *WORKLOAD_QUERIES]))
 
 
 def oracle_products(obj: dict) -> dict:
@@ -243,3 +247,96 @@ def hom_oracle_accepts(ring_obj: dict, witness_obj: dict, omega_obj: dict) -> bo
         for i, c in enumerate(vec)
     }
     return not phi(omega).is_zero()
+
+
+def reference_lambda(rows, cols, target):
+    """The lambda matrix from full products and a dense multiple-of-target test."""
+    from qrob.ring import multiply
+
+    k = target.degree()
+    tvec = target.vector(k)
+    pivot = next(t for t, c in enumerate(tvec) if c)
+    out = []
+    for x in rows:
+        row = []
+        for y in cols:
+            prod = multiply(x, y)
+            if prod.is_zero():
+                row.append(Fraction(0))
+            elif prod.degrees() != {k}:
+                row.append(None)
+            else:
+                vec = prod.vector(k)
+                lam = vec[pivot] / tvec[pivot]
+                exact = all(v == lam * t for v, t in zip(vec, tvec))
+                row.append(lam if exact else None)
+        out.append(row)
+    return out
+
+
+def _reference_candidates(ring, omega, n):
+    """(kind, factor, cofactor, rows, cols, breaks) for every Kronecker
+    candidate in the search's canonical order, none left out: first the
+    degree-1 annihilators of each factor against the basis one degree below
+    it, then every row degree of every factor against the complementary
+    basis. breaks(m) says whether m classes break the kind's bound."""
+    from qrob.linalg import nullspace
+    from qrob.ring import factorizations, multiply
+
+    for ell in range(1, n):
+        for factor, cofactor in factorizations(ring, omega, ell):
+            above = ell + 1
+            images = [multiply(factor, x) for x in ring.basis(1)]
+            system = [
+                [y.coefficient(above, t) for y in images]
+                for t in range(ring.dims[above] if above <= ring.top_degree else 0)
+            ]
+            kernel = nullspace(system, ncols=ring.dims[1])
+            anns = [ring.element(1, v) for v in kernel]
+            yield "H1Annihilator", factor, cofactor, anns, ring.basis(ell - 1), (
+                lambda m: m >= n
+            )
+    for ell in range(2, n):
+        for factor, cofactor in factorizations(ring, omega, ell):
+            for kp in range(1, ell):
+                yield "DualPair", factor, cofactor, ring.basis(kp), ring.basis(ell - kp), (
+                    lambda m, kp=kp: m > math.comb(n, kp)
+                )
+
+
+def reference_kronecker_search(ring, omega, n):
+    """The first Kronecker system (kind, factor, cofactor, lefts, rights) whose
+    size breaks its kind's bound, or None, by an unpruned search.
+
+    Every candidate and every group is eliminated; lambda comes from full
+    products (`reference_lambda`); rows are grouped by the columns where
+    their lambda exists, and each group's maximal pivot block is inverted
+    into dual classes by adding scaled column classes.
+    """
+    from qrob.linalg import invert, pivot_rows_cols
+
+    for kind, factor, cofactor, rows, cols, breaks in _reference_candidates(ring, omega, n):
+        if not rows or not cols:
+            continue
+        lam = reference_lambda(rows, cols, factor)
+        masks = [{j for j, v in enumerate(row) if v is not None} for row in lam]
+        seen = []
+        for mask in masks:
+            group = [r for r, other in enumerate(masks) if mask and other >= mask]
+            if not group or (group, mask) in seen:
+                continue
+            seen.append((group, mask))
+            col_ids = sorted(mask)
+            block = [[lam[r][c] for c in col_ids] for r in group]
+            piv_rows, piv_cols = pivot_rows_cols(block)
+            if not breaks(len(piv_rows)):
+                continue
+            inv = invert([[block[r][c] for c in piv_cols] for r in piv_rows])
+            rights = []
+            for j in range(len(piv_cols)):
+                acc = ring.zero()
+                for t, c in enumerate(piv_cols):
+                    acc = acc + cols[col_ids[c]].scale(inv[t][j])
+                rights.append(acc)
+            return kind, factor, cofactor, [rows[group[r]] for r in piv_rows], rights
+    return None

@@ -7,7 +7,7 @@ import pytest
 
 import qrob.obstruct
 import qrob.ring
-from conftest import CATALOG
+from conftest import CATALOG, WORKLOAD_QUERIES, reference_kronecker_search, reference_lambda
 
 from qrob import (
     CPm,
@@ -33,7 +33,12 @@ from qrob import (
     submanifold_bound,
 )
 from qrob.errors import VerificationFailure
-from qrob.obstruct import _annihilator_candidates, _lambda_matrix, kronecker_systems
+from qrob.obstruct import (
+    _annihilator_candidates,
+    _lambda_matrix,
+    _product_table,
+    kronecker_systems,
+)
 from qrob.pipeline import certificate_to_obj, verify_certificate_obj
 
 
@@ -197,29 +202,6 @@ def test_search_deterministic_output():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _reference_lambda(rows, cols, target):
-    """The lambda matrix from full products and a dense multiple-of-target test."""
-    k = target.degree()
-    tvec = target.vector(k)
-    pivot = next(t for t, c in enumerate(tvec) if c)
-    out = []
-    for x in rows:
-        row = []
-        for y in cols:
-            prod = multiply(x, y)
-            if prod.is_zero():
-                row.append(Fraction(0))
-            elif prod.degrees() != {k}:
-                row.append(None)
-            else:
-                vec = prod.vector(k)
-                lam = vec[pivot] / tvec[pivot]
-                exact = all(v == lam * t for v, t in zip(vec, tvec))
-                row.append(lam if exact else None)
-        out.append(row)
-    return out
-
-
 def _basis_rows(ring, p):
     """basis(p) plus two sums of basis classes, one of them skewed."""
     rows = ring.basis(p)
@@ -256,9 +238,25 @@ def test_lambda_matrix_matches_dense_products_on_catalog():
                 for q in (k - p, k - p + 1):  # the target degree, and one above
                     cols = ring.basis(q) if q <= ring.top_degree else []
                     if cols:
-                        assert _lambda_matrix(rows, cols, target) == (
-                            _reference_lambda(rows, cols, target)
-                        ), (manifold, k, p, q)
+                        lam = _lambda_matrix(_product_table(rows, cols), target)
+                        expected = reference_lambda(rows, cols, target)
+                        assert lam == expected, (manifold, k, p, q)
+
+
+def test_kronecker_systems_are_exact_on_skewed_rows():
+    # the skewed sums first make pivot blocks neither diagonal nor symmetric
+    for manifold, omega_text, n in CATALOG[:8]:
+        ring, omega = _query(manifold, omega_text, n)
+        for ell in range(2, n):
+            for target, _ in factorizations(ring, omega, ell)[:2]:
+                for kp in range(1, ell):
+                    rows, cols = _basis_rows(ring, kp)[::-1], ring.basis(ell - kp)
+                    products = _product_table(rows, cols)
+                    for lefts, rights in kronecker_systems(rows, cols, target, products, 1):
+                        for i, x in enumerate(lefts):
+                            for j, y in enumerate(rights):
+                                expected = target if i == j else ring.zero()
+                                assert multiply(x, y) == expected, (manifold, ell, kp)
 
 
 def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
@@ -272,8 +270,69 @@ def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
 
     monkeypatch.setattr(qrob.obstruct, "multiply", counting)
     monkeypatch.setattr(qrob.ring, "multiply", counting)
-    systems = list(kronecker_systems(ring.basis(2), ring.basis(2), factor))
+    rows = cols = ring.basis(2)
+    products = _product_table(rows, cols)
+    systems = list(kronecker_systems(rows, cols, factor, products, 1))
     assert systems and calls == []
+
+
+# CATALOG and workload queries, then families where the certifying factor is
+# the last one or where no kind's bound can be reached.
+DIFFERENTIAL_QUERIES = tuple(dict.fromkeys(
+    list(CATALOG) + list(WORKLOAD_QUERIES)
+    + [(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6) for v in range(1, 13)]
+    + [(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4) for g in range(1, 11)]
+    + [(f"connsum(s2xs2,{v}) * torus(2)", "vol(1)^vol(2)", 6) for v in range(1, 5)]
+))
+
+
+@pytest.mark.parametrize("manifold,omega_text,n", DIFFERENTIAL_QUERIES)
+def test_search_matches_unpruned_reference(manifold, omega_text, n):
+    ring, omega = _query(manifold, omega_text, n)
+    found = search_obstruction(ring, omega, n)
+    expected = prywes_bound(ring, n, omega)
+    if expected is None:
+        system = reference_kronecker_search(ring, omega, n)
+        expected = system and KroneckerSystem(*system).certificate(n)
+    assert (found and certificate_to_obj(found, ring)) == (
+        expected and certificate_to_obj(expected, ring)
+    )
+
+
+def _count_calls(monkeypatch, *names):
+    """Record the arguments of every call the search makes to these names."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, original=getattr(qrob.obstruct, name), name=name):
+            calls[name].append(args)
+            return original(*args)
+        monkeypatch.setattr(qrob.obstruct, name, counting)
+    return calls
+
+
+def test_search_eliminates_only_the_certifying_group(monkeypatch):
+    calls = _count_calls(monkeypatch, "invert", "pivot_rows_cols")
+    ring, omega = _query("connsum(s2xs2,12) * cp(2)", "vol(1)^sym(2)", 6)
+    assert search_obstruction(ring, omega, 6).inequality.lhs == 24
+    # without the size prunes: 49 inversions and 601 pivot searches
+    assert len(calls["invert"]) == len(calls["pivot_rows_cols"]) == 1
+
+
+def test_search_skips_degree_one_annihilator_factors(monkeypatch):
+    # an H1Annihilator system with l = 1 has the single column basis(0)
+    calls = _count_calls(monkeypatch, "factorizations")
+    for g in range(1, 11):
+        ring, omega = _query(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4)
+        search_obstruction(ring, omega, 4)
+    assert calls["factorizations"] and all(ell != 1 for *_, ell in calls["factorizations"])
+
+
+def test_search_without_reachable_bound_never_factors_omega(monkeypatch):
+    # dims = [1, 0, 15, 0, 16, ...]: no family can exceed C(6, 2) = 15
+    calls = _count_calls(monkeypatch, "factorizations")
+    ring, omega = _query("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6)
+    assert search_obstruction(ring, omega, 6) is None
+    assert calls["factorizations"] == []
 
 
 def test_certificate_m_matches_family_parameters():

@@ -241,6 +241,31 @@ def test_submanifold_certificate_round_trip(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_submanifold_report_verifies_with_ring(tmp_path, capsys):
+    left, right = build(Surface(2)), build(Torus(2))
+    ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
+    omega = parse_omega("vol(1) + vol(2)", ring, factors)
+    iota = slice_restriction(left, right)
+    report = submanifold_bound(ring, left, iota, omega, 2)
+    doc = json.loads(document_json(submanifold_report_obj(report, ring, left, iota, omega)))
+    ring_path, report_path = tmp_path / "ring.json", tmp_path / "report.json"
+    ring_path.write_text(document_json(ring_document(ring)))
+
+    def verify(edited):
+        report_path.write_text(document_json(edited))
+        code = main(["verify", str(report_path), "--ring", str(ring_path)])
+        return code, capsys.readouterr().out
+
+    assert verify(doc) == (0, "OK: submanifold report re-derived\n")
+    edited = json.loads(json.dumps(doc))
+    edited["degrees"][1]["image_dim"] = 3
+    code, out = verify(edited)
+    assert code == 1 and out.startswith("FAIL:") and "degrees" in out
+    # without a certificate the report records no restriction map
+    code, out = verify(dict(doc, certificate=None))
+    assert code == 1 and out.startswith("FAIL:") and "no restriction map" in out
+
+
 def test_obstructed_verdict_requires_preconditions(tmp_path, capsys):
     # an honest DualPair certificate, zeroed to match a zero omega: the claim
     # would be vacuous, and check never searches a query whose preconditions fail
