@@ -61,7 +61,7 @@ class HomWitness:
     def apply(self, x: RingElement) -> ExtElement:
         out = ExtElement.zero(self.ambient_n)
         for k, vec in x.coords().items():
-            out = out + self.apply_vec(k, dict(enumerate(vec)))
+            out = out + self.apply_vec(k, vec)
         return out
 
     def apply_vec(self, k: int, vec: SparseVec) -> ExtElement:
@@ -392,8 +392,7 @@ def enumerate_hom_detailed(
         (c * _reorder_sign(pres.words[k][i], degrees), pres.words[k][i])
         for k, vec in omega.coords().items()
         if k <= n
-        for i, c in enumerate(vec)
-        if c
+        for i, c in sorted(vec.items())
     ]
     # touches[g]: (word position, multiplicity) for each omega word using g
     touches = [

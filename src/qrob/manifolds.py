@@ -277,7 +277,7 @@ def _pull_back(
     _, index = kunneth_layout(left, right)
     out = {k: [Fraction(0)] * product_ring.dims[k] for k in x.coords()}
     for k, vec in x.coords().items():
-        for i, c in enumerate(vec):
+        for i, c in vec.items():
             out[k][index[cell(k, i)]] = c
     return RingElement(product_ring, out)
 

@@ -259,27 +259,23 @@ def prywes_bound(
 # -- system assembly ----------------------------------------------------------
 
 
-def _terms(x: RingElement) -> list[tuple[int, int, Fraction]]:
-    """Nonzero coordinates of x as (degree, index, coefficient)."""
-    return [(p, i, c) for p, vec in x.coords().items() for i, c in enumerate(vec) if c]
-
-
 def _product_table(
     rows: list[RingElement], cols: list[RingElement]
 ) -> list[list[dict[tuple[int, int], Fraction]]]:
-    """rows[r] * cols[c] as sparse {(degree, index): coefficient}, summed from
-    the structure tables; a zero product is the empty dict."""
-    col_terms = [_terms(y) for y in cols]
+    """rows[r] * cols[c] as sparse {(degree, index): coefficient}, summed by
+    `GradedRing.times`; a zero product is the empty dict."""
+    col_coords = [y.coords() for y in cols]
     table = []
     for x in rows:
-        x_terms = _terms(x)
+        ring, x_coords = x.ring, x.coords()
         table_row = []
-        for y_terms in col_terms:
+        for y_coords in col_coords:
             prod: dict[tuple[int, int], Fraction] = {}
-            for p, i, a in x_terms:
-                for q, j, b in y_terms:
-                    for t, c in x.ring.product_vec(p, i, q, j).items():
-                        prod[p + q, t] = prod.get((p + q, t), 0) + a * b * c
+            for p, xv in x_coords.items():
+                for q, yv in y_coords.items():
+                    for t, c in ring.times(p, xv, q, yv).items():
+                        key = (p + q, t)
+                        prod[key] = prod[key] + c if key in prod else c
             table_row.append({key: c for key, c in prod.items() if c})
         table.append(table_row)
     return table
@@ -294,7 +290,7 @@ def _lambda_matrix(
     or not proportional to it gives None.
     """
     k = target.degree()
-    goal = {(k, t): c for t, c in enumerate(target.vector(k)) if c}
+    goal = {(k, t): c for t, c in target.coords()[k].items()}
     pivot = min(goal)
     zero = Fraction(0)
     lam: list[list[Fraction | None]] = []
@@ -376,10 +372,9 @@ def kronecker_systems(
         # rights[j] = sum over t of inv[t][j] * (the t-th pivot column class)
         duals = [[Fraction(0)] * ring.dims[q] for _ in piv_cols]
         for t, c in enumerate(piv_cols):
-            for i, coeff in enumerate(cols[col_ids[c]].vector(q)):
-                if coeff:
-                    for dual, f in zip(duals, inv[t]):
-                        dual[i] += f * coeff
+            for i, coeff in cols[col_ids[c]].coords().get(q, {}).items():
+                for dual, f in zip(duals, inv[t]):
+                    dual[i] += f * coeff
         yield lefts, [ring.element(q, dual) for dual in duals]
 
 
@@ -493,8 +488,7 @@ def apply_linear(
         if not mat:
             continue
         image = [
-            sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0))
-            for row in mat
+            sum((row[j] * c for j, c in vec.items()), Fraction(0)) for row in mat
         ]
         if any(image):
             out[k] = image

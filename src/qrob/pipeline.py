@@ -148,7 +148,7 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
 # -- JSON documents -----------------------------------------------------------
 
 
-def certificate_to_obj(cert: Certificate, ring: GradedRing) -> dict:
+def certificate_to_obj(cert: Certificate) -> dict:
     classes = {}
     for role, value in cert.classes.items():
         if isinstance(value, RingElement):
@@ -236,9 +236,7 @@ def result_to_obj(result: QueryResult) -> dict:
         "preconditions": result.preconditions,
         "verdict": result.verdict,
         "certificate": (
-            certificate_to_obj(result.certificate, result.ring)
-            if result.certificate
-            else None
+            certificate_to_obj(result.certificate) if result.certificate else None
         ),
         "witness": (
             witness_to_obj(result.witness, result.omega) if result.witness else None
@@ -367,7 +365,7 @@ def _rederive(
     elif fmt == CERTIFICATE_FORMAT:
         subring, iota = _recorded_restriction(obj, subring)
         cert = verify_certificate_obj(obj, ring, subring, iota)
-        expected = certificate_to_obj(cert, ring)
+        expected = certificate_to_obj(cert)
         if "subring" in obj:
             expected["subring"] = subring.to_obj()
         if iota is not None:
@@ -439,7 +437,7 @@ def submanifold_report_obj(
 ) -> dict:
     cert_obj = None
     if report.certificate is not None:
-        cert_obj = certificate_to_obj(report.certificate, ring_n)
+        cert_obj = certificate_to_obj(report.certificate)
         cert_obj["subring"] = ring_m.to_obj()
         cert_obj["iota_star"] = [_matrix_obj(m) for m in iota_star]
     return {

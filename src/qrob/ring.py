@@ -133,9 +133,7 @@ class GradedRing:
     def basis_element(self, k: int, i: int) -> "RingElement":
         if not (0 <= k <= self.top_degree) or not (0 <= i < self.dims[k]):
             raise ValueError(f"no basis element ({k}, {i})")
-        vec = [Fraction(0)] * self.dims[k]
-        vec[i] = Fraction(1)
-        return RingElement._trusted(self, {k: tuple(vec)})
+        return RingElement._trusted(self, {k: {i: Fraction(1)}})
 
     def basis(self, k: int) -> list["RingElement"]:
         return [self.basis_element(k, i) for i in range(self.dims[k])]
@@ -157,6 +155,27 @@ class GradedRing:
         if q == 0:
             return {i: Fraction(1)}
         return self._table(p, q).get((i, j), {})
+
+    def times(self, p: int, x: SparseVec, q: int, y: SparseVec) -> SparseVec:
+        """Sparse coordinates of x * y in degree p+q, for sparse x of degree p
+        and y of degree q; zeros dropped. Every product of classes is summed
+        here, with the unit and above-top rules of `product_vec`."""
+        if p + q > self.top_degree:
+            return {}
+        if p == 0 or q == 0:
+            # degree 0 is spanned by the unit, basis_0[0]
+            f, vec = (x.get(0, 0), y) if p == 0 else (y.get(0, 0), x)
+            return {t: f * c for t, c in vec.items() if c} if f else {}
+        table = self.structure.get((p, q), {})
+        out: SparseVec = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                vec = table.get((i, j))
+                if vec:
+                    f = a * b
+                    for t, c in vec.items():
+                        out[t] = out[t] + f * c if t in out else f * c
+        return {t: c for t, c in out.items() if c}
 
     # -- serialization ------------------------------------------------------
 
@@ -310,7 +329,12 @@ class GradedRing:
 
     def _validate_associativity(self, left: list[tuple[int, int]]) -> None:
         """(x*y)*z == x*(y*z) for each left factor x = (p, i), y and z basis
-        elements of positive degree and total degree at most the top."""
+        elements of positive degree and total degree at most the top.
+
+        This is the one other place that sums products from the tables: with
+        basis factors, routing it through `times` costs one more Fraction
+        multiply per term, which made `validate` 30-50 % slower on torus(7)
+        and connsum(s2xs2,12) * cp(2)."""
         d = self.top_degree
         # nonzero[(q, r)][j]: the k with basis_q[j] * basis_r[k] != 0
         nonzero: dict[tuple[int, int], dict[int, list[int]]] = {}
@@ -381,13 +405,8 @@ class GradedRing:
                             f"presentation word for ({k},{i}) names no generator {gid}"
                         )
                     g = pres.generators[gid]
-                    out: SparseVec = {}
-                    for t, c in acc.items():
-                        for u, c2 in self.product_vec(
-                            degree, t, g.degree, g.index
-                        ).items():
-                            out[u] = out[u] + c * c2 if u in out else c * c2
-                    degree, acc = degree + g.degree, {u: c for u, c in out.items() if c}
+                    acc = self.times(degree, acc, g.degree, {g.index: 1})
+                    degree += g.degree
                 if degree != k or acc != {i: 1}:
                     raise RingValidationError(
                         f"presentation word for ({k},{i}) does not multiply out"
@@ -395,35 +414,41 @@ class GradedRing:
 
 
 class RingElement:
-    """A ring element as exact coordinates per degree; zero parts dropped."""
+    """A ring element as sparse exact coordinates per degree, {degree: {index:
+    coefficient}}, holding nonzero coefficients and nonempty degrees only."""
 
     __slots__ = ("ring", "_coords")
 
     def __init__(self, ring: GradedRing, coords: dict[int, list[Fraction]]):
+        """Take dense coordinate lists per degree, as ring files write them."""
         self.ring = ring
-        clean: dict[int, tuple[Fraction, ...]] = {}
+        clean: dict[int, SparseVec] = {}
         for k, vec in coords.items():
             if not (0 <= k <= ring.top_degree):
                 raise ValueError(f"degree {k} out of range")
             if len(vec) != ring.dims[k]:
                 raise ValueError(f"coordinate length mismatch in degree {k}")
-            tup = tuple(Fraction(c) for c in vec)
-            if any(tup):
-                clean[k] = tup
+            sparse = {i: c for i, c in enumerate(map(Fraction, vec)) if c}
+            if sparse:
+                clean[k] = sparse
         self._coords = clean
 
     @classmethod
-    def _trusted(cls, ring: GradedRing, coords: dict[int, tuple[Fraction, ...]]):
-        """Wrap exact Fraction tuples of the right lengths, each one nonzero."""
+    def _trusted(cls, ring: GradedRing, coords: dict[int, SparseVec]):
+        """Wrap sparse coordinates in range, exact Fractions, none of them zero
+        and no degree empty."""
         self = object.__new__(cls)
         self.ring, self._coords = ring, coords
         return self
 
-    def coords(self) -> dict[int, tuple[Fraction, ...]]:
-        return dict(self._coords)
+    def coords(self) -> dict[int, SparseVec]:
+        """Sparse copies of the coordinates, {degree: {index: coefficient}}."""
+        return {k: dict(vec) for k, vec in self._coords.items()}
 
     def vector(self, k: int) -> list[Fraction]:
-        return list(self._coords.get(k, (Fraction(0),) * self.ring.dims[k]))
+        """Dense coordinates in degree k, for linear algebra."""
+        vec, zero = self._coords.get(k, _ZERO), Fraction(0)
+        return [vec.get(i, zero) for i in range(self.ring.dims[k])]
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -442,28 +467,18 @@ class RingElement:
         return next(iter(self._coords))
 
     def coefficient(self, k: int, i: int) -> Fraction:
-        vec = self._coords.get(k)
-        return vec[i] if vec else Fraction(0)
+        return self._coords.get(k, _ZERO).get(i, Fraction(0))
 
     def scale(self, factor) -> "RingElement":
         f = Fraction(factor)
         if not f:
             return self.ring.zero()
-        return RingElement(
-            self.ring, {k: [f * c for c in vec] for k, vec in self._coords.items()}
-        )
+        scaled = {k: {i: f * c for i, c in v.items()} for k, v in self._coords.items()}
+        return RingElement._trusted(self.ring, scaled)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_ring(other)
-        out: dict[int, list[Fraction]] = {
-            k: list(vec) for k, vec in self._coords.items()
-        }
-        for k, vec in other._coords.items():
-            if k in out:
-                out[k] = [a + b for a, b in zip(out[k], vec)]
-            else:
-                out[k] = list(vec)
-        return RingElement(self.ring, out)
+        return _summed(self.ring, [*self._coords.items(), *other._coords.items()])
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + other.scale(-1)
@@ -488,16 +503,15 @@ class RingElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.hash_hex(), frozenset(self._coords.items())))
+        coords = frozenset((k, frozenset(v.items())) for k, v in self._coords.items())
+        return hash((self.ring.hash_hex(), coords))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for k in sorted(self._coords):
-            for i, c in enumerate(self._coords[k]):
-                if not c:
-                    continue
+            for i, c in sorted(self._coords[k].items()):
                 label = self.ring.labels[k][i]
                 if c == 1:
                     parts.append(label)
@@ -514,8 +528,8 @@ class RingElement:
     def to_obj(self) -> dict:
         return {
             "coords": {
-                str(k): [fraction_to_str(c) for c in vec]
-                for k, vec in sorted(self._coords.items())
+                str(k): [fraction_to_str(c) for c in self.vector(k)]
+                for k in sorted(self._coords)
             }
         }
 
@@ -530,40 +544,27 @@ class RingElement:
         )
 
 
+def _summed(ring: GradedRing, parts) -> RingElement:
+    """The sum of sparse (degree, coordinates) parts, zeros dropped."""
+    out: dict[int, SparseVec] = {}
+    for k, vec in parts:
+        acc = out.setdefault(k, {})
+        for i, c in vec.items():
+            acc[i] = acc[i] + c if i in acc else c
+    coords = {k: {i: c for i, c in acc.items() if c} for k, acc in out.items()}
+    return RingElement._trusted(ring, {k: vec for k, vec in coords.items() if vec})
+
+
 def multiply(x: RingElement, y: RingElement) -> RingElement:
     """Bilinear extension of the structure tables; truncates above top degree."""
     x._check_ring(y)
     ring = x.ring
-    d = ring.top_degree
-    out: dict[int, list[Fraction]] = {}
-    for p, xv in x._coords.items():
-        for q, yv in y._coords.items():
-            k = p + q
-            if k > d:
-                continue
-            acc = out.setdefault(k, [Fraction(0)] * ring.dims[k])
-            if p == 0:
-                for j, c in enumerate(yv):
-                    acc[j] += xv[0] * c
-                continue
-            if q == 0:
-                for i, c in enumerate(xv):
-                    acc[i] += c * yv[0]
-                continue
-            table = ring._table(p, q)
-            for i, xi in enumerate(xv):
-                if not xi:
-                    continue
-                for j, yj in enumerate(yv):
-                    if not yj:
-                        continue
-                    vec = table.get((i, j))
-                    if not vec:
-                        continue
-                    f = xi * yj
-                    for t, c in vec.items():
-                        acc[t] += f * c
-    return RingElement._trusted(ring, {k: tuple(v) for k, v in out.items() if any(v)})
+    parts = [
+        (p + q, ring.times(p, xv, q, yv))
+        for p, xv in x._coords.items()
+        for q, yv in y._coords.items()
+    ]
+    return _summed(ring, parts)
 
 
 def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
@@ -588,11 +589,9 @@ def mult_matrix(ring: GradedRing, c: RingElement, q: int) -> Matrix:
     if target > ring.top_degree:
         return []
     out = [[Fraction(0)] * ring.dims[q] for _ in range(ring.dims[target])]
-    for i, ci in enumerate(c.vector(k)):
-        if ci:
-            for j in range(ring.dims[q]):
-                for t, v in ring.product_vec(k, i, q, j).items():
-                    out[t][j] += ci * v
+    for j in range(ring.dims[q]):
+        for t, v in ring.times(k, c._coords[k], q, {j: 1}).items():
+            out[t][j] = v
     return out
 
 
@@ -635,8 +634,9 @@ def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
     if k < 2:
         return False
     basis = kunneth_ideal_basis(ring, k)
-    rows = [list(b.vector(k)) for b in basis]
-    return rank(rows) == rank(rows + [list(omega.vector(k))]) if rows else False
+    # the RREF basis is independent, so its rank is its length
+    rows = [b.vector(k) for b in basis]
+    return len(rows) == rank(rows + [omega.vector(k)]) if rows else False
 
 
 def factorizations(
@@ -654,7 +654,7 @@ def factorizations(
     k = omega.degree()
     if not (1 <= ell <= k - 1):
         raise ValueError(f"cofactor degree must satisfy 1 <= {ell} <= {k - 1}")
-    target = list(omega.vector(k))
+    target = omega.vector(k)
     out = []
     for i in range(ring.dims[ell]):
         c = ring.basis_element(ell, i)

@@ -247,8 +247,8 @@ def _oracle_enumerate(ring, omega, n, coefficients, max_nodes):
         bound += 1
     words = [
         (c, pres.words[k][i])
-        for k, vec in omega.coords().items()
-        for i, c in enumerate(vec)
+        for k in sorted(omega.degrees())
+        for i, c in enumerate(omega.vector(k))
         if c
     ]
     nodes = 0

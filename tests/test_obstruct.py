@@ -166,7 +166,7 @@ def test_search_surface3_gives_annihilator_certificate():
     cert = search_obstruction(ring, omega, 4)
     assert cert is not None and cert.kind == "H1Annihilator"
     assert cert.inequality.lhs == 6
-    verify_certificate_obj(certificate_to_obj(cert, ring), ring)
+    verify_certificate_obj(certificate_to_obj(cert), ring)
 
 
 def test_search_connsum9_gives_dual_certificate():
@@ -174,7 +174,7 @@ def test_search_connsum9_gives_dual_certificate():
     cert = search_obstruction(ring, omega, 6)
     assert cert is not None and cert.kind == "DualPair"
     assert (cert.inequality.lhs, cert.inequality.rhs) == (18, 15)
-    verify_certificate_obj(certificate_to_obj(cert, ring), ring)
+    verify_certificate_obj(certificate_to_obj(cert), ring)
 
 
 def test_search_torus4_finds_nothing():
@@ -197,8 +197,8 @@ def test_search_requires_preconditions():
 
 def test_search_deterministic_output():
     ring, omega = _query("surface(2) * cp(2)", "vol(1)^sym(2)", 4)
-    a = certificate_to_obj(search_obstruction(ring, omega, 4), ring)
-    b = certificate_to_obj(search_obstruction(ring, omega, 4), ring)
+    a = certificate_to_obj(search_obstruction(ring, omega, 4))
+    b = certificate_to_obj(search_obstruction(ring, omega, 4))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -294,8 +294,8 @@ def test_search_matches_unpruned_reference(manifold, omega_text, n):
     if expected is None:
         system = reference_kronecker_search(ring, omega, n)
         expected = system and KroneckerSystem(*system).certificate(n)
-    assert (found and certificate_to_obj(found, ring)) == (
-        expected and certificate_to_obj(expected, ring)
+    assert (found and certificate_to_obj(found)) == (
+        expected and certificate_to_obj(expected)
     )
 
 

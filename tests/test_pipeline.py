@@ -166,7 +166,7 @@ def test_dual_pair_certificate_requires_nonzero_omega():
     # omega = target * cofactor, so the standalone certificate must fail
     result = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
     assert result.certificate.kind == "DualPair"
-    doc = certificate_to_obj(result.certificate, result.ring)
+    doc = certificate_to_obj(result.certificate)
     doc["ring"] = result.ring.to_obj()
     assert verify_document(doc) == "certificate re-verified (DualPair)"
     zero = result.ring.zero().to_obj()
@@ -180,7 +180,7 @@ def test_prywes_certificate_requires_top_degree_n():
     assert prywes_bound(ring, 3) is None  # the bound is unsound below the top degree
     cert = prywes_bound(ring, 4)
     assert cert is not None and cert.degree == 2
-    doc = certificate_to_obj(cert, ring)
+    doc = certificate_to_obj(cert)
     doc["ring"] = ring.to_obj()
     assert verify_document(doc) == "certificate re-verified (PrywesBound)"
     # C(3,2) = 3 < 16 still holds, but n = 3 is not the top degree

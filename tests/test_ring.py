@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG, LAW_RINGS, convolve, ring_law_failure, ring_oracle_accepts
+from conftest import (
+    CATALOG,
+    LAW_RINGS,
+    _oracle_mul,
+    convolve,
+    oracle_products,
+    ring_law_failure,
+    ring_oracle_accepts,
+)
 from qrob import (
     ConnSum,
     CPm,
@@ -306,22 +314,80 @@ def _random_element(ring, rng):
     return RingElement(ring, coords)
 
 
+def _assert_stored_sparse(x):
+    """x equals, and hashes and serializes like, the public constructor built
+    from its dense vectors, and stores no zero coefficient or empty degree."""
+    public = RingElement(x.ring, {k: x.vector(k) for k in x.degrees()})
+    assert x == public and hash(x) == hash(public)
+    assert x.to_obj() == public.to_obj()
+    assert x.degrees() == public.degrees()
+    assert x.is_zero() == public.is_zero()
+    assert all(vec and all(vec.values()) for vec in x.coords().values())
+
+
 def test_multiply_matches_public_constructor():
-    # products use the trusted constructor; they must equal the checked one
-    rng = random.Random(5)
+    # results use the trusted constructor; they must equal the checked one
+    rng, f = random.Random(5), Fraction(-2, 3)
     for text in ("torus(3)", "surface(2) * cp(2)", "connsum(s2xs2,3) * cp(2)"):
         ring = build(parse_manifold(text))
         zeros = 0  # zero products of nonzero factors
         for _ in range(300):
             x, y = _random_element(ring, rng), _random_element(ring, rng)
             prod = multiply(x, y)
-            public = RingElement(ring, prod.coords())
-            assert prod == public and hash(prod) == hash(public)
-            assert prod.degrees() == public.degrees()
-            assert prod.is_zero() == public.is_zero()
+            for result in (prod, x + y, x - y, x.scale(f), x.scale(0), x - x):
+                _assert_stored_sparse(result)
+            assert (x - x).is_zero() and x.scale(0).is_zero()
+            for k in range(ring.top_degree + 1):
+                xk, yk = x.vector(k), y.vector(k)
+                assert (x + y).vector(k) == [a + b for a, b in zip(xk, yk)]
+                assert (x - y).vector(k) == [a - b for a, b in zip(xk, yk)]
+                assert x.scale(f).vector(k) == [f * a for a in xk]
             zeros += prod.is_zero() and not (x.is_zero() or y.is_zero())
         assert zeros
         for k in range(ring.top_degree + 1):
             for i, x in enumerate(ring.basis(k)):
                 public = ring.element(k, [int(t == i) for t in range(ring.dims[k])])
                 assert x == public and hash(x) == hash(public)
+
+
+def _in_degree(vec: dict) -> dict:
+    """An oracle product {(degree, index): c} as {index: c}."""
+    return {t: c for (_, t), c in vec.items()}
+
+
+def test_times_matches_oracle():
+    # the product kernel against products read from the raw ring object, on
+    # every basis pair (unit factors and sums above the top degree included)
+    # and on seeded random sparse operands, explicit zeros among them
+    rng = random.Random(17)
+    coefficients = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+    for manifold in LAW_RINGS:
+        ring = build(parse_manifold(manifold))
+        products = oracle_products(ring.to_obj())
+        d = ring.top_degree
+        basis = [(p, i) for p in range(d + 1) for i in range(ring.dims[p])]
+        for p, i in basis:
+            for q, j in basis:
+                got = ring.times(p, {i: 1}, q, {j: 1})
+                assert got == _in_degree(products.get(((p, i), (q, j)), {})), (
+                    manifold, p, i, q, j,
+                )
+                assert got == ring.product_vec(p, i, q, j)
+        for _ in range(200):
+            p, q = rng.randint(0, d), rng.randint(0, d)
+            x, y = (
+                {
+                    i: rng.choice(coefficients)
+                    for i in range(ring.dims[k])
+                    if rng.random() < 0.5
+                }
+                for k in (p, q)
+            )
+            got = ring.times(p, x, q, y)
+            expected = _oracle_mul(
+                products,
+                {(p, i): a for i, a in x.items()},
+                {(q, j): b for j, b in y.items()},
+            )
+            assert got == _in_degree(expected), (manifold, p, x, q, y)
+            assert all(got.values())
