@@ -99,39 +99,16 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
     """Exact check: the witness map phi is multiplicative and omega maps
     nonzero.
 
-    phi(g*y) = phi(g)^phi(y) is checked for g in `ring.left_factors()` and
-    y any basis element of positive degree with deg g + deg y at most
-    s = max(top degree, ambient n). Above the top degree the ring product
-    is zero, so there the wedge of the images must vanish too; above the
-    ambient n the wedge vanishes on its own, and so does phi.
-
-    Without a presentation the left factors are every basis element, so
-    every pair is checked. With one, the check is exact provided the ring
-    is validated (every built or loaded ring is): let P(m) say
-    phi(u*y) = phi(u)^phi(y) for every product u of m generators and every
-    basis element y with deg u + deg y at most s. P(0) holds because
-    phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
-    associativity, P(m - 1) and the check give
-    phi(u*y) = phi(u'*(g*y)) = phi(u')^phi(g*y) = phi(u')^phi(g)^phi(y),
-    and P(m - 1) with y = g gives phi(u')^phi(g) = phi(u), so P(m) holds.
-    Validation makes every basis element the product of its presentation
-    word, so the check holds on every basis pair the full check would visit.
+    Multiplicativity is checked by `GradedRing.first_unmultiplicative`
+    (every built or loaded ring is validated, phi(1) = 1 and the exterior
+    algebra is associative) up to degree max(top degree, ambient n), the
+    larger of the two algebras' top degrees.
     """
     witness.check_shape()
     ring = witness.ring
-    d = ring.top_degree
-    s = max(d, witness.ambient_n)
-    zero = ExtElement.zero(witness.ambient_n)
-    for p, i in ring.left_factors():
-        per_p = witness.images.get(p)
-        img_i = per_p[i] if per_p else zero
-        for q in range(1, min(d, s - p) + 1):
-            per_q = witness.images.get(q)
-            for j in range(ring.dims[q]):
-                img_j = per_q[j] if per_q else zero
-                prod = witness.apply_vec(p + q, ring.product_vec(p, i, q, j))
-                if prod != wedge(img_i, img_j):
-                    return False
+    top = max(ring.top_degree, witness.ambient_n)
+    if ring.first_unmultiplicative(witness.images, witness.apply_vec, wedge, top):
+        return False
     return not witness.apply(omega).is_zero()
 
 

@@ -327,33 +327,22 @@ def _connsum_ring(a: GradedRing, b: GradedRing) -> GradedRing:
     if d < 2:
         raise RingValidationError("connected sum needs top degree >= 2")
     dims = [1] + [a.dims[k] + b.dims[k] for k in range(1, d)] + [1]
-    labels: list[list[str]] = [["1"]]
-    for k in range(1, d):
-        labels.append([f"c{i + 1}" for i in range(dims[k])])
-    labels.append(["vol"])
-
+    # index offsets per degree: the right summand's middle classes follow the
+    # left's; products into degree d land on the one fundamental class
+    summands = ((a, [0] * (d + 1)), (b, a.dims))
     structure = {}
     for p in range(1, d):
         for q in range(1, d - p + 1):
             table: dict[tuple[int, int], SparseVec] = {}
-            k = p + q
-            for (i, j), vec in a._table(p, q).items():
-                if k == d:
-                    c = vec.get(a.fundamental_index, Fraction(0))
-                    if c:
-                        table[(i, j)] = {0: c}
-                else:
-                    table[(i, j)] = dict(vec)
-            off_p, off_q, off_k = a.dims[p], a.dims[q], a.dims[k] if k < d else 0
-            for (i, j), vec in b._table(p, q).items():
-                if k == d:
-                    c = vec.get(b.fundamental_index, Fraction(0))
-                    if c:
-                        table[(i + off_p, j + off_q)] = {0: c}
-                else:
-                    table[(i + off_p, j + off_q)] = {
-                        t + off_k: c for t, c in vec.items()
-                    }
+            for ring, off in summands:
+                for (i, j), vec in ring._table(p, q).items():
+                    if p + q == d:
+                        c = vec.get(ring.fundamental_index)
+                        vec = {0: c} if c else {}
+                    else:
+                        vec = {t + off[p + q]: c for t, c in vec.items()}
+                    if vec:
+                        table[(i + off[p], j + off[q])] = vec
             if table:
                 structure[(p, q)] = table
 
@@ -373,11 +362,9 @@ def _connsum_ring(a: GradedRing, b: GradedRing) -> GradedRing:
                 per.append(tuple(remap[gid] for gid in w))
             words.append(tuple(per))
         words.append((tuple(a.presentation.words[d][a.fundamental_index]),))
-        gens = [
-            Generator(g.degree, g.index, labels[g.degree][g.index]) for g in gens
-        ]
         pres = Presentation(tuple(gens), tuple(words))
-    return GradedRing(d, dims, labels, structure, 0, pres)
+    # _relabel_middle names the classes and generators
+    return _relabel_middle(GradedRing(d, dims, [()] * (d + 1), structure, 0, pres))
 
 
 def _relabel_middle(ring: GradedRing) -> GradedRing:
@@ -414,10 +401,9 @@ def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...
     elif isinstance(expr, S2xS2):
         ring = _s2xs2_ring()
     elif isinstance(expr, Surface):
-        ring = _torus_ring(2)
+        ring = _relabel_middle(_torus_ring(2))
         for _ in range(expr.g - 1):
             ring = _connsum_ring(ring, _torus_ring(2))
-        ring = _relabel_middle(ring)
     elif isinstance(expr, ConnSum):
         left, _ = _construct(expr.left)
         right, _ = _construct(expr.right)

@@ -26,6 +26,7 @@ from .linalg import Matrix, invert, nullspace, pivot_rows_cols, rank
 from .ring import (
     GradedRing,
     RingElement,
+    SparseVec,
     factorizations,
     in_kunneth_ideal,
     mult_matrix,
@@ -478,27 +479,13 @@ class SubmanifoldReport:
     certificate: Certificate | None
 
 
-def apply_linear(
-    mats: list[Matrix], x: RingElement, target: GradedRing
-) -> RingElement:
-    """Apply per-degree matrices to a ring element, landing in `target`."""
-    out: dict[int, list[Fraction]] = {}
-    for k, vec in x.coords().items():
-        mat = mats[k] if k < len(mats) else []
-        if not mat:
-            continue
-        image = [
-            sum((row[j] * c for j, c in vec.items()), Fraction(0)) for row in mat
-        ]
-        if any(image):
-            out[k] = image
-    return RingElement(target, out)
-
-
 def check_ring_map(
     source: GradedRing, target: GradedRing, mats: list[Matrix]
-) -> None:
-    """Verify a degree-preserving, unital, multiplicative linear map."""
+) -> Callable[[int, SparseVec], RingElement]:
+    """Verify a degree-preserving, unital, multiplicative linear map, given as
+    one matrix per degree with a column per source basis class, and return it
+    as phi(k, vec), the image of the degree-k class with sparse coordinates
+    vec."""
     if len(mats) != source.top_degree + 1:
         raise VerificationFailure("restriction map must cover degrees 0..top")
     for k in range(source.top_degree + 1):
@@ -507,22 +494,26 @@ def check_ring_map(
             len(row) != source.dims[k] for row in mats[k]
         ):
             raise VerificationFailure(f"restriction matrix shape wrong in degree {k}")
-    unit_image = apply_linear(mats, source.unit(), target)
-    if unit_image != target.unit():
+    images = {
+        k: [
+            RingElement(target, {k: [row[j] for row in mat]} if mat else {})
+            for j in range(source.dims[k])
+        ]
+        for k, mat in enumerate(mats)
+    }
+
+    def phi(k: int, vec: SparseVec) -> RingElement:
+        return sum((images[k][j].scale(c) for j, c in vec.items()), target.zero())
+
+    if images[0][0] != target.unit():
         raise VerificationFailure("restriction map does not preserve the unit")
-    for p in range(1, source.top_degree):
-        for q in range(1, source.top_degree - p + 1):
-            for i in range(source.dims[p]):
-                xi = apply_linear(mats, source.basis_element(p, i), target)
-                for j in range(source.dims[q]):
-                    yj = apply_linear(mats, source.basis_element(q, j), target)
-                    vec = source.product_vec(p, i, q, j)
-                    dense = [vec.get(t, 0) for t in range(source.dims[p + q])]
-                    lhs = apply_linear(mats, source.element(p + q, dense), target)
-                    if lhs != multiply(xi, yj):
-                        raise VerificationFailure(
-                            f"restriction map is not multiplicative at ({p},{i})*({q},{j})"
-                        )
+    top = max(source.top_degree, target.top_degree)
+    bad = source.first_unmultiplicative(images, phi, multiply, top)
+    if bad:
+        raise VerificationFailure(
+            "restriction map is not multiplicative at ({},{})*({},{})".format(*bad)
+        )
+    return phi
 
 
 def submanifold_bound(
@@ -546,8 +537,8 @@ def submanifold_bound(
         raise VerificationFailure(
             f"submanifold dimension {n} exceeds the top degree {ring_n.top_degree}"
         )
-    check_ring_map(ring_n, ring_m, iota_star)
-    if apply_linear(iota_star, omega, ring_m).is_zero():
+    restrict = check_ring_map(ring_n, ring_m, iota_star)
+    if all(restrict(k, vec).is_zero() for k, vec in omega.coords().items()):
         raise VerificationFailure("omega restricts to zero on the submanifold")
     reports = []
     for k in range(n + 1):

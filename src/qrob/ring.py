@@ -303,6 +303,43 @@ class GradedRing:
             return [(p, i) for p in range(1, d + 1) for i in range(self.dims[p])]
         return [(g.degree, g.index) for g in self.presentation.generators]
 
+    def first_unmultiplicative(self, images, phi, mul, top: int):
+        """The first basis pair (p, i, q, j) at which the graded linear map
+        phi out of this ring breaks phi(x*y) = mul(phi(x), phi(y)) for
+        x = basis_p[i], y = basis_q[j], or None when there is none.
+
+        images[k][i] is phi(basis_k[i]); a degree missing from `images` maps
+        to zero, and so does every degree above it. phi(k, vec) is the image
+        of the degree-k class with sparse coordinates vec. mul is the target's
+        product and top is at least the larger of this ring's and the
+        target's top degrees.
+
+        The law is checked for x in `left_factors()` and y any basis element
+        of positive degree with p + q at most top; a pair with a factor in a
+        missing degree holds, as both sides are zero. Above this ring's top
+        degree its product is zero, so there the target's product must vanish
+        too. Without a presentation the left factors are every basis element,
+        so every pair is checked. With one, the check is exact provided this
+        ring is validated, phi(1) = 1 and the target is associative: let P(m)
+        say phi(u*y) = phi(u)phi(y) for every product u of m generators and
+        every basis element y with deg u + deg y at most top. P(0) holds
+        because phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
+        associativity, P(m - 1) and the check give
+        phi(u*y) = phi(u'*(g*y)) = phi(u')phi(g*y) = phi(u')phi(g)phi(y),
+        and P(m - 1) with y = g gives phi(u')phi(g) = phi(u), so P(m) holds.
+        Validation makes every basis element the product of its presentation
+        word, so the law holds on every basis pair.
+        """
+        for p, i in self.left_factors():
+            if p not in images:
+                continue
+            x = images[p][i]
+            for q in range(1, min(self.top_degree, top - p) + 1):
+                for j, y in enumerate(images.get(q, ())):
+                    if phi(p + q, self.product_vec(p, i, q, j)) != mul(x, y):
+                        return p, i, q, j
+        return None
+
     def _validate_tables(self) -> None:
         d = self.top_degree
         for (p, q), table in self.structure.items():

@@ -109,6 +109,20 @@ def test_verify_witness_document(capsys, tmp_path):
     assert code == 0 and out.startswith("OK")
 
 
+def test_enumeration_witness_checks_and_verifies(capsys, tmp_path):
+    # no template covers connsum(s2xs2,2), so the enumeration finds the witness
+    out_file = tmp_path / "verdict.json"
+    code, out, _ = run(
+        capsys, "check", "connsum(s2xs2,2)", "--omega", "vol(1)", "--n", "4",
+        "-o", str(out_file),
+    )
+    assert code == 0 and "verdict: WITNESS" in out
+    doc = json.loads(out_file.read_text())
+    assert doc["search_log"] == {"witness_method": "enumeration", "nodes": 18090}
+    code, out, _ = run(capsys, "verify", str(out_file))
+    assert code == 0 and out == "OK: witness re-verified\n"
+
+
 def test_verify_certificate_document(capsys, tmp_path):
     out_file = tmp_path / "verdict.json"
     run(

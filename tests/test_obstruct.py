@@ -1,13 +1,20 @@
 """Obstruction verifiers and searchers, including the hand-built paper systems."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import qrob.obstruct
 import qrob.ring
-from conftest import CATALOG, WORKLOAD_QUERIES, reference_kronecker_search, reference_lambda
+from conftest import (
+    CATALOG,
+    WORKLOAD_QUERIES,
+    reference_kronecker_search,
+    reference_lambda,
+    ring_map_oracle_accepts,
+)
 
 from qrob import (
     CPm,
@@ -33,10 +40,12 @@ from qrob import (
     submanifold_bound,
 )
 from qrob.errors import VerificationFailure
+from qrob.linalg import identity
 from qrob.obstruct import (
     _annihilator_candidates,
     _lambda_matrix,
     _product_table,
+    check_ring_map,
     kronecker_systems,
 )
 from qrob.pipeline import certificate_to_obj, verify_certificate_obj
@@ -377,8 +386,6 @@ def test_submanifold_surface2_slice_is_obstructed():
 
 def test_submanifold_identity_inclusion():
     ring = build(Torus(2))
-    from qrob.linalg import identity
-
     iota = [identity(ring.dims[k]) for k in range(3)]
     report = submanifold_bound(ring, ring, iota, ring.fundamental_class(), 2)
     assert report.certificate is None
@@ -416,3 +423,54 @@ def test_submanifold_rejects_vanishing_restriction():
     iota = slice_restriction(left, right)
     with pytest.raises(VerificationFailure):
         submanifold_bound(ring, left, iota, omega, 2)
+
+
+def _ring_map_accepted(source, target, mats) -> bool:
+    try:
+        check_ring_map(source, target, mats)
+    except VerificationFailure:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+@pytest.mark.parametrize("right_text", ["torus(2)", "cp(2)"])
+def test_check_ring_map_agrees_with_all_pairs_oracle(g, right_text):
+    left, right = build(Surface(g)), build(parse_manifold(right_text))
+    ring = build(parse_manifold(f"surface({g}) * {right_text}"))
+    rng = random.Random(g)
+    maps = [
+        (ring, left, slice_restriction(left, right)),
+        (left, left, [identity(dim) for dim in left.dims]),
+        (ring, ring, [identity(dim) for dim in ring.dims]),
+    ]
+    for source, target, mats in maps:
+        objs = source.to_obj(), target.to_obj()
+        assert ring_map_oracle_accepts(*objs, mats)
+        assert _ring_map_accepted(source, target, mats)
+        # one seeded single-entry corruption of every nonempty matrix
+        for k, mat in enumerate(mats):
+            if not (mat and mat[0]):
+                continue
+            bad = [[list(row) for row in m] for m in mats]
+            r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+            bad[k][r][c] += rng.choice([-2, -1, 1, Fraction(1, 2)])
+            expected = ring_map_oracle_accepts(*objs, bad)
+            assert _ring_map_accepted(source, target, bad) == expected, (k, r, c)
+
+
+def test_check_ring_map_checks_generator_left(monkeypatch):
+    # generator x basis products for the surface(6) * torus(2) slice; checking
+    # every basis pair took 1,992 products
+    left, right = build(Surface(6)), build(Torus(2))
+    ring = build(parse_manifold("surface(6) * torus(2)"))
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(qrob.obstruct, "multiply", counting)
+    monkeypatch.setattr(qrob.ring, "multiply", counting)
+    check_ring_map(ring, left, slice_restriction(left, right))
+    assert len(calls) == 756

@@ -128,7 +128,10 @@ def test_surface_equals_connsum_of_tori():
 
 
 def test_catalog_rings_validate():
-    for manifold in LAW_RINGS:
+    # the connected sums reach `_connsum_ring`'s middle-degree products and
+    # its skip of the right summand's top-degree generator
+    extra = ("connsum(cp(3),2)", "connsum(torus(3),2)", "connsum(sphere(4),2)")
+    for manifold in (*LAW_RINGS, *extra):
         ring = build(parse_manifold(manifold))
         ring.validate()
         assert ring_law_failure(ring.to_obj()) is None, manifold
