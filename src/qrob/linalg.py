@@ -51,12 +51,17 @@ def _eliminate(m: Matrix, ncols: int) -> tuple[list[int], list[int]]:
             continue
         m.insert(r, m.pop(pr))
         order.insert(r, order.pop(pr))
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        # The pivot row is zero left of c. Scaling and row updates touch only
+        # its nonzero columns, since 0 * inv = 0 and x - f * 0 = x.
+        prow, inv = m[r], Fraction(1) / m[r][c]
+        nz = [k for k in range(c, len(prow)) if prow[k]]
+        for k in nz:
+            prow[k] *= inv
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                f = row[c]
+                for k in nz:
+                    row[k] -= f * prow[k]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -66,7 +71,7 @@ def _eliminate(m: Matrix, ncols: int) -> tuple[list[int], list[int]]:
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (new matrix, pivot columns)."""
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     if not m:
         return [], []
     return m, _eliminate(m, len(m[0]))[0]
@@ -151,6 +156,6 @@ def pivot_rows_cols(a: Matrix) -> tuple[list[int], list[int]]:
     Deterministic: columns are scanned left to right, and the first
     not-yet-used row with a nonzero entry becomes the pivot row.
     """
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     pivots, order = _eliminate(m, len(m[0]) if m else 0)
     return order[: len(pivots)], pivots

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn
 
 from .dsl import parse_manifold, parse_omega
@@ -247,7 +248,30 @@ def result_to_obj(result: QueryResult) -> dict:
 
 
 def document_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    r"""json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, in
+    about half the time of json.dumps's pure-Python indenting encoder."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(v, newline: str) -> str:
+    r"""v as indented JSON at the level whose line break is `newline`. Only
+    str, int, list and str-keyed dict are written here; json.dumps writes
+    every other value."""
+    kind = type(v)
+    if kind is str:
+        return _quote(v)
+    if kind is int:
+        return int.__repr__(v)
+    if not v:  # None, False and empty containers read the same unindented
+        return json.dumps(v)
+    inner = newline + "  "
+    if kind is list:
+        items = [_quote(x) if type(x) is str else _json_value(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(k) is str for k in v):
+        items = [_quote(k) + ": " + _json_value(x, inner) for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", newline)
 
 
 _ABSENT = object()

@@ -184,6 +184,54 @@ def _oracle_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def reference_gauss_jordan(a, ncols=None):
+    """Dense Gauss-Jordan on a copy of a: (rows, pivot columns, original index
+    of each row). Pivots are sought in the first ncols columns (all of them by
+    default), each in the first unused row with a nonzero entry there; that
+    row goes below the earlier pivot rows and the rest keep their order."""
+    width = len(a[0]) if a else 0
+    ncols = width if ncols is None else ncols
+    done, rest, pivots = [], [(i, [Fraction(x) for x in row]) for i, row in enumerate(a)], []
+    for col in range(ncols):
+        at = next((n for n, (_, row) in enumerate(rest) if row[col] != 0), None)
+        if at is None:
+            continue
+        index, pivot_row = rest.pop(at)
+        pivot_row = [x / pivot_row[col] for x in pivot_row]
+        for part in (done, rest):
+            for n, (i, row) in enumerate(part):
+                part[n] = (i, [x - row[col] * y for x, y in zip(row, pivot_row)])
+        done.append((index, pivot_row))
+        pivots.append(col)
+    ordered = done + rest
+    return [row for _, row in ordered], pivots, [i for i, _ in ordered]
+
+
+def reference_solve_many(a, bs):
+    """Per right-hand side b, the solution of a*x = b with every free
+    variable zero, or None when there is none."""
+    cols = len(a[0]) if a else 0
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a)]
+    rows, pivots, _ = reference_gauss_jordan(aug, cols)
+    out = []
+    for k in range(len(bs)):
+        if any(row[cols + k] != 0 for row in rows[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for row, col in zip(rows, pivots):
+            x[col] = row[cols + k]
+        out.append(x)
+    return out
+
+
+def reference_invert(a):
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots, _ = reference_gauss_jordan(aug, n)
+    return [row[n:] for row in rows] if pivots == list(range(n)) else None
+
+
 def ring_oracle_accepts(obj: dict) -> bool:
     """Whether a well-shaped ring object is a Poincaré-duality algebra whose
     presentation words, if any, multiply out; products from the raw tables."""

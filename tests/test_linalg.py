@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from conftest import reference_gauss_jordan, reference_invert, reference_solve_many
 from qrob.linalg import (
     fraction_from_str,
     fraction_to_str,
@@ -130,6 +131,60 @@ def test_pivot_rows_cols_match_minor_oracle():
     assert pivot_rows_cols(mat([[0, 0], [0, 0]])) == ([], [])
     # repeated and zero rows are never chosen twice
     assert pivot_rows_cols(mat([[0, 1], [1, 1], [1, 1], [2, 0]])) == ([1, 0], [0, 1])
+
+
+def _sparse_matrices(rng):
+    """Seeded sparse Fraction matrices: no rows, zero width, zero, wide, tall,
+    square and singular ones, at several densities."""
+    yield []
+    yield [[], []]
+    shapes = [(1, 1), (2, 2), (3, 3), (6, 6), (2, 7), (3, 9), (7, 2), (9, 3), (5, 8)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.15, 0.4, 1.0):
+            for _ in range(4):
+                m = [
+                    [
+                        Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 1, 2, 3)))
+                        if rng.random() < density else Fraction(0)
+                        for _ in range(cols)
+                    ]
+                    for _ in range(rows)
+                ]
+                yield m
+                if rows > 1:
+                    # singular: one row becomes a multiple of another, plus a
+                    # third when there is one
+                    i, j, *k = rng.sample(range(rows), min(rows, 3))
+                    f = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2)))
+                    m = [row[:] for row in m]
+                    m[i] = [f * x for x in m[j]]
+                    if k:
+                        m[i] = [x + y for x, y in zip(m[i], m[k[0]])]
+                    yield m
+
+
+def test_elimination_matches_dense_reference():
+    rng = random.Random(20261018)
+    count = 0
+    for a in _sparse_matrices(rng):
+        before = [row[:] for row in a]
+        rows, pivots, order = reference_gauss_jordan(a)
+        assert rref(a) == (rows, pivots), a
+        assert rank(a) == len(pivots)
+        assert pivot_rows_cols(a) == (order[: len(pivots)], pivots), a
+        cols = len(a[0]) if a else 0
+        x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(cols)]
+        bs = [
+            [sum((c * x for c, x in zip(row, x0)), Fraction(0)) for row in a],
+            [Fraction(rng.randint(-2, 2)) for _ in a],
+            [Fraction(0) for _ in a],
+        ]
+        assert solve_many(a, bs) == reference_solve_many(a, bs), a
+        if len(a) == cols:
+            assert invert(a) == reference_invert(a), a
+        assert a == before
+        count += 1
+    assert count > 250
 
 
 def test_fraction_strings():

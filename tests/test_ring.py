@@ -261,6 +261,60 @@ def test_associativity_failure_behind_a_vanishing_product():
         GradedRing.from_obj(obj)
 
 
+def _validation_message(obj: dict) -> str | None:
+    try:
+        GradedRing.from_obj(obj)
+    except RingValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_associativity_failure_through_a_non_generator():
+    # (t1^t2^t3) * (t4^t5^t6) := 2 vol in torus(6), mirrored so graded
+    # commutativity holds. Every presentation generator has degree 1, so the
+    # (3, 3) table is reached only as (x*y)*z with y of degree 2.
+    obj = build(Torus(6)).to_obj()
+    _set_coefficient(obj, 3, 3, 0, 19, 0, 2)
+    _set_coefficient(obj, 3, 3, 19, 0, 0, -2)
+    assert ring_law_failure(obj) is not None
+    assert _validation_message(obj) == "associativity fails at (1,0)*(2,5)*(3,19)"
+
+
+def test_associativity_failure_names_the_least_z():
+    # c1 * c1 := c1⊗s in s2xs2 * cp(2) (its own mirror) breaks (x*y)*z for
+    # x = y = c1 at z = 1⊗s and at z = c2⊗1; the first z is named
+    obj = build(parse_manifold("s2xs2 * cp(2)")).to_obj()
+    _set_coefficient(obj, 2, 2, 1, 1, 1, 1)
+    assert _validation_message(obj) == "associativity fails at (2,1)*(2,1)*(2,0)"
+
+
+def test_associativity_with_a_half_coefficient():
+    # Tables with a denominator 2 are compared at scale L = 2: t1 * (t2^t3) :=
+    # vol/2 in torus(3) breaks associativity, while x * x := x^2/2 in cp(3)
+    # without a presentation is only a rescaled basis and stays valid.
+    obj = build(Torus(3)).to_obj()
+    _set_coefficient(obj, 1, 2, 0, 2, 0, "1/2")
+    _set_coefficient(obj, 2, 1, 2, 0, 0, "1/2")
+    assert _validation_message(obj) == "associativity fails at (1,0)*(1,1)*(1,2)"
+    obj = build(CPm(3)).to_obj()
+    _set_coefficient(obj, 2, 2, 0, 0, 0, "1/2")
+    obj["monomial_presentation"] = None
+    assert ring_oracle_accepts(obj)
+    assert _validation_message(obj) is None
+
+
+def test_pairing_degeneracy_above_half_degree_reports_its_mirror():
+    # b * a := 0 in S^2 x S^3 (d = 5) with its mirror a * b := 0: the pairing
+    # of degree 3 > d/2 is degenerate, and so is its transpose in degree 2,
+    # the only one whose rank is taken.
+    obj = build(parse_manifold("sphere(2) * sphere(3)")).to_obj()
+    _set_coefficient(obj, 3, 2, 0, 0, 0, 0)
+    _set_coefficient(obj, 2, 3, 0, 0, 0, 0)
+    obj["monomial_presentation"] = None
+    assert not ring_oracle_accepts(obj)
+    assert _validation_message(obj) == "degenerate duality pairing in degree 2"
+
+
 def test_connsum_requires_equal_top_degree():
     with pytest.raises(RingValidationError):
         build(ConnSum(Torus(2), Torus(3)))
