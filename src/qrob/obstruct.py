@@ -12,6 +12,10 @@ m <= min(rows with a nonzero lambda, columns with one); every kind's bound
 is monotone in m. A candidate or group whose size bound is below the least
 m that breaks its kind's bound is skipped, and the rest come in the same
 canonical order, so the first certificate is that of an unpruned search.
+An H1Annihilator factor c = basis_l[i] has as many annihilator rows as the
+kernel of x -> c * x on degree 1, dims[1] less that map's rank; the rank is
+at least 1 once the (l, 1) table stores a product (i, j), and that bound is
+read for every i of degree l before omega is factored.
 """
 
 from __future__ import annotations
@@ -390,6 +394,14 @@ def _annihilator_candidates(
     return [ring.element(1, v) for v in kernel]
 
 
+def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:
+    """For each basis class basis_ell[i], a bound on the number of its
+    degree-1 annihilators: dims[1], less 1 when the (ell, 1) table stores a
+    product (i, j) (argument in `_kronecker_candidates`)."""
+    acting = {i for i, _ in ring.structure.get((ell, 1), {})}
+    return [ring.dims[1] - (i in acting) for i in range(ring.dims[ell])]
+
+
 def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
     """Yield (kind, factor, cofactor, rows, cols, products, min_size) in
     canonical order, with products = _product_table(rows, cols) and min_size
@@ -407,6 +419,14 @@ def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
     `factorizations` runs. The basis families and their product table are
     shared by every factor of one (l, k'); annihilator rows depend on the
     factor, so their table is built per factor.
+
+    A factor c = basis_l[i] has dims[1] less the rank of x -> c * x on
+    degree 1 annihilator rows, and that rank is at least 1 when the (l, 1)
+    table stores a product (i, j) (`_annihilator_bounds`). So a degree l
+    where no class's bound reaches min_size is skipped before
+    `factorizations` runs, and a factor whose bound is below it before its
+    kernel is taken. On a torus dims[1] = n and c * H^1 != 0 for every c of
+    degree l < n, so every l is skipped.
     """
     for kind in ("H1Annihilator", "DualPair"):
         pattern = _PATTERNS[kind]
@@ -415,6 +435,10 @@ def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
                 kp: pattern.min_size(n, kp) for kp in pattern.row_degrees(ell)
                 if min(ring.dims[kp], ring.dims[ell - kp]) >= pattern.min_size(n, kp)
             }
+            if pattern.annihilated:
+                # a factor basis_l[i] has at most most[i] annihilator rows
+                most = _annihilator_bounds(ring, ell)
+                sizes = {kp: s for kp, s in sizes.items() if max(most, default=0) >= s}
             if not sizes or not ring.dims[n - ell]:
                 continue
             factors = factorizations(ring, omega, ell)
@@ -428,6 +452,9 @@ def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
                     rows, cols = bases[kp]
                     products = tables.get(kp)
                     if pattern.annihilated:
+                        (i,) = factor.coords()[ell]
+                        if most[i] < size:
+                            continue
                         rows = _annihilator_candidates(ring, factor)
                         if len(rows) < size:
                             continue

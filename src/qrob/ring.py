@@ -356,11 +356,15 @@ class GradedRing:
 
     def _validate_commutativity(self) -> None:
         # every nonzero product is checked against its mirror, so a product
-        # whose mirror is missing fails from one side or the other
+        # whose mirror is missing fails from one side or the other; the
+        # mirror has the same support and, for odd p*q, negated coefficients
         for (p, q), table in self.structure.items():
-            sign, mirror = (-1 if p * q % 2 else 1), self._table(q, p)
+            mirror, odd = self._table(q, p), p * q % 2
             for (i, j), vec in table.items():
-                if mirror.get((j, i)) != {t: sign * c for t, c in vec.items()}:
+                other = mirror.get((j, i), _ZERO)
+                if other.keys() != vec.keys() or (
+                    any(other[t] != -c for t, c in vec.items()) if odd else other != vec
+                ):
                     raise RingValidationError(
                         f"graded commutativity fails at ({p},{i})*({q},{j})"
                     )
@@ -689,6 +693,15 @@ def factorizations(
 
     c' is the canonical exact solution of the linear system; an empty list is
     a valid answer.
+
+    For c = basis_ell[i] the system is the matrix of y -> c * y from degree
+    k - ell, whose column j is the stored product (i, j) of the (ell, k - ell)
+    table. It is solved on the columns with a stored product and the rows
+    those products reach; when omega has a coordinate outside those rows
+    there is no solution. That is the same solution as on the full matrix:
+    a zero column is a free variable, which `solve` sets to 0, and a zero
+    row is never a pivot and, as omega is zero there, never inconsistent;
+    the rows and columns kept stay in order, so every pivot is the same.
     """
     if omega.is_zero():
         return []
@@ -697,14 +710,22 @@ def factorizations(
     k = omega.degree()
     if not (1 <= ell <= k - 1):
         raise ValueError(f"cofactor degree must satisfy 1 <= {ell} <= {k - 1}")
-    target = omega.vector(k)
+    goal, zero = omega._coords[k], Fraction(0)
+    by_class: dict[int, dict[int, SparseVec]] = {}
+    for (i, j), vec in ring._table(ell, k - ell).items():
+        by_class.setdefault(i, {})[j] = vec
     out = []
-    for i in range(ring.dims[ell]):
-        c = ring.basis_element(ell, i)
-        system = mult_matrix(ring, c, k - ell)
-        if not system:
+    for i in sorted(by_class):
+        products = by_class[i]
+        reached = {t for vec in products.values() for t in vec}
+        if not goal.keys() <= reached:
             continue
-        x = solve(system, target)
+        cols, rows = sorted(products), sorted(reached)
+        system = [[products[j].get(t, zero) for j in cols] for t in rows]
+        x = solve(system, [goal.get(t, zero) for t in rows])
         if x is not None:
-            out.append((c, ring.element(k - ell, x)))
+            cofactor = [zero] * ring.dims[k - ell]
+            for j, v in zip(cols, x):
+                cofactor[j] = v
+            out.append((ring.basis_element(ell, i), ring.element(k - ell, cofactor)))
     return out

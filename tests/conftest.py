@@ -232,6 +232,23 @@ def reference_invert(a):
     return [row[n:] for row in rows] if pivots == list(range(n)) else None
 
 
+def reference_factorizations(ring, omega, ell):
+    """(c, c') for every degree-ell basis class c, in basis order, with
+    c * c' = omega, where c' is the solution with every free variable zero
+    of the dense system of the products of c with the basis of degree
+    k - ell (k the degree of omega), solved by `reference_solve_many`."""
+    k = omega.degree()
+    cols = ring.basis(k - ell)
+    out = []
+    for c in ring.basis(ell):
+        images = [c * y for y in cols]
+        system = [[y.coefficient(k, t) for y in images] for t in range(ring.dims[k])]
+        (x,) = reference_solve_many(system, [omega.vector(k)])
+        if x is not None:
+            out.append((c, ring.element(k - ell, x)))
+    return out
+
+
 def ring_oracle_accepts(obj: dict) -> bool:
     """Whether a well-shaped ring object is a Poincaré-duality algebra whose
     presentation words, if any, multiply out; products from the raw tables."""
@@ -360,10 +377,10 @@ def _reference_candidates(ring, omega, n):
     it, then every row degree of every factor against the complementary
     basis. breaks(m) says whether m classes break the kind's bound."""
     from qrob.linalg import nullspace
-    from qrob.ring import factorizations, multiply
+    from qrob.ring import multiply
 
     for ell in range(1, n):
-        for factor, cofactor in factorizations(ring, omega, ell):
+        for factor, cofactor in reference_factorizations(ring, omega, ell):
             above = ell + 1
             images = [multiply(factor, x) for x in ring.basis(1)]
             system = [
@@ -376,7 +393,7 @@ def _reference_candidates(ring, omega, n):
                 lambda m: m >= n
             )
     for ell in range(2, n):
-        for factor, cofactor in factorizations(ring, omega, ell):
+        for factor, cofactor in reference_factorizations(ring, omega, ell):
             for kp in range(1, ell):
                 yield "DualPair", factor, cofactor, ring.basis(kp), ring.basis(ell - kp), (
                     lambda m, kp=kp: m > math.comb(n, kp)

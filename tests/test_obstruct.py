@@ -10,6 +10,7 @@ import qrob.obstruct
 import qrob.ring
 from conftest import (
     CATALOG,
+    LAW_RINGS,
     WORKLOAD_QUERIES,
     reference_kronecker_search,
     reference_lambda,
@@ -42,6 +43,7 @@ from qrob import (
 from qrob.errors import VerificationFailure
 from qrob.linalg import identity
 from qrob.obstruct import (
+    _annihilator_bounds,
     _annihilator_candidates,
     _lambda_matrix,
     _product_table,
@@ -292,6 +294,8 @@ DIFFERENTIAL_QUERIES = tuple(dict.fromkeys(
     + [(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6) for v in range(1, 13)]
     + [(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4) for g in range(1, 11)]
     + [(f"connsum(s2xs2,{v}) * torus(2)", "vol(1)^vol(2)", 6) for v in range(1, 5)]
+    + [(f"surface({g}) * torus(2) * cp(2)", "vol(1)^vol(2)", 4) for g in range(1, 5)]
+    + [(f"torus({k})", "vol(1)", k) for k in range(2, 5)]
 ))
 
 
@@ -342,6 +346,32 @@ def test_search_without_reachable_bound_never_factors_omega(monkeypatch):
     ring, omega = _query("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6)
     assert search_obstruction(ring, omega, 6) is None
     assert calls["factorizations"] == []
+
+
+def test_annihilator_bounds_cover_every_basis_class():
+    # the search skips a factor whose bound is below the kind's min_size, so
+    # the bound must never be below the annihilators it stands for
+    tight = 0
+    for manifold in LAW_RINGS:
+        ring = build(parse_manifold(manifold))
+        for ell in range(1, ring.top_degree + 1):
+            bounds = _annihilator_bounds(ring, ell)
+            assert len(bounds) == ring.dims[ell]
+            for i, bound in enumerate(bounds):
+                count = len(_annihilator_candidates(ring, ring.basis_element(ell, i)))
+                assert bound >= count, (manifold, ell, i)
+                tight += bound == count
+    assert tight
+
+
+def test_search_on_tori_neither_factors_nor_annihilates(monkeypatch):
+    # dims[1] = n, and every class c of degree l < n has c * H^1 != 0, so no
+    # factor can have n annihilators; no DualPair family can exceed C(n, k')
+    calls = _count_calls(monkeypatch, "factorizations", "_annihilator_candidates")
+    for n in (5, 6, 7):
+        ring, omega = _query(f"torus({n})", "vol(1)", n)
+        assert search_obstruction(ring, omega, n) is None
+    assert calls == {"factorizations": [], "_annihilator_candidates": []}
 
 
 def test_certificate_m_matches_family_parameters():

@@ -9,9 +9,11 @@ import pytest
 from conftest import (
     CATALOG,
     LAW_RINGS,
+    WORKLOAD_QUERIES,
     _oracle_mul,
     convolve,
     oracle_products,
+    reference_factorizations,
     ring_law_failure,
     ring_oracle_accepts,
 )
@@ -28,9 +30,12 @@ from qrob import (
     Surface,
     Torus,
     build,
+    build_with_classes,
     connsum_power,
+    factorizations,
     multiply,
     parse_manifold,
+    parse_omega,
     poincare_pairing,
 )
 
@@ -313,6 +318,70 @@ def test_pairing_degeneracy_above_half_degree_reports_its_mirror():
     obj["monomial_presentation"] = None
     assert not ring_oracle_accepts(obj)
     assert _validation_message(obj) == "degenerate duality pairing in degree 2"
+
+
+def test_commutativity_failure_names_the_first_product():
+    # t2 * t1 := t1^t2 in torus(3), the mirror of t1 * t2 without its sign:
+    # (1,0)*(1,1) and (1,1)*(1,0) both fail, and the (1, 1) table lists
+    # (0, 1) first. (t1^t2) * t3 := -vol breaks an even sign. s * s^2 :=
+    # vol*s in s2xs2 * cp(2) has no mirror and fails from its own side.
+    obj = build(Torus(3)).to_obj()
+    _set_coefficient(obj, 1, 1, 1, 0, 0, 1)
+    assert _validation_message(obj) == "graded commutativity fails at (1,0)*(1,1)"
+    obj = build(Torus(3)).to_obj()
+    _set_coefficient(obj, 2, 1, 0, 2, 0, -1)
+    assert _validation_message(obj) == "graded commutativity fails at (1,2)*(2,0)"
+    obj = build(parse_manifold("s2xs2 * cp(2)")).to_obj()
+    _set_coefficient(obj, 2, 4, 0, 0, 2, 1)
+    assert _validation_message(obj) == "graded commutativity fails at (2,0)*(4,0)"
+
+
+def _factorization_targets(manifold):
+    """The ring, the omega of every CATALOG or workload query on it, and, on
+    rings of total dimension at most 48 (the dense reference grows with the
+    cube of a degree's dimension), the sum of the first and last basis class
+    of each nonzero degree from 2 on."""
+    ring, factors = build_with_classes(parse_manifold(manifold))
+    omegas = [
+        parse_omega(text, ring, factors)
+        for m, text, _ in dict.fromkeys([*CATALOG, *WORKLOAD_QUERIES]) if m == manifold
+    ]
+    if sum(ring.dims) <= 48:
+        omegas += [
+            ring.basis_element(k, 0) + ring.basis_element(k, ring.dims[k] - 1)
+            for k in range(2, ring.top_degree + 1) if ring.dims[k]
+        ]
+    return ring, omegas
+
+
+def _skewed_form_ring():
+    """dims [1, 0, 3, 0, 1] with the intersection form [[0, 1, 1], [1, 1, 0],
+    [1, 0, 2]], so x1 * x2 = x1 * x3 = vol: the factorizations of vol by x1
+    have a free variable, and which column takes the pivot decides c'."""
+    form = [[0, 1, 1], [1, 1, 0], [1, 0, 2]]
+    return GradedRing.from_obj({
+        "top_degree": 4,
+        "dims": [1, 0, 3, 0, 1],
+        "labels": [["1"], [], ["x1", "x2", "x3"], [], ["vol"]],
+        "structure": [{"p": 2, "q": 2, "products": [
+            [i, j, [str(c)]] for i, row in enumerate(form) for j, c in enumerate(row) if c
+        ]}],
+    })
+
+
+def test_factorizations_match_dense_reference():
+    found, empty = 0, 0
+    skewed = _skewed_form_ring()
+    vol = skewed.fundamental_class()
+    targets = [_factorization_targets(manifold) for manifold in LAW_RINGS]
+    for ring, omegas in [*targets, (skewed, [vol, vol.scale(Fraction(3, 2))])]:
+        for omega in omegas:
+            k = omega.degree()
+            for ell in range(1, k):
+                got = factorizations(ring, omega, ell)
+                assert got == reference_factorizations(ring, omega, ell), (ring, omega, ell)
+                found, empty = found + len(got), empty + (not got)
+    assert found and empty
 
 
 def test_connsum_requires_equal_top_degree():
