@@ -2,7 +2,8 @@
 
 Exit codes for `check`: 0 WITNESS, 1 OBSTRUCTED, 2 UNKNOWN, 3 and up errors.
 `verify` exits 0 on success and 1 on a failed re-verification. An input
-file that is missing or does not hold JSON exits 3.
+file that is missing or does not hold JSON exits 3, and so does an
+expression or file nested too deeply to parse.
 """
 
 from __future__ import annotations
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (QrobError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply to parse\n")
         return USAGE_ERROR
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

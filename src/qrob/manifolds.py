@@ -96,8 +96,6 @@ def factor_list(expr: ManifoldExpr) -> list[ManifoldExpr]:
 
 
 def _sphere_ring(n: int) -> GradedRing:
-    if n < 1:
-        raise ValueError("sphere dimension must be >= 1")
     dims = [1] + [0] * (n - 1) + [1]
     labels = [["1"]] + [[] for _ in range(n - 1)] + [["vol"]]
     words: list[tuple[tuple[int, ...], ...]] = []
@@ -113,8 +111,6 @@ def _sphere_ring(n: int) -> GradedRing:
 
 
 def _torus_ring(n: int) -> GradedRing:
-    if n < 1:
-        raise ValueError("torus dimension must be >= 1")
     axes_by_degree = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
     index = [{axes: i for i, axes in enumerate(per)} for per in axes_by_degree]
     dims = [len(per) for per in axes_by_degree]
@@ -146,8 +142,6 @@ def _torus_ring(n: int) -> GradedRing:
 
 
 def _cpm_ring(m: int) -> GradedRing:
-    if m < 1:
-        raise ValueError("projective space needs m >= 1")
     d = 2 * m
     dims = [1 if k % 2 == 0 else 0 for k in range(d + 1)]
     labels = []

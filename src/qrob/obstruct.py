@@ -33,7 +33,6 @@ from .ring import (
     SparseVec,
     factorizations,
     in_kunneth_ideal,
-    mult_matrix,
     multiply,
 )
 
@@ -386,12 +385,18 @@ def kronecker_systems(
 def _annihilator_candidates(
     ring: GradedRing, factor: RingElement
 ) -> list[RingElement]:
-    """Canonical basis of the degree-1 classes killed by the factor."""
+    """Canonical basis of the degree-1 classes killed by the factor: the
+    kernel of x -> factor * x on degree 1, whose column j is the product of
+    the factor with basis_1[j], taken on the rows those products reach. A
+    zero row is never a pivot, so the kernel is that of the full matrix."""
     if ring.dims[1] == 0:
         return []
-    system = mult_matrix(ring, factor, 1)
-    kernel = nullspace(system, ncols=ring.dims[1])
-    return [ring.element(1, v) for v in kernel]
+    ell = factor.degree()
+    x, zero = factor.coords()[ell], Fraction(0)
+    cols = [ring.times(ell, x, 1, {j: Fraction(1)}) for j in range(ring.dims[1])]
+    reached = sorted({t for col in cols for t in col})
+    system = [[col.get(t, zero) for col in cols] for t in reached]
+    return [ring.element(1, v) for v in nullspace(system, ncols=ring.dims[1])]
 
 
 def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:

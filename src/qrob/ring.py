@@ -219,11 +219,8 @@ class GradedRing:
                 table: dict[tuple[int, int], SparseVec] = {}
                 for i, j, dense in entry["products"]:
                     ij = tuple(_require_int(x, "product index") for x in (i, j))
-                    vec = {
-                        t: fraction_from_str(c)
-                        for t, c in enumerate(dense)
-                        if fraction_from_str(c)
-                    }
+                    coeffs = map(fraction_from_str, dense)
+                    vec = {t: c for t, c in enumerate(coeffs) if c}
                     if vec:
                         table[ij] = vec
                 structure[(p, q)] = table
@@ -629,46 +626,36 @@ def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
     return out
 
 
-def mult_matrix(ring: GradedRing, c: RingElement, q: int) -> Matrix:
-    """Matrix of left multiplication by c from degree q, as dense columns."""
-    k = c.degree()
-    target = k + q
-    if target > ring.top_degree:
-        return []
-    out = [[Fraction(0)] * ring.dims[q] for _ in range(ring.dims[target])]
-    for j in range(ring.dims[q]):
-        for t, v in ring.times(k, c._coords[k], q, {j: 1}).items():
-            out[t][j] = v
-    return out
+def _ideal_rows(ring: GradedRing, k: int) -> Matrix:
+    """Dense rows spanning the degree-k product ideal: every stored product
+    g * y with g in `left_factors()` and y a basis element of degree k - deg g.
 
-
-_IDEAL_CACHE: dict[tuple[str, int], list[tuple[Fraction, ...]]] = {}
-
-
-def kunneth_ideal_basis(ring: GradedRing, k: int) -> list[RingElement]:
-    """Canonical basis of the span of positive-degree products in degree k."""
+    On a validated ring these span every product x * y of positive-degree
+    classes. Without a presentation g runs over every x. With one, x is the
+    product of its word's generators, so by graded commutativity
+    x = +-g * x' for a generator g and a product x' of the others (x = g when
+    the word has one letter); associativity gives x * y = +-g * (x' * y), and
+    x' * y is a combination of basis elements of degree k - deg g."""
     if k < 2:
         raise IdealUndefinedError("the product ideal starts at degree 2")
     if k > ring.top_degree:
         raise IdealUndefinedError(f"degree {k} exceeds top degree {ring.top_degree}")
-    key = (ring.hash_hex(), k)
-    if key not in _IDEAL_CACHE:
-        rows: list[tuple[Fraction, ...]] = []
-        seen = set()
-        for ell in range(1, k):
-            table = ring._table(ell, k - ell)
-            for (i, j) in sorted(table):
-                dense = [Fraction(0)] * ring.dims[k]
-                for t, c in table[(i, j)].items():
-                    dense[t] = c
-                tup = tuple(dense)
-                if any(tup) and tup not in seen:
-                    seen.add(tup)
-                    rows.append(tup)
-        _IDEAL_CACHE[key] = [
-            tuple(row) for row in row_space_basis([list(r) for r in rows])
-        ]
-    return [ring.element(k, list(row)) for row in _IDEAL_CACHE[key]]
+    lefts: dict[int, set[int]] = {}
+    for p, i in ring.left_factors():
+        lefts.setdefault(p, set()).add(i)
+    zero, rows = Fraction(0), []
+    for p in range(1, k):
+        for (i, _), vec in ring._table(p, k - p).items():
+            if i in lefts.get(p, ()):
+                rows.append([vec.get(t, zero) for t in range(ring.dims[k])])
+    return rows
+
+
+def kunneth_ideal_basis(ring: GradedRing, k: int) -> list[RingElement]:
+    """Canonical basis of the span of positive-degree products in degree k:
+    the RREF basis of `_ideal_rows`, which is unique, so neither the order of
+    the rows nor their choice among spanning sets changes it."""
+    return [ring.element(k, row) for row in row_space_basis(_ideal_rows(ring, k))]
 
 
 def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
@@ -680,10 +667,9 @@ def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
     k = omega.degree()
     if k < 2:
         return False
-    basis = kunneth_ideal_basis(ring, k)
     # the RREF basis is independent, so its rank is its length
-    rows = [b.vector(k) for b in basis]
-    return len(rows) == rank(rows + [omega.vector(k)]) if rows else False
+    basis = row_space_basis(_ideal_rows(ring, k))
+    return bool(basis) and len(basis) == rank(basis + [omega.vector(k)])
 
 
 def factorizations(

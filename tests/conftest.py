@@ -207,6 +207,51 @@ def reference_gauss_jordan(a, ncols=None):
     return [row for _, row in ordered], pivots, [i for i, _ in ordered]
 
 
+def reference_kunneth_bases(obj: dict) -> dict[int, list[list[Fraction]]]:
+    """Per degree k from 2 to the top, the RREF basis of the degree-k product
+    ideal of a ring object: every product of two positive-degree basis
+    classes (`oracle_products`) as a dense row, each distinct row once,
+    reduced by `reference_gauss_jordan`."""
+    d, dims, products = obj["top_degree"], obj["dims"], oracle_products(obj)
+    out = {}
+    for k in range(2, d + 1):
+        rows = dict.fromkeys(
+            tuple(vec.get((k, t), Fraction(0)) for t in range(dims[k]))
+            for ((p, _), (q, _)), vec in products.items()
+            if p >= 1 and q >= 1 and p + q == k
+        )
+        reduced, pivots, _ = reference_gauss_jordan(list(rows))
+        out[k] = reduced[: len(pivots)]
+    return out
+
+
+def reference_annihilators(obj: dict, ell: int) -> list[list[list[Fraction]]]:
+    """Per basis class c of degree ell of a ring object, the kernel of
+    x -> c * x on degree 1: the dense matrix of c times every degree-1 basis
+    class (`oracle_products`), reduced by `reference_gauss_jordan`, with one
+    kernel vector per free column, 1 there and minus that column of the
+    reduced rows at the pivots."""
+    d, dims, products = obj["top_degree"], obj["dims"], oracle_products(obj)
+    above, zero = ell + 1, Fraction(0)
+    kernels = []
+    for i in range(dims[ell]):
+        images = [products.get(((ell, i), (1, j)), {}) for j in range(dims[1])]
+        system = [
+            [y.get((above, t), zero) for y in images]
+            for t in range(dims[above] if above <= d else 0)
+        ]
+        reduced, pivots, _ = reference_gauss_jordan(system, dims[1])
+        kernel = []
+        for free in (c for c in range(dims[1]) if c not in pivots):
+            v = [zero] * dims[1]
+            v[free] = Fraction(1)
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free]
+            kernel.append(v)
+        kernels.append(kernel)
+    return kernels
+
+
 def reference_solve_many(a, bs):
     """Per right-hand side b, the solution of a*x = b with every free
     variable zero, or None when there is none."""

@@ -281,6 +281,24 @@ def test_unreadable_input_exit_three(capsys, tmp_path, argv):
     assert "Traceback" not in out + err
 
 
+_DEEP = 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "(" * _DEEP + "torus(2)" + ")" * _DEEP, "--omega", "vol(1)", "--n", "2"),
+    ("check", "torus(2)", "--omega", "(" * _DEEP + "vol(1)" + ")" * _DEEP, "--n", "2"),
+    ("verify", "{deep}"),
+], ids=["manifold", "omega", "verify"])
+def test_deeply_nested_input_exit_three(capsys, tmp_path, argv):
+    # nesting past the parsers' depth is an input error; for `check` an
+    # uncaught traceback would exit 1, which reads as OBSTRUCTED
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
+    assert code == 3 and err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("value", [[1, 2], "verdict", 3, None])
 def test_verify_non_object_document_fails(capsys, tmp_path, value):
     path = tmp_path / "doc.json"

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import CATALOG
+from conftest import CATALOG, LAW_RINGS, reference_kunneth_bases
 from qrob import (
     CPm,
+    GradedRing,
     IdealUndefinedError,
     NonHomogeneousError,
     Sphere,
@@ -93,6 +94,36 @@ def test_ideal_basis_spans_all_pairwise_products():
                         assert in_kunneth_ideal(ring, b * b2)
             for elem in basis:
                 assert in_kunneth_ideal(ring, elem)
+
+
+def test_ideal_basis_and_membership_match_reference():
+    # without a presentation every basis class is a left factor, so both
+    # ways of listing the ideal's spanning rows are compared
+    obj = build(parse_manifold("surface(2) * cp(2)")).to_obj()
+    obj["monomial_presentation"] = None
+    rings = [build(parse_manifold(text)) for text in LAW_RINGS]
+    for ring in rings + [GradedRing.from_obj(obj)]:
+        for k, expected in reference_kunneth_bases(ring.to_obj()).items():
+            basis = kunneth_ideal_basis(ring, k)
+            assert [b.vector(k) for b in basis] == expected, (ring, k)
+            probes = ring.basis(k)
+            if probes:
+                probes.append(probes[0] + probes[-1])
+            for omega in probes:
+                member = _in_rref_span(expected, omega.vector(k))
+                assert in_kunneth_ideal(ring, omega) == member, (ring, k, omega)
+
+
+def _in_rref_span(rows, vec):
+    """Whether vec is in the span of RREF rows: each row's pivot is 1 and the
+    other rows are 0 there, so vec must be the sum of the rows each times
+    vec's entry at its pivot."""
+    rest = list(vec)
+    for row in rows:
+        f = vec[next(c for c, x in enumerate(row) if x)]
+        if f:
+            rest = [a - f * b for a, b in zip(rest, row)]
+    return not any(rest)
 
 
 def test_symplectic_class_not_decomposable_in_product():

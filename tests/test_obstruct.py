@@ -12,6 +12,7 @@ from conftest import (
     CATALOG,
     LAW_RINGS,
     WORKLOAD_QUERIES,
+    reference_annihilators,
     reference_kronecker_search,
     reference_lambda,
     ring_map_oracle_accepts,
@@ -362,6 +363,16 @@ def test_annihilator_bounds_cover_every_basis_class():
                 assert bound >= count, (manifold, ell, i)
                 tight += bound == count
     assert tight
+
+
+def test_annihilator_candidates_match_reference_kernels():
+    for manifold in LAW_RINGS:
+        ring = build(parse_manifold(manifold))
+        obj = ring.to_obj()
+        for ell in range(1, ring.top_degree):
+            for i, kernel in enumerate(reference_annihilators(obj, ell)):
+                rows = _annihilator_candidates(ring, ring.basis_element(ell, i))
+                assert [x.vector(1) for x in rows] == kernel, (manifold, ell, i)
 
 
 def test_search_on_tori_neither_factors_nor_annihilates(monkeypatch):
