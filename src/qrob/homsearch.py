@@ -214,15 +214,13 @@ def _factor_gen_images(
         summands = _connsum_summands(expr)
         parts: list[ExtElement] = []
         for pos, summand in enumerate(summands):
-            ring = build(summand)
-            if ring.presentation is None:
-                return None
             if pos == 0:
                 block = _factor_gen_images(summand, axes, n)
                 if block is None:
                     return None
                 parts.extend(block)
             else:
+                ring = build(summand)
                 middle = sum(
                     1
                     for g in ring.presentation.generators
@@ -238,12 +236,8 @@ def witness_template(
 ) -> HomWitness | None:
     """Try the template catalog over axis-block allocations; verified only."""
     ring = build(expr)
-    if ring.presentation is None:
-        return None
     factors = factor_list(expr)
     factor_rings = [build(f) for f in factors]
-    if any(r.presentation is None for r in factor_rings):
-        return None
     maxima = [min(n, r.top_degree) for r in factor_rings]
     for sizes in _compositions(n, maxima):
         start = 1

@@ -133,11 +133,9 @@ class KroneckerSystem:
     cols: list[RingElement]
 
     @classmethod
-    def from_classes(
-        cls, kind: str, classes: dict, decode=lambda obj: obj
-    ) -> KroneckerSystem:
-        """The system that a certificate's classes record by role; each class
-        is passed through decode."""
+    def from_classes(cls, kind: str, classes: dict, decode) -> KroneckerSystem:
+        """The system that a certificate's classes record by role; each
+        recorded class is read through decode."""
         if kind not in _PATTERNS:
             raise InvalidSystemError(f"unknown certificate kind {kind!r}")
         row, col, diag = _PATTERNS[kind].roles
@@ -148,8 +146,8 @@ class KroneckerSystem:
 
     def entries(self) -> list[tuple]:
         """(left role, right role, left, right, on_diagonal) for every product
-        that check() proves and the products table lists, in that order; the
-        product is the diag class on the diagonal and zero elsewhere."""
+        that check() proves, in the order it proves them; the product is the
+        diag class on the diagonal and zero elsewhere."""
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
         out = [
@@ -211,19 +209,6 @@ class KroneckerSystem:
             omega=multiply(self.diag, self.cofactor),
             conclusion=pattern.conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
         )
-
-
-def products_table(cert: Certificate) -> list[dict]:
-    """The products that the check of a Kronecker certificate proved, from the
-    same entry list; other kinds have no table."""
-    if cert.kind not in _PATTERNS:
-        return []
-    system = KroneckerSystem.from_classes(cert.kind, cert.classes)
-    product = {True: system.diag.to_obj(), False: system.diag.ring.zero().to_obj()}
-    return [
-        {"left": a, "right": b, "product": product[on_diag]}
-        for a, b, _, _, on_diag in system.entries()
-    ]
 
 
 def prywes_bound(

@@ -29,12 +29,12 @@ from .obstruct import (
     Certificate,
     KroneckerSystem,
     SubmanifoldReport,
-    products_table,
     prywes_bound,
     search_obstruction,
     submanifold_bound,
 )
 from .ring import (
+    RING_FORMAT,
     GradedRing,
     RingElement,
     in_kunneth_ideal,
@@ -42,12 +42,11 @@ from .ring import (
     poincare_pairing,
 )
 
-VERDICT_FORMAT = "qrob.verdict/1"
-CERTIFICATE_FORMAT = "qrob.certificate/1"
-WITNESS_FORMAT = "qrob.witness/1"
-RING_FORMAT = "qrob.ring/1"
-KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/1"
-SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/1"
+VERDICT_FORMAT = "qrob.verdict/2"
+CERTIFICATE_FORMAT = "qrob.certificate/2"
+WITNESS_FORMAT = "qrob.witness/2"
+KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/2"
+SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/2"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"
@@ -164,7 +163,6 @@ def certificate_to_obj(cert: Certificate) -> dict:
         "ring_hash": cert.ring_hash,
         "n": cert.n,
         "classes": classes,
-        "products_table": products_table(cert),
         "inequality": cert.inequality.to_obj(),
         "conclusion": cert.conclusion,
     }

@@ -31,6 +31,8 @@ from .linalg import (
     solve,
 )
 
+RING_FORMAT = "qrob.ring/2"
+
 SparseVec = dict[int, Fraction]
 # structure[(p, q)][(i, j)] = sparse coordinate vector of basis_p[i] * basis_q[j]
 # in degree p+q; only degrees p, q >= 1 with p+q <= top_degree are stored, and
@@ -89,6 +91,22 @@ def _require_int(value, field: str) -> int:
     return value
 
 
+def _read_product(pairs) -> SparseVec:
+    """A product's nonzero coordinates from its [index, "coefficient"] pairs."""
+    vec: SparseVec = {}
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            raise RingValidationError(
+                f'{RING_FORMAT} writes a product as [index, "coefficient"] pairs, '
+                f"got {pair!r}"
+            )
+        t = _require_int(pair[0], "product coordinate index")
+        if t in vec:
+            raise RingValidationError(f"product coordinate index {t} is repeated")
+        vec[t] = fraction_from_str(pair[1])
+    return {t: c for t, c in vec.items() if c}
+
+
 class GradedRing:
     __slots__ = (
         "top_degree",
@@ -139,8 +157,9 @@ class GradedRing:
     def basis(self, k: int) -> list["RingElement"]:
         return [self.basis_element(k, i) for i in range(self.dims[k])]
 
-    def element(self, k: int, coords) -> "RingElement":
-        return RingElement(self, {k: [Fraction(c) for c in coords]})
+    def element(self, k: int, coords: list) -> "RingElement":
+        """The degree-k class with dense coordinates coords."""
+        return RingElement(self, {k: coords})
 
     # -- product ----------------------------------------------------------
 
@@ -184,12 +203,10 @@ class GradedRing:
         tables = []
         for (p, q) in sorted(self.structure):
             table = self.structure[(p, q)]
-            products = []
-            for (i, j) in sorted(table):
-                dense = ["0"] * self.dims[p + q]
-                for t, c in table[(i, j)].items():
-                    dense[t] = fraction_to_str(c)
-                products.append([i, j, dense])
+            products = [
+                [i, j, [[t, fraction_to_str(c)] for t, c in sorted(table[(i, j)].items())]]
+                for (i, j) in sorted(table)
+            ]
             if products:
                 tables.append({"p": p, "q": q, "products": products})
         return {
@@ -217,10 +234,9 @@ class GradedRing:
                         "structure tables exist only for p, q >= 1"
                     )
                 table: dict[tuple[int, int], SparseVec] = {}
-                for i, j, dense in entry["products"]:
+                for i, j, pairs in entry["products"]:
                     ij = tuple(_require_int(x, "product index") for x in (i, j))
-                    coeffs = map(fraction_from_str, dense)
-                    vec = {t: c for t, c in enumerate(coeffs) if c}
+                    vec = _read_product(pairs)
                     if vec:
                         table[ij] = vec
                 structure[(p, q)] = table
@@ -464,7 +480,7 @@ class RingElement:
     __slots__ = ("ring", "_coords")
 
     def __init__(self, ring: GradedRing, coords: dict[int, list[Fraction]]):
-        """Take dense coordinate lists per degree, as ring files write them."""
+        """Take dense coordinate lists per degree, as documents write a class."""
         self.ring = ring
         clean: dict[int, SparseVec] = {}
         for k, vec in coords.items():

@@ -121,8 +121,8 @@ def oracle_products(obj: dict) -> dict:
             out[(0, 0), (p, i)] = out[(p, i), (0, 0)] = {(p, i): Fraction(1)}
     for entry in obj["structure"]:
         p, q = entry["p"], entry["q"]
-        for i, j, dense in entry["products"]:
-            vec = {(p + q, t): Fraction(c) for t, c in enumerate(dense) if Fraction(c)}
+        for i, j, pairs in entry["products"]:
+            vec = {(p + q, t): Fraction(c) for t, c in pairs if Fraction(c)}
             if vec:
                 out[(p, i), (q, j)] = vec
     return out

@@ -210,7 +210,7 @@ def test_criterion_6_round_trip_and_tampering(tmp_path):
         tampered["certificate"]["classes"]["left"][0]["coords"]["2"][0] = "7"
         assert fails(tampered)
         tampered = json.loads(json.dumps(docs[2]))
-        tampered["ring"]["structure"][0]["products"][0][2][0] = "9"
+        tampered["ring"]["structure"][0]["products"][0][2][0][1] = "9"
         assert fails(tampered)
 
 

@@ -261,6 +261,25 @@ def test_malformed_ring_files_exit_three(capsys, tmp_path):
             assert err.startswith("error:") and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("pairs, message", [
+    # the first torus(2) product, t1 * t2 = vol, with coordinate 0 listed twice
+    ([[0, "1"], [0, "1"]], "coordinate index 0 is repeated"),
+    # the dense vector that qrob.ring/1 wrote for the same product
+    (["1"], '[index, "coefficient"]'),
+], ids=["repeated-index", "dense-vector"])
+def test_ring_file_products_must_be_index_coefficient_pairs(capsys, tmp_path, pairs, message):
+    ring_file = tmp_path / "ring.json"
+    run(capsys, "export", "torus(2)", "-o", str(ring_file))
+    doc = json.loads(ring_file.read_text())
+    product = doc["ring"]["structure"][0]["products"][0]
+    assert product == [0, 1, [[0, "1"]]]
+    product[2] = pairs
+    ring_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ring", "show", f"@{ring_file}")
+    assert code == 3 and err.startswith("error:") and message in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "{garbage}"),
     ("verify", "{missing}"),
@@ -343,6 +362,7 @@ def test_presentation_word_with_unknown_generator_exit_three(capsys, tmp_path, g
     (("structure", 0, "products", 0, 0), 0.2),
     (("monomial_presentation", "generators", 0, "index"), False),
     (("monomial_presentation", "words", 1, 1, 0), 1.7),
+    (("structure", 0, "products", 0, 2, 0, 0), 0.3),
 ])
 def test_ring_file_integer_fields_must_be_integers(capsys, tmp_path, path, value):
     # int() would truncate each value to the honest torus(2) one, so the

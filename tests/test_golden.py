@@ -6,58 +6,65 @@ certificate or witness payloads, or the document layout shows up here; when
 such a change is intended, update the digest and say why in CHANGES.md.
 """
 
+import functools
 import hashlib
+import json
 
 import pytest
 
 from conftest import CATALOG
 from qrob import Query, run_query
-from qrob.pipeline import document_json, result_to_obj
+from qrob.pipeline import document_json, result_to_obj, verify_document
 
 GOLDEN = {
     ("torus(2)", "vol(1)", 2):
-        "f066ceec8a6f22f8f2aafda4e7f634150287d34f1897a1c919f572d2fb906ec7",
+        "4c96bcc2bc2ec40ea32e7105d9a7cf7eff649d762dd8e68141c4b30052c9be3a",
     ("torus(3)", "vol(1)", 3):
-        "adf3b5290adfdcd10b042ab396dabd1d4983d7b21c6bec64366498ee1075874b",
+        "7b72067287b6239c2baaba05f29efceafed316deb0eb29affaa00b21c511181c",
     ("torus(4)", "vol(1)", 4):
-        "0f339df1c4c43876f6e8fb87f12ef91178230883d3a0bfa791bdd978ecc00fc6",
+        "1d6dfe4f1ecf2f33a5ca4c380c98c689c22de509e9fe0085c9a5907aa0ceda85",
     ("torus(5)", "vol(1)", 5):
-        "ec4d4dea82769bca87e85d7171719f52d5a7eb31a8f5c3145f14709bc53ab395",
+        "831f0a16583bede253525a5fe7de66334750edfc9a2d4244d3f0978669dff4aa",
     ("surface(1) * cp(2)", "vol(1)^sym(2)", 4):
-        "4560f9d27e2ab5e1d17032c01de1e83ae18977166c0ce2855762240cc3bfd856",
+        "b1809825b7bc230eebe7632928738c3e968e4f097f7d35c2573b3a6d9ec00a07",
     ("surface(2) * cp(2)", "vol(1)^sym(2)", 4):
-        "b1390360852269c0ee3c6eb5b70511c7fe0431118cd36708f47a118eade6526d",
+        "38d6bc5a28d81f239b9cc64594cd90a3f8cf073182882b3f1ab714b1a170d41d",
     ("surface(3) * cp(2)", "vol(1)^sym(2)", 4):
-        "0e7ceeed87b77a0d0870204599fad25afca46aa3ee2ac4a9de223f929d02e644",
+        "8dcc81efcbb9f9d6b090908a23ba26d6f70cfb1b61e772088cfc1a6e070d2277",
     ("surface(4) * cp(2)", "vol(1)^sym(2)", 4):
-        "ded937996be9b5a9f3c32a47f4fd0f5d542b551c406f3460ed891aeb27109e92",
+        "aab1e4690157e9f3a198c0df08464330e2d56134584e4961a33f780f6c422e81",
     ("surface(5) * cp(2)", "vol(1)^sym(2)", 4):
-        "194b96df024b751e16f626f33b994158c443c0f6bf75cb6068041462d151dde2",
+        "8fac8b92bfd2ead242dfa8c5736a65d2dcc9c1c5ca90ce9995a5ffa9506bcc86",
     ("connsum(s2xs2,1) * cp(2)", "vol(1)^sym(2)", 6):
-        "02f096eb3f5829a719140586a2f16a3797e31296faa929b2883a95ba0895ca24",
+        "ea464f698e9dfd98fdb379d6de49177fda7f9cffe5c0eb05a7f948f8eca47c2c",
     ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6):
-        "bb39128be2fcd3fa9bb3f0f71060a8d85784e55db76dce11c828bf2ba2923cb5",
+        "7b0c8a58e1310e29def55e454426aed7a96bea2bda4c6ccc51dbc40da62c49b5",
     ("connsum(s2xs2,3) * cp(2)", "vol(1)^sym(2)", 6):
-        "b07240239964b2b5c1abde12dc40a1b852a74c88864217153dd60e5f75fe6c2c",
+        "c1a1a421cf1dd0fdc5ad1f014148e68bf6fc7f62750b32174e9add2146253b42",
     ("connsum(s2xs2,4) * cp(2)", "vol(1)^sym(2)", 6):
-        "4784539ce1c2b84857b81abd950e628128d7a64a7f43d5529b52a0650b191955",
+        "2d5a136cd92900065264b7d30ab6a7387b402a3a05b83591ac63fecf326a2a41",
     ("connsum(s2xs2,5) * cp(2)", "vol(1)^sym(2)", 6):
-        "8b156abb540ea7bbe081acd7ea091f1651e1cb378e2bf5d392a9255f9d593cd5",
+        "8402b22043ccdf69b766bc274799047ebecfa2f149f606b85f04ab6b39270496",
     ("connsum(s2xs2,6) * cp(2)", "vol(1)^sym(2)", 6):
-        "2153604167add9fcf0f1d57132682557596eea91924902f65292e3db985c6013",
+        "ef4dce00a84dd0cad47f2ac63f9416194b92766e98e63707e9beb7e309bff047",
     ("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6):
-        "62e96ebae19dc88798b8c713d183223ad7abe14e5a244dfac72bb9b8a63b9d07",
+        "dc7757f2b51b559814864f6869b07334993f54ec450e2ac5efedfa49e1787fa0",
     ("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6):
-        "11ce18aa2012d0cc11f6ab802e8dbb50c1d6479f56a8a68e1d8c067dd6136aee",
+        "0a3c90ab4800a9eb3779b0c1b56154d8649c6b63ab8b6273d87c5f59f0f826a5",
     ("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6):
-        "71fc313faa1a32b466c0ce0ef329266c77fe44a52024e32adaad53637d5f0c3b",
+        "2885d40e7f9bead08eb4277a9f1724ab475d5acaf9dc1c7bd734a57669525c1a",
     ("connsum(s2xs2,10) * cp(2)", "vol(1)^sym(2)", 6):
-        "693e351b9d3d2a763871cb3b33dae2849d5ac29b24bb9aaa4be05c85872c8ac2",
+        "97b1f1f53bbe4d0afef7de5156c5641430731a5ae562b4f5e95f34b0fb193aae",
     ("cp(2)", "sym(1)^sym(1)", 4):
-        "7f3dd37dff9ef822956646fe451d8745565b583d9bcfb7c2919bc08feb6a9bb5",
+        "9d178840a6d6556eda66a3bdd494bd667dd241414fc73fa06dd72f8626ffa06f",
     ("cp(3)", "sym(1)^sym(1)^sym(1)", 6):
-        "f5523ea02c488324c9deccaaea174f593005e930cfbf47828c4bda02df8cf270",
+        "63e927fb582a2a2bc89702729c41dfe9ecf8f28e53fa840990119485bc7c3660",
 }
+
+
+@functools.cache
+def _document(query) -> str:
+    return document_json(result_to_obj(run_query(Query(*query))))
 
 
 def test_golden_covers_the_catalog():
@@ -67,5 +74,20 @@ def test_golden_covers_the_catalog():
 @pytest.mark.parametrize("query", CATALOG,
                          ids=[f"{m}|{o}|{n}" for m, o, n in CATALOG])
 def test_catalog_document_bytes(query):
-    doc = document_json(result_to_obj(run_query(Query(*query))))
+    doc = _document(query)
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN[query]
+
+
+@pytest.mark.parametrize("query", CATALOG,
+                         ids=[f"{m}|{o}|{n}" for m, o, n in CATALOG])
+def test_catalog_documents_verify_and_keep_products_sparse(query):
+    # no derived products table, and every ring product is its nonzero
+    # coordinates as [index, "coefficient"] pairs in increasing index
+    doc = json.loads(_document(query))
+    verify_document(doc)
+    assert "products_table" not in (doc["certificate"] or {})
+    for table in doc["ring"]["structure"]:
+        for _, _, pairs in table["products"]:
+            indexes = [t for t, _ in pairs]
+            assert pairs and indexes == sorted(set(indexes)), (table["p"], table["q"])
+            assert "0" not in [c for _, c in pairs], (table["p"], table["q"])

@@ -151,24 +151,60 @@ def test_build_is_deterministic():
 
 
 def test_ring_serialization_round_trip():
-    for text in ("torus(3)", "surface(2) * cp(2)", "connsum(s2xs2,2)"):
+    for text in (*LAW_RINGS, "connsum(s2xs2,2)"):
         ring = build(parse_manifold(text))
         back = GradedRing.from_obj(ring.to_obj())
         assert back == ring
         assert back.to_obj() == ring.to_obj()
 
 
-def _dense_ring_obj(ring: GradedRing) -> dict:
-    """A ring's serialized object with every product vector formatted in
-    full, zero coordinates included."""
+def _sheared_torus3_obj() -> dict:
+    """torus(3) in the degree-1 basis t1 + t2, t2, t3, without a presentation,
+    so (t1 + t2) * t3 = t1^t3 + t2^t3 has two coordinates. No product lands
+    in degree 1, so only the products with a degree-1 factor change."""
+    ring = build(Torus(3))
+
+    def basis(k, i):
+        return {0: Fraction(1), 1: Fraction(1)} if (k, i) == (1, 0) else {i: Fraction(1)}
+
+    obj = ring.to_obj()
+    obj["monomial_presentation"] = None
+    obj["structure"] = []
+    for p, q in sorted(ring.structure):
+        products = []
+        for i in range(ring.dims[p]):
+            for j in range(ring.dims[q]):
+                vec = ring.times(p, basis(p, i), q, basis(q, j))
+                if vec:
+                    products.append([i, j, [[t, str(c)] for t, c in sorted(vec.items())]])
+        obj["structure"].append({"p": p, "q": q, "products": products})
+    return obj
+
+
+def test_product_pairs_are_read_in_any_order_and_written_in_increasing_index():
+    obj = _sheared_torus3_obj()
+    ring = GradedRing.from_obj(obj)
+    assert ring.to_obj() == obj
+    assert ring.product_vec(1, 0, 1, 2) == {1: 1, 2: 1}
+    for table in obj["structure"]:
+        for _, _, pairs in table["products"]:
+            pairs.reverse()
+    assert GradedRing.from_obj(obj).to_obj() == ring.to_obj()
+
+
+def _pair_ring_obj(ring: GradedRing) -> dict:
+    """A ring's serialized object with every product written as the
+    [index, "coefficient"] pairs of its nonzero coordinates, in increasing
+    index, read off each dense coordinate range."""
     tables = []
     for p, q in sorted(ring.structure):
         table = ring.structure[(p, q)]
         width = ring.dims[p + q]
-        products = [
-            [i, j, [str(Fraction(table[(i, j)].get(t, 0))) for t in range(width)]]
-            for i, j in sorted(table)
-        ]
+        products = []
+        for i, j in sorted(table):
+            vec = table[(i, j)]
+            pairs = [[t, str(Fraction(vec[t]))] for t in range(width) if vec.get(t, 0)]
+            products.append([i, j, pairs])
         if products:
             tables.append({"p": p, "q": q, "products": products})
     pres = ring.presentation
@@ -191,28 +227,36 @@ def _dense_ring_obj(ring: GradedRing) -> dict:
 def test_to_obj_matches_dense_formatting():
     for manifold in LAW_RINGS:
         ring = build(parse_manifold(manifold))
-        assert ring.to_obj() == _dense_ring_obj(ring), manifold
+        assert ring.to_obj() == _pair_ring_obj(ring), manifold
 
 
 def test_from_obj_rejects_corruption():
     ring = build(Torus(2))
     obj = ring.to_obj()
-    obj["structure"][0]["products"][0][2][0] = "5"  # break commutativity
+    obj["structure"][0]["products"][0][2][0][1] = "5"  # break commutativity
     with pytest.raises(RingValidationError):
         GradedRing.from_obj(obj)
 
 
 def _set_coefficient(obj: dict, p: int, q: int, i: int, j: int, t: int, value) -> None:
-    """Set coordinate t of basis_p[i] * basis_q[j] in a ring object's tables."""
+    """Set coordinate t of basis_p[i] * basis_q[j] in a ring object's tables:
+    edit the coefficient of its [t, "c"] pair, or insert the pair in index
+    order. A zero is written as "0", which reading drops."""
     table = next((e for e in obj["structure"] if (e["p"], e["q"]) == (p, q)), None)
     if table is None:
         table = {"p": p, "q": q, "products": []}
         obj["structure"].append(table)
     entry = next((e for e in table["products"] if (e[0], e[1]) == (i, j)), None)
     if entry is None:
-        entry = [i, j, ["0"] * obj["dims"][p + q]]
+        entry = [i, j, []]
         table["products"].append(entry)
-    entry[2][t] = str(value)
+    pairs = entry[2]
+    pair = next((pair for pair in pairs if pair[0] == t), None)
+    if pair is None:
+        pair = [t, None]
+        pairs.append(pair)
+        pairs.sort(key=lambda pair: pair[0])
+    pair[1] = str(value)
 
 
 def test_from_obj_agrees_with_oracle_on_corruptions():
@@ -364,7 +408,7 @@ def _skewed_form_ring():
         "dims": [1, 0, 3, 0, 1],
         "labels": [["1"], [], ["x1", "x2", "x3"], [], ["vol"]],
         "structure": [{"p": 2, "q": 2, "products": [
-            [i, j, [str(c)]] for i, row in enumerate(form) for j, c in enumerate(row) if c
+            [i, j, [[0, str(c)]]] for i, row in enumerate(form) for j, c in enumerate(row) if c
         ]}],
     })
 
