@@ -27,6 +27,10 @@ from .manifolds import (
 from .ring import GradedRing, RingElement
 
 
+# ASCII only: str.isdigit also accepts characters such as "²" that int() rejects
+_DIGITS = frozenset("0123456789")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -61,7 +65,7 @@ class _Scanner:
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start or not self.text[start : self.pos].lstrip("+-"):
             raise ParseError("expected an integer", start, self.text)
@@ -154,7 +158,7 @@ def _omega_term(s: _Scanner, ring, factors) -> RingElement:
         s.pos += 1
         sign = -sign
     coeff = Fraction(1)
-    if s.peek().isdigit():
+    if s.peek() in _DIGITS:
         coeff = _omega_rational(s)
         if s.peek() == "*":
             s.pos += 1

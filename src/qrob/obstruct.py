@@ -186,10 +186,14 @@ class KroneckerSystem:
                 )
 
     def certificate(self, n: int) -> Certificate | None:
-        """The certificate when the checked system breaks the kind's bound."""
+        """The certificate when the checked system breaks the kind's bound in
+        dimension n, which must be the degree of diag * cofactor."""
         self.check()
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
+        omega = multiply(self.diag, self.cofactor)
+        if omega.degrees() != {n}:
+            raise InvalidSystemError(f"{diag} * cofactor is not of degree n = {n}")
         m, kp = len(self.rows), self.rows[0].degree()
         rel, rhs = pattern.bound(n, kp)
         inequality = Inequality(m, rel, rhs)
@@ -206,7 +210,7 @@ class KroneckerSystem:
                 diag: self.diag, "cofactor": self.cofactor,
                 row: list(self.rows), col: list(self.cols),
             },
-            omega=multiply(self.diag, self.cofactor),
+            omega=omega,
             conclusion=pattern.conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
         )
 

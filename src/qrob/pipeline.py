@@ -8,10 +8,7 @@ deterministic and re-checkable via `verify_document`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn
 
 from .dsl import parse_manifold, parse_omega
@@ -37,6 +34,7 @@ from .ring import (
     RING_FORMAT,
     GradedRing,
     RingElement,
+    canonical_json,
     in_kunneth_ideal,
     kunneth_ideal_basis,
     poincare_pairing,
@@ -246,30 +244,8 @@ def result_to_obj(result: QueryResult) -> dict:
 
 
 def document_json(obj: dict) -> str:
-    r"""json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, in
-    about half the time of json.dumps's pure-Python indenting encoder."""
-    return _json_value(obj, "\n") + "\n"
-
-
-def _json_value(v, newline: str) -> str:
-    r"""v as indented JSON at the level whose line break is `newline`. Only
-    str, int, list and str-keyed dict are written here; json.dumps writes
-    every other value."""
-    kind = type(v)
-    if kind is str:
-        return _quote(v)
-    if kind is int:
-        return int.__repr__(v)
-    if not v:  # None, False and empty containers read the same unindented
-        return json.dumps(v)
-    inner = newline + "  "
-    if kind is list:
-        items = [_quote(x) if type(x) is str else _json_value(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and all(type(k) is str for k in v):
-        items = [_quote(k) + ": " + _json_value(x, inner) for k, x in sorted(v.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(v, sort_keys=True, indent=2).replace("\n", newline)
+    """obj in the canonical encoding that ring hashes use, one line per file."""
+    return canonical_json(obj) + "\n"
 
 
 _ABSENT = object()
@@ -288,7 +264,7 @@ def _differences(expected, recorded, path: str = "") -> list[str]:
             )
         ]
     same = expected is recorded or _ABSENT not in (expected, recorded) and (
-        json.dumps(expected, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+        canonical_json(expected) == canonical_json(recorded)
     )
     return [] if same else [path]
 
@@ -328,8 +304,7 @@ def _rederive(
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
         expr, rebuilt, omega, preconditions = _prepare(query)
-        embedded = json.dumps(obj["ring"], sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(embedded.encode("utf-8")).hexdigest() != rebuilt.hash_hex():
+        if canonical_json(obj["ring"]) != rebuilt.canonical_json():
             _fail("query does not rebuild to the embedded ring")
         verdict = obj["verdict"]
         if verdict != UNKNOWN and not all(preconditions.values()):

@@ -33,6 +33,13 @@ from .linalg import (
 
 RING_FORMAT = "qrob.ring/2"
 
+
+def canonical_json(obj) -> str:
+    """The one JSON encoding: compact, key-sorted and ASCII-escaped. Ring
+    hashes are the SHA-256 of it, and every document is written in it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 SparseVec = dict[int, Fraction]
 # structure[(p, q)][(i, j)] = sparse coordinate vector of basis_p[i] * basis_q[j]
 # in degree p+q; only degrees p, q >= 1 with p+q <= top_degree are stored, and
@@ -115,6 +122,7 @@ class GradedRing:
         "structure",
         "fundamental_index",
         "presentation",
+        "_canonical",
         "_hash_hex",
     )
 
@@ -136,7 +144,7 @@ class GradedRing:
         }
         self.fundamental_index = int(fundamental_index)
         self.presentation = presentation
-        self._hash_hex = None
+        self._canonical = self._hash_hex = None
 
     # -- elements ---------------------------------------------------------
 
@@ -255,7 +263,11 @@ class GradedRing:
         return ring
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        """canonical_json(self.to_obj()), computed once: the text that
+        hash_hex hashes and that an embedded copy of the ring must equal."""
+        if self._canonical is None:
+            self._canonical = canonical_json(self.to_obj())
+        return self._canonical
 
     def hash_hex(self) -> str:
         if self._hash_hex is None:
@@ -488,7 +500,8 @@ class RingElement:
                 raise ValueError(f"degree {k} out of range")
             if len(vec) != ring.dims[k]:
                 raise ValueError(f"coordinate length mismatch in degree {k}")
-            sparse = {i: c for i, c in enumerate(map(Fraction, vec)) if c}
+            exact = (c if type(c) is Fraction else Fraction(c) for c in vec)
+            sparse = {i: c for i, c in enumerate(exact) if c}
             if sparse:
                 clean[k] = sparse
         self._coords = clean

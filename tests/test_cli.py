@@ -87,6 +87,13 @@ def test_check_parse_error_exit_three(capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("manifold,omega", [("torus(²)", "vol(1)"), ("torus(2)", "²*vol(1)")])
+def test_check_non_ascii_digit_exit_three(capsys, manifold, omega):
+    # "²" passes str.isdigit but not int(): a parse error, not an internal one
+    code, _, err = run(capsys, "check", manifold, "--omega", omega, "--n", "2")
+    assert code == 3 and "position" in err
+
+
 def test_check_bad_dimension_exit_three(capsys):
     code, _, err = run(
         capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "7"

@@ -1,6 +1,8 @@
 """Query pipeline paths and document re-verification."""
 
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,9 @@ from qrob import (
     verify_document,
 )
 from qrob.cli import main
-from qrob.errors import VerificationFailure
+from qrob.errors import InvalidSystemError, VerificationFailure
 from qrob.homsearch import EnumBudget
+from qrob.obstruct import _PATTERNS, Inequality, KroneckerSystem
 from qrob.pipeline import (
     certificate_to_obj,
     document_json,
@@ -280,6 +283,27 @@ def test_obstructed_verdict_requires_preconditions(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     assert "preconditions" in capsys.readouterr().out
     with pytest.raises(VerificationFailure, match="preconditions"):
+        verify_document(doc)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_kronecker_certificate_needs_n_equal_to_omega_degree(n):
+    # target * cofactor has degree 6: a bound read in any other dimension
+    # proves nothing, even though C(n, 3) < 16 for every n below 6
+    honest = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    cert = honest.certificate
+    assert cert.kind == "DualPair" and cert.omega.degree() == 6
+    system = KroneckerSystem.from_classes(cert.kind, cert.classes, lambda x: x)
+    with pytest.raises(InvalidSystemError, match="degree n"):
+        system.certificate(n)
+    # the document that certificate(n) used to write, with the ring embedded
+    m, kp, rhs = cert.inequality.lhs, cert.k_prime, math.comb(n, cert.k_prime)
+    forged = dataclasses.replace(
+        cert, n=n, inequality=Inequality(m, ">", rhs),
+        conclusion=_PATTERNS["DualPair"].conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
+    )
+    doc = dict(certificate_to_obj(forged), ring=honest.ring.to_obj())
+    with pytest.raises(VerificationFailure, match="degree n"):
         verify_document(doc)
 
 

@@ -220,51 +220,3 @@ def test_edited_verdict_documents_fail_verification(edited):
     # an edited cofactor with the same product with the factor still proves
     # the claim; the search log is advisory
     assert path[0] == "search_log" or path[:2] == ("certificate", "classes"), path
-
-
-_LABELS = st.sampled_from(
-    ["", "⊗", "vol(1)^sym(2) ⊗ t1", '"quoted"', "back\\slash", "\x00\x01\x1f\x7f",
-     "tab\tnew\nline", "  ", "é", "😀", "\ud800"]
-)
-_JSON_LEAVES = (
-    st.none() | st.booleans() | st.sampled_from([True, 1, False, 0])
-    | st.integers() | st.integers(min_value=-(10**80), max_value=10**80)
-    | st.text(max_size=8) | _LABELS | st.floats()
-)
-# lists and dicts with str keys are written by document_json itself; tuples,
-# floats and int keys go through json.dumps, nested at any depth
-_JSON_TREES = st.recursive(
-    _JSON_LEAVES,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.dictionaries(st.text(max_size=4) | _LABELS, kids, max_size=4)
-    | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(st.integers(-3, 3), kids, max_size=3),
-    max_leaves=40,
-)
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_TREES)
-def test_document_json_matches_json_dumps(value):
-    assert document_json(value) == _dumps(value)
-
-
-def test_document_json_matches_json_dumps_on_documents():
-    from conftest import CATALOG
-    from qrob.pipeline import certificate_to_obj, ring_document, witness_to_obj
-
-    fixed = {"b": [True, 1, False, 0, None, [], {}, [[]], {"": {}}], "a": "⊗"}
-    assert document_json(fixed) == _dumps(fixed)
-    for manifold, omega, n in CATALOG:
-        result = run_query(Query(manifold, omega, n))
-        docs = [result_to_obj(result), ring_document(result.ring)]
-        if result.certificate is not None:
-            docs.append(certificate_to_obj(result.certificate))
-        if result.witness is not None:
-            docs.append(witness_to_obj(result.witness, result.omega))
-        for doc in docs:
-            assert document_json(doc) == _dumps(doc), (manifold, doc.get("format"))
