@@ -149,113 +149,72 @@ def _compositions(total: int, maxima: list[int]):
             yield (first,) + rest
 
 
-def _connsum_summands(expr: ManifoldExpr) -> list[ManifoldExpr]:
-    if isinstance(expr, ConnSum):
-        return _connsum_summands(expr.left) + _connsum_summands(expr.right)
-    return [expr]
-
-
 def _factor_gen_images(
     expr: ManifoldExpr, axes: tuple[int, ...], n: int
 ) -> list[ExtElement] | None:
-    """Generator images for one factor on a block of axes; None if no template.
+    """Images of a prefix of one factor's generators on a nonempty block of
+    axes; None if no template. The remaining generators map to zero.
 
     Catalog: torus generators to distinct axes, the projective-space generator
     to a sum of disjoint 2-blades, sphere and S2xS2 classes to full blocks,
-    connected sums to a template on the first summand with zeros elsewhere.
+    connected sums to the template of their leftmost summand, whose generators
+    come first in the sum's ring.
     """
-    zero = ExtElement.zero(n)
     if isinstance(expr, Torus):
         if len(axes) > expr.n:
             return None
-        images = [
-            ExtElement.basis(n, (axes[i],)) if i < len(axes) else zero
-            for i in range(expr.n)
-        ]
-        return images
+        return [ExtElement.basis(n, (a,)) for a in axes]
     if isinstance(expr, Sphere):
-        if not axes:
-            return [zero]
         if len(axes) == expr.n:
             return [ExtElement.basis(n, axes)]
         return None
     if isinstance(expr, CPm):
         if len(axes) % 2 or len(axes) > 2 * expr.m:
             return None
-        pairs = [
-            (axes[2 * i], axes[2 * i + 1]) for i in range(len(axes) // 2)
-        ]
-        image = zero
-        for pair in pairs:
-            image = image + ExtElement.basis(n, pair)
+        image = ExtElement.zero(n)
+        for i in range(0, len(axes), 2):
+            image = image + ExtElement.basis(n, axes[i : i + 2])
         return [image]
     if isinstance(expr, S2xS2):
-        if not axes:
-            return [zero, zero]
         if len(axes) == 4:
-            return [
-                ExtElement.basis(n, (axes[0], axes[1])),
-                ExtElement.basis(n, (axes[2], axes[3])),
-            ]
+            return [ExtElement.basis(n, axes[:2]), ExtElement.basis(n, axes[2:])]
         return None
     if isinstance(expr, Surface):
-        if not axes:
-            return [zero] * (2 * expr.g)
         if len(axes) == 2:
-            return [
-                ExtElement.basis(n, (axes[0],)),
-                ExtElement.basis(n, (axes[1],)),
-            ] + [zero] * (2 * expr.g - 2)
+            return [ExtElement.basis(n, (a,)) for a in axes]
         return None
     if isinstance(expr, ConnSum):
-        # The merged ring keeps all generators of the first summand but only
-        # the middle-degree generators of the rest; the template puts the whole
-        # block on the first summand and zero everywhere else.
-        summands = _connsum_summands(expr)
-        parts: list[ExtElement] = []
-        for pos, summand in enumerate(summands):
-            if pos == 0:
-                block = _factor_gen_images(summand, axes, n)
-                if block is None:
-                    return None
-                parts.extend(block)
-            else:
-                ring = build(summand)
-                middle = sum(
-                    1
-                    for g in ring.presentation.generators
-                    if g.degree < ring.top_degree
-                )
-                parts.extend([zero] * middle)
-        return parts
+        return _factor_gen_images(expr.left, axes, n)
     return None
 
 
 def witness_template(
     expr: ManifoldExpr, omega: RingElement, n: int
 ) -> HomWitness | None:
-    """Try the template catalog over axis-block allocations; verified only."""
+    """Try the template catalog over axis-block allocations; verified only.
+
+    A factor given no axes maps all its generators to zero; each block is
+    padded with zeros up to its factor ring's generator count."""
     ring = build(expr)
     factors = factor_list(expr)
     factor_rings = [build(f) for f in factors]
     maxima = [min(n, r.top_degree) for r in factor_rings]
+    zero = ExtElement.zero(n)
     for sizes in _compositions(n, maxima):
         start = 1
         gen_images: list[ExtElement] = []
-        ok = True
-        for f_expr, size in zip(factors, sizes):
+        for f_expr, f_ring, size in zip(factors, factor_rings, sizes):
             axes = tuple(range(start, start + size))
             start += size
-            block = _factor_gen_images(f_expr, axes, n)
+            block = _factor_gen_images(f_expr, axes, n) if axes else []
             if block is None:
-                ok = False
                 break
-            gen_images.extend(block)
-        if not ok or len(gen_images) != len(ring.presentation.generators):
-            continue
-        witness = witness_from_generators(ring, gen_images, n)
-        if verify_hom(witness, omega):
-            return witness
+            padding = len(f_ring.presentation.generators) - len(block)
+            gen_images += block + [zero] * padding
+        else:
+            witness = witness_from_generators(ring, gen_images, n)
+            if verify_hom(witness, omega):
+                return witness
     return None
 
 

@@ -2,10 +2,13 @@
 
 The expression AST covers spheres, tori, orientable surfaces, complex
 projective spaces, S2xS2, binary products (via the tensor-product basis with
-the Koszul sign rule) and connected sums. Connected sums identify the top
-classes, take direct sums in middle degrees, and set cross-summand products
-of positive degree to zero; the duality check in `GradedRing.validate` guards
-that rule after every build.
+the Koszul sign rule) and connected sums. A connected sum is built in one
+pass over its flattened summands: it identifies the top classes, takes
+direct sums in middle degrees in summand order, and sets cross-summand
+products of positive degree to zero; the duality check in
+`GradedRing.validate` guards that rule after every build. Its presentation
+keeps every generator of the first summand, then the middle-degree
+generators of the others, and its middle classes are labelled c1..cN.
 """
 
 from __future__ import annotations
@@ -312,23 +315,35 @@ def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:
 
 # -- connected sum ------------------------------------------------------------
 
-def _connsum_ring(a: GradedRing, b: GradedRing) -> GradedRing:
-    d = a.top_degree
-    if b.top_degree != d:
-        raise RingValidationError(
-            f"connected sum needs equal top degrees, got {d} and {b.top_degree}"
-        )
+
+def _connsum_summands(expr: ManifoldExpr) -> list[ManifoldExpr]:
+    """Flatten nested connected sums left-to-right into the summand sequence."""
+    if isinstance(expr, ConnSum):
+        return _connsum_summands(expr.left) + _connsum_summands(expr.right)
+    return [expr]
+
+
+def _connsum_ring(rings: list[GradedRing]) -> GradedRing:
+    d = rings[0].top_degree
+    for ring in rings[1:]:
+        if ring.top_degree != d:
+            raise RingValidationError(
+                f"connected sum needs equal top degrees, got {d} and {ring.top_degree}"
+            )
     if d < 2:
         raise RingValidationError("connected sum needs top degree >= 2")
-    dims = [1] + [a.dims[k] + b.dims[k] for k in range(1, d)] + [1]
-    # index offsets per degree: the right summand's middle classes follow the
-    # left's; products into degree d land on the one fundamental class
-    summands = ((a, [0] * (d + 1)), (b, a.dims))
+    # index offsets per degree: each summand's middle classes follow those of
+    # the summands before it; products into degree d land on the one
+    # fundamental class
+    offsets = [[0] * (d + 1)]
+    for ring in rings:
+        offsets.append([o + dim for o, dim in zip(offsets[-1], ring.dims)])
+    dims = [1, *offsets.pop()[1:d], 1]
     structure = {}
     for p in range(1, d):
         for q in range(1, d - p + 1):
             table: dict[tuple[int, int], SparseVec] = {}
-            for ring, off in summands:
+            for ring, off in zip(rings, offsets):
                 for (i, j), vec in ring._table(p, q).items():
                     if p + q == d:
                         c = vec.get(ring.fundamental_index)
@@ -339,43 +354,28 @@ def _connsum_ring(a: GradedRing, b: GradedRing) -> GradedRing:
                         table[(i + off[p], j + off[q])] = vec
             if table:
                 structure[(p, q)] = table
+    labels = [["1"], *([f"c{i + 1}" for i in range(n)] for n in dims[1:d]), ["vol"]]
 
-    pres = None
-    if a.presentation and b.presentation:
-        gens: list[Generator] = list(a.presentation.generators)
+    # every generator of the first summand, then the middle-degree ones of the
+    # rest: a later summand's top class is identified away
+    gens: list[Generator] = []
+    words: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(1, d)]
+    for pos, (ring, off) in enumerate(zip(rings, offsets)):
         remap: dict[int, int] = {}
-        for gid, g in enumerate(b.presentation.generators):
-            if g.degree >= d:
-                continue  # the right summand's top class is identified away
+        for gid, g in enumerate(ring.presentation.generators):
+            if pos and g.degree >= d:
+                continue
             remap[gid] = len(gens)
-            gens.append(Generator(g.degree, g.index + a.dims[g.degree], g.name))
-        words: list[tuple[tuple[int, ...], ...]] = [((),)]
+            index = g.index + off[g.degree]
+            gens.append(Generator(g.degree, index, labels[g.degree][index]))
         for k in range(1, d):
-            per = list(a.presentation.words[k])
-            for w in b.presentation.words[k]:
-                per.append(tuple(remap[gid] for gid in w))
-            words.append(tuple(per))
-        words.append((tuple(a.presentation.words[d][a.fundamental_index]),))
-        pres = Presentation(tuple(gens), tuple(words))
-    # _relabel_middle names the classes and generators
-    return _relabel_middle(GradedRing(d, dims, [()] * (d + 1), structure, 0, pres))
-
-
-def _relabel_middle(ring: GradedRing) -> GradedRing:
-    """Rename middle-degree classes to the canonical c1..cN convention."""
-    d = ring.top_degree
-    labels = [["1"]]
-    for k in range(1, d):
-        labels.append([f"c{i + 1}" for i in range(ring.dims[k])])
-    labels.append(["vol"])
-    pres = ring.presentation
-    if pres:
-        gens = tuple(
-            Generator(g.degree, g.index, labels[g.degree][g.index])
-            for g in pres.generators
-        )
-        pres = Presentation(gens, pres.words)
-    return GradedRing(d, ring.dims, labels, ring.structure, ring.fundamental_index, pres)
+            words[k].extend(
+                tuple(remap[gid] for gid in w) for w in ring.presentation.words[k]
+            )
+    first = rings[0]
+    words.append([tuple(first.presentation.words[d][first.fundamental_index])])
+    pres = Presentation(tuple(gens), tuple(tuple(per) for per in words))
+    return GradedRing(d, dims, labels, structure, 0, pres)
 
 
 # -- build --------------------------------------------------------------------
@@ -395,13 +395,9 @@ def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...
     elif isinstance(expr, S2xS2):
         ring = _s2xs2_ring()
     elif isinstance(expr, Surface):
-        ring = _relabel_middle(_torus_ring(2))
-        for _ in range(expr.g - 1):
-            ring = _connsum_ring(ring, _torus_ring(2))
+        ring = _connsum_ring([_torus_ring(2)] * expr.g)
     elif isinstance(expr, ConnSum):
-        left, _ = _construct(expr.left)
-        right, _ = _construct(expr.right)
-        ring = _connsum_ring(left, right)
+        ring = _connsum_ring([_construct(s)[0] for s in _connsum_summands(expr)])
     elif isinstance(expr, Product):
         lring, lclasses = _construct(expr.left)
         rring, rclasses = _construct(expr.right)

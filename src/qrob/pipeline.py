@@ -63,7 +63,6 @@ class Query:
 @dataclass
 class QueryResult:
     query: Query
-    expr: ManifoldExpr
     ring: GradedRing
     omega: RingElement
     verdict: str
@@ -104,7 +103,7 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
     expr, ring, omega, preconditions = _prepare(query)
     if not all(preconditions.values()):
         return QueryResult(
-            query, expr, ring, omega, UNKNOWN, preconditions,
+            query, ring, omega, UNKNOWN, preconditions,
             search_log={
                 "stopped": "precondition",
                 "detail": "the necessary-condition hypotheses fail; no search run",
@@ -113,24 +112,24 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
     certificate = search_obstruction(ring, omega, query.n)
     if certificate is not None:
         return QueryResult(
-            query, expr, ring, omega, OBSTRUCTED, preconditions,
+            query, ring, omega, OBSTRUCTED, preconditions,
             certificate=certificate,
         )
     witness = witness_template(expr, omega, query.n)
     if witness is not None:
         return QueryResult(
-            query, expr, ring, omega, WITNESS, preconditions,
+            query, ring, omega, WITNESS, preconditions,
             witness=witness, search_log={"witness_method": "template"},
         )
     outcome = enumerate_hom_detailed(ring, omega, query.n, budget)
     if outcome.witness is not None:
         return QueryResult(
-            query, expr, ring, omega, WITNESS, preconditions,
+            query, ring, omega, WITNESS, preconditions,
             witness=outcome.witness,
             search_log={"witness_method": "enumeration", "nodes": outcome.nodes},
         )
     return QueryResult(
-        query, expr, ring, omega, UNKNOWN, preconditions,
+        query, ring, omega, UNKNOWN, preconditions,
         search_log={
             "obstruction": "no certificate found",
             "template": "no verified template",
@@ -220,7 +219,13 @@ def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dic
 
 
 def result_to_obj(result: QueryResult) -> dict:
-    obj = {
+    return {**_verdict_fields(result), "ring": result.ring.to_obj()}
+
+
+def _verdict_fields(result: QueryResult) -> dict:
+    """Every key of a verdict document but the embedded ring, which
+    `_rederive` takes from the recorded document once it matches."""
+    return {
         "format": VERDICT_FORMAT,
         "query": {
             "manifold": result.query.manifold,
@@ -228,7 +233,6 @@ def result_to_obj(result: QueryResult) -> dict:
             "n": result.query.n,
         },
         "ring_hash": result.ring.hash_hex(),
-        "ring": result.ring.to_obj(),
         "omega": result.omega.to_obj(),
         "preconditions": result.preconditions,
         "verdict": result.verdict,
@@ -240,7 +244,6 @@ def result_to_obj(result: QueryResult) -> dict:
         ),
         "search_log": result.search_log,
     }
-    return obj
 
 
 def document_json(obj: dict) -> str:
@@ -303,13 +306,13 @@ def _rederive(
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
-        expr, rebuilt, omega, preconditions = _prepare(query)
+        _, rebuilt, omega, preconditions = _prepare(query)
         if canonical_json(obj["ring"]) != rebuilt.canonical_json():
             _fail("query does not rebuild to the embedded ring")
         verdict = obj["verdict"]
         if verdict != UNKNOWN and not all(preconditions.values()):
             _fail(f"a {verdict} verdict needs both preconditions to hold")
-        result = QueryResult(query, expr, rebuilt, omega, verdict, preconditions)
+        result = QueryResult(query, rebuilt, omega, verdict, preconditions)
         if verdict == OBSTRUCTED:
             cert = verify_certificate_obj(obj["certificate"], rebuilt)
             if cert.n != query.n or cert.omega != omega:
@@ -328,8 +331,8 @@ def _rederive(
             summary = "preconditions re-verified (verdict UNKNOWN carries no payload)"
         else:
             _fail(f"unknown verdict {verdict!r}")
-        expected = result_to_obj(result)
-        # the embedded ring matched the rebuilt ring's hash; the log is advisory
+        expected = _verdict_fields(result)
+        # the embedded ring matched the rebuilt ring's text; the log is advisory
         for key in ("ring", "search_log"):
             expected[key] = obj.get(key, _ABSENT)
         return expected, summary

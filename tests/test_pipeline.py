@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qrob import (
+    GradedRing,
     Query,
     QrobError,
     S2xS2,
@@ -24,6 +25,7 @@ from qrob import (
     submanifold_bound,
     verify_document,
 )
+from qrob import manifolds
 from qrob.cli import main
 from qrob.errors import InvalidSystemError, VerificationFailure
 from qrob.homsearch import EnumBudget
@@ -352,3 +354,23 @@ def test_verdict_document_rejects_edit_outside_the_payload_checks(query, edit):
     edit(doc)
     with pytest.raises(VerificationFailure):
         verify_document(doc)
+
+
+@pytest.mark.parametrize("query", [_OBSTRUCTED_QUERY, _WITNESS_QUERY],
+                         ids=["obstructed", "witness"])
+def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
+    # verify compares the recorded ring with the rebuilt ring's canonical
+    # text and takes the embedded copy from the document; writing the rebuilt
+    # ring a second time for the expected document would be thrown away
+    doc = json.loads(document_json(result_to_obj(run_query(query))))
+    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
+    calls = []
+    to_obj = GradedRing.to_obj
+
+    def counted(ring):
+        calls.append(ring)
+        return to_obj(ring)
+
+    monkeypatch.setattr(GradedRing, "to_obj", counted)
+    verify_document(doc)
+    assert len(calls) == 1

@@ -128,13 +128,37 @@ def test_pairing_sphere_degree0():
 def test_surface_equals_connsum_of_tori():
     direct = build(Surface(3))
     folded = build(connsum_power(Torus(2), 3))
-    assert direct.dims == folded.dims
-    assert direct.structure == folded.structure
+    assert direct.canonical_json() == folded.canonical_json()
+
+
+# Connected sums the DSL's connsum(X, v) cannot write: each case lists its
+# groupings of one summand sequence, and the ring hash of their shared ring.
+_T2 = Torus(2)
+_AST_SUMS = [
+    ([ConnSum(Sphere(4), CPm(2))],
+     "0035c3b28395ad7cbef7e208e3e55d69843c2951ab6eff8d27e5879d55fa52ae"),
+    ([ConnSum(CPm(2), ConnSum(S2xS2(), CPm(2))),
+      ConnSum(ConnSum(CPm(2), S2xS2()), CPm(2))],
+     "181d6d6b553daa4c21e11e591789c58627f78f1271d6a01876854a39719d59cb"),
+    ([ConnSum(_T2, Surface(3)), ConnSum(Surface(3), _T2),
+      ConnSum(ConnSum(_T2, _T2), Surface(2)), Surface(4), connsum_power(_T2, 4)],
+     "1e491ada8ae6774e1e5c26b68ebffec2de53943ba58e1fea29838ca4b0bb8613"),
+    ([ConnSum(Product(_T2, _T2), S2xS2())],
+     "1cf2754146bfcae9a6b206322c1f1a29ca6d68f1bbcbe7875da9672d3d195f3d"),
+]
+
+
+@pytest.mark.parametrize("groupings, ring_hash", _AST_SUMS)
+def test_connsum_from_the_ast_is_one_ring_however_nested(groupings, ring_hash):
+    rings = [build(expr) for expr in groupings]
+    assert {ring.canonical_json() for ring in rings} == {rings[0].canonical_json()}
+    assert ring_law_failure(rings[0].to_obj()) is None
+    assert rings[0].hash_hex() == ring_hash
 
 
 def test_catalog_rings_validate():
     # the connected sums reach `_connsum_ring`'s middle-degree products and
-    # its skip of the right summand's top-degree generator
+    # its skip of a later summand's top-degree generator
     extra = ("connsum(cp(3),2)", "connsum(torus(3),2)", "connsum(sphere(4),2)")
     for manifold in (*LAW_RINGS, *extra):
         ring = build(parse_manifold(manifold))
