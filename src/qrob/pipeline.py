@@ -40,11 +40,11 @@ from .ring import (
     poincare_pairing,
 )
 
-VERDICT_FORMAT = "qrob.verdict/2"
+VERDICT_FORMAT = "qrob.verdict/3"
 CERTIFICATE_FORMAT = "qrob.certificate/2"
 WITNESS_FORMAT = "qrob.witness/2"
 KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/2"
-SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/2"
+SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/3"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"
@@ -219,12 +219,8 @@ def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dic
 
 
 def result_to_obj(result: QueryResult) -> dict:
-    return {**_verdict_fields(result), "ring": result.ring.to_obj()}
-
-
-def _verdict_fields(result: QueryResult) -> dict:
-    """Every key of a verdict document but the embedded ring, which
-    `_rederive` takes from the recorded document once it matches."""
+    """The verdict document; it names its ring by `ring_hash` only, since
+    `verify` rebuilds the ring from the query."""
     return {
         "format": VERDICT_FORMAT,
         "query": {
@@ -291,7 +287,7 @@ def verify_document(
         raise
     # a failed proof, or what the search's own code raises on a malformed payload
     except (QrobError, KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError, IndexError) as exc:
+            ZeroDivisionError, IndexError, OverflowError) as exc:
         raise VerificationFailure(f"{type(exc).__name__}: {exc}") from exc
     if differing:
         _fail("document does not match its re-derivation at " + ", ".join(differing))
@@ -301,14 +297,19 @@ def verify_document(
 def _rederive(
     obj: dict, ring: GradedRing | None, subring: GradedRing | None
 ) -> tuple[dict, str]:
-    """The document that the emitters write for obj's re-derived payload."""
+    """The document that the emitters write for obj's re-derived payload.
+
+    Only a ring document holds a ring. A verdict's ring is rebuilt from its
+    query; every other document's rings are `ring` and `subring`, which the
+    re-emitted `ring_hash` and `subring_hash` must name.
+    """
     fmt = obj.get("format")
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
         _, rebuilt, omega, preconditions = _prepare(query)
-        if canonical_json(obj["ring"]) != rebuilt.canonical_json():
-            _fail("query does not rebuild to the embedded ring")
+        if ring is not None and ring != rebuilt:
+            _fail("the given ring's ring_hash is not the query's ring_hash")
         verdict = obj["verdict"]
         if verdict != UNKNOWN and not all(preconditions.values()):
             _fail(f"a {verdict} verdict needs both preconditions to hold")
@@ -331,10 +332,8 @@ def _rederive(
             summary = "preconditions re-verified (verdict UNKNOWN carries no payload)"
         else:
             _fail(f"unknown verdict {verdict!r}")
-        expected = _verdict_fields(result)
-        # the embedded ring matched the rebuilt ring's text; the log is advisory
-        for key in ("ring", "search_log"):
-            expected[key] = obj.get(key, _ABSENT)
+        expected = result_to_obj(result)
+        expected["search_log"] = obj.get("search_log", _ABSENT)  # advisory
         return expected, summary
     if fmt == RING_FORMAT:
         embedded = GradedRing.from_obj(obj["ring"])
@@ -347,9 +346,7 @@ def _rederive(
     ):
         _fail(f"unrecognized document format {fmt!r}")
     if ring is None:
-        if obj.get("ring") is None:
-            _fail("no ring available: pass --ring or embed the ring in the document")
-        ring = GradedRing.from_obj(obj["ring"])
+        _fail("no ring available: pass --ring")
     if fmt == KUNNETH_IDEAL_FORMAT:
         k = obj["degree"]
         expected = kunneth_ideal_basis_doc(ring, k, kunneth_ideal_basis(ring, k))
@@ -357,17 +354,17 @@ def _rederive(
     elif fmt == SUBMANIFOLD_REPORT_FORMAT:
         if obj["certificate"] is None:
             _fail("a submanifold report without a certificate records no restriction map")
-        subring, iota = _recorded_restriction(obj["certificate"], subring)
+        if subring is None:
+            _fail("no subring available: pass --subring")
+        iota = _recorded_iota_star(obj["certificate"])
         omega = RingElement.from_obj(ring, obj["omega"])
         report = submanifold_bound(ring, subring, iota, omega, int(obj["certificate"]["n"]))
         expected = submanifold_report_obj(report, ring, subring, iota, omega)
         summary = "submanifold report re-derived"
     elif fmt == CERTIFICATE_FORMAT:
-        subring, iota = _recorded_restriction(obj, subring)
+        iota = _recorded_iota_star(obj)
         cert = verify_certificate_obj(obj, ring, subring, iota)
         expected = certificate_to_obj(cert)
-        if "subring" in obj:
-            expected["subring"] = subring.to_obj()
         if iota is not None:
             expected["iota_star"] = [_matrix_obj(m) for m in iota]
         summary = f"certificate re-verified ({cert.kind})"
@@ -378,22 +375,15 @@ def _rederive(
             _fail("witness fails multiplicativity or maps omega to zero")
         expected = witness_to_obj(witness, omega)
         summary = "witness re-verified"
-    if "ring" in obj:
-        expected["ring"] = ring.to_obj()
     return expected, summary
 
 
-def _recorded_restriction(
-    obj: dict, subring: GradedRing | None
-) -> tuple[GradedRing | None, list[Matrix] | None]:
-    """The subring (the given one first) and restriction map that a
-    certificate object records; each is None when absent."""
-    if subring is None and "subring" in obj:
-        subring = GradedRing.from_obj(obj["subring"])
+def _recorded_iota_star(obj: dict) -> list[Matrix] | None:
+    """The restriction map that a certificate object records, if any."""
     iota = obj.get("iota_star")
-    if iota is not None:
-        iota = [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
-    return subring, iota
+    if iota is None:
+        return None
+    return [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
 
 
 def ring_document(ring: GradedRing) -> dict:
@@ -438,7 +428,6 @@ def submanifold_report_obj(
     cert_obj = None
     if report.certificate is not None:
         cert_obj = certificate_to_obj(report.certificate)
-        cert_obj["subring"] = ring_m.to_obj()
         cert_obj["iota_star"] = [_matrix_obj(m) for m in iota_star]
     return {
         "format": SUBMANIFOLD_REPORT_FORMAT,

@@ -122,7 +122,6 @@ class GradedRing:
         "structure",
         "fundamental_index",
         "presentation",
-        "_canonical",
         "_hash_hex",
     )
 
@@ -144,7 +143,7 @@ class GradedRing:
         }
         self.fundamental_index = int(fundamental_index)
         self.presentation = presentation
-        self._canonical = self._hash_hex = None
+        self._hash_hex = None
 
     # -- elements ---------------------------------------------------------
 
@@ -262,17 +261,11 @@ class GradedRing:
         ring.validate()
         return ring
 
-    def canonical_json(self) -> str:
-        """canonical_json(self.to_obj()), computed once: the text that
-        hash_hex hashes and that an embedded copy of the ring must equal."""
-        if self._canonical is None:
-            self._canonical = canonical_json(self.to_obj())
-        return self._canonical
-
     def hash_hex(self) -> str:
+        """The SHA-256 of the ring's canonical JSON, computed once."""
         if self._hash_hex is None:
             self._hash_hex = hashlib.sha256(
-                self.canonical_json().encode("utf-8")
+                canonical_json(self.to_obj()).encode("utf-8")
             ).hexdigest()
         return self._hash_hex
 

@@ -209,8 +209,13 @@ def test_criterion_6_round_trip_and_tampering(tmp_path):
         tampered = json.loads(json.dumps(docs[2]))
         tampered["certificate"]["classes"]["left"][0]["coords"]["2"][0] = "7"
         assert fails(tampered)
+        # a verdict names its ring only by hash: another ring's hash fails,
+        # and so does an embedded ring, even the query's own
         tampered = json.loads(json.dumps(docs[2]))
-        tampered["ring"]["structure"][0]["products"][0][2][0][1] = "9"
+        tampered["ring_hash"] = docs[1]["ring_hash"]
+        assert fails(tampered)
+        tampered = json.loads(json.dumps(docs[2]))
+        tampered["ring"] = build(parse_manifold(cases[2][0])).to_obj()
         assert fails(tampered)
 
 

@@ -27,47 +27,47 @@ from qrob.pipeline import (
 
 GOLDEN = {
     ("torus(2)", "vol(1)", 2):
-        "201acf3d110eec4ba639d92c5f0eafc78814e1c621b68fd961972adad5c9c554",
+        "0fde6c7f8cad50d8607daf6d72677a6b19f0658a5b09e70812b0dcda84ae8584",
     ("torus(3)", "vol(1)", 3):
-        "a56ad08607e2e40aad8373b57df90ef7858e1a8dcc2a4e432b370e9ff71bce4a",
+        "489f711d30a9247cf0596f9ba76c2ac6b285adab28e9b8646f4b99e5593fa153",
     ("torus(4)", "vol(1)", 4):
-        "6d085186e965c487c00b3bec86e1c9d3962133d8c5279083f9ccd5f618aff460",
+        "4010ad7a345b852734e82f02f463a8cb6e4eead12fec976e267d52919e7ccbac",
     ("torus(5)", "vol(1)", 5):
-        "a36bb74f73a34ba6c51757b72476019ca7ac0075a6631178abcf9c6e7c2c022e",
+        "6db3481cf786b1e071637186ee1e0d608176d411777a016feef7e595bb6a9d20",
     ("surface(1) * cp(2)", "vol(1)^sym(2)", 4):
-        "4ee117ad9e1b6db9894f127ea17e555c60772d00e478e863d18321acaf4fafbb",
+        "cf80530d3307a408e64633754c56e42a587ed8fdd527a7dd74ce96d5173c79e2",
     ("surface(2) * cp(2)", "vol(1)^sym(2)", 4):
-        "3eee151459ddf13bba87b9811ade9bec8cdbe8fbff09f32fe800ff244936238e",
+        "d98ae5697bf04db02de06481a9c69ec953c4b98bea87e9e320195e974df2b5ea",
     ("surface(3) * cp(2)", "vol(1)^sym(2)", 4):
-        "1e9b9e17269af03bfeb5da4c392063b97490cf4305b60d491cd79bcdfa3de716",
+        "0b3b2eb27e5d5ccc00886dfc18e2100a5822b2dfd8843efce935b43f2a7cf8d7",
     ("surface(4) * cp(2)", "vol(1)^sym(2)", 4):
-        "e50f216b587227436d949355767f309879bfb2a3f2dd58550cb2e677dd3283c4",
+        "990f9e98110f6640f7a772d136223ad516f0a09f3ae0cd3ca12737a751199d4d",
     ("surface(5) * cp(2)", "vol(1)^sym(2)", 4):
-        "7b3129918b4085329264a0d5ad4659949b6ec33c45e4b8809e9613a6b3deaf22",
+        "427a70906bfa426270001e3f40efd990275ccf87a23bcc0551bd6752cb971947",
     ("connsum(s2xs2,1) * cp(2)", "vol(1)^sym(2)", 6):
-        "c6b08f7bb4eb09ad82da3421445de8916baed1c031cd51b3800229dc2ec7048c",
+        "b4b5f8b3c387a197b8a685901c87413a6e92e655a735e2adfba688faf49b1dcf",
     ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6):
-        "b38169f5857a51287dc24f8d85be23646a59060df399efedaa912653fd12a8a5",
+        "e62dc414ed959a0800628856a51a8a92e109e0fba53bc91aca74a59b86191dc5",
     ("connsum(s2xs2,3) * cp(2)", "vol(1)^sym(2)", 6):
-        "7ef5ffef35963b03eeb8a4d576d2932bf72727720e924a8ab5ae01e9be429120",
+        "6445ce9896c1fc4c83db3ca50f3d6fcb44b1f1f20f928e735e7a60ae245b967d",
     ("connsum(s2xs2,4) * cp(2)", "vol(1)^sym(2)", 6):
-        "ea29888f26b29d54b0deb88856dae4cc79f38987e144ce3455a16a9b972b4475",
+        "261db1bf00ef087642df537fd90bfdc6b3ca3587aee7f332940228dddba0cc75",
     ("connsum(s2xs2,5) * cp(2)", "vol(1)^sym(2)", 6):
-        "7f2c538a0fb7e5d6cfb304c97d05ad6b324f120c3c567e86b67ebf8e3b50a232",
+        "5221e8c5f192f257335ef9df6f7066a04ff95110f5daf3e02ddfa28f8f60cfbb",
     ("connsum(s2xs2,6) * cp(2)", "vol(1)^sym(2)", 6):
-        "2c1f5226cdcc07dfce24c97281ac44951623c6aebd251a9521f1e344a5b71cb0",
+        "3ffd6a067856aad27b97031284095f81d3f543e2cc307d698cb48f3ed1172bef",
     ("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6):
-        "6fbd50219d34bc9198c3a370b5d402d2ee29f2b63afda63f71740d148a66440c",
+        "9ee0209edff449c66f68d5ccbc8f83822aa92ff4d7d522eea591d048550d5fb9",
     ("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6):
-        "b9ca0272dc3788cd2844919a7d4e8b814ab9c46dfd2743797f5dd616b7bc3e75",
+        "b55980b5a11a29eb0654c3ce867ff04a3b58e1f49070eb39437cb95fe995f47e",
     ("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6):
-        "1e9f1d527f96694a1b8ffa9057ab9ea17806a1dd6518c642b76d6118da044d69",
+        "2a087d9b430ffd2c65411696d320168f2e04dfa6937859698e41c90cac13ea32",
     ("connsum(s2xs2,10) * cp(2)", "vol(1)^sym(2)", 6):
-        "1ee22a5234285fd8d81efb25640d463ec46790a1c6010407ad200877302b42bb",
+        "7070c538749e75bd0ab388729d6a670bccfa22d4f0ebe24123caba83ce4ee2b1",
     ("cp(2)", "sym(1)^sym(1)", 4):
-        "7e4ed7f2974d131cb13dbb581ea45f945522f47219772958f845ac0a7097809a",
+        "867fe799a89d5f237b5de59d3575a6452a9878166698ef9eed48c2ebb6f049ca",
     ("cp(3)", "sym(1)^sym(1)^sym(1)", 6):
-        "a156c69bfc9759a55f11f24303b7f3cd6330bf0f9d65db3376ade8fee19e4b8c",
+        "f0b9aa086072164c16b79912963b0783da3e657db50839f2d719169b950bd85b",
 }
 
 
@@ -111,12 +111,16 @@ def test_catalog_document_bytes(query):
 @pytest.mark.parametrize("query", CATALOG,
                          ids=[f"{m}|{o}|{n}" for m, o, n in CATALOG])
 def test_catalog_documents_verify_and_keep_products_sparse(query):
-    # no derived products table, and every ring product is its nonzero
-    # coordinates as [index, "coefficient"] pairs in increasing index
+    # no derived products table, no ring but in the ring document, and every
+    # ring product is its nonzero coordinates as [index, "coefficient"]
+    # pairs in increasing index
     doc = json.loads(_document(query))
     verify_document(doc)
     assert "products_table" not in (doc["certificate"] or {})
-    for table in doc["ring"]["structure"]:
+    assert "ring" not in doc
+    ring_doc = json.loads(document_json(ring_document(_result(query).ring)))
+    verify_document(ring_doc)
+    for table in ring_doc["ring"]["structure"]:
         for _, _, pairs in table["products"]:
             indexes = [t for t, _ in pairs]
             assert pairs and indexes == sorted(set(indexes)), (table["p"], table["q"])

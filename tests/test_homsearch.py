@@ -420,6 +420,5 @@ def test_witness_document_above_top_degree_fails():
     sphere = build(Sphere(2))
     witness = HomWitness(sphere, 4, {1: [], 2: [e(4, 1, 2) + e(4, 3, 4)]})
     doc = witness_to_obj(witness, sphere.fundamental_class())
-    doc["ring"] = sphere.to_obj()
     with pytest.raises(VerificationFailure, match="multiplicativity"):
-        verify_document(doc)
+        verify_document(doc, ring=sphere)

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -36,6 +35,7 @@ from qrob.pipeline import (
     result_to_obj,
     ring_document,
     submanifold_report_obj,
+    witness_to_obj,
 )
 
 
@@ -172,12 +172,11 @@ def test_dual_pair_certificate_requires_nonzero_omega():
     result = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
     assert result.certificate.kind == "DualPair"
     doc = certificate_to_obj(result.certificate)
-    doc["ring"] = result.ring.to_obj()
-    assert verify_document(doc) == "certificate re-verified (DualPair)"
+    assert verify_document(doc, ring=result.ring) == "certificate re-verified (DualPair)"
     zero = result.ring.zero().to_obj()
     doc["classes"]["cofactor"] = doc["omega"] = zero
     with pytest.raises(VerificationFailure, match="cofactor is zero"):
-        verify_document(doc)
+        verify_document(doc, ring=result.ring)
 
 
 def test_prywes_certificate_requires_top_degree_n():
@@ -186,25 +185,61 @@ def test_prywes_certificate_requires_top_degree_n():
     cert = prywes_bound(ring, 4)
     assert cert is not None and cert.degree == 2
     doc = certificate_to_obj(cert)
-    doc["ring"] = ring.to_obj()
-    assert verify_document(doc) == "certificate re-verified (PrywesBound)"
+    assert verify_document(doc, ring=ring) == "certificate re-verified (PrywesBound)"
     # C(3,2) = 3 < 16 still holds, but n = 3 is not the top degree
     doc["n"] = 3
     doc["inequality"]["rhs"] = 3
     with pytest.raises(VerificationFailure, match="top degree"):
-        verify_document(doc)
+        verify_document(doc, ring=ring)
 
 
-def test_verdict_document_requires_canonical_embedded_ring():
-    # an equal value written non-canonically ("2/2" for "1") is rejected too
+def test_verdict_document_names_its_ring_only_by_hash():
+    # verify rebuilds the ring from the query: an edited ring_hash fails, and
+    # so does an embedded ring, even the query's own in canonical form
     result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
     doc = json.loads(document_json(result_to_obj(result)))
     verify_document(doc)
-    pair = doc["ring"]["structure"][0]["products"][0][2][0]
-    value = Fraction(pair[1])
-    pair[1] = f"{2 * value.numerator}/{2 * value.denominator}"
-    with pytest.raises(VerificationFailure, match="embedded ring"):
-        verify_document(doc)
+    other = build(Surface(3)).hash_hex()
+    with pytest.raises(VerificationFailure, match="re-derivation at ring_hash$"):
+        verify_document(dict(doc, ring_hash=other))
+    with pytest.raises(VerificationFailure, match="re-derivation at ring$"):
+        verify_document(dict(doc, ring=result.ring.to_obj()))
+
+
+def test_verdict_verify_requires_a_given_ring_to_be_the_querys(tmp_path, capsys):
+    doc_file, ring_file = tmp_path / "verdict.json", tmp_path / "ring.json"
+    assert main(["check", "torus(2)", "--omega", "vol(1)", "--n", "2",
+                 "-o", str(doc_file)]) == 0
+    for expr, code in (("torus(2)", 0), ("cp(2)", 1)):
+        assert main(["export", expr, "-o", str(ring_file)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(doc_file), "--ring", str(ring_file)]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert out.startswith("FAIL:") and "ring_hash" in out
+        else:
+            assert out == "OK: witness re-verified\n"
+
+
+def _standalone_documents():
+    """A certificate and a witness document with their rings."""
+    obstructed = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    witness = run_query(Query("surface(1) * cp(2)", "vol(1)^sym(2)", 4))
+    return [
+        (certificate_to_obj(obstructed.certificate), obstructed.ring),
+        (witness_to_obj(witness.witness, witness.omega), witness.ring),
+    ]
+
+
+def test_standalone_documents_take_their_ring_from_the_caller():
+    for doc, ring in _standalone_documents():
+        verify_document(doc, ring=ring)
+        with pytest.raises(VerificationFailure, match="no ring available"):
+            verify_document(doc)
+        with pytest.raises(VerificationFailure, match="no ring available"):
+            verify_document(dict(doc, ring=ring.to_obj()))
+        with pytest.raises(VerificationFailure, match="re-derivation at ring$"):
+            verify_document(dict(doc, ring=ring.to_obj()), ring=ring)
 
 
 def test_obstructed_verdict_rejects_edited_conclusion():
@@ -223,15 +258,20 @@ def test_submanifold_certificate_round_trip(tmp_path, capsys):
     report = submanifold_bound(ring, left, iota, omega, 2)
     cert = submanifold_report_obj(report, ring, left, iota, omega)["certificate"]
     assert cert["kind"] == "SubmanifoldBound" and cert["degree"] == 1
-    ring_path = tmp_path / "ring.json"
+    assert "subring" not in cert
+    ring_path, subring_path = tmp_path / "ring.json", tmp_path / "subring.json"
     ring_path.write_text(document_json(ring_document(ring)))
+    subring_path.write_text(document_json(ring_document(left)))
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(document_json(cert))
-    assert main(["verify", str(cert_path), "--ring", str(ring_path)]) == 0
+    argv = ["verify", str(cert_path), "--ring", str(ring_path)]
+    assert main(argv + ["--subring", str(subring_path)]) == 0
     assert capsys.readouterr().out == "OK: certificate re-verified (SubmanifoldBound)\n"
+    assert main(argv) == 1
+    assert "needs omega, subring and iota_star" in capsys.readouterr().out
     cert["degree"] = 9
     cert_path.write_text(document_json(cert))
-    assert main(["verify", str(cert_path), "--ring", str(ring_path)]) == 1
+    assert main(argv + ["--subring", str(subring_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL:") and "degree" in captured.out
     assert "Traceback" not in captured.out + captured.err
@@ -245,14 +285,30 @@ def test_submanifold_report_verifies_with_ring(tmp_path, capsys):
     report = submanifold_bound(ring, left, iota, omega, 2)
     doc = json.loads(document_json(submanifold_report_obj(report, ring, left, iota, omega)))
     ring_path, report_path = tmp_path / "ring.json", tmp_path / "report.json"
+    subring_path, relabelled_path = tmp_path / "subring.json", tmp_path / "relabelled.json"
     ring_path.write_text(document_json(ring_document(ring)))
+    subring_path.write_text(document_json(ring_document(left)))
+    # the same subring with one class renamed: iota_star still restricts
+    # into it, so only the subring_hash that the report records tells them apart
+    relabelled = ring_document(left)
+    relabelled["ring"]["labels"][1][0] = "renamed"
+    relabelled_path.write_text(document_json(relabelled))
 
-    def verify(edited):
+    def verify(edited, subring=subring_path):
         report_path.write_text(document_json(edited))
-        code = main(["verify", str(report_path), "--ring", str(ring_path)])
+        argv = ["verify", str(report_path), "--ring", str(ring_path)]
+        code = main(argv + (["--subring", str(subring)] if subring else []))
         return code, capsys.readouterr().out
 
     assert verify(doc) == (0, "OK: submanifold report re-derived\n")
+    assert "subring" not in doc["certificate"]
+    code, out = verify(doc, subring=None)
+    assert code == 1 and out.startswith("FAIL:") and "no subring available" in out
+    code, out = verify(doc, subring=relabelled_path)
+    assert code == 1 and out == (
+        "FAIL: document does not match its re-derivation at "
+        "certificate.classes.subring_hash, subring_hash\n"
+    )
     edited = json.loads(json.dumps(doc))
     edited["degrees"][1]["image_dim"] = 3
     code, out = verify(edited)
@@ -298,15 +354,14 @@ def test_kronecker_certificate_needs_n_equal_to_omega_degree(n):
     system = KroneckerSystem.from_classes(cert.kind, cert.classes, lambda x: x)
     with pytest.raises(InvalidSystemError, match="degree n"):
         system.certificate(n)
-    # the document that certificate(n) used to write, with the ring embedded
+    # the document that certificate(n) used to write
     m, kp, rhs = cert.inequality.lhs, cert.k_prime, math.comb(n, cert.k_prime)
     forged = dataclasses.replace(
         cert, n=n, inequality=Inequality(m, ">", rhs),
         conclusion=_PATTERNS["DualPair"].conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
     )
-    doc = dict(certificate_to_obj(forged), ring=honest.ring.to_obj())
     with pytest.raises(VerificationFailure, match="degree n"):
-        verify_document(doc)
+        verify_document(certificate_to_obj(forged), ring=honest.ring)
 
 
 def test_verdict_document_rejects_dimension_above_top_degree(tmp_path, capsys):
@@ -336,8 +391,6 @@ _WITNESS_QUERY = Query("surface(1) * cp(2)", "vol(1)^sym(2)", 4)
 @pytest.mark.parametrize("query, edit", [
     pytest.param(_OBSTRUCTED_QUERY, lambda doc: doc["query"].update(n=4.0),
                  id="query-n-float"),
-    pytest.param(_OBSTRUCTED_QUERY, _first_ring_product_index_to_false,
-                 id="ring-zero-as-false"),
     pytest.param(_WITNESS_QUERY, lambda doc: doc["witness"].update(format="edited"),
                  id="witness-format"),
     pytest.param(_WITNESS_QUERY, lambda doc: doc.update(note="edited"),
@@ -356,13 +409,54 @@ def test_verdict_document_rejects_edit_outside_the_payload_checks(query, edit):
         verify_document(doc)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(_first_ring_product_index_to_false, id="ring-zero-as-false"),
+    pytest.param(lambda doc: doc["ring"].update(top_degree=6.0), id="ring-int-as-float"),
+    pytest.param(lambda doc: doc.update(note="edited"), id="extra-top-level-key"),
+])
+def test_ring_document_rejects_edit_outside_the_payload_checks(edit):
+    # False == 0 and 6.0 == 6 under `==`; the ring reader and the byte
+    # comparison must still refuse each edit
+    doc = json.loads(document_json(ring_document(run_query(_OBSTRUCTED_QUERY).ring)))
+    verify_document(doc)
+    edit(doc)
+    with pytest.raises(VerificationFailure):
+        verify_document(doc)
+
+
+@pytest.mark.parametrize("field", ["query-n", "witness-ambient_n", "witness-axes"])
+@pytest.mark.parametrize("number", ["1e400", "Infinity"])
+def test_infinite_number_in_a_verdict_fails_without_traceback(tmp_path, capsys, field, number):
+    # int() of an infinite float raises OverflowError, which is a failed
+    # verification like any other malformed payload
+    doc = json.loads(document_json(result_to_obj(run_query(_WITNESS_QUERY))))
+    marker = -424242
+    if field == "query-n":
+        doc["query"]["n"] = marker
+    elif field == "witness-ambient_n":
+        doc["witness"]["ambient_n"] = marker
+    else:
+        doc["witness"]["images"]["1"][0]["terms"][0]["axes"][0] = marker
+    path = tmp_path / "verdict.json"
+    path.write_text(json.dumps(doc).replace(str(marker), number))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("query", [_OBSTRUCTED_QUERY, _WITNESS_QUERY],
                          ids=["obstructed", "witness"])
-def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
-    # verify compares the recorded ring with the rebuilt ring's canonical
-    # text and takes the embedded copy from the document; writing the rebuilt
-    # ring a second time for the expected document would be thrown away
-    doc = json.loads(document_json(result_to_obj(run_query(query))))
+def test_check_writes_the_ring_once(query, monkeypatch):
+    # the verdict names its ring by hash, so writing it costs one to_obj,
+    # the one that the hash is taken over
+    calls = _count_ring_writes(monkeypatch)
+    document_json(result_to_obj(run_query(query)))
+    assert len(calls) == 1
+
+
+def _count_ring_writes(monkeypatch) -> list:
+    """Start from an empty build cache and record every GradedRing.to_obj."""
     monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
     calls = []
     to_obj = GradedRing.to_obj
@@ -372,5 +466,15 @@ def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
         return to_obj(ring)
 
     monkeypatch.setattr(GradedRing, "to_obj", counted)
+    return calls
+
+
+@pytest.mark.parametrize("query", [_OBSTRUCTED_QUERY, _WITNESS_QUERY],
+                         ids=["obstructed", "witness"])
+def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
+    # verify writes the rebuilt ring once, for the ring_hash that the
+    # re-emitted document must match
+    doc = json.loads(document_json(result_to_obj(run_query(query))))
+    calls = _count_ring_writes(monkeypatch)
     verify_document(doc)
     assert len(calls) == 1

@@ -38,6 +38,7 @@ from qrob import (
     parse_omega,
     poincare_pairing,
 )
+from qrob.ring import canonical_json
 
 
 def test_torus2_products():
@@ -128,7 +129,7 @@ def test_pairing_sphere_degree0():
 def test_surface_equals_connsum_of_tori():
     direct = build(Surface(3))
     folded = build(connsum_power(Torus(2), 3))
-    assert direct.canonical_json() == folded.canonical_json()
+    assert canonical_json(direct.to_obj()) == canonical_json(folded.to_obj())
 
 
 # Connected sums the DSL's connsum(X, v) cannot write: each case lists its
@@ -151,7 +152,9 @@ _AST_SUMS = [
 @pytest.mark.parametrize("groupings, ring_hash", _AST_SUMS)
 def test_connsum_from_the_ast_is_one_ring_however_nested(groupings, ring_hash):
     rings = [build(expr) for expr in groupings]
-    assert {ring.canonical_json() for ring in rings} == {rings[0].canonical_json()}
+    assert {canonical_json(ring.to_obj()) for ring in rings} == {
+        canonical_json(rings[0].to_obj())
+    }
     assert ring_law_failure(rings[0].to_obj()) is None
     assert rings[0].hash_hex() == ring_hash
 
@@ -170,7 +173,7 @@ def test_build_is_deterministic():
     text = "connsum(s2xs2,2) * cp(2)"
     a = build(parse_manifold(text))
     b = GradedRing.from_obj(json.loads(json.dumps(a.to_obj())))
-    assert a.canonical_json() == b.canonical_json()
+    assert canonical_json(a.to_obj()) == canonical_json(b.to_obj())
     assert a.hash_hex() == b.hash_hex()
 
 
