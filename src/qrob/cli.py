@@ -1,23 +1,31 @@
-"""Command-line front end.
+"""qrob: graded-ring obstruction and witness certificates.
+
+usage: qrob check EXPR --omega OMEGA --n N [--coeff-set Q,...] [--enum-budget N]
+                  [--format text|json] [-o FILE]
+       qrob verify FILE [--ring RING_FILE] [--subring RING_FILE]
+       qrob ring show EXPR [--format text|json] [-o FILE]
+       qrob kunneth-ideal EXPR --k K [--format text|json] [-o FILE]
+       qrob export EXPR -o FILE
+Each flag takes `--flag value` or `--flag=value`; -o is also --output.
 
 Exit codes for `check`: 0 WITNESS, 1 OBSTRUCTED, 2 UNKNOWN, 3 and up errors.
-`verify` exits 0 on success and 1 on a failed re-verification. An input
-file that is missing or does not hold JSON exits 3, and so does an
-expression or file nested too deeply to parse.
+`verify` exits 0 on success and 1 on a failed re-verification. Every usage
+error exits 3; so does an input file that is missing or does not hold JSON,
+and an expression or file nested too deeply to parse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .dsl import parse_manifold
 from .errors import QrobError
 from .homsearch import EnumBudget
-from .manifolds import build_with_classes
+from .manifolds import build
 from .pipeline import (
     Query,
     document_json,
@@ -34,56 +42,8 @@ USAGE_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 class _UsageError(Exception):
     pass
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qrob", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ring = sub.add_parser("ring", help="ring inspection")
-    ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    show = ring_sub.add_parser("show", help="dims, labels, and duality pairings")
-    show.add_argument("expr")
-    _output_flags(show)
-
-    ideal = sub.add_parser("kunneth-ideal", help="basis of the degree-k product ideal")
-    ideal.add_argument("expr")
-    ideal.add_argument("--k", type=int, required=True)
-    _output_flags(ideal)
-
-    check = sub.add_parser("check", help="full obstruction/witness pipeline")
-    check.add_argument("expr")
-    check.add_argument("--omega", required=True)
-    check.add_argument("--n", type=int, required=True)
-    check.add_argument(
-        "--coeff-set",
-        default="-1,0,1",
-        help="comma-separated exact coefficients for the enumeration search",
-    )
-    check.add_argument("--enum-budget", type=int, default=50_000)
-    _output_flags(check)
-
-    verify = sub.add_parser("verify", help="re-check an emitted document")
-    verify.add_argument("file")
-    verify.add_argument("--ring", dest="ring_file", default=None)
-    verify.add_argument("--subring", dest="subring_file", default=None)
-
-    export = sub.add_parser("export", help="write a ring file for an expression")
-    export.add_argument("expr")
-    export.add_argument("-o", "--output", required=True)
-    return parser
-
-
-def _output_flags(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("-o", "--output", default=None)
 
 
 def _read_ring(path: str) -> GradedRing:
@@ -94,12 +54,9 @@ def _read_ring(path: str) -> GradedRing:
     return GradedRing.from_obj(obj)
 
 
-def _load_expr(text: str):
-    if text.startswith("@"):
-        return None, _read_ring(text[1:]), None
-    expr = parse_manifold(text)
-    ring, factors = build_with_classes(expr)
-    return expr, ring, factors
+def _load_ring(text: str) -> GradedRing:
+    """The ring of an expression, or of a ring file given as @FILE."""
+    return _read_ring(text[1:]) if text.startswith("@") else build(parse_manifold(text))
 
 
 def _emit(args, obj: dict, text: str) -> None:
@@ -112,7 +69,7 @@ def _emit(args, obj: dict, text: str) -> None:
 
 
 def _cmd_ring_show(args) -> int:
-    _, ring, _ = _load_expr(args.expr)
+    ring = _load_ring(args.expr)
     doc = ring_document(ring)
     doc["pairings"] = pairings_obj(ring)
     lines = [
@@ -133,7 +90,7 @@ def _cmd_ring_show(args) -> int:
 
 
 def _cmd_kunneth_ideal(args) -> int:
-    _, ring, _ = _load_expr(args.expr)
+    ring = _load_ring(args.expr)
     basis = kunneth_ideal_basis(ring, args.k)
     doc = kunneth_ideal_basis_doc(ring, args.k, basis)
     lines = [f"dim K^{args.k} = {len(basis)}"]
@@ -191,27 +148,73 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _, ring, _ = _load_expr(args.expr)
+    ring = _load_ring(args.expr)
     Path(args.output).write_text(document_json(ring_document(ring)), encoding="utf-8")
     sys.stdout.write(f"wrote {args.output} ({ring.hash_hex()})\n")
     return 0
 
 
+_REQUIRED = object()
+_INTEGER_FIELDS = ("k", "n", "enum_budget")
+_OUTPUT = {"--format": ("format", "text"), "-o": ("output", None), "--output": ("output", None)}
+# command words -> (handler, positional names, {flag: (field, default or _REQUIRED)})
+_COMMANDS = {
+    ("ring", "show"): (_cmd_ring_show, ("expr",), _OUTPUT),
+    ("kunneth-ideal",): (_cmd_kunneth_ideal, ("expr",), {"--k": ("k", _REQUIRED), **_OUTPUT}),
+    ("check",): (_cmd_check, ("expr",), {
+        "--omega": ("omega", _REQUIRED), "--n": ("n", _REQUIRED),
+        "--coeff-set": ("coeff_set", "-1,0,1"), "--enum-budget": ("enum_budget", 50_000),
+        **_OUTPUT,
+    }),
+    ("verify",): (_cmd_verify, ("file",),
+                  {"--ring": ("ring_file", None), "--subring": ("subring_file", None)}),
+    ("export",): (_cmd_export, ("expr",),
+                  {"-o": ("output", _REQUIRED), "--output": ("output", _REQUIRED)}),
+}
+
+
+def _parse_args(argv: list[str]):
+    """The handler of argv's command and the fields that it reads."""
+    words = next((w for w in _COMMANDS if tuple(argv[: len(w)]) == w), None)
+    if words is None:
+        raise _UsageError(f"unknown command {' '.join(argv[:2])!r}; see --help")
+    handler, positionals, flags = _COMMANDS[words]
+    command, fields, given = " ".join(words), dict(flags.values()), []
+    tokens = iter(argv[len(words):])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            given.append(tok)
+            continue
+        flag, eq, value = tok.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"{command}: unknown option {flag!r}")
+        if not eq and ((value := next(tokens, None)) is None or value in flags):
+            raise _UsageError(f"{command}: {flag} needs a value")
+        field = flags[flag][0]
+        if field in _INTEGER_FIELDS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{command}: {flag} needs an integer, got {value!r}") from None
+        fields[field] = value
+    if len(given) != len(positionals):
+        raise _UsageError(f"{command} takes {' '.join(positionals).upper()}, got {given}")
+    for flag, (field, default) in flags.items():
+        if default is _REQUIRED and fields[field] is _REQUIRED:
+            raise _UsageError(f"{command} needs {flag}")
+    if fields.get("format", "text") not in ("text", "json"):
+        raise _UsageError(f"--format must be text or json, got {fields['format']!r}")
+    return handler, SimpleNamespace(**fields, **dict(zip(positionals, given)))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        args = parser.parse_args(argv)
-        if args.command == "ring":
-            return _cmd_ring_show(args)
-        if args.command == "kunneth-ideal":
-            return _cmd_kunneth_ideal(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        handler, args = _parse_args(argv)
+        return handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

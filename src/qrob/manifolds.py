@@ -205,77 +205,74 @@ def kunneth_layout(
     return layout, index
 
 
-def _product_ring(left: GradedRing, right: GradedRing) -> GradedRing:
-    d = left.top_degree + right.top_degree
-    layout, index = kunneth_layout(left, right)
+def _products(ring: GradedRing) -> dict[tuple[int, int], dict]:
+    """The nonzero products basis_p[i] * basis_q[j], as {(i, j): vec} for each
+    degree pair (p, q) up to the top degree, with the unit rows of degree 0."""
+    d, one = ring.top_degree, Fraction(1)
+    return {
+        (p, q): ring._table(p, q) if p and q else {
+            (i, 0) if q == 0 else (0, i): {i: one} for i in range(ring.dims[p or q])
+        }
+        for p in range(d + 1) for q in range(d + 1 - p)
+    }
+
+
+def _product_ring(
+    left: GradedRing, right: GradedRing, layout: list, index: dict
+) -> GradedRing:
     dims = [len(per) for per in layout]
     labels = [
         [f"{left.labels[p][i]}⊗{right.labels[q][j]}" for (p, i, q, j) in per]
         for per in layout
     ]
-    structure = {}
-    for a in range(1, d):
-        for b in range(1, d - a + 1):
-            table = {}
-            for x, (p, i, q, j) in enumerate(layout[a]):
-                for y, (r, s, t, u) in enumerate(layout[b]):
-                    if p + r > left.top_degree or q + t > right.top_degree:
-                        continue
-                    lvec = left.product_vec(p, i, r, s)
-                    if not lvec:
-                        continue
-                    rvec = right.product_vec(q, j, t, u)
-                    if not rvec:
-                        continue
-                    sign = -1 if (q * r) % 2 else 1
-                    vec: SparseVec = {}
-                    for li, lc in lvec.items():
-                        for ri, rc in rvec.items():
-                            pos = index[(p + r, li, q + t, ri)]
-                            vec[pos] = vec.get(pos, Fraction(0)) + sign * lc * rc
-                    vec = {t2: c for t2, c in vec.items() if c}
-                    if vec:
-                        table[(x, y)] = vec
-            if table:
-                structure[(a, b)] = table
-    fund = index[
-        (left.top_degree, left.fundamental_index, right.top_degree,
-         right.fundamental_index)
-    ]
-    pres = None
-    if left.presentation and right.presentation:
-        lg = left.presentation.generators
-        rg = right.presentation.generators
-        gens = tuple(
-            Generator(g.degree, index[(g.degree, g.index, 0, 0)], f"{g.name}⊗1")
-            for g in lg
-        ) + tuple(
-            Generator(g.degree, index[(0, 0, g.degree, g.index)], f"1⊗{g.name}")
-            for g in rg
+    # (p, i, q, j) * (r, s, t, u) = ±(basis_p[i] * basis_r[s]) ⊗ (basis_q[j] *
+    # basis_t[u]): walk the pairs of nonzero factor products only
+    tables: dict[tuple[int, int], dict] = {}
+    right_products = _products(right)
+    for (p, r), ltable in _products(left).items():
+        for (q, t), rtable in right_products.items():
+            if not (p + q and r + t):
+                continue
+            table, odd = tables.setdefault((p + q, r + t), {}), q * r % 2
+            for (i, s), lvec in ltable.items():
+                for (j, u), rvec in rtable.items():
+                    table[(index[(p, i, q, j)], index[(r, s, t, u)])] = {
+                        index[(p + r, li, q + t, ri)]: -(lc * rc) if odd else lc * rc
+                        for li, lc in lvec.items() for ri, rc in rvec.items()
+                    }
+    # (x, y) keys in basis order, the order in which the searches read them
+    structure = {ab: dict(sorted(tab.items())) for ab, tab in sorted(tables.items()) if tab}
+    fund = index[(left.top_degree, left.fundamental_index,
+                  right.top_degree, right.fundamental_index)]
+    lg = left.presentation.generators
+    rg = right.presentation.generators
+    gens = tuple(
+        Generator(g.degree, index[(g.degree, g.index, 0, 0)], f"{g.name}⊗1") for g in lg
+    ) + tuple(
+        Generator(g.degree, index[(0, 0, g.degree, g.index)], f"1⊗{g.name}") for g in rg
+    )
+    words = tuple(
+        tuple(
+            tuple(left.presentation.words[p][i])
+            + tuple(w + len(lg) for w in right.presentation.words[q][j])
+            for (p, i, q, j) in per
         )
-        shift = len(lg)
-        words = tuple(
-            tuple(
-                tuple(left.presentation.words[p][i])
-                + tuple(w + shift for w in right.presentation.words[q][j])
-                for (p, i, q, j) in per
-            )
-            for per in layout
-        )
-        pres = Presentation(gens, words)
+        for per in layout
+    )
+    pres = Presentation(gens, words)
+    d = left.top_degree + right.top_degree
     return GradedRing(d, dims, labels, structure, fund, pres)
 
 
 def _pull_back(
-    product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement,
-    cell,
+    product_ring: GradedRing, index: dict, x: RingElement, left: bool
 ) -> RingElement:
-    """Image of a factor class; cell(k, i) is its Kunneth cell in the product."""
-    _, index = kunneth_layout(left, right)
+    """Image of a left (or right) factor class; index is the product's
+    `kunneth_layout` index."""
     out = {k: [Fraction(0)] * product_ring.dims[k] for k in x.coords()}
     for k, vec in x.coords().items():
         for i, c in vec.items():
-            out[k][index[cell(k, i)]] = c
+            out[k][index[(k, i, 0, 0) if left else (0, 0, k, i)]] = c
     return RingElement(product_ring, out)
 
 
@@ -283,14 +280,14 @@ def pull_left(
     product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement
 ) -> RingElement:
     """Image of a left-factor class under the projection pull-back."""
-    return _pull_back(product_ring, left, right, x, lambda k, i: (k, i, 0, 0))
+    return _pull_back(product_ring, kunneth_layout(left, right)[1], x, True)
 
 
 def pull_right(
     product_ring: GradedRing, left: GradedRing, right: GradedRing, x: RingElement
 ) -> RingElement:
     """Image of a right-factor class under the projection pull-back."""
-    return _pull_back(product_ring, left, right, x, lambda k, j: (0, 0, k, j))
+    return _pull_back(product_ring, kunneth_layout(left, right)[1], x, False)
 
 
 def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:
@@ -401,19 +398,12 @@ def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...
     elif isinstance(expr, Product):
         lring, lclasses = _construct(expr.left)
         rring, rclasses = _construct(expr.right)
-        ring = _product_ring(lring, rring)
+        layout, index = kunneth_layout(lring, rring)
+        ring = _product_ring(lring, rring, layout, index)
+        sides = [True] * len(lclasses) + [False] * len(rclasses)
         classes = tuple(
-            {
-                name: pull_left(ring, lring, rring, x) if x is not None else None
-                for name, x in fc.items()
-            }
-            for fc in lclasses
-        ) + tuple(
-            {
-                name: pull_right(ring, lring, rring, x) if x is not None else None
-                for name, x in fc.items()
-            }
-            for fc in rclasses
+            {k: None if x is None else _pull_back(ring, index, x, left) for k, x in fc.items()}
+            for fc, left in zip(lclasses + rclasses, sides)
         )
         return ring, classes
     else:

@@ -301,9 +301,13 @@ def _rederive(
 
     Only a ring document holds a ring. A verdict's ring is rebuilt from its
     query; every other document's rings are `ring` and `subring`, which the
-    re-emitted `ring_hash` and `subring_hash` must name.
+    re-emitted `ring_hash` and `subring_hash` must name. A ring or subring
+    that the document does not use fails.
     """
     fmt = obj.get("format")
+    uses_subring = fmt == SUBMANIFOLD_REPORT_FORMAT or obj.get("kind") == "SubmanifoldBound"
+    if subring is not None and not uses_subring:
+        _fail(f"--subring is not used by a {fmt} document")
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
@@ -337,6 +341,8 @@ def _rederive(
         return expected, summary
     if fmt == RING_FORMAT:
         embedded = GradedRing.from_obj(obj["ring"])
+        if ring is not None and ring != embedded:
+            _fail("--ring is unused: it is not the ring this document holds")
         expected = ring_document(embedded)
         if "pairings" in obj:
             expected["pairings"] = pairings_obj(embedded)

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qrob.cli import main
+from qrob.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -104,6 +108,75 @@ def test_check_bad_dimension_exit_three(capsys):
 def test_usage_error_exit_three(capsys):
     assert run(capsys, "check")[0] == 3
     assert run(capsys, "nonsense")[0] == 3
+
+
+_CHECK = ("check", "torus(2)", "--omega", "vol(1)", "--n", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("nonsense", "torus(2)"),
+    ("ring", "list", "torus(2)"),
+    (*_CHECK, "--bogus", "1"),
+    (*_CHECK, "-x"),
+    ("check", "torus(2)", "--om", "vol(1)", "--n", "2"),  # no prefix abbreviations
+    ("check", "torus(2)", "--omega", "vol(1)", "--n"),
+    ("check", "torus(2)", "--omega", "--n", "2"),
+    ("check", "torus(2)", "--n", "2"),
+    ("check", "torus(2)", "--omega", "vol(1)"),
+    ("kunneth-ideal", "cp(2)"),
+    ("export", "torus(2)"),
+    ("check", "--omega", "vol(1)", "--n", "2"),
+    (*_CHECK, "torus(3)"),
+    ("verify",),
+    ("check", "torus(2)", "--omega", "vol(1)", "--n", "2.0"),
+    ("kunneth-ideal", "cp(2)", "--k", "four"),
+    (*_CHECK, "--enum-budget", "1e3"),
+    (*_CHECK, "--format", "yaml"),
+], ids=[
+    "unknown-command", "unknown-subcommand", "unknown-long-option", "unknown-short-option",
+    "abbreviated-option", "flag-without-value", "flag-followed-by-flag", "missing-omega",
+    "missing-n", "missing-k", "missing-output", "no-positional", "two-positionals",
+    "verify-without-file", "non-integer-n", "non-integer-k", "non-integer-enum-budget",
+    "unknown-format",
+])
+def test_usage_errors_exit_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("usage error:")
+    assert "Traceback" not in out + err
+
+
+def test_flag_value_spellings_write_the_same_document(capsys, tmp_path):
+    docs = []
+    for name, flags in (("a.json", ("--n", "4")), ("b.json", ("--n=4",))):
+        code, _, _ = run(
+            capsys, "check", "surface(1) * cp(2)", "--omega=vol(1)^sym(2)", *flags,
+            "-o", str(tmp_path / name),
+        )
+        assert code == 0
+        docs.append((tmp_path / name).read_bytes())
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help"), ("verify", "-h")])
+def test_help_exits_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("qrob:") and "qrob check EXPR --omega OMEGA" in out
+    # the usage text names every command and flag of the table that parses argv
+    for words, (_, _, flags) in _COMMANDS.items():
+        assert "qrob " + " ".join(words) in out
+        assert all(flag in out for flag in flags)
+
+
+def test_importing_the_cli_does_not_load_argparse():
+    # building an argparse parser in a fresh process costs each cold `check` and
+    # `verify` milliseconds
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qrob.cli; print('argparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_verify_witness_document(capsys, tmp_path):
@@ -415,3 +488,27 @@ def test_verify_kunneth_ideal_against_another_ring_fails(capsys, tmp_path):
     run(capsys, "export", "surface(3) * cp(2)", "-o", str(ring_file))
     code, out, _ = run(capsys, "verify", str(ideal_file), "--ring", str(ring_file))
     assert code == 1 and "ring_hash" in out
+
+
+@pytest.mark.parametrize("doc, needed, unused", [
+    ("ring-show", (), ("--ring", "ring")),
+    ("verdict", (), ("--subring", "ring")),
+    ("ideal", ("--ring", "cp2"), ("--subring", "ring-show")),
+], ids=["ring-document-with-another-ring", "verdict-with-subring", "ideal-with-subring"])
+def test_verify_rejects_an_unused_ring_option(capsys, tmp_path, doc, needed, unused):
+    files = {name: str(tmp_path / f"{name}.json")
+             for name in ("ring-show", "verdict", "ideal", "ring", "cp2")}
+    for argv in (
+        ("ring", "show", "torus(2)", "-o", files["ring-show"]),
+        ("check", "surface(1) * cp(2)", "--omega", "vol(1)^sym(2)", "--n", "4",
+         "-o", files["verdict"]),
+        ("kunneth-ideal", "cp(2)", "--k", "4", "-o", files["ideal"]),
+        ("export", "surface(2) * cp(2)", "-o", files["ring"]),
+        ("export", "cp(2)", "-o", files["cp2"]),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    needed = [files.get(arg, arg) for arg in needed]
+    code, out, _ = run(capsys, "verify", files[doc], *needed)
+    assert code == 0 and out.startswith("OK:")
+    code, out, _ = run(capsys, "verify", files[doc], *needed, unused[0], files[unused[1]])
+    assert code == 1 and out.startswith("FAIL:") and unused[0] in out
