@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     VerificationFailure,
 )
-from .exterior import Blade, ExtElement, dim_component, linearly_independent, wedge
+from .exterior import ExtElement, dim_component, wedge
 from .ring import (
     GradedRing,
     Presentation,
@@ -68,7 +68,6 @@ from .pipeline import Query, QueryResult, run_query, verify_document
 __version__ = "0.1.0"
 
 __all__ = [
-    "Blade",
     "Certificate",
     "ConnSum",
     "CPm",
@@ -108,7 +107,6 @@ __all__ = [
     "factorizations",
     "in_kunneth_ideal",
     "kunneth_ideal_basis",
-    "linearly_independent",
     "multiply",
     "parse_manifold",
     "parse_omega",

@@ -1,44 +1,25 @@
 """Sparse exact arithmetic in the exterior algebra on n generators.
 
-Elements are maps from basis blades (strictly increasing axis tuples) to
-nonzero rationals. The zero element is the empty map. Values are immutable
-after construction and all operations are pure.
+Elements are maps from basis blades (strictly increasing axis tuples within
+1..n) to nonzero rationals. The zero element is the empty map. Values are
+immutable after construction and all operations are pure.
+
+The constructor and `ExtElement.from_obj` check every input term. Results of
+wedge, add and scale are valid by construction and are built trusted, without
+a second pass over their terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
 from .errors import DimensionMismatchError, NonHomogeneousError
-from .linalg import fraction_from_str, fraction_to_str, rank
+from .linalg import fraction_from_str, fraction_to_str
 
 Axes = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Blade:
-    """A basis monomial: strictly increasing axes within 1..ambient_n."""
-
-    axes: Axes
-    ambient_n: int
-
-    def __post_init__(self):
-        if self.ambient_n < 1:
-            raise DimensionMismatchError("ambient dimension must be positive")
-        axes = tuple(self.axes)
-        object.__setattr__(self, "axes", axes)
-        if any(a < 1 or a > self.ambient_n for a in axes):
-            raise ValueError(f"axes out of range 1..{self.ambient_n}: {axes}")
-        if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
-            raise ValueError(f"axes must be strictly increasing: {axes}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.axes)
 
 
 def merge_axes(a: Axes, b: Axes) -> tuple[int, Axes] | None:
@@ -87,14 +68,25 @@ class ExtElement:
         self.ambient_n = ambient_n
         clean: dict[Axes, Fraction] = {}
         for key, coeff in (terms or {}).items():
-            axes = key.axes if isinstance(key, Blade) else tuple(key)
-            Blade(axes, ambient_n)
+            axes = tuple(key)
+            if any(a < 1 or a > ambient_n for a in axes):
+                raise ValueError(f"axes out of range 1..{ambient_n}: {axes}")
+            if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
+                raise ValueError(f"axes must be strictly increasing: {axes}")
             c = Fraction(coeff)
             if c:
                 clean[axes] = clean.get(axes, Fraction(0)) + c
                 if not clean[axes]:
                     del clean[axes]
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Axes, Fraction]) -> "ExtElement":
+        """Wrap terms whose axes are valid blades of 1..n and whose
+        coefficients are Fractions; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.ambient_n, self._terms = n, {a: c for a, c in terms.items() if c}
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "ExtElement":
@@ -130,16 +122,6 @@ class ExtElement:
             raise NonHomogeneousError(f"element has degrees {sorted(degs)}")
         return degs.pop()
 
-    def component(self, k: int) -> "ExtElement":
-        return ExtElement(
-            self.ambient_n,
-            {a: c for a, c in self._terms.items() if len(a) == k},
-        )
-
-    def coordinates(self, k: int) -> list[Fraction]:
-        """Coordinates on the degree-k blade basis in lexicographic order."""
-        return [self._terms.get(b, Fraction(0)) for b in blades(self.ambient_n, k)]
-
     def wedge(self, other: "ExtElement") -> "ExtElement":
         if self.ambient_n != other.ambient_n:
             raise DimensionMismatchError(
@@ -152,20 +134,23 @@ class ExtElement:
                 if merged is None:
                     continue
                 sign, axes = merged
-                acc[axes] = acc.get(axes, Fraction(0)) + sign * ca * cb
-        return ExtElement(self.ambient_n, acc)
+                c = sign * ca * cb
+                acc[axes] = acc[axes] + c if axes in acc else c
+        return ExtElement._trusted(self.ambient_n, acc)
 
     def scale(self, factor) -> "ExtElement":
         f = Fraction(factor)
-        return ExtElement(self.ambient_n, {a: f * c for a, c in self._terms.items()})
+        return ExtElement._trusted(
+            self.ambient_n, {a: f * c for a, c in self._terms.items()}
+        )
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         if self.ambient_n != other.ambient_n:
             raise DimensionMismatchError("ambient dimensions differ")
         acc = dict(self._terms)
         for a, c in other._terms.items():
-            acc[a] = acc.get(a, Fraction(0)) + c
-        return ExtElement(self.ambient_n, acc)
+            acc[a] = acc[a] + c if a in acc else c
+        return ExtElement._trusted(self.ambient_n, acc)
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
         return self + other.scale(-1)
@@ -218,20 +203,3 @@ class ExtElement:
 
 def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
     return a.wedge(b)
-
-
-def linearly_independent(elems: list[ExtElement], degree: int) -> bool:
-    """Exact rank test for homogeneous degree-k elements over the rationals."""
-    if not elems:
-        return True
-    n = elems[0].ambient_n
-    rows = []
-    for x in elems:
-        if x.ambient_n != n:
-            raise DimensionMismatchError("elements have mixed ambient dimensions")
-        if not x.is_zero() and (not x.is_homogeneous() or x.degree() != degree):
-            raise NonHomogeneousError(
-                f"expected homogeneous elements of degree {degree}"
-            )
-        rows.append(x.coordinates(degree))
-    return rank(rows) == len(elems)

@@ -639,13 +639,15 @@ def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
     if not (0 <= k <= d):
         raise ValueError(f"degree {k} out of range 0..{d}")
     fi = ring.fundamental_index
-    out: Matrix = []
-    for i in range(ring.dims[k]):
-        row = []
-        for j in range(ring.dims[d - k]):
-            row.append(ring.product_vec(k, i, d - k, j).get(fi, Fraction(0)))
-        out.append(row)
-    return out
+    rows, cols = range(ring.dims[k]), range(ring.dims[d - k])
+    if k in (0, d):
+        # the unit rules of `product_vec` give these products
+        return [
+            [ring.product_vec(k, i, d - k, j).get(fi, Fraction(0)) for j in cols]
+            for i in rows
+        ]
+    table, zero = ring._table(k, d - k), Fraction(0)
+    return [[table.get((i, j), _ZERO).get(fi, zero) for j in cols] for i in rows]
 
 
 def _ideal_rows(ring: GradedRing, k: int) -> Matrix:

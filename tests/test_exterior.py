@@ -7,15 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import e, random_element, wedge_blades_oracle, wedge_oracle
-from qrob import (
-    Blade,
-    DimensionMismatchError,
-    ExtElement,
-    NonHomogeneousError,
-    dim_component,
-    linearly_independent,
-    wedge,
-)
+from qrob import DimensionMismatchError, ExtElement, dim_component, wedge
 from qrob.exterior import blades, merge_axes
 
 
@@ -98,31 +90,11 @@ def test_dim_component_rejects_bad_input():
         dim_component(3, -1)
 
 
-def test_linear_independence_examples():
-    assert not linearly_independent([e(4, 1), e(4, 2), e(4, 1) + e(4, 2)], 1)
-    assert linearly_independent([e(4, 1), e(4, 2), e(4, 3), e(4, 4)], 1)
-
-
-def test_sixteen_degree2_elements_in_n6_are_dependent():
-    # dim of the degree-2 component is C(6,2) = 15, so 16 elements cannot be
-    # independent; the exact elimination must agree.
-    rng = random.Random(77)
-    elems = [random_element(rng, 6, 2, terms=5) for _ in range(16)]
-    assert not linearly_independent(elems, 2)
-
-
-def test_linear_independence_requires_matching_degree():
-    with pytest.raises(NonHomogeneousError):
-        linearly_independent([e(4, 1), e(4, 1, 2)], 1)
-    with pytest.raises(NonHomogeneousError):
-        linearly_independent([e(4, 1) + e(4, 1, 2)], 1)
-
-
 def test_mixed_degree_elements_allowed():
     x = e(4, 1) + e(4, 2, 3)
     assert not x.is_homogeneous()
     assert sorted(x.degrees()) == [1, 2]
-    assert x.component(1) == e(4, 1)
+    assert x.coefficient((1,)) == 1 and x.coefficient((2, 3)) == 1
 
 
 def test_ambient_mismatch_raises():
@@ -131,13 +103,21 @@ def test_ambient_mismatch_raises():
 
 
 def test_blade_validation():
-    with pytest.raises(ValueError):
-        Blade((2, 1), 4)
-    with pytest.raises(ValueError):
-        Blade((1, 1), 4)
-    with pytest.raises(ValueError):
-        Blade((5,), 4)
-    assert Blade((1, 3), 4).degree == 2
+    # descending, repeated, zero, above n, and above n after a valid axis
+    for axes in [(2, 1), (1, 1), (0,), (5,), (1, 5)]:
+        with pytest.raises(ValueError):
+            ExtElement(4, {axes: 1})
+        # a zero coefficient does not excuse a malformed blade
+        with pytest.raises(ValueError):
+            ExtElement(4, {axes: 0})
+        obj = {"ambient_n": 4, "terms": [{"axes": list(axes), "coeff": "1"}]}
+        with pytest.raises(ValueError):
+            ExtElement.from_obj(obj)
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatchError):
+            ExtElement(n, {})
+        with pytest.raises(DimensionMismatchError):
+            ExtElement.from_obj({"ambient_n": n, "terms": []})
 
 
 def test_zero_handling():
@@ -166,8 +146,3 @@ def test_serialization_round_trip_bit_exact():
     bad["terms"][0]["coeff"] = "0.5"
     with pytest.raises(ValueError):
         ExtElement.from_obj(bad)
-
-
-def test_coordinates_lexicographic():
-    x = e(3, 1, 2) + 2 * e(3, 2, 3)
-    assert x.coordinates(2) == [Fraction(1), Fraction(0), Fraction(2)]

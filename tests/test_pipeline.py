@@ -445,6 +445,27 @@ def test_infinite_number_in_a_verdict_fails_without_traceback(tmp_path, capsys, 
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("degree, axes", [
+    pytest.param("2", [2, 1], id="descending"),
+    pytest.param("2", [1, 1], id="repeated"),
+    pytest.param("1", None, id="above-n"),
+])
+def test_malformed_image_blade_in_a_verdict_fails_without_traceback(
+    tmp_path, capsys, degree, axes
+):
+    # wedge and add trust their inputs, so the witness reader must refuse a
+    # blade that is not strictly increasing within 1..n
+    doc = json.loads(document_json(result_to_obj(run_query(_WITNESS_QUERY))))
+    term = doc["witness"]["images"][degree][-1]["terms"][0]
+    term["axes"] = axes or [doc["witness"]["ambient_n"] + 1]
+    path = tmp_path / "verdict.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL:") and "axes" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("query", [_OBSTRUCTED_QUERY, _WITNESS_QUERY],
                          ids=["obstructed", "witness"])
 def test_check_writes_the_ring_once(query, monkeypatch):

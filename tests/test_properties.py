@@ -85,6 +85,20 @@ def test_wedge_associative_when_compatible(a, b, c):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
+@settings(max_examples=150, deadline=None)
+@given(ext_pairs(), st.sampled_from([0, 1, -1, 3, Fraction(-5, 7)]))
+def test_arithmetic_results_keep_the_checked_invariant(pair, factor):
+    # wedge, scale, + and - build their results without re-checking them;
+    # each must still be what the checked constructor would build
+    a, b = pair
+    results = [wedge(a, b), a.scale(factor), a + b, a - b, -a]
+    for result in results:
+        assert all(type(c) is Fraction and c for _, c in result.items())
+        assert result == ExtElement(result.ambient_n, dict(result.items()))
+    assert (a - a).items() == []
+    assert a.scale(0).is_zero()
+
+
 @settings(max_examples=80, deadline=None)
 @given(ext_elements())
 def test_ext_serialization_round_trip(a):
