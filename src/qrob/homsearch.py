@@ -68,12 +68,13 @@ class HomWitness:
         """Image of the degree-k class with sparse coordinates vec."""
         if k == 0:
             return ExtElement.scalar(self.ambient_n, vec.get(0, 0))
-        out = ExtElement.zero(self.ambient_n)
+        out = None
         if k <= self.ambient_n and k <= self.ring.top_degree:
             for i, c in vec.items():
                 if c:
-                    out = out + self.images[k][i].scale(c)
-        return out
+                    term = self.images[k][i] if c == 1 else self.images[k][i].scale(c)
+                    out = term if out is None else out + term
+        return ExtElement.zero(self.ambient_n) if out is None else out
 
     def to_obj(self) -> dict:
         return {
@@ -115,23 +116,26 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
 def witness_from_generators(
     ring: GradedRing, gen_images: list[ExtElement], n: int
 ) -> HomWitness:
-    """Induce basis images from generator images via the monomial words."""
+    """Induce basis images from generator images via the monomial words.
+
+    A word's image is its prefix's image wedged with its last generator's,
+    and every prefix image is built once."""
     pres = ring.presentation
     if pres is None:
         raise MissingPresentationError("ring carries no monomial presentation")
     if len(gen_images) != len(pres.generators):
         raise ShapeMismatchError("one image per generator required")
-    images: dict[int, list[ExtElement]] = {}
-    for k in range(1, min(ring.top_degree, n) + 1):
-        per = []
-        for word in pres.words[k]:
-            acc = ExtElement.scalar(n, 1)
-            for gid in word:
-                acc = wedge(acc, gen_images[gid])
-                if acc.is_zero():
-                    break
-            per.append(acc)
-        images[k] = per
+    built: dict[tuple[int, ...], ExtElement] = {(): ExtElement.scalar(n, 1)}
+
+    def image(word: tuple[int, ...]) -> ExtElement:
+        if word not in built:
+            built[word] = wedge(image(word[:-1]), gen_images[word[-1]])
+        return built[word]
+
+    images = {
+        k: [image(word) for word in pres.words[k]]
+        for k in range(1, min(ring.top_degree, n) + 1)
+    }
     return HomWitness(ring, n, images)
 
 
@@ -249,7 +253,7 @@ def _image_stream(n: int, k: int, coeffs: list[Fraction]):
             for _ in range(size):
                 patterns = [p + [c] for p in patterns for c in coeffs]
             for pattern in patterns:
-                yield ExtElement(n, dict(zip(support, pattern)))
+                yield ExtElement._trusted(n, dict(zip(support, pattern)))
 
 
 def _extend_counts(counts: list[list[int]], running: list[list[int]], caps: list[int]):

@@ -15,7 +15,7 @@ _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def fraction_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def fraction_from_str(s: str) -> Fraction:

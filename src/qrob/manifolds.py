@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import RingValidationError
-from .exterior import merge_axes
 from .linalg import Matrix
 from .ring import Generator, GradedRing, Presentation, RingElement, SparseVec
 
@@ -114,8 +113,12 @@ def _sphere_ring(n: int) -> GradedRing:
 
 
 def _torus_ring(n: int) -> GradedRing:
+    """The exterior algebra on t1..tn. Blades are bit masks here: a product
+    is nonzero iff the masks are disjoint, and its sign is the parity of the
+    inversions, the number of pairs x in a, y in b with x > y."""
     axes_by_degree = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
-    index = [{axes: i for i, axes in enumerate(per)} for per in axes_by_degree]
+    masks = [[sum(1 << a for a in axes) for axes in per] for per in axes_by_degree]
+    position = [{m: i for i, m in enumerate(per)} for per in masks]
     dims = [len(per) for per in axes_by_degree]
     labels = []
     for k, per in enumerate(axes_by_degree):
@@ -125,17 +128,18 @@ def _torus_ring(n: int) -> GradedRing:
             labels.append(["vol"])
         else:
             labels.append(["^".join(f"t{a}" for a in axes) for axes in per])
+    plus, minus = Fraction(1), Fraction(-1)
     structure = {}
     for p in range(1, n):
         for q in range(1, n - p + 1):
             table = {}
-            for i, a in enumerate(axes_by_degree[p]):
-                for j, b in enumerate(axes_by_degree[q]):
-                    merged = merge_axes(a, b)
-                    if merged is None:
+            target = position[p + q]
+            for i, a in enumerate(masks[p]):
+                for j, (b, axes) in enumerate(zip(masks[q], axes_by_degree[q])):
+                    if a & b:
                         continue
-                    sign, axes = merged
-                    table[(i, j)] = {index[p + q][axes]: Fraction(sign)}
+                    odd = sum((a >> (y + 1)).bit_count() for y in axes) & 1
+                    table[(i, j)] = {target[a | b]: minus if odd else plus}
             structure[(p, q)] = table
     gens = tuple(Generator(1, i, f"t{i + 1}") for i in range(n))
     words = tuple(

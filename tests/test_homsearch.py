@@ -8,7 +8,7 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from conftest import CATALOG, e, hom_oracle_accepts, wedge_oracle
+from conftest import CATALOG, e, hom_oracle_accepts, random_element, wedge_oracle
 from qrob import (
     CPm,
     EnumBudget,
@@ -196,6 +196,44 @@ def test_witness_json_round_trip():
     back = HomWitness.from_obj(ring, witness.to_obj())
     assert back.to_obj() == witness.to_obj()
     assert verify_hom(back, omega)
+
+
+@pytest.mark.parametrize(
+    "text", ["torus(4)", "torus(3) * cp(2)", "connsum(s2xs2,2) * cp(2)"]
+)
+def test_witness_images_match_naive_word_fold(text):
+    ring = build(parse_manifold(text))
+    pres = ring.presentation
+    rng = random.Random(text)
+    for n in (4, 6):
+        for _ in range(6):
+            # zero images, and up to three terms with coefficients in -4..4
+            gens = [
+                random_element(rng, n, g.degree, rng.randint(0, 3))
+                for g in pres.generators
+            ]
+            witness = witness_from_generators(ring, gens, n)
+            assert set(witness.images) == set(range(1, min(ring.top_degree, n) + 1))
+            for k, per in witness.images.items():
+                assert len(per) == len(pres.words[k])
+                for word, image in zip(pres.words[k], per):
+                    acc = ExtElement.scalar(n, 1)
+                    for gid in word:
+                        acc = wedge_oracle(acc, gens[gid])
+                    assert image == acc, (k, word)
+                if not per:
+                    continue
+                # apply_vec on several terms with coefficients other than 1
+                support = rng.sample(range(len(per)), min(3, len(per)))
+                vec = {i: rng.choice((-1, 2, Fraction(-3, 2))) for i in support}
+                expected = {}
+                for i, c in vec.items():
+                    for axes, coeff in per[i].items():
+                        expected[axes] = expected.get(axes, 0) + c * coeff
+                assert witness.apply_vec(k, vec) == ExtElement(n, expected)
+                i = support[0]
+                assert witness.apply_vec(k, {i: Fraction(1)}) == per[i]
+                assert witness.apply_vec(k, {i: 0}).is_zero()
 
 
 # -- brute-force enumeration oracle ---------------------------------------------

@@ -187,6 +187,11 @@ def test_elimination_matches_dense_reference():
     assert count > 250
 
 
+def test_fraction_to_str_matches_fraction_str():
+    for x in (0, 7, -12, Fraction(4, -6), Fraction(-10, 4), Fraction(6, 3), Fraction(0, 5)):
+        assert fraction_to_str(x) == str(Fraction(x)), x
+
+
 def test_fraction_strings():
     assert fraction_to_str(Fraction(-3, 6)) == "-1/2"
     assert fraction_from_str("-1/2") == Fraction(-1, 2)

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import (
     reference_factorizations,
     ring_law_failure,
     ring_oracle_accepts,
+    wedge_blades_oracle,
 )
 from qrob import (
     ConnSum,
@@ -38,6 +40,7 @@ from qrob import (
     parse_omega,
     poincare_pairing,
 )
+from qrob.manifolds import _torus_ring
 from qrob.ring import canonical_json
 
 
@@ -100,6 +103,36 @@ def test_torus_dims_are_binomials():
     for n in range(1, 6):
         ring = build(Torus(n))
         assert list(ring.dims) == [math.comb(n, k) for k in range(n + 1)]
+
+
+def test_torus_tables_match_blade_oracle():
+    # GOLDEN pins torus(2..5) only; the benchmark also builds torus(6), torus(7)
+    for n in range(1, 9):
+        ring = _torus_ring(n)
+        by_degree = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
+        position = [{axes: i for i, axes in enumerate(per)} for per in by_degree]
+        expected = {}
+        for p in range(1, n):
+            for q in range(1, n - p + 1):
+                table = expected[(p, q)] = {}
+                for i, a in enumerate(by_degree[p]):
+                    for j, b in enumerate(by_degree[q]):
+                        res = wedge_blades_oracle(a, b)
+                        if res is not None:
+                            sign, axes = res
+                            table[(i, j)] = {position[p + q][axes]: Fraction(sign)}
+        assert ring.structure == expected, n
+        assert list(ring.structure) == list(expected)
+        for pq, table in expected.items():
+            assert list(ring.structure[pq]) == list(table), (n, pq)
+        assert all(
+            type(c) is Fraction
+            for table in ring.structure.values()
+            for vec in table.values()
+            for c in vec.values()
+        )
+        oracle = GradedRing(n, ring.dims, ring.labels, expected, 0, ring.presentation)
+        assert oracle.hash_hex() == ring.hash_hex()
 
 
 def test_pairing_torus2():
