@@ -14,6 +14,7 @@ from itertools import combinations, islice
 
 from .errors import MissingPresentationError, ShapeMismatchError
 from .exterior import ExtElement, blades, wedge
+from .linalg import fraction_from_str
 from .manifolds import (
     ConnSum,
     CPm,
@@ -87,10 +88,13 @@ class HomWitness:
         }
 
     @classmethod
-    def from_obj(cls, ring: GradedRing, obj: dict) -> "HomWitness":
+    def from_obj(
+        cls, ring: GradedRing, obj: dict, read=fraction_from_str
+    ) -> "HomWitness":
+        """The witness obj records, each image coefficient read by `read`."""
         n = int(obj["ambient_n"])
         images = {
-            int(k): [ExtElement.from_obj(o) for o in per]
+            int(k): [ExtElement.from_obj(o, read) for o in per]
             for k, per in obj["images"].items()
         }
         return cls(ring, n, images)

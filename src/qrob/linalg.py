@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Callable
 
 Matrix = list[list[Fraction]]
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -19,10 +20,32 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    # Decimal or exponent notation is rejected: file formats are bit-exact.
-    if not isinstance(s, str) or not _FRACTION_RE.match(s):
+    """An integer or a/b with ASCII digits and b nonzero, else ValueError.
+    Decimal or exponent notation is rejected: file formats are bit-exact."""
+    match = _FRACTION_RE.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ValueError(f"not an exact rational literal: {s!r}")
-    return Fraction(s)
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if not int(den):
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den))
+
+
+def literal_reader() -> Callable[[str], Fraction]:
+    """`fraction_from_str` for the literals of one document: each distinct
+    literal is parsed once, and a value not yet accepted goes through every
+    check again."""
+    accepted: dict[str, Fraction] = {}
+
+    def read(s: str) -> Fraction:
+        x = accepted.get(s) if type(s) is str else None
+        if x is None:
+            x = accepted[s] = fraction_from_str(s)
+        return x
+
+    return read
 
 
 def mat(rows) -> Matrix:

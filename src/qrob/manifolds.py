@@ -240,10 +240,14 @@ def _product_ring(
             table, odd = tables.setdefault((p + q, r + t), {}), q * r % 2
             for (i, s), lvec in ltable.items():
                 for (j, u), rvec in rtable.items():
-                    table[(index[(p, i, q, j)], index[(r, s, t, u)])] = {
-                        index[(p + r, li, q + t, ri)]: -(lc * rc) if odd else lc * rc
-                        for li, lc in lvec.items() for ri, rc in rvec.items()
-                    }
+                    vec = table[(index[(p, i, q, j)], index[(r, s, t, u)])] = {}
+                    for li, lc in lvec.items():
+                        f = -lc if odd else lc
+                        for ri, rc in rvec.items():
+                            # nearly every f is ±1, which needs no multiplication
+                            vec[index[(p + r, li, q + t, ri)]] = (
+                                rc if f == 1 else -rc if f == -1 else f * rc
+                            )
     # (x, y) keys in basis order, the order in which the searches read them
     structure = {ab: dict(sorted(tab.items())) for ab, tab in sorted(tables.items()) if tab}
     fund = index[(left.top_degree, left.fundamental_index,

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import InvalidSystemError, NonHomogeneousError, VerificationFailure
+from .errors import (
+    InvalidSystemError,
+    NonHomogeneousError,
+    RingMismatchError,
+    VerificationFailure,
+)
 from .linalg import Matrix, invert, nullspace, pivot_rows_cols, rank
 from .ring import (
     GradedRing,
@@ -161,12 +166,19 @@ class KroneckerSystem:
         ]
         return out
 
-    def check(self) -> None:
+    def check(self) -> RingElement:
         """Require a nonzero omega, two nonzero families of one size and of the
-        kind's degrees, and every entry's product; else InvalidSystemError."""
+        kind's degrees, and every entry's product; else InvalidSystemError.
+        Returns omega = diag * cofactor.
+
+        Every entry's product is read from `_product_table` (diag against the
+        rows when they are annihilated, then rows against cols) and compared
+        with its expected product in `entries()` order, so a failure names
+        the first wrong entry."""
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
-        if multiply(self.diag, self.cofactor).is_zero():
+        omega = multiply(self.diag, self.cofactor)
+        if omega.is_zero():
             raise InvalidSystemError(f"{diag} * cofactor is zero")
         k = self.diag.degree()
         if len(self.rows) != len(self.cols) or not self.rows:
@@ -177,21 +189,26 @@ class KroneckerSystem:
         for role, family, degree in ((row, self.rows, kp), (col, self.cols, k - kp)):
             if any(x.is_zero() or x.degree() != degree for x in family):
                 raise InvalidSystemError(f"{role} must be nonzero of degree {degree}")
-        zero = self.diag.ring.zero()
-        for a, b, x, y, on_diag in self.entries():
-            if multiply(x, y) != (self.diag if on_diag else zero):
+        ring = self.diag.ring
+        if any(x.ring is not ring and x.ring != ring for x in self.rows + self.cols):
+            raise RingMismatchError("elements belong to different rings")
+        products = _product_table([self.diag], self.rows)[0] if pattern.annihilated else []
+        products += [prod for prods in _product_table(self.rows, self.cols) for prod in prods]
+        goal = {(k, t): c for t, c in self.diag.coords()[k].items()}
+        for (a, b, _, _, on_diag), prod in zip(self.entries(), products):
+            if prod != (goal if on_diag else {}):
                 expected = f"the {diag}" if on_diag else "zero"
                 raise InvalidSystemError(
                     f"product of {a} and {b} is not {expected}", detail=(a, b)
                 )
+        return omega
 
     def certificate(self, n: int) -> Certificate | None:
         """The certificate when the checked system breaks the kind's bound in
         dimension n, which must be the degree of diag * cofactor."""
-        self.check()
+        omega = self.check()
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
-        omega = multiply(self.diag, self.cofactor)
         if omega.degrees() != {n}:
             raise InvalidSystemError(f"{diag} * cofactor is not of degree n = {n}")
         m, kp = len(self.rows), self.rows[0].degree()
@@ -350,7 +367,7 @@ def kronecker_systems(
         if not mask:
             continue
         group = [r for r in range(len(rows)) if masks[r] >= mask]
-        key = (tuple(group), tuple(sorted(mask)))
+        key = (tuple(group), mask)
         if key in seen:
             continue
         seen.add(key)
@@ -365,8 +382,9 @@ def kronecker_systems(
         # rights[j] = sum over t of inv[t][j] * (the t-th pivot column class)
         duals = [[Fraction(0)] * ring.dims[q] for _ in piv_cols]
         for t, c in enumerate(piv_cols):
+            terms = [(duals[j], f) for j, f in enumerate(inv[t]) if f]
             for i, coeff in cols[col_ids[c]].coords().get(q, {}).items():
-                for dual, f in zip(duals, inv[t]):
+                for dual, f in terms:
                     dual[i] += f * coeff
         yield lefts, [ring.element(q, dual) for dual in duals]
 

@@ -391,49 +391,59 @@ class GradedRing:
         """(x*y)*z == x*(y*z) for each left factor x = (p, i), y and z basis
         elements of positive degree and total degree at most the top.
 
-        For each x, y and degree r of z, both sides are built as one row
-        {(k, u): coefficient} over every z = basis_r[k] at once, from row
-        indexes of the tables. The tables are first scaled by L, the lcm of
-        all their denominators, to integers: each side is a sum of products
-        of two structure constants, so both scale by L^2 and their equality
-        is exact. A failure names the least such k."""
+        For each x and degrees q of y and r of z, both sides are built as one
+        row {(j, k, u): coefficient} over every y = basis_q[j] and
+        z = basis_r[k] at once. (x*y)*z is read from x's row of the (p, q)
+        table and the (p+q, r) rows. x*(y*z) is read from the (q, r) table
+        indexed by result coordinate, s -> [(j, k, coefficient)], for only
+        the s with x*basis_{q+r}[s] nonzero. The tables are first scaled by
+        L, the lcm of all their denominators, to integers: each side is a sum
+        of products of two structure constants, so both scale by L^2 and
+        their equality is exact. A failure names the least (j, k) with a
+        nonzero difference, the first pair a scan of y, then z, in index
+        order meets."""
         d = self.top_degree
         scale = math.lcm(
             *(c.denominator for t in self.structure.values()
               for vec in t.values() for c in vec.values())
         )
-        # rows[(p, q)][i][j]: L * (basis_p[i] * basis_q[j]), nonzero ones only
+        # rows[(p, q)][i][j]: L * (basis_p[i] * basis_q[j]), nonzero ones only;
+        # by_result[(p, q)][t]: [(i, j, L * coordinate t of that product)]
         rows: dict[tuple[int, int], dict[int, dict[int, dict[int, int]]]] = {}
+        by_result: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
         for pq, table in self.structure.items():
             per_i = rows[pq] = {}
+            per_t = by_result[pq] = {}
             for (i, j), vec in table.items():
-                per_i.setdefault(i, {})[j] = {
-                    t: c.numerator * (scale // c.denominator) for t, c in vec.items()
-                }
+                row = per_i.setdefault(i, {})[j] = {}
+                for t, c in vec.items():
+                    row[t] = a = c.numerator * (scale // c.denominator)
+                    per_t.setdefault(t, []).append((i, j, a))
         for p, i in left:
             for q in range(1, d - p):
-                xy_row = rows.get((p, q), {}).get(i, {})
+                xy_row = rows.get((p, q), {}).get(i, _ZERO)
                 for r in range(1, d - p - q + 1):
-                    xy_z = rows.get((p + q, r), {})
-                    yz_rows = rows.get((q, r), {})
-                    x_row = rows.get((p, q + r), {}).get(i, {})
-                    for j in sorted(xy_row.keys() | yz_rows.keys()):
-                        # (x*y)*z - x*(y*z), keyed by (k, u)
-                        diff: dict[tuple[int, int], int] = {}
-                        for t, a in xy_row.get(j, _ZERO).items():
+                    xy_z = rows.get((p + q, r), _ZERO)
+                    yz_by_s = by_result.get((q, r), _ZERO)
+                    x_row = rows.get((p, q + r), {}).get(i, _ZERO)
+                    # (x*y)*z - x*(y*z), keyed by (j, k, u)
+                    diff: dict[tuple[int, int, int], int] = {}
+                    for j, xy in xy_row.items():
+                        for t, a in xy.items():
                             for k, vec in xy_z.get(t, _ZERO).items():
                                 for u, b in vec.items():
-                                    diff[k, u] = diff.get((k, u), 0) + a * b
-                        for k, yz in yz_rows.get(j, _ZERO).items():
-                            for s, a in yz.items():
-                                for u, b in x_row.get(s, _ZERO).items():
-                                    diff[k, u] = diff.get((k, u), 0) - a * b
-                        if any(diff.values()):
-                            k = min(k for (k, _), c in diff.items() if c)
-                            raise RingValidationError(
-                                "associativity fails at "
-                                f"({p},{i})*({q},{j})*({r},{k})"
-                            )
+                                    key = j, k, u
+                                    diff[key] = diff.get(key, 0) + a * b
+                    for s, xs in x_row.items():
+                        for j, k, a in yz_by_s.get(s, ()):
+                            for u, b in xs.items():
+                                key = j, k, u
+                                diff[key] = diff.get(key, 0) - a * b
+                    if any(diff.values()):
+                        j, k = min((j, k) for (j, k, _), c in diff.items() if c)
+                        raise RingValidationError(
+                            f"associativity fails at ({p},{i})*({q},{j})*({r},{k})"
+                        )
 
     def _validate_pairing(self) -> None:
         """dims[k] == dims[d - k] for every k and the pairing of degree k has
@@ -600,13 +610,14 @@ class RingElement:
         }
 
     @classmethod
-    def from_obj(cls, ring: GradedRing, obj: dict) -> "RingElement":
+    def from_obj(
+        cls, ring: GradedRing, obj: dict, read=fraction_from_str
+    ) -> "RingElement":
+        """The class with coordinates obj["coords"], each literal read by
+        `read`: `fraction_from_str`, or one document's `literal_reader`."""
         return cls(
             ring,
-            {
-                int(k): [fraction_from_str(c) for c in vec]
-                for k, vec in obj["coords"].items()
-            },
+            {int(k): [read(c) for c in vec] for k, vec in obj["coords"].items()},
         )
 
 

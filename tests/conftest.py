@@ -169,6 +169,35 @@ def ring_law_failure(obj: dict) -> str | None:
     return None
 
 
+def first_associativity_failure(obj: dict) -> str | None:
+    """The message ring validation gives for the first triple x*y*z of a
+    ring object with (x*y)*z != x*(y*z), or None when there is none.
+
+    x runs over the left factors in order (the presentation generators, or
+    every basis element of positive degree without a presentation), then the
+    degree q of y, the degree r of z, the least y and the least z, with
+    p + q + r at most the top degree; products come from the raw tables."""
+    d, dims = obj["top_degree"], obj["dims"]
+    products = oracle_products(obj)
+    pres = obj.get("monomial_presentation")
+    if pres:
+        left = [(g["degree"], g["index"]) for g in pres["generators"]]
+    else:
+        left = [(p, i) for p in range(1, d + 1) for i in range(dims[p])]
+    for p, i in left:
+        for q in range(1, d - p):
+            for r in range(1, d - p - q + 1):
+                for j in range(dims[q]):
+                    xy = products.get(((p, i), (q, j)), {})
+                    for k in range(dims[r]):
+                        yz = products.get(((q, j), (r, k)), {})
+                        if _oracle_mul(products, xy, {(r, k): 1}) != (
+                            _oracle_mul(products, {(p, i): 1}, yz)
+                        ):
+                            return f"associativity fails at ({p},{i})*({q},{j})*({r},{k})"
+    return None
+
+
 def _oracle_rank(rows: list[list[Fraction]]) -> int:
     rows = [[Fraction(c) for c in r] for r in rows]
     rank = 0

@@ -360,6 +360,32 @@ def test_ring_file_products_must_be_index_coefficient_pairs(capsys, tmp_path, pa
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("1/0", "zero denominator"),
+    ("1\n", "not an exact rational literal"),
+    ("\u0663/\u0664", "not an exact rational literal"),
+], ids=["zero-denominator", "trailing-newline", "arabic-indic-digits"])
+def test_ring_file_bad_coefficient_exit_three(capsys, tmp_path, literal, message):
+    ring_file, doc_file = tmp_path / "ring.json", tmp_path / "verdict.json"
+    run(capsys, "export", "torus(2)", "-o", str(ring_file))
+    run(capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2", "-o", str(doc_file))
+    doc = json.loads(ring_file.read_text())
+    doc["ring"]["structure"][0]["products"][0][2][0][1] = literal
+    ring_file.write_text(json.dumps(doc))
+    for argv in (
+        ("ring", "show", f"@{ring_file}"),
+        ("export", f"@{ring_file}", "-o", str(tmp_path / "out.json")),
+        ("kunneth-ideal", f"@{ring_file}", "--k", "2"),
+        ("verify", str(doc_file), "--ring", str(ring_file)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("error:") and message in err, argv
+        assert "Traceback" not in out + err
+    # the ring document itself fails re-verification
+    code, out, _ = run(capsys, "verify", str(ring_file))
+    assert code == 1 and out.startswith("FAIL:") and message in out
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "{garbage}"),
     ("verify", "{missing}"),

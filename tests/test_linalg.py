@@ -11,6 +11,7 @@ from qrob.linalg import (
     fraction_from_str,
     fraction_to_str,
     invert,
+    literal_reader,
     mat,
     nullspace,
     pivot_rows_cols,
@@ -199,3 +200,30 @@ def test_fraction_strings():
     for bad in ("0.5", "1e3", "a", "1/ 2"):
         with pytest.raises(ValueError):
             fraction_from_str(bad)
+
+
+# a zero denominator, a trailing newline that `$` would match before,
+# non-ASCII digits (Arabic-Indic one, three/four, fullwidth one), and values
+# that are not strings
+BAD_LITERALS = (
+    "1/0", "-3/00", "0/0", "1\n", "1/2\n", "\u0661", "\u0663/\u0664", "\uff11",
+    " 1", "1 ", "1/-2", "", 1, None, ["1"],
+)
+
+
+def test_fraction_literals_take_ascii_digits_and_a_nonzero_denominator():
+    for bad in BAD_LITERALS:
+        with pytest.raises(ValueError):
+            fraction_from_str(bad)
+    for text, value in (("+2", 2), ("-0", 0), ("0/5", 0), ("007/0014", Fraction(1, 2))):
+        assert fraction_from_str(text) == value and type(fraction_from_str(text)) is Fraction
+
+
+def test_literal_reader_parses_once_and_still_rejects_every_bad_literal():
+    read = literal_reader()
+    one = read("1")
+    assert one == 1 and read("1") is one and read("-3/6") == Fraction(-1, 2)
+    for bad in BAD_LITERALS:
+        with pytest.raises(ValueError):
+            read(bad)
+    assert read("1") is one

@@ -20,9 +20,12 @@ from conftest import (
 
 from qrob import (
     CPm,
+    GradedRing,
     InvalidSystemError,
     KroneckerSystem,
     Product,
+    RingElement,
+    RingMismatchError,
     S2xS2,
     Sphere,
     Surface,
@@ -287,6 +290,107 @@ def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
     systems = list(kronecker_systems(rows, cols, factor, products, 1))
     assert systems and calls == []
 
+
+# a DualPair and an H1Annihilator certificate of the obstruct_certify workload
+CERTIFIED_SYSTEMS = [
+    ("connsum(s2xs2,10) * cp(2)", 6, "DualPair"),
+    ("surface(3) * cp(2)", 4, "H1Annihilator"),
+]
+
+
+def _certified_system(manifold, n, kind):
+    ring, omega = _query(manifold, "vol(1)^sym(2)", n)
+    cert = search_obstruction(ring, omega, n)
+    assert cert.kind == kind
+    return cert, KroneckerSystem.from_classes(kind, cert.classes, lambda x: x)
+
+
+@pytest.mark.parametrize("manifold,n,kind", CERTIFIED_SYSTEMS)
+def test_kronecker_certificate_multiplies_only_diag_by_cofactor(monkeypatch, manifold, n, kind):
+    cert, system = _certified_system(manifold, n, kind)
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(qrob.obstruct, "multiply", counting)
+    monkeypatch.setattr(qrob.ring, "multiply", counting)
+    assert certificate_to_obj(system.certificate(n)) == certificate_to_obj(cert)
+    assert calls == [(system.diag, system.cofactor)]
+
+
+def _tampered(system, pairs):
+    """The system moved to a copy of its ring in which the basis product of
+    each (x, y) in pairs, classes of one term each, is changed: a nonzero
+    product becomes zero and a zero one nonzero."""
+    ring = system.diag.ring
+    structure = {pq: dict(table) for pq, table in ring.structure.items()}
+    for x, y in pairs:
+        ((p, xv),), ((q, yv),) = x.coords().items(), y.coords().items()
+        ((i, _),), ((j, _),) = xv.items(), yv.items()
+        table = structure.setdefault((p, q), {})
+        table[i, j] = {} if (i, j) in table else {0: Fraction(1)}
+    bad = GradedRing(
+        ring.top_degree, ring.dims, ring.labels, structure,
+        ring.fundamental_index, ring.presentation,
+    )
+
+    def move(x):
+        return RingElement(bad, {k: x.vector(k) for k in x.degrees()})
+
+    return KroneckerSystem(
+        system.kind, move(system.diag), move(system.cofactor),
+        [move(x) for x in system.rows], [move(y) for y in system.cols],
+    )
+
+
+@pytest.mark.parametrize("manifold,n,kind", CERTIFIED_SYSTEMS)
+def test_kronecker_check_names_the_first_wrong_entry(manifold, n, kind):
+    _, system = _certified_system(manifold, n, kind)
+    entries, m = system.entries(), len(system.rows)
+    if kind == "H1Annihilator":
+        # the factor times the last annihilator, then annihilators[0] * duals[0]:
+        # first in entries() order, though its row comes last
+        first, second = entries[m - 1], entries[m]
+    else:
+        # left[1] * right[0], off the diagonal, then the last diagonal entry
+        first, second = entries[m], entries[-1]
+    tampered = _tampered(system, [first[2:4], second[2:4]])
+    zero = tampered.diag.ring.zero()
+    wrong = [
+        (a, b) for a, b, x, y, on_diag in tampered.entries()
+        if multiply(x, y) != (tampered.diag if on_diag else zero)
+    ]
+    assert wrong == [first[:2], second[:2]]
+    with pytest.raises(InvalidSystemError) as err:
+        tampered.check()
+    assert err.value.detail == first[:2]
+    assert str(err.value).startswith(f"product of {first[0]} and {first[1]} is not")
+
+
+
+@pytest.mark.parametrize("moved", ["a row", "a column", "every row and column"])
+@pytest.mark.parametrize("manifold,n,kind", CERTIFIED_SYSTEMS)
+def test_kronecker_check_rejects_classes_of_another_ring(manifold, n, kind, moved):
+    # entries are read from product tables, not through `multiply`, so check
+    # itself must reject a row or column class that is not in diag's ring
+    _, system = _certified_system(manifold, n, kind)
+    entries = system.entries()
+    other = _tampered(system, [entries[-1][2:4]])
+    assert other.diag.ring != system.diag.ring
+    rows, cols = list(system.rows), list(system.cols)
+    if moved == "a row":
+        rows[-1] = other.rows[-1]
+    elif moved == "a column":
+        cols[0] = other.cols[0]
+    else:
+        rows, cols = other.rows, other.cols
+    moved_system = KroneckerSystem(kind, system.diag, system.cofactor, rows, cols)
+    with pytest.raises(RingMismatchError):
+        moved_system.check()
+    with pytest.raises(RingMismatchError):
+        moved_system.certificate(n)
 
 # CATALOG and workload queries, then families where the certifying factor is
 # the last one or where no kind's bound can be reached.
