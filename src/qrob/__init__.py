@@ -58,7 +58,6 @@ from .obstruct import (
 from .homsearch import (
     EnumBudget,
     HomWitness,
-    enumerate_hom,
     verify_hom,
     witness_template,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "build_with_classes",
     "connsum_power",
     "dim_component",
-    "enumerate_hom",
     "factorizations",
     "in_kunneth_ideal",
     "kunneth_ideal_basis",

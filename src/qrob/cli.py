@@ -17,14 +17,15 @@ and an expression or file nested too deeply to parse.
 from __future__ import annotations
 
 import json
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from .dsl import parse_manifold
 from .errors import QrobError
 from .homsearch import EnumBudget
+from .linalg import fraction_from_str
 from .manifolds import build
 from .pipeline import (
     Query,
@@ -102,9 +103,9 @@ def _cmd_kunneth_ideal(args) -> int:
 def _cmd_check(args) -> int:
     try:
         coeffs = tuple(
-            Fraction(tok.strip()) for tok in args.coeff_set.split(",") if tok.strip()
+            fraction_from_str(tok.strip()) for tok in args.coeff_set.split(",") if tok.strip()
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad --coeff-set {args.coeff_set!r}: {exc}") from exc
     if args.enum_budget < 0:
         raise _UsageError(f"--enum-budget must be >= 0, got {args.enum_budget}")
@@ -156,6 +157,8 @@ def _cmd_export(args) -> int:
 
 _REQUIRED = object()
 _INTEGER_FIELDS = ("k", "n", "enum_budget")
+# ASCII digits only, as in the expression language
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _OUTPUT = {"--format": ("format", "text"), "-o": ("output", None), "--output": ("output", None)}
 # command words -> (handler, positional names, {flag: (field, default or _REQUIRED)})
 _COMMANDS = {
@@ -192,10 +195,9 @@ def _parse_args(argv: list[str]):
             raise _UsageError(f"{command}: {flag} needs a value")
         field = flags[flag][0]
         if field in _INTEGER_FIELDS:
-            try:
-                value = int(value)
-            except ValueError:
-                raise _UsageError(f"{command}: {flag} needs an integer, got {value!r}") from None
+            if not _INTEGER_RE.fullmatch(value):
+                raise _UsageError(f"{command}: {flag} needs an integer, got {value!r}")
+            value = int(value)
         fields[field] = value
     if len(given) != len(positionals):
         raise _UsageError(f"{command} takes {' '.join(positionals).upper()}, got {given}")

@@ -192,12 +192,10 @@ class ExtElement:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict, read=fraction_from_str) -> "ExtElement":
-        """The element with obj's terms, each coefficient read by `read`:
-        `fraction_from_str`, or one document's `literal_reader`."""
+    def from_obj(cls, obj: dict) -> "ExtElement":
         n = int(obj["ambient_n"])
         terms = {
-            tuple(int(a) for a in t["axes"]): read(t["coeff"])
+            tuple(int(a) for a in t["axes"]): fraction_from_str(t["coeff"])
             for t in obj["terms"]
         }
         return cls(n, terms)

@@ -14,7 +14,6 @@ from itertools import combinations, islice
 
 from .errors import MissingPresentationError, ShapeMismatchError
 from .exterior import ExtElement, blades, wedge
-from .linalg import fraction_from_str
 from .manifolds import (
     ConnSum,
     CPm,
@@ -59,12 +58,6 @@ class HomWitness:
                         f"image ({k},{i}) is not homogeneous of degree {k}"
                     )
 
-    def apply(self, x: RingElement) -> ExtElement:
-        out = ExtElement.zero(self.ambient_n)
-        for k, vec in x.coords().items():
-            out = out + self.apply_vec(k, vec)
-        return out
-
     def apply_vec(self, k: int, vec: SparseVec) -> ExtElement:
         """Image of the degree-k class with sparse coordinates vec."""
         if k == 0:
@@ -88,13 +81,10 @@ class HomWitness:
         }
 
     @classmethod
-    def from_obj(
-        cls, ring: GradedRing, obj: dict, read=fraction_from_str
-    ) -> "HomWitness":
-        """The witness obj records, each image coefficient read by `read`."""
+    def from_obj(cls, ring: GradedRing, obj: dict) -> "HomWitness":
         n = int(obj["ambient_n"])
         images = {
-            int(k): [ExtElement.from_obj(o, read) for o in per]
+            int(k): [ExtElement.from_obj(o) for o in per]
             for k, per in obj["images"].items()
         }
         return cls(ring, n, images)
@@ -107,14 +97,15 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
     Multiplicativity is checked by `GradedRing.first_unmultiplicative`
     (every built or loaded ring is validated, phi(1) = 1 and the exterior
     algebra is associative) up to degree max(top degree, ambient n), the
-    larger of the two algebras' top degrees.
+    larger of the two algebras' top degrees. omega is tested degree by
+    degree, since images of different degrees cannot cancel.
     """
     witness.check_shape()
     ring = witness.ring
     top = max(ring.top_degree, witness.ambient_n)
     if ring.first_unmultiplicative(witness.images, witness.apply_vec, wedge, top):
         return False
-    return not witness.apply(omega).is_zero()
+    return any(not witness.apply_vec(k, vec).is_zero() for k, vec in omega.coords().items())
 
 
 def witness_from_generators(
@@ -399,11 +390,3 @@ def enumerate_hom_detailed(
             return EnumerationOutcome(witness, nodes, False)
         total += 1
 
-
-def enumerate_hom(
-    ring: GradedRing,
-    omega: RingElement,
-    n: int,
-    budget: EnumBudget = EnumBudget(),
-) -> HomWitness | None:
-    return enumerate_hom_detailed(ring, omega, n, budget).witness

@@ -7,8 +7,8 @@ deterministic; no floating point anywhere.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
-from typing import Callable
 
 Matrix = list[list[Fraction]]
 
@@ -19,33 +19,32 @@ def fraction_to_str(x: Fraction) -> str:
     return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
+# fraction_from_str's accepted literals; emptied when it reaches the bound
+_LITERALS_MAX = 4096
+_literals: dict[str, Fraction] = {}
+_literals_lock = threading.Lock()
+
+
 def fraction_from_str(s: str) -> Fraction:
     """An integer or a/b with ASCII digits and b nonzero, else ValueError.
-    Decimal or exponent notation is rejected: file formats are bit-exact."""
+    Decimal or exponent notation is rejected: file formats are bit-exact.
+    Accepted literals are memoized, so a repeated one is parsed once."""
+    x = _literals.get(s) if type(s) is str else None
+    if x is not None:
+        return x
     match = _FRACTION_RE.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise ValueError(f"not an exact rational literal: {s!r}")
     num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
-    if not int(den):
+    if den is not None and not int(den):
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(int(num), int(den))
-
-
-def literal_reader() -> Callable[[str], Fraction]:
-    """`fraction_from_str` for the literals of one document: each distinct
-    literal is parsed once, and a value not yet accepted goes through every
-    check again."""
-    accepted: dict[str, Fraction] = {}
-
-    def read(s: str) -> Fraction:
-        x = accepted.get(s) if type(s) is str else None
-        if x is None:
-            x = accepted[s] = fraction_from_str(s)
-        return x
-
-    return read
+    x = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    if type(s) is str:
+        with _literals_lock:
+            if len(_literals) >= _LITERALS_MAX:
+                _literals.clear()
+            _literals[s] = x
+    return x
 
 
 def mat(rows) -> Matrix:
@@ -130,12 +129,6 @@ def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
             v[pc] = -r[i][fc]
         basis.append(v)
     return basis
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of a*x = b (free variables zero), or None."""
-    sols = solve_many(a, [b])
-    return sols[0]
 
 
 def solve_many(a: Matrix, bs: list[list[Fraction]]) -> list[list[Fraction] | None]:

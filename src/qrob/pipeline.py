@@ -20,7 +20,7 @@ from .homsearch import (
     verify_hom,
     witness_template,
 )
-from .linalg import Matrix, fraction_from_str, fraction_to_str, literal_reader
+from .linalg import Matrix, fraction_from_str, fraction_to_str
 from .manifolds import ManifoldExpr, build_with_classes
 from .obstruct import (
     Certificate,
@@ -178,20 +178,20 @@ def _fail(message: str) -> NoReturn:
 
 def verify_certificate_obj(
     obj: dict, ring: GradedRing, subring: GradedRing | None = None,
-    iota_star: list[Matrix] | None = None, read=fraction_from_str,
+    iota_star: list[Matrix] | None = None,
 ) -> Certificate:
     """Re-derive a certificate with the search's own code and return it.
 
     Kronecker certificates are rebuilt from their recorded classes, the
     dimension bound from the ring, and the submanifold bound from the ring,
-    subring, restriction map and omega; each recorded literal is read by
-    `read`. Raises when the recorded data do not obstruct; `verify_document`
-    then compares the re-emitted certificate with the recorded one.
+    subring, restriction map and omega. Raises when the recorded data do not
+    obstruct; `verify_document` then compares the re-emitted certificate with
+    the recorded one.
     """
     kind = obj["kind"]
     n = int(obj["n"])
     omega = obj.get("omega")
-    omega = None if omega is None else RingElement.from_obj(ring, omega, read)
+    omega = None if omega is None else RingElement.from_obj(ring, omega)
     if kind == "PrywesBound":
         if n != ring.top_degree:
             _fail("the dimension bound needs n equal to the top degree")
@@ -202,7 +202,7 @@ def verify_certificate_obj(
         cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
     else:  # a Kronecker kind; from_classes rejects any other
         system = KroneckerSystem.from_classes(
-            kind, obj.get("classes", {}), lambda o: RingElement.from_obj(ring, o, read)
+            kind, obj.get("classes", {}), lambda o: RingElement.from_obj(ring, o)
         )
         cert = system.certificate(n)
     if cert is None:
@@ -302,10 +302,8 @@ def _rederive(
     Only a ring document holds a ring. A verdict's ring is rebuilt from its
     query; every other document's rings are `ring` and `subring`, which the
     re-emitted `ring_hash` and `subring_hash` must name. A ring or subring
-    that the document does not use fails. Each distinct coefficient literal
-    of a verdict, certificate, witness or report is parsed once.
+    that the document does not use fails.
     """
-    read = literal_reader()
     fmt = obj.get("format")
     uses_subring = fmt == SUBMANIFOLD_REPORT_FORMAT or obj.get("kind") == "SubmanifoldBound"
     if subring is not None and not uses_subring:
@@ -321,13 +319,13 @@ def _rederive(
             _fail(f"a {verdict} verdict needs both preconditions to hold")
         result = QueryResult(query, rebuilt, omega, verdict, preconditions)
         if verdict == OBSTRUCTED:
-            cert = verify_certificate_obj(obj["certificate"], rebuilt, read=read)
+            cert = verify_certificate_obj(obj["certificate"], rebuilt)
             if cert.n != query.n or cert.omega != omega:
                 _fail("the certificate's n and omega must be the query's")
             result.certificate = cert
             summary = f"certificate re-verified ({cert.kind})"
         elif verdict == WITNESS:
-            witness = HomWitness.from_obj(rebuilt, obj["witness"], read)
+            witness = HomWitness.from_obj(rebuilt, obj["witness"])
             if witness.ambient_n != query.n:
                 _fail("witness ambient dimension does not match the query")
             if not verify_hom(witness, omega):
@@ -364,21 +362,21 @@ def _rederive(
             _fail("a submanifold report without a certificate records no restriction map")
         if subring is None:
             _fail("no subring available: pass --subring")
-        iota = _recorded_iota_star(obj["certificate"], read)
-        omega = RingElement.from_obj(ring, obj["omega"], read)
+        iota = _recorded_iota_star(obj["certificate"])
+        omega = RingElement.from_obj(ring, obj["omega"])
         report = submanifold_bound(ring, subring, iota, omega, int(obj["certificate"]["n"]))
         expected = submanifold_report_obj(report, ring, subring, iota, omega)
         summary = "submanifold report re-derived"
     elif fmt == CERTIFICATE_FORMAT:
-        iota = _recorded_iota_star(obj, read)
-        cert = verify_certificate_obj(obj, ring, subring, iota, read)
+        iota = _recorded_iota_star(obj)
+        cert = verify_certificate_obj(obj, ring, subring, iota)
         expected = certificate_to_obj(cert)
         if iota is not None:
             expected["iota_star"] = [_matrix_obj(m) for m in iota]
         summary = f"certificate re-verified ({cert.kind})"
     else:
-        witness = HomWitness.from_obj(ring, obj, read)
-        omega = RingElement.from_obj(ring, obj["omega"], read)
+        witness = HomWitness.from_obj(ring, obj)
+        omega = RingElement.from_obj(ring, obj["omega"])
         if not verify_hom(witness, omega):
             _fail("witness fails multiplicativity or maps omega to zero")
         expected = witness_to_obj(witness, omega)
@@ -386,13 +384,12 @@ def _rederive(
     return expected, summary
 
 
-def _recorded_iota_star(obj: dict, read) -> list[Matrix] | None:
-    """The restriction map that a certificate object records, if any, each
-    entry read by `read`."""
+def _recorded_iota_star(obj: dict) -> list[Matrix] | None:
+    """The restriction map that a certificate object records, if any."""
     iota = obj.get("iota_star")
     if iota is None:
         return None
-    return [[[read(c) for c in r] for r in m] for m in iota]
+    return [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
 
 
 def ring_document(ring: GradedRing) -> dict:

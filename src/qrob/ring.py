@@ -28,7 +28,7 @@ from .linalg import (
     fraction_to_str,
     rank,
     row_space_basis,
-    solve,
+    solve_many,
 )
 
 RING_FORMAT = "qrob.ring/2"
@@ -173,20 +173,10 @@ class GradedRing:
     def _table(self, p: int, q: int) -> dict[tuple[int, int], SparseVec]:
         return self.structure.get((p, q), {})
 
-    def product_vec(self, p: int, i: int, q: int, j: int) -> SparseVec:
-        """Sparse coordinates of basis_p[i] * basis_q[j] in degree p+q."""
-        if p + q > self.top_degree:
-            return {}
-        if p == 0:
-            return {j: Fraction(1)}
-        if q == 0:
-            return {i: Fraction(1)}
-        return self._table(p, q).get((i, j), {})
-
     def times(self, p: int, x: SparseVec, q: int, y: SparseVec) -> SparseVec:
         """Sparse coordinates of x * y in degree p+q, for sparse x of degree p
         and y of degree q; zeros dropped. Every product of classes is summed
-        here, with the unit and above-top rules of `product_vec`."""
+        here, and a product above the top degree is zero."""
         if p + q > self.top_degree:
             return {}
         if p == 0 or q == 0:
@@ -354,8 +344,9 @@ class GradedRing:
                 continue
             x = images[p][i]
             for q in range(1, min(self.top_degree, top - p) + 1):
+                table = self._table(p, q) if p + q <= self.top_degree else {}
                 for j, y in enumerate(images.get(q, ())):
-                    if phi(p + q, self.product_vec(p, i, q, j)) != mul(x, y):
+                    if phi(p + q, table.get((i, j), _ZERO)) != mul(x, y):
                         return p, i, q, j
         return None
 
@@ -610,14 +601,10 @@ class RingElement:
         }
 
     @classmethod
-    def from_obj(
-        cls, ring: GradedRing, obj: dict, read=fraction_from_str
-    ) -> "RingElement":
-        """The class with coordinates obj["coords"], each literal read by
-        `read`: `fraction_from_str`, or one document's `literal_reader`."""
+    def from_obj(cls, ring: GradedRing, obj: dict) -> "RingElement":
         return cls(
             ring,
-            {int(k): [read(c) for c in vec] for k, vec in obj["coords"].items()},
+            {int(k): [fraction_from_str(c) for c in vec] for k, vec in obj["coords"].items()},
         )
 
 
@@ -651,12 +638,11 @@ def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
         raise ValueError(f"degree {k} out of range 0..{d}")
     fi = ring.fundamental_index
     rows, cols = range(ring.dims[k]), range(ring.dims[d - k])
-    if k in (0, d):
-        # the unit rules of `product_vec` give these products
-        return [
-            [ring.product_vec(k, i, d - k, j).get(fi, Fraction(0)) for j in cols]
-            for i in rows
-        ]
+    # basis_0[0] is the unit, so its products with basis_d are basis_d itself
+    if k == 0:
+        return [[Fraction(int(j == fi)) for j in cols] for i in rows]
+    if k == d:
+        return [[Fraction(int(i == fi)) for j in cols] for i in rows]
     table, zero = ring._table(k, d - k), Fraction(0)
     return [[table.get((i, j), _ZERO).get(fi, zero) for j in cols] for i in rows]
 
@@ -720,7 +706,7 @@ def factorizations(
     table. It is solved on the columns with a stored product and the rows
     those products reach; when omega has a coordinate outside those rows
     there is no solution. That is the same solution as on the full matrix:
-    a zero column is a free variable, which `solve` sets to 0, and a zero
+    a zero column is a free variable, which `solve_many` sets to 0, and a zero
     row is never a pivot and, as omega is zero there, never inconsistent;
     the rows and columns kept stay in order, so every pivot is the same.
     """
@@ -743,7 +729,7 @@ def factorizations(
             continue
         cols, rows = sorted(products), sorted(reached)
         system = [[products[j].get(t, zero) for j in cols] for t in rows]
-        x = solve(system, [goal.get(t, zero) for t in rows])
+        (x,) = solve_many(system, [[goal.get(t, zero) for t in rows]])
         if x is not None:
             cofactor = [zero] * ring.dims[k - ell]
             for j, v in zip(cols, x):

@@ -284,6 +284,22 @@ def test_coeff_set_not_a_number_exit_three(capsys):
     assert code == 3 and "--coeff-set" in err
 
 
+@pytest.mark.parametrize("coeffs", ["\u0661,2e0", "1_0", "0.5", "\u0661"])
+def test_coeff_set_takes_only_exact_ascii_literals(capsys, coeffs):
+    code, _, err = run(capsys, *_CHECK, "--coeff-set", coeffs)
+    assert code == 3 and err.startswith("usage error:") and "--coeff-set" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("check", "torus(4)", "--omega", "vol(1)", "--n", "\u0664"), "--n"),
+    ((*_CHECK, "--enum-budget", "1_0"), "--enum-budget"),
+    (("kunneth-ideal", "cp(2)", "--k", " 4 "), "--k"),
+])
+def test_integer_flags_take_only_ascii_digits(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("usage error:") and flag in err
+
+
 def test_negative_enum_budget_exit_three(capsys, tmp_path):
     out_file = tmp_path / "verdict.json"
     code, _, err = run(

@@ -1,24 +1,25 @@
 """Exact rational matrix routines."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from conftest import reference_gauss_jordan, reference_invert, reference_solve_many
+from qrob import linalg
 from qrob.linalg import (
     fraction_from_str,
     fraction_to_str,
     invert,
-    literal_reader,
     mat,
     nullspace,
     pivot_rows_cols,
     rank,
     row_space_basis,
     rref,
-    solve,
     solve_many,
 )
 
@@ -33,19 +34,20 @@ def test_rref_and_rank():
 
 def test_solve_exact():
     a = mat([[2, 0], [0, 3]])
-    assert solve(a, [Fraction(1), Fraction(1)]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert solve_many(a, [[Fraction(1), Fraction(1)]]) == [[Fraction(1, 2), Fraction(1, 3)]]
     # inconsistent
-    assert solve(mat([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)]) is None
+    assert solve_many(mat([[1, 1], [1, 1]]), [[Fraction(0), Fraction(1)]]) == [None]
     # underdetermined: free variables pinned to zero
-    assert solve(mat([[1, 1]]), [Fraction(2)]) == [Fraction(2), Fraction(0)]
+    assert solve_many(mat([[1, 1]]), [[Fraction(2)]]) == [[Fraction(2), Fraction(0)]]
 
 
 def test_solve_many_matches_solve():
+    # several right-hand sides in one elimination solve as each one alone
     a = mat([[1, 2], [3, 4], [4, 6]])
     bs = [[Fraction(3), Fraction(7), Fraction(10)], [Fraction(0), Fraction(1), Fraction(5)]]
     many = solve_many(a, bs)
-    assert many[0] == solve(a, bs[0])
-    assert many[1] is None
+    assert many == [solve_many(a, [b])[0] for b in bs]
+    assert many[0] == [Fraction(1), Fraction(1)] and many[1] is None
 
 
 def test_nullspace():
@@ -219,11 +221,42 @@ def test_fraction_literals_take_ascii_digits_and_a_nonzero_denominator():
         assert fraction_from_str(text) == value and type(fraction_from_str(text)) is Fraction
 
 
-def test_literal_reader_parses_once_and_still_rejects_every_bad_literal():
-    read = literal_reader()
-    one = read("1")
-    assert one == 1 and read("1") is one and read("-3/6") == Fraction(-1, 2)
-    for bad in BAD_LITERALS:
+def test_fraction_from_str_parses_once_and_still_rejects_every_bad_literal():
+    one = fraction_from_str("1")
+    assert one == 1 and fraction_from_str("1") is one
+    assert fraction_from_str("-3/6") == Fraction(-1, 2)
+    for bad in BAD_LITERALS * 2:
         with pytest.raises(ValueError):
-            read(bad)
-    assert read("1") is one
+            fraction_from_str(bad)
+    assert fraction_from_str("1") is one
+    # the memo keeps accepted literals only, and never more than its bound
+    assert not set(linalg._literals) & {b for b in BAD_LITERALS if type(b) is str}
+    for i in range(linalg._LITERALS_MAX + 10):
+        assert fraction_from_str(f"{i}/7") == Fraction(i, 7)
+        assert len(linalg._literals) <= linalg._LITERALS_MAX
+
+
+def test_fraction_from_str_memo_stays_bounded_and_exact_across_threads(monkeypatch):
+    # a small bound is crossed on every few misses; with more threads than
+    # cores switching often, an unlocked check-then-insert overshoots it
+    monkeypatch.setattr(linalg, "_LITERALS_MAX", 3)
+    wrong, sizes = [], []
+
+    def parse(t):
+        for i in range(3000):
+            if fraction_from_str(f"{i}/{t + 2}") != Fraction(i, t + 2):
+                wrong.append((t, i))
+            sizes.append(len(linalg._literals))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong and max(sizes) <= 3
