@@ -105,6 +105,8 @@ def _cmd_check(args) -> int:
         coeffs = tuple(
             fraction_from_str(tok.strip()) for tok in args.coeff_set.split(",") if tok.strip()
         )
+        if not any(coeffs):
+            raise ValueError("the set needs a nonzero value")
     except ValueError as exc:
         raise _UsageError(f"bad --coeff-set {args.coeff_set!r}: {exc}") from exc
     if args.enum_budget < 0:

@@ -149,32 +149,15 @@ class KroneckerSystem:
             [decode(x) for x in classes[row]], [decode(y) for y in classes[col]],
         )
 
-    def entries(self) -> list[tuple]:
-        """(left role, right role, left, right, on_diagonal) for every product
-        that check() proves, in the order it proves them; the product is the
-        diag class on the diagonal and zero elsewhere."""
-        pattern = _PATTERNS[self.kind]
-        row, col, diag = pattern.roles
-        out = [
-            (diag, f"{row}[{i}]", self.diag, x, False)
-            for i, x in enumerate(self.rows) if pattern.annihilated
-        ]
-        out += [
-            (f"{row}[{i}]", f"{col}[{j}]", x, y, i == j)
-            for i, x in enumerate(self.rows)
-            for j, y in enumerate(self.cols)
-        ]
-        return out
-
     def check(self) -> RingElement:
         """Require a nonzero omega, two nonzero families of one size and of the
         kind's degrees, and every entry's product; else InvalidSystemError.
         Returns omega = diag * cofactor.
 
-        Every entry's product is read from `_product_table` (diag against the
-        rows when they are annihilated, then rows against cols) and compared
-        with its expected product in `entries()` order, so a failure names
-        the first wrong entry."""
+        Each family has one degree, so `_product_table` reads every product
+        from `GradedRing.times`: diag times each row when the kind annihilates
+        the rows (zero), then each row times each column (diag on the diagonal,
+        zero elsewhere). A failure names the first wrong entry in that order."""
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
         omega = multiply(self.diag, self.cofactor)
@@ -192,15 +175,21 @@ class KroneckerSystem:
         ring = self.diag.ring
         if any(x.ring is not ring and x.ring != ring for x in self.rows + self.cols):
             raise RingMismatchError("elements belong to different rings")
-        products = _product_table([self.diag], self.rows)[0] if pattern.annihilated else []
-        products += [prod for prods in _product_table(self.rows, self.cols) for prod in prods]
-        goal = {(k, t): c for t, c in self.diag.coords()[k].items()}
-        for (a, b, _, _, on_diag), prod in zip(self.entries(), products):
-            if prod != (goal if on_diag else {}):
-                expected = f"the {diag}" if on_diag else "zero"
-                raise InvalidSystemError(
-                    f"product of {a} and {b} is not {expected}", detail=(a, b)
-                )
+
+        def wrong(a: str, b: str, on_diag: bool) -> InvalidSystemError:
+            expected = f"the {diag}" if on_diag else "zero"
+            message = f"product of {a} and {b} is not {expected}"
+            return InvalidSystemError(message, detail=(a, b))
+
+        if pattern.annihilated:
+            for i, prod in enumerate(_product_table([self.diag], self.rows)[0]):
+                if prod:
+                    raise wrong(diag, f"{row}[{i}]", False)
+        goal = self.diag._coords[k]
+        for i, prods in enumerate(_product_table(self.rows, self.cols)):
+            for j, prod in enumerate(prods):
+                if prod != (goal if i == j else {}):
+                    raise wrong(f"{row}[{i}]", f"{col}[{j}]", i == j)
         return omega
 
     def certificate(self, n: int) -> Certificate | None:
@@ -271,36 +260,26 @@ def prywes_bound(
 
 def _product_table(
     rows: list[RingElement], cols: list[RingElement]
-) -> list[list[dict[tuple[int, int], Fraction]]]:
-    """rows[r] * cols[c] as sparse {(degree, index): coefficient}, summed by
-    `GradedRing.times`; a zero product is the empty dict."""
-    col_coords = [y.coords() for y in cols]
-    table = []
-    for x in rows:
-        ring, x_coords = x.ring, x.coords()
-        table_row = []
-        for y_coords in col_coords:
-            prod: dict[tuple[int, int], Fraction] = {}
-            for p, xv in x_coords.items():
-                for q, yv in y_coords.items():
-                    for t, c in ring.times(p, xv, q, yv).items():
-                        key = (p + q, t)
-                        prod[key] = prod[key] + c if key in prod else c
-            table_row.append({key: c for key, c in prod.items() if c})
-        table.append(table_row)
-    return table
+) -> list[list[SparseVec]]:
+    """rows[r] * cols[c] from `GradedRing.times`, for nonzero rows of one
+    degree p and cols of one degree q: sparse coordinates in degree p + q,
+    and a zero product is the empty dict."""
+    ring, p, q = rows[0].ring, rows[0].degree(), cols[0].degree()
+    col_vecs = [y._coords[q] for y in cols]
+    return [[ring.times(p, x._coords[p], q, y) for y in col_vecs] for x in rows]
 
 
 def _lambda_matrix(
-    products: list[list[dict[tuple[int, int], Fraction]]], target: RingElement
+    products: list[list[SparseVec]], degree: int, target: RingElement
 ) -> list[list[Fraction | None]]:
-    """lam[r][c] with products[r][c] == lam * target, or None where no such lam.
+    """lam[r][c] with products[r][c] == lam * target, or None where no such lam;
+    the products are sparse coordinates in one degree.
 
-    A zero product gives 0 without a division; one off the target's support
-    or not proportional to it gives None.
+    A zero product gives 0 without a division; a nonzero one of another degree
+    than the target's, off its support or not proportional to it gives None.
     """
     k = target.degree()
-    goal = {(k, t): c for t, c in target.coords()[k].items()}
+    goal = target._coords[k]
     pivot = min(goal)
     zero = Fraction(0)
     lam: list[list[Fraction | None]] = []
@@ -309,11 +288,11 @@ def _lambda_matrix(
         for prod in table_row:
             if not prod:
                 lam_row.append(zero)
-            elif prod.keys() != goal.keys():
+            elif degree != k or prod.keys() != goal.keys():
                 lam_row.append(None)
             else:
                 ratio = prod[pivot] / goal[pivot]
-                exact = all(prod[key] == ratio * c for key, c in goal.items())
+                exact = all(prod[t] == ratio * c for t, c in goal.items())
                 lam_row.append(ratio if exact else None)
         lam.append(lam_row)
     return lam
@@ -329,7 +308,7 @@ def kronecker_systems(
     rows: list[RingElement],
     cols: list[RingElement],
     target: RingElement,
-    products: list[list[dict[tuple[int, int], Fraction]]],
+    products: list[list[SparseVec]],
     min_size: int,
 ):
     """Yield exact Kronecker systems (lefts, rights) against the target class,
@@ -354,7 +333,7 @@ def kronecker_systems(
         return
     ring = target.ring
     q = cols[0].degree()
-    lam = _lambda_matrix(products, target)
+    lam = _lambda_matrix(products, rows[0].degree() + q, target)
     if _block_bound(lam) < min_size:
         return
     masks = [
@@ -383,7 +362,7 @@ def kronecker_systems(
         duals = [[Fraction(0)] * ring.dims[q] for _ in piv_cols]
         for t, c in enumerate(piv_cols):
             terms = [(duals[j], f) for j, f in enumerate(inv[t]) if f]
-            for i, coeff in cols[col_ids[c]].coords().get(q, {}).items():
+            for i, coeff in cols[col_ids[c]]._coords[q].items():
                 for dual, f in terms:
                     dual[i] += f * coeff
         yield lefts, [ring.element(q, dual) for dual in duals]

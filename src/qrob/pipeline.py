@@ -210,11 +210,10 @@ def verify_certificate_obj(
     return cert
 
 
-def witness_to_obj(witness: HomWitness, omega: RingElement | None = None) -> dict:
+def witness_to_obj(witness: HomWitness, omega: RingElement) -> dict:
     obj = witness.to_obj()
     obj["format"] = WITNESS_FORMAT
-    if omega is not None:
-        obj["omega"] = omega.to_obj()
+    obj["omega"] = omega.to_obj()
     return obj
 
 

@@ -731,8 +731,7 @@ def factorizations(
         system = [[products[j].get(t, zero) for j in cols] for t in rows]
         (x,) = solve_many(system, [[goal.get(t, zero) for t in rows]])
         if x is not None:
-            cofactor = [zero] * ring.dims[k - ell]
-            for j, v in zip(cols, x):
-                cofactor[j] = v
-            out.append((ring.basis_element(ell, i), ring.element(k - ell, cofactor)))
+            # a solution for a nonzero omega is never zero
+            cofactor = {k - ell: {j: v for j, v in zip(cols, x) if v}}
+            out.append((ring.basis_element(ell, i), RingElement._trusted(ring, cofactor)))
     return out

@@ -228,6 +228,26 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert "annihilators[0]" in out
 
 
+@pytest.mark.parametrize("manifold,n,role", [
+    ("connsum(s2xs2,8) * cp(2)", "6", "left"),
+    ("surface(2) * cp(2)", "4", "annihilators"),
+])
+def test_verify_rejects_a_mixed_degree_row_class(capsys, tmp_path, manifold, n, role):
+    # the product tables take classes of one degree: a degree-0 part added to
+    # the first row class is a failed verification, not a traceback
+    out_file = tmp_path / "verdict.json"
+    code, _, _ = run(
+        capsys, "check", manifold, "--omega", "vol(1)^sym(2)", "--n", n, "-o", str(out_file)
+    )
+    assert code == 1
+    doc = json.loads(out_file.read_text())
+    doc["certificate"]["classes"][role][0]["coords"]["0"] = ["1"]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(tampered))
+    assert code == 1 and out.startswith("FAIL: NonHomogeneousError") and err == ""
+
+
 def test_export_and_verify_ring(capsys, tmp_path):
     ring_file = tmp_path / "ring.json"
     code, out, _ = run(capsys, "export", "surface(2) * cp(2)", "-o", str(ring_file))
@@ -284,7 +304,10 @@ def test_coeff_set_not_a_number_exit_three(capsys):
     assert code == 3 and "--coeff-set" in err
 
 
-@pytest.mark.parametrize("coeffs", ["\u0661,2e0", "1_0", "0.5", "\u0661"])
+# a literal must be exact ASCII, and the set must hold a nonzero value
+@pytest.mark.parametrize(
+    "coeffs", ["\u0661,2e0", "1_0", "0.5", "\u0661", "", ",", "0", "0,0"]
+)
 def test_coeff_set_takes_only_exact_ascii_literals(capsys, coeffs):
     code, _, err = run(capsys, *_CHECK, "--coeff-set", coeffs)
     assert code == 3 and err.startswith("usage error:") and "--coeff-set" in err

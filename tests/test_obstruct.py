@@ -253,7 +253,7 @@ def test_lambda_matrix_matches_dense_products_on_catalog():
                 for q in (k - p, k - p + 1):  # the target degree, and one above
                     cols = ring.basis(q) if q <= ring.top_degree else []
                     if cols:
-                        lam = _lambda_matrix(_product_table(rows, cols), target)
+                        lam = _lambda_matrix(_product_table(rows, cols), p + q, target)
                         expected = reference_lambda(rows, cols, target)
                         assert lam == expected, (manifold, k, p, q)
 
@@ -345,13 +345,32 @@ def _tampered(system, pairs):
     )
 
 
+def _entries(system):
+    """(left role, right role, left, right, on_diagonal) for every product that
+    `KroneckerSystem.check` proves, in the order it proves them: diag times
+    each row when the kind annihilates the rows, then each row times each
+    column; the product is the diag class on the diagonal and zero elsewhere."""
+    pattern = qrob.obstruct._PATTERNS[system.kind]
+    row, col, diag = pattern.roles
+    out = [
+        (diag, f"{row}[{i}]", system.diag, x, False)
+        for i, x in enumerate(system.rows) if pattern.annihilated
+    ]
+    out += [
+        (f"{row}[{i}]", f"{col}[{j}]", x, y, i == j)
+        for i, x in enumerate(system.rows)
+        for j, y in enumerate(system.cols)
+    ]
+    return out
+
+
 @pytest.mark.parametrize("manifold,n,kind", CERTIFIED_SYSTEMS)
 def test_kronecker_check_names_the_first_wrong_entry(manifold, n, kind):
     _, system = _certified_system(manifold, n, kind)
-    entries, m = system.entries(), len(system.rows)
+    entries, m = _entries(system), len(system.rows)
     if kind == "H1Annihilator":
         # the factor times the last annihilator, then annihilators[0] * duals[0]:
-        # first in entries() order, though its row comes last
+        # first in check order, though its row comes last
         first, second = entries[m - 1], entries[m]
     else:
         # left[1] * right[0], off the diagonal, then the last diagonal entry
@@ -359,7 +378,7 @@ def test_kronecker_check_names_the_first_wrong_entry(manifold, n, kind):
     tampered = _tampered(system, [first[2:4], second[2:4]])
     zero = tampered.diag.ring.zero()
     wrong = [
-        (a, b) for a, b, x, y, on_diag in tampered.entries()
+        (a, b) for a, b, x, y, on_diag in _entries(tampered)
         if multiply(x, y) != (tampered.diag if on_diag else zero)
     ]
     assert wrong == [first[:2], second[:2]]
@@ -376,8 +395,7 @@ def test_kronecker_check_rejects_classes_of_another_ring(manifold, n, kind, move
     # entries are read from product tables, not through `multiply`, so check
     # itself must reject a row or column class that is not in diag's ring
     _, system = _certified_system(manifold, n, kind)
-    entries = system.entries()
-    other = _tampered(system, [entries[-1][2:4]])
+    other = _tampered(system, [_entries(system)[-1][2:4]])
     assert other.diag.ring != system.diag.ring
     rows, cols = list(system.rows), list(system.cols)
     if moved == "a row":
