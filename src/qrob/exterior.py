@@ -12,9 +12,9 @@ a second pass over their terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 from .errors import DimensionMismatchError, NonHomogeneousError
 from .linalg import fraction_from_str, fraction_to_str

@@ -8,7 +8,6 @@ returned witness has passed `verify_hom`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -25,16 +24,14 @@ from .manifolds import (
     build,
     factor_list,
 )
+from .record import Frozen, Record
 from .ring import GradedRing, RingElement, SparseVec
 
 
-@dataclass
-class HomWitness:
+class HomWitness(Record):
     """Per-degree images of the basis classes under a graded linear map."""
 
-    ring: GradedRing
-    ambient_n: int
-    images: dict[int, list[ExtElement]]
+    __slots__ = ("ring", "ambient_n", "images")
 
     def check_shape(self) -> None:
         expected = set(range(1, min(self.ring.top_degree, self.ambient_n) + 1))
@@ -220,12 +217,11 @@ def witness_template(
 # -- bounded enumeration --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumBudget:
+class EnumBudget(Frozen):
     """Coefficient set and assignment cap for the enumeration search."""
 
-    coefficients: tuple[Fraction, ...] = (Fraction(-1), Fraction(0), Fraction(1))
-    max_nodes: int = 50_000
+    __slots__ = ("coefficients", "max_nodes")
+    _defaults = {"coefficients": (Fraction(-1), Fraction(0), Fraction(1)), "max_nodes": 50_000}
 
     def nonzero(self) -> list[Fraction]:
         # Positive before negative at each magnitude, smallest magnitude first.
@@ -283,11 +279,8 @@ def _reorder_sign(word: tuple[int, ...], degrees: list[int]) -> int:
     return -1 if odd % 2 else 1
 
 
-@dataclass
-class EnumerationOutcome:
-    witness: HomWitness | None
-    nodes: int
-    space_exhausted: bool
+class EnumerationOutcome(Record):
+    __slots__ = ("witness", "nodes", "space_exhausted")
 
 
 def enumerate_hom_detailed(

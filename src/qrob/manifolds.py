@@ -13,66 +13,75 @@ generators of the others, and its middle classes are labelled c1..cN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import RingValidationError
 from .linalg import Matrix
+from .record import Frozen
 from .ring import Generator, GradedRing, Presentation, RingElement, SparseVec
 
 
-@dataclass(frozen=True)
-class Sphere:
-    n: int
+class _Node(Frozen):
+    """An expression node, equal to a node of the same class with equal
+    fields; the build cache is keyed by nodes, and parses compare by value."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sphere dimension must be >= 1")
+    __slots__ = ()
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the class and then the fields, read by one C getter per class
+        cls._key = property(attrgetter("__class__", *cls.__slots__))
 
-@dataclass(frozen=True)
-class Torus:
-    n: int
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, _Node) else NotImplemented
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("torus dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class Surface:
-    g: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("surface genus must be >= 1 (the sphere is excluded)")
+    def __hash__(self):
+        return hash(self._key)
 
 
-@dataclass(frozen=True)
-class CPm:
-    m: int
+class _Atom(_Node):
+    """A node with one integer parameter, which must be at least 1."""
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("projective space needs m >= 1")
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class S2xS2:
-    pass
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if getattr(self, self.__slots__[0]) < 1:
+            raise ValueError(self._too_small)
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "ManifoldExpr"
-    right: "ManifoldExpr"
+class Sphere(_Atom):
+    __slots__ = ("n",)
+    _too_small = "sphere dimension must be >= 1"
 
 
-@dataclass(frozen=True)
-class ConnSum:
-    left: "ManifoldExpr"
-    right: "ManifoldExpr"
+class Torus(_Atom):
+    __slots__ = ("n",)
+    _too_small = "torus dimension must be >= 1"
+
+
+class Surface(_Atom):
+    __slots__ = ("g",)
+    _too_small = "surface genus must be >= 1 (the sphere is excluded)"
+
+
+class CPm(_Atom):
+    __slots__ = ("m",)
+    _too_small = "projective space needs m >= 1"
+
+
+class S2xS2(_Node):
+    __slots__ = ()
+
+
+class Product(_Node):
+    __slots__ = ("left", "right")
+
+
+class ConnSum(_Node):
+    __slots__ = ("left", "right")
 
 
 ManifoldExpr = Sphere | Torus | Surface | CPm | S2xS2 | Product | ConnSum

@@ -21,9 +21,8 @@ read for every i of degree l before omega is factored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     InvalidSystemError,
@@ -40,13 +39,11 @@ from .ring import (
     in_kunneth_ideal,
     multiply,
 )
+from .record import Frozen, Record
 
 
-@dataclass(frozen=True)
-class Inequality:
-    lhs: int
-    rel: str  # ">" or ">="
-    rhs: int
+class Inequality(Frozen):
+    __slots__ = ("lhs", "rel", "rhs")  # rel is ">" or ">="
 
     def holds(self) -> bool:
         return self.lhs > self.rhs if self.rel == ">" else self.lhs >= self.rhs
@@ -55,35 +52,30 @@ class Inequality:
         return {"lhs": self.lhs, "rel": self.rel, "rhs": self.rhs}
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     """A self-contained obstruction witness.
 
+    `kind` is PrywesBound, H1Annihilator, DualPair or SubmanifoldBound.
     `classes` holds the payload classes by role; `omega`, when present, ties
     the certificate to the form class of the originating query.
     """
 
-    kind: str  # PrywesBound | H1Annihilator | DualPair | SubmanifoldBound
-    ring_hash: str
-    n: int
-    inequality: Inequality
-    conclusion: str
-    classes: dict = field(default_factory=dict)
-    omega: RingElement | None = None
-    degree: int | None = None
-    k_prime: int | None = None
+    __slots__ = ("kind", "ring_hash", "n", "inequality", "conclusion", "classes", "omega",
+                 "degree", "k_prime")
+    _defaults = {"classes": dict, "omega": None, "degree": None, "k_prime": None}
 
 
-@dataclass(frozen=True)
-class _Pattern:
+class _Pattern(Frozen):
     """What one Kronecker certificate kind adds to the common check."""
 
-    roles: tuple[str, str, str]  # row role, column role, diagonal role
-    row_degrees: Callable[[int], range]  # allowed k' for a diagonal of degree k
-    annihilated: bool  # diag * rows[i] = 0 is proved too
-    bound: Callable[[int, int], tuple[str, int]]  # (n, k') -> (rel, rhs) for m
-    conclusion: str  # formatted with m, kp, n and rhs
-    records_k_prime: bool
+    __slots__ = (
+        "roles",  # row role, column role, diagonal role
+        "row_degrees",  # k -> the allowed k' for a diagonal of degree k
+        "annihilated",  # diag * rows[i] = 0 is proved too
+        "bound",  # (n, k') -> (rel, rhs) for m
+        "conclusion",  # formatted with m, kp, n and rhs
+        "records_k_prime",
+    )
 
     def min_size(self, n: int, kp: int) -> int:
         """The least family size m that breaks the bound."""
@@ -122,20 +114,16 @@ _PATTERNS = {
 }
 
 
-@dataclass
-class KroneckerSystem:
+class KroneckerSystem(Record):
     """rows[i] * cols[j] = delta_ij * diag, with omega = diag * cofactor nonzero.
 
     A graded algebra homomorphism that is nonzero on omega is nonzero on diag,
     so it keeps the rows linearly independent (wedge a relation with the image
-    of cols[j]); the kind's bound on their number then obstructs it.
+    of cols[j]); the kind's bound on their number then obstructs it. `kind` is
+    a key of _PATTERNS, and rows and cols are lists of classes.
     """
 
-    kind: str  # a key of _PATTERNS
-    diag: RingElement
-    cofactor: RingElement
-    rows: list[RingElement]
-    cols: list[RingElement]
+    __slots__ = ("kind", "diag", "cofactor", "rows", "cols")
 
     @classmethod
     def from_classes(cls, kind: str, classes: dict, decode) -> KroneckerSystem:
@@ -483,18 +471,12 @@ def search_obstruction(
 # -- submanifold restriction bound --------------------------------------------
 
 
-@dataclass
-class DegreeReport:
-    degree: int
-    image_dim: int
-    bound: int
-    surjective: bool
+class DegreeReport(Record):
+    __slots__ = ("degree", "image_dim", "bound", "surjective")
 
 
-@dataclass
-class SubmanifoldReport:
-    degrees: list[DegreeReport]
-    certificate: Certificate | None
+class SubmanifoldReport(Record):
+    __slots__ = ("degrees", "certificate")  # a list of DegreeReport, and one or None
 
 
 def check_ring_map(

@@ -8,9 +8,6 @@ deterministic and re-checkable via `verify_document`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NoReturn
-
 from .dsl import parse_manifold, parse_omega
 from .errors import QrobError, VerificationFailure
 from .homsearch import (
@@ -39,6 +36,7 @@ from .ring import (
     kunneth_ideal_basis,
     poincare_pairing,
 )
+from .record import Frozen, Record
 
 VERDICT_FORMAT = "qrob.verdict/3"
 CERTIFICATE_FORMAT = "qrob.certificate/2"
@@ -53,23 +51,14 @@ UNKNOWN = "UNKNOWN"
 EXIT_BY_VERDICT = {WITNESS: 0, OBSTRUCTED: 1, UNKNOWN: 2}
 
 
-@dataclass(frozen=True)
-class Query:
-    manifold: str
-    omega: str
-    n: int
+class Query(Frozen):
+    __slots__ = ("manifold", "omega", "n")
 
 
-@dataclass
-class QueryResult:
-    query: Query
-    ring: GradedRing
-    omega: RingElement
-    verdict: str
-    preconditions: dict
-    certificate: Certificate | None = None
-    witness: HomWitness | None = None
-    search_log: dict | None = None
+class QueryResult(Record):
+    __slots__ = ("query", "ring", "omega", "verdict", "preconditions", "certificate",
+                 "witness", "search_log")
+    _defaults = {"certificate": None, "witness": None, "search_log": None}
 
     @property
     def exit_code(self) -> int:
@@ -172,10 +161,6 @@ def certificate_to_obj(cert: Certificate) -> dict:
     return obj
 
 
-def _fail(message: str) -> NoReturn:
-    raise VerificationFailure(message)
-
-
 def verify_certificate_obj(
     obj: dict, ring: GradedRing, subring: GradedRing | None = None,
     iota_star: list[Matrix] | None = None,
@@ -194,11 +179,11 @@ def verify_certificate_obj(
     omega = None if omega is None else RingElement.from_obj(ring, omega)
     if kind == "PrywesBound":
         if n != ring.top_degree:
-            _fail("the dimension bound needs n equal to the top degree")
+            raise VerificationFailure("the dimension bound needs n equal to the top degree")
         cert = prywes_bound(ring, n, omega)
     elif kind == "SubmanifoldBound":
         if omega is None or subring is None or iota_star is None:
-            _fail("submanifold certificate needs omega, subring and iota_star")
+            raise VerificationFailure("submanifold certificate needs omega, subring and iota_star")
         cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
     else:  # a Kronecker kind; from_classes rejects any other
         system = KroneckerSystem.from_classes(
@@ -206,7 +191,7 @@ def verify_certificate_obj(
         )
         cert = system.certificate(n)
     if cert is None:
-        _fail(f"the recorded {kind} data do not obstruct in dimension {n}")
+        raise VerificationFailure(f"the recorded {kind} data do not obstruct in dimension {n}")
     return cert
 
 
@@ -289,7 +274,9 @@ def verify_document(
             ZeroDivisionError, IndexError, OverflowError) as exc:
         raise VerificationFailure(f"{type(exc).__name__}: {exc}") from exc
     if differing:
-        _fail("document does not match its re-derivation at " + ", ".join(differing))
+        raise VerificationFailure(
+            "document does not match its re-derivation at " + ", ".join(differing)
+        )
     return summary
 
 
@@ -306,42 +293,42 @@ def _rederive(
     fmt = obj.get("format")
     uses_subring = fmt == SUBMANIFOLD_REPORT_FORMAT or obj.get("kind") == "SubmanifoldBound"
     if subring is not None and not uses_subring:
-        _fail(f"--subring is not used by a {fmt} document")
+        raise VerificationFailure(f"--subring is not used by a {fmt} document")
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
         _, rebuilt, omega, preconditions = _prepare(query)
         if ring is not None and ring != rebuilt:
-            _fail("the given ring's ring_hash is not the query's ring_hash")
+            raise VerificationFailure("the given ring's ring_hash is not the query's ring_hash")
         verdict = obj["verdict"]
         if verdict != UNKNOWN and not all(preconditions.values()):
-            _fail(f"a {verdict} verdict needs both preconditions to hold")
+            raise VerificationFailure(f"a {verdict} verdict needs both preconditions to hold")
         result = QueryResult(query, rebuilt, omega, verdict, preconditions)
         if verdict == OBSTRUCTED:
             cert = verify_certificate_obj(obj["certificate"], rebuilt)
             if cert.n != query.n or cert.omega != omega:
-                _fail("the certificate's n and omega must be the query's")
+                raise VerificationFailure("the certificate's n and omega must be the query's")
             result.certificate = cert
             summary = f"certificate re-verified ({cert.kind})"
         elif verdict == WITNESS:
             witness = HomWitness.from_obj(rebuilt, obj["witness"])
             if witness.ambient_n != query.n:
-                _fail("witness ambient dimension does not match the query")
+                raise VerificationFailure("witness ambient dimension does not match the query")
             if not verify_hom(witness, omega):
-                _fail("witness fails multiplicativity or maps omega to zero")
+                raise VerificationFailure("witness fails multiplicativity or maps omega to zero")
             result.witness = witness
             summary = "witness re-verified"
         elif verdict == UNKNOWN:
             summary = "preconditions re-verified (verdict UNKNOWN carries no payload)"
         else:
-            _fail(f"unknown verdict {verdict!r}")
+            raise VerificationFailure(f"unknown verdict {verdict!r}")
         expected = result_to_obj(result)
         expected["search_log"] = obj.get("search_log", _ABSENT)  # advisory
         return expected, summary
     if fmt == RING_FORMAT:
         embedded = GradedRing.from_obj(obj["ring"])
         if ring is not None and ring != embedded:
-            _fail("--ring is unused: it is not the ring this document holds")
+            raise VerificationFailure("--ring is unused: it is not the ring this document holds")
         expected = ring_document(embedded)
         if "pairings" in obj:
             expected["pairings"] = pairings_obj(embedded)
@@ -349,18 +336,20 @@ def _rederive(
     if fmt not in (
         CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT, SUBMANIFOLD_REPORT_FORMAT
     ):
-        _fail(f"unrecognized document format {fmt!r}")
+        raise VerificationFailure(f"unrecognized document format {fmt!r}")
     if ring is None:
-        _fail("no ring available: pass --ring")
+        raise VerificationFailure("no ring available: pass --ring")
     if fmt == KUNNETH_IDEAL_FORMAT:
         k = obj["degree"]
         expected = kunneth_ideal_basis_doc(ring, k, kunneth_ideal_basis(ring, k))
         summary = "product ideal basis re-derived"
     elif fmt == SUBMANIFOLD_REPORT_FORMAT:
         if obj["certificate"] is None:
-            _fail("a submanifold report without a certificate records no restriction map")
+            raise VerificationFailure(
+                "a submanifold report without a certificate records no restriction map"
+            )
         if subring is None:
-            _fail("no subring available: pass --subring")
+            raise VerificationFailure("no subring available: pass --subring")
         iota = _recorded_iota_star(obj["certificate"])
         omega = RingElement.from_obj(ring, obj["omega"])
         report = submanifold_bound(ring, subring, iota, omega, int(obj["certificate"]["n"]))
@@ -377,7 +366,7 @@ def _rederive(
         witness = HomWitness.from_obj(ring, obj)
         omega = RingElement.from_obj(ring, obj["omega"])
         if not verify_hom(witness, omega):
-            _fail("witness fails multiplicativity or maps omega to zero")
+            raise VerificationFailure("witness fails multiplicativity or maps omega to zero")
         expected = witness_to_obj(witness, omega)
         summary = "witness re-verified"
     return expected, summary

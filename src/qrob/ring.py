@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,6 +29,7 @@ from .linalg import (
     row_space_basis,
     solve_many,
 )
+from .record import Frozen
 
 RING_FORMAT = "qrob.ring/2"
 
@@ -48,19 +48,14 @@ Structure = dict[tuple[int, int], dict[tuple[int, int], SparseVec]]
 _ZERO: SparseVec = {}
 
 
-@dataclass(frozen=True)
-class Generator:
-    degree: int
-    index: int
-    name: str
+class Generator(Frozen):
+    __slots__ = ("degree", "index", "name")
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """Each basis element written as an exact ordered product of generators."""
 
-    generators: tuple[Generator, ...]
-    words: tuple[tuple[tuple[int, ...], ...], ...]  # words[degree][index] -> gen ids
+    __slots__ = ("generators", "words")  # words[degree][index] -> generator ids
 
     def to_obj(self) -> dict:
         return {

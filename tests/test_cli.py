@@ -168,15 +168,17 @@ def test_help_exits_zero(capsys, argv):
 
 
 def test_importing_the_cli_does_not_load_argparse():
-    # building an argparse parser in a fresh process costs each cold `check` and
-    # `verify` milliseconds
+    # building an argparse parser, or importing dataclasses (which loads
+    # inspect and generates each class's methods by exec), in a fresh process
+    # costs each cold `check` and `verify` milliseconds
     src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, qrob.cli; print(*(m in sys.modules for m in sys.argv[1:]))"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, qrob.cli; print('argparse' in sys.modules)"],
+        [sys.executable, "-c", probe, "argparse", "dataclasses", "inspect"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False False\n"
 
 
 def test_verify_witness_document(capsys, tmp_path):
@@ -483,6 +485,30 @@ def test_ring_show_document_verifies(capsys, tmp_path):
     out_file.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(out_file))
     assert code == 1 and "pairings.1" in out
+
+
+def test_generator_out_of_range_message(capsys, tmp_path):
+    # the message shows the generator as Generator(degree=..., index=..., name=...)
+    ring_file = tmp_path / "ring.json"
+    run(capsys, "export", "surface(2) * cp(2)", "-o", str(ring_file))
+    doc = json.loads(ring_file.read_text())
+    doc["ring"]["monomial_presentation"]["generators"][0]["index"] = 99
+    ring_file.write_text(json.dumps(doc))
+    message = "generator out of range: Generator(degree=1, index=99, name='c1⊗1')"
+    assert run(capsys, "ring", "show", f"@{ring_file}") == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, "verify", str(ring_file))
+    assert (code, out, err) == (1, f"FAIL: RingValidationError: {message}\n", "")
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("sphere(0)", "sphere dimension must be >= 1"),
+    ("torus(0)", "torus dimension must be >= 1"),
+    ("surface(0)", "surface genus must be >= 1 (the sphere is excluded)"),
+    ("cp(0)", "projective space needs m >= 1"),
+])
+def test_constructor_below_one_exit_three(capsys, expr, message):
+    code, out, err = run(capsys, "check", expr, "--omega", "vol(1)", "--n", "2")
+    assert (code, out, err) == (3, "", f"error: {message} (at position 0)\n")
 
 
 @pytest.mark.parametrize("gid", [7, -1])

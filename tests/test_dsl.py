@@ -43,6 +43,45 @@ def test_parse_nested():
     assert expr == Product(ConnSum(Torus(2), Torus(2)), CPm(2))
 
 
+def test_nodes_of_different_classes_are_different_keys():
+    # the build cache is keyed by expression: equal fields under another
+    # class are another manifold
+    assert Sphere(2) != Torus(2)
+    assert Product(S2xS2(), CPm(2)) != ConnSum(S2xS2(), CPm(2))
+    keys = {Sphere(2): "S2", Torus(2): "T2"}
+    keys[Product(S2xS2(), CPm(2))] = "product"
+    keys[ConnSum(S2xS2(), CPm(2))] = "connected sum"
+    assert len(keys) == 4 and keys[Sphere(n=2)] == "S2"
+    assert keys[Product(left=S2xS2(), right=CPm(m=2))] == "product"
+
+
+def test_two_parses_are_equal_and_hash_equal():
+    text = "connsum(surface(2) * sphere(3), 3) * cp(2) * s2xs2"
+    first, second = parse_manifold(text), parse_manifold(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("node", [Sphere(2), CPm(2), S2xS2(), Product(Torus(1), CPm(1))])
+def test_nodes_are_immutable(node):
+    with pytest.raises(AttributeError):
+        node.n = 3
+    with pytest.raises(AttributeError):
+        node.left = Sphere(1)
+
+
+@pytest.mark.parametrize("node, message", [
+    (Sphere, "sphere dimension must be >= 1"),
+    (Torus, "torus dimension must be >= 1"),
+    (Surface, "surface genus must be >= 1 (the sphere is excluded)"),
+    (CPm, "projective space needs m >= 1"),
+])
+def test_atom_below_one_is_a_value_error(node, message):
+    with pytest.raises(ValueError) as err:
+        node(0)
+    assert str(err.value) == message
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_manifold("torus(2) * blob(3)")

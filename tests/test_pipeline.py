@@ -1,8 +1,9 @@
 """Query pipeline paths and document re-verification."""
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -28,7 +29,7 @@ from qrob import manifolds
 from qrob.cli import main
 from qrob.errors import InvalidSystemError, VerificationFailure
 from qrob.homsearch import EnumBudget
-from qrob.obstruct import _PATTERNS, Inequality, KroneckerSystem
+from qrob.obstruct import _PATTERNS, Certificate, Inequality, KroneckerSystem
 from qrob.pipeline import (
     certificate_to_obj,
     document_json,
@@ -37,6 +38,40 @@ from qrob.pipeline import (
     submanifold_report_obj,
     witness_to_obj,
 )
+
+
+def test_readme_library_example():
+    # the README shows these reprs
+    result = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    assert repr(result.verdict) == "'OBSTRUCTED'"
+    assert repr(result.certificate.inequality) == "Inequality(lhs=4, rel='>=', rhs=4)"
+
+
+def test_records_are_immutable_or_fresh():
+    query = Query("torus(2)", "vol(1)", 2)
+    inequality = Inequality(4, ">=", 4)
+    for record, name in ((query, "n"), (inequality, "lhs")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+        assert getattr(record, name) != 3
+    # each certificate built without classes gets its own dict
+    first = Certificate("DualPair", "hash", 2, inequality, "conclusion")
+    second = Certificate(kind="DualPair", ring_hash="hash", n=2,
+                         inequality=inequality, conclusion="conclusion")
+    first.classes["left"] = []
+    assert second.classes == {} and first.classes is not second.classes
+    assert (second.omega, second.degree, second.k_prime) == (None, None, None)
+
+
+def test_results_pickle_and_copy():
+    # a query and its result cross process boundaries, as in a worker pool
+    query = Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4)
+    result = pickle.loads(pickle.dumps(run_query(query)))
+    assert (result.query.manifold, result.verdict) == (query.manifold, "OBSTRUCTED")
+    assert result.certificate.inequality.lhs == 4
+    expr = parse_manifold(query.manifold)
+    assert pickle.loads(pickle.dumps(expr)) == expr == copy.deepcopy(expr)
+    assert copy.copy(query).n == 4
 
 
 def test_prywes_path_end_to_end():
@@ -356,9 +391,10 @@ def test_kronecker_certificate_needs_n_equal_to_omega_degree(n):
         system.certificate(n)
     # the document that certificate(n) used to write
     m, kp, rhs = cert.inequality.lhs, cert.k_prime, math.comb(n, cert.k_prime)
-    forged = dataclasses.replace(
-        cert, n=n, inequality=Inequality(m, ">", rhs),
-        conclusion=_PATTERNS["DualPair"].conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
+    forged = Certificate(
+        cert.kind, cert.ring_hash, n, Inequality(m, ">", rhs),
+        _PATTERNS["DualPair"].conclusion.format(m=m, kp=kp, n=n, rhs=rhs),
+        cert.classes, cert.omega, cert.degree, cert.k_prime,
     )
     with pytest.raises(VerificationFailure, match="degree n"):
         verify_document(certificate_to_obj(forged), ring=honest.ring)

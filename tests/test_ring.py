@@ -45,6 +45,17 @@ from qrob.manifolds import _torus_ring
 from qrob.ring import canonical_json
 
 
+def test_presentation_records_are_immutable():
+    pres = build(Torus(2)).presentation
+    generator = pres.generators[0]
+    assert repr(generator) == "Generator(degree=1, index=0, name='t1')"
+    with pytest.raises(AttributeError):
+        generator.index = 99
+    with pytest.raises(AttributeError):
+        pres.words = ()
+    assert generator.index == 0
+
+
 def test_torus2_products():
     ring = build(Torus(2))
     a, b = ring.basis(1)
