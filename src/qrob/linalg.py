@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse rows.
 
-Matrices are lists of rows of `Fraction`. Everything here is pure and
-deterministic; no floating point anywhere.
+A row is a dict {column: Fraction} holding its nonzero entries; column ids
+are any nonnegative integers, and a matrix is a list of rows. Everything
+here is pure and deterministic; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import re
 import threading
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
+SparseVec = dict[int, Fraction]
 
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -47,131 +48,131 @@ def fraction_from_str(s: str) -> Fraction:
     return x
 
 
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _copy(rows: list[SparseVec]) -> list[SparseVec]:
+    return [{c: v for c, v in row.items() if v} for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _eliminate(m: list[SparseVec], ncols: int | None = None) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on the rows m in place, pivoting only in columns < ncols
+    (in every column when ncols is None).
 
-
-def _eliminate(m: Matrix, ncols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan on m in place, pivoting only in columns < ncols.
-
-    Each pivot row is moved up below the previous one, so the other rows keep
-    their order and the pivot in each column is the first unused row with a
-    nonzero entry there. Returns the pivot columns and the original index of
-    every row; pivot rows are the first len(pivots) rows.
+    Columns are taken left to right, and the pivot in each is the unused row
+    of lowest original index with a nonzero entry there. A column -> rows
+    index makes the pivot search and the row updates visit only nonzero
+    entries; a pivot row is zero left of its column, so fill-in only reaches
+    columns already indexed. Afterwards the pivot rows come first, in pivot
+    order, and the others keep their order. Returns the pivot columns and
+    the original index of every row.
     """
-    rows = len(m)
-    order = list(range(rows))
+    index: dict[int, set[int]] = {}
+    for i, row in enumerate(m):
+        for c in row:
+            index.setdefault(c, set()).add(i)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    used: dict[int, None] = {}  # pivot rows in pivot order
+    for c in sorted(index):
+        if ncols is not None and c >= ncols:
+            break
+        pr = min((i for i in index[c] if i not in used), default=None)
         if pr is None:
             continue
-        m.insert(r, m.pop(pr))
-        order.insert(r, order.pop(pr))
-        # The pivot row is zero left of c. Scaling and row updates touch only
-        # its nonzero columns, since 0 * inv = 0 and x - f * 0 = x.
-        prow, inv = m[r], Fraction(1) / m[r][c]
-        nz = [k for k in range(c, len(prow)) if prow[k]]
-        for k in nz:
+        prow = m[pr]
+        inv = Fraction(1) / prow[c]
+        for k in prow:
             prow[k] *= inv
-        for i, row in enumerate(m):
-            if i != r and row[c] != 0:
-                f = row[c]
-                for k in nz:
-                    row[k] -= f * prow[k]
+        for i in list(index[c]):
+            if i == pr:
+                continue
+            row, f = m[i], m[i][c]
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    if k not in row:
+                        index[k].add(i)
+                    row[k] = x
+                else:
+                    del row[k]
+                    index[k].discard(i)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+        used[pr] = None
+    order = [*used, *(i for i in range(len(m)) if i not in used)]
+    m[:] = [m[i] for i in order]
     return pivots, order
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (new matrix, pivot columns)."""
-    m = [list(row) for row in a]
-    if not m:
-        return [], []
-    return m, _eliminate(m, len(m[0]))[0]
+def rref(rows: list[SparseVec]) -> tuple[list[SparseVec], list[int]]:
+    """Reduced row echelon form; returns (new rows, pivot columns)."""
+    m = _copy(rows)
+    return m, _eliminate(m)[0]
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+def rank(rows: list[SparseVec]) -> int:
+    return len(rref(rows)[1])
 
 
-def row_space_basis(a: Matrix) -> Matrix:
+def row_space_basis(rows: list[SparseVec]) -> list[SparseVec]:
     """Canonical (RREF) basis of the row space."""
-    r, pivots = rref(a)
-    return [row[:] for row in r[: len(pivots)]]
+    r, pivots = rref(rows)
+    return r[: len(pivots)]
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical kernel basis, one vector per free column.
-
-    `ncols` must be given when `a` has no rows.
-    """
-    if not a:
-        if ncols is None:
-            raise ValueError("nullspace of empty matrix needs ncols")
-        return identity(ncols)
-    cols = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
+def nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
+    """Canonical kernel basis of rows with columns in range(ncols), one vector
+    per free column: 1 there and minus that column of the RREF at the pivots.
+    The RREF is unique, so neither the order of the rows nor a zero row
+    changes it."""
+    r, pivots = rref(rows)
+    pivot_set, basis = set(pivots), []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            v = {pc: -row[fc] for row, pc in zip(r, pivots) if fc in row}
+            v[fc] = Fraction(1)
+            basis.append(v)
     return basis
 
 
-def solve_many(a: Matrix, bs: list[list[Fraction]]) -> list[list[Fraction] | None]:
-    """Solve a*x = b for several right-hand sides with one elimination."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        # No constraints: x = 0 works iff each b is the empty vector.
-        return [[Fraction(0)] * cols for _ in bs]
-    aug = [a[i][:] + [bs[k][i] for k in range(len(bs))] for i in range(rows)]
-    pivots, _ = _eliminate(aug, cols)
-    # Rows below the pivot block have zero coefficient part, so a nonzero
-    # right-hand entry there means that system is inconsistent.
-    out: list[list[Fraction] | None] = []
-    for k in range(len(bs)):
-        col = cols + k
-        if any(aug[i][col] != 0 for i in range(len(pivots), rows)):
+def solve_many(
+    rows: list[SparseVec], bs: list[SparseVec], ncols: int
+) -> list[SparseVec | None]:
+    """Solve rows * x = b, with columns in range(ncols), for several
+    right-hand sides b, each {row index: value}, in one elimination. A
+    solution sets every free variable to zero; None means there is none."""
+    aug = _copy(rows)
+    for k, b in enumerate(bs):
+        for i, v in b.items():
+            if v:
+                aug[i][ncols + k] = v
+    pivots, _ = _eliminate(aug, ncols)
+    # Rows below the pivot block have no coefficient left, so a right-hand
+    # entry there means that system is inconsistent.
+    out: list[SparseVec | None] = []
+    for col in range(ncols, ncols + len(bs)):
+        if any(col in row for row in aug[len(pivots):]):
             out.append(None)
-            continue
-        x = [Fraction(0)] * cols
-        for i, pc in enumerate(pivots):
-            x[pc] = aug[i][col]
-        out.append(x)
+        else:
+            out.append({pc: row[col] for row, pc in zip(aug, pivots) if col in row})
     return out
 
 
-def invert(a: Matrix) -> Matrix | None:
-    n = len(a)
-    if any(len(row) != n for row in a):
+def invert(rows: list[SparseVec]) -> list[SparseVec] | None:
+    """The inverse of a square matrix, whose n rows have columns in
+    range(n), or None when it is singular."""
+    n = len(rows)
+    if any(not 0 <= c < n for row in rows for c in row):
         raise ValueError("invert needs a square matrix")
-    aug = [row[:] + unit for row, unit in zip(a, identity(n))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    aug = _copy(rows)
+    for i, row in enumerate(aug):
+        row[n + i] = Fraction(1)
+    if _eliminate(aug, n)[0] != list(range(n)):
         return None
-    return [row[n:] for row in r[:n]]
+    return [{c - n: v for c, v in row.items() if c >= n} for row in aug]
 
 
-def pivot_rows_cols(a: Matrix) -> tuple[list[int], list[int]]:
+def pivot_rows_cols(rows: list[SparseVec]) -> tuple[list[int], list[int]]:
     """Original row and column indices of a maximal invertible submatrix.
 
-    Deterministic: columns are scanned left to right, and the first
-    not-yet-used row with a nonzero entry becomes the pivot row.
+    Deterministic: columns are scanned left to right, and the not-yet-used
+    row of lowest index with a nonzero entry becomes the pivot row.
     """
-    m = [list(row) for row in a]
-    pivots, order = _eliminate(m, len(m[0]) if m else 0)
+    pivots, order = _eliminate(_copy(rows))
     return order[: len(pivots)], pivots

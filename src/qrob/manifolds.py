@@ -18,9 +18,8 @@ from itertools import combinations
 from operator import attrgetter
 
 from .errors import RingValidationError
-from .linalg import Matrix
 from .record import Frozen
-from .ring import Generator, GradedRing, Presentation, RingElement, SparseVec
+from .ring import Generator, GradedRing, Matrix, Presentation, RingElement, SparseVec
 
 
 class _Node(Frozen):
@@ -286,11 +285,11 @@ def _pull_back(
 ) -> RingElement:
     """Image of a left (or right) factor class; index is the product's
     `kunneth_layout` index."""
-    out = {k: [Fraction(0)] * product_ring.dims[k] for k in x.coords()}
-    for k, vec in x.coords().items():
-        for i, c in vec.items():
-            out[k][index[(k, i, 0, 0) if left else (0, 0, k, i)]] = c
-    return RingElement(product_ring, out)
+    coords = {
+        k: {index[(k, i, 0, 0) if left else (0, 0, k, i)]: c for i, c in vec.items()}
+        for k, vec in x._coords.items()
+    }
+    return RingElement._trusted(product_ring, coords)
 
 
 def pull_left(

@@ -30,9 +30,10 @@ from .errors import (
     RingMismatchError,
     VerificationFailure,
 )
-from .linalg import Matrix, invert, nullspace, pivot_rows_cols, rank
+from .linalg import invert, nullspace, pivot_rows_cols, rank
 from .ring import (
     GradedRing,
+    Matrix,
     RingElement,
     SparseVec,
     factorizations,
@@ -257,39 +258,42 @@ def _product_table(
     return [[ring.times(p, x._coords[p], q, y) for y in col_vecs] for x in rows]
 
 
-def _lambda_matrix(
+def _lambda_rows(
     products: list[list[SparseVec]], degree: int, target: RingElement
-) -> list[list[Fraction | None]]:
-    """lam[r][c] with products[r][c] == lam * target, or None where no such lam;
-    the products are sparse coordinates in one degree.
+) -> tuple[list[SparseVec], list[frozenset[int]]]:
+    """Per row r of the products, which are sparse coordinates in one degree:
+    lam[r] = {c: nonzero lam} with products[r][c] == lam * target, and the
+    columns where no such lam exists.
 
-    A zero product gives 0 without a division; a nonzero one of another degree
-    than the target's, off its support or not proportional to it gives None.
+    A zero product has lam = 0, found without a division; a nonzero one of
+    another degree than the target's, off its support or not proportional
+    to it has none.
     """
     k = target.degree()
     goal = target._coords[k]
     pivot = min(goal)
-    zero = Fraction(0)
-    lam: list[list[Fraction | None]] = []
+    lam: list[SparseVec] = []
+    no_lam: list[frozenset[int]] = []
     for table_row in products:
-        lam_row: list[Fraction | None] = []
-        for prod in table_row:
+        ratios, bad = {}, []
+        for c, prod in enumerate(table_row):
             if not prod:
-                lam_row.append(zero)
-            elif degree != k or prod.keys() != goal.keys():
-                lam_row.append(None)
-            else:
+                continue
+            if degree == k and prod.keys() == goal.keys():
                 ratio = prod[pivot] / goal[pivot]
-                exact = all(prod[t] == ratio * c for t, c in goal.items())
-                lam_row.append(ratio if exact else None)
-        lam.append(lam_row)
-    return lam
+                if all(prod[t] == ratio * x for t, x in goal.items()):
+                    ratios[c] = ratio
+                    continue
+            bad.append(c)
+        lam.append(ratios)
+        no_lam.append(frozenset(bad))
+    return lam, no_lam
 
 
-def _block_bound(lam: list[list[Fraction | None]]) -> int:
+def _block_bound(lam: list[SparseVec]) -> int:
     """No invertible block of lam is larger than its rows with a nonzero
     entry, nor than its columns with one."""
-    return min(sum(map(any, lam)), sum(map(any, zip(*lam))))
+    return min(sum(map(bool, lam)), len(set().union(*lam)))
 
 
 def kronecker_systems(
@@ -321,39 +325,34 @@ def kronecker_systems(
         return
     ring = target.ring
     q = cols[0].degree()
-    lam = _lambda_matrix(products, rows[0].degree() + q, target)
+    lam, no_lam = _lambda_rows(products, rows[0].degree() + q, target)
     if _block_bound(lam) < min_size:
         return
-    masks = [
-        frozenset(j for j, v in enumerate(lam_row) if v is not None)
-        for lam_row in lam
-    ]
-    seen: set[tuple] = set()
-    for base in range(len(rows)):
-        mask = masks[base]
-        if not mask:
+    seen: set[frozenset[int]] = set()
+    for skip in no_lam:
+        # a group: every row with a lambda wherever this one has one
+        if len(skip) == len(cols) or skip in seen:
             continue
-        group = [r for r in range(len(rows)) if masks[r] >= mask]
-        key = (tuple(group), mask)
-        if key in seen:
-            continue
-        seen.add(key)
-        col_ids = sorted(mask)
-        block = [[lam[r][c] for c in col_ids] for r in group]
+        seen.add(skip)
+        group = [r for r, other in enumerate(no_lam) if other <= skip]
+        block = [{c: x for c, x in lam[r].items() if c not in skip} for r in group]
         if _block_bound(block) < min_size:
             continue
         piv_rows, piv_cols = pivot_rows_cols(block)
+        at = {c: t for t, c in enumerate(piv_cols)}
         # a maximal pivot block is invertible
-        inv = invert([[block[r][c] for c in piv_cols] for r in piv_rows])
+        inv = invert([{at[c]: x for c, x in block[r].items() if c in at} for r in piv_rows])
         lefts = [rows[group[r]] for r in piv_rows]
         # rights[j] = sum over t of inv[t][j] * (the t-th pivot column class)
-        duals = [[Fraction(0)] * ring.dims[q] for _ in piv_cols]
+        duals: list[SparseVec] = [{} for _ in piv_cols]
         for t, c in enumerate(piv_cols):
-            terms = [(duals[j], f) for j, f in enumerate(inv[t]) if f]
-            for i, coeff in cols[col_ids[c]]._coords[q].items():
-                for dual, f in terms:
-                    dual[i] += f * coeff
-        yield lefts, [ring.element(q, dual) for dual in duals]
+            for i, coeff in cols[c]._coords[q].items():
+                for j, f in inv[t].items():
+                    duals[j][i] = duals[j].get(i, 0) + f * coeff
+        yield lefts, [
+            RingElement._trusted(ring, {q: {i: x for i, x in dual.items() if x}})
+            for dual in duals
+        ]
 
 
 def _annihilator_candidates(
@@ -361,16 +360,15 @@ def _annihilator_candidates(
 ) -> list[RingElement]:
     """Canonical basis of the degree-1 classes killed by the factor: the
     kernel of x -> factor * x on degree 1, whose column j is the product of
-    the factor with basis_1[j], taken on the rows those products reach. A
-    zero row is never a pivot, so the kernel is that of the full matrix."""
-    if ring.dims[1] == 0:
-        return []
+    the factor with basis_1[j]; its rows are the coordinates those products
+    reach."""
     ell = factor.degree()
-    x, zero = factor.coords()[ell], Fraction(0)
-    cols = [ring.times(ell, x, 1, {j: Fraction(1)}) for j in range(ring.dims[1])]
-    reached = sorted({t for col in cols for t in col})
-    system = [[col.get(t, zero) for col in cols] for t in reached]
-    return [ring.element(1, v) for v in nullspace(system, ncols=ring.dims[1])]
+    x, rows = factor._coords[ell], {}
+    for j in range(ring.dims[1]):
+        for t, c in ring.times(ell, x, 1, {j: Fraction(1)}).items():
+            rows.setdefault(t, {})[j] = c
+    kernel = nullspace(list(rows.values()), ring.dims[1])
+    return [RingElement._trusted(ring, {1: v}) for v in kernel]
 
 
 def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:
@@ -542,7 +540,7 @@ def submanifold_bound(
         raise VerificationFailure("omega restricts to zero on the submanifold")
     reports = []
     for k in range(n + 1):
-        image_dim = rank(iota_star[k]) if iota_star[k] else 0
+        image_dim = rank([dict(enumerate(row)) for row in iota_star[k]])
         reports.append(
             DegreeReport(
                 degree=k,

@@ -17,7 +17,7 @@ from .homsearch import (
     verify_hom,
     witness_template,
 )
-from .linalg import Matrix, fraction_from_str, fraction_to_str
+from .linalg import fraction_from_str, fraction_to_str
 from .manifolds import ManifoldExpr, build_with_classes
 from .obstruct import (
     Certificate,
@@ -30,6 +30,7 @@ from .obstruct import (
 from .ring import (
     RING_FORMAT,
     GradedRing,
+    Matrix,
     RingElement,
     canonical_json,
     in_kunneth_ideal,

@@ -22,7 +22,7 @@ from .errors import (
     RingValidationError,
 )
 from .linalg import (
-    Matrix,
+    SparseVec,
     fraction_from_str,
     fraction_to_str,
     rank,
@@ -40,7 +40,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-SparseVec = dict[int, Fraction]
+Matrix = list[list[Fraction]]  # dense rows, as documents write a matrix
 # structure[(p, q)][(i, j)] = sparse coordinate vector of basis_p[i] * basis_q[j]
 # in degree p+q; only degrees p, q >= 1 with p+q <= top_degree are stored, and
 # missing entries mean the product is zero.
@@ -158,10 +158,6 @@ class GradedRing:
 
     def basis(self, k: int) -> list["RingElement"]:
         return [self.basis_element(k, i) for i in range(self.dims[k])]
-
-    def element(self, k: int, coords: list) -> "RingElement":
-        """The degree-k class with dense coordinates coords."""
-        return RingElement(self, {k: coords})
 
     # -- product ----------------------------------------------------------
 
@@ -435,14 +431,15 @@ class GradedRing:
         """dims[k] == dims[d - k] for every k and the pairing of degree k has
         full rank for 2k <= d. The other ranks follow: with graded
         commutativity checked, P_{d-k} = +-P_k^T (the unit rules make this
-        hold for k = 0 too), so P_{d-k} has the rank of P_k."""
+        hold for k = 0 too), so P_{d-k} has the rank of P_k. P_0 is the unit
+        row, of rank 1 = dims[0]."""
         d = self.top_degree
         for k in range(d + 1):
             if self.dims[k] != self.dims[d - k]:
                 raise RingValidationError(
                     f"duality dimension mismatch: dims[{k}] != dims[{d - k}]"
                 )
-            if 2 * k <= d and rank(poincare_pairing(self, k)) != self.dims[k]:
+            if 0 < 2 * k <= d and rank(_pairing_rows(self, k)) != self.dims[k]:
                 raise RingValidationError(f"degenerate duality pairing in degree {k}")
 
     def _validate_presentation(self) -> None:
@@ -508,7 +505,7 @@ class RingElement:
         return {k: dict(vec) for k, vec in self._coords.items()}
 
     def vector(self, k: int) -> list[Fraction]:
-        """Dense coordinates in degree k, for linear algebra."""
+        """Dense coordinates in degree k, as documents write them."""
         vec, zero = self._coords.get(k, _ZERO), Fraction(0)
         return [vec.get(i, zero) for i in range(self.ring.dims[k])]
 
@@ -626,24 +623,33 @@ def multiply(x: RingElement, y: RingElement) -> RingElement:
     return _summed(ring, parts)
 
 
+def _pairing_rows(ring: GradedRing, k: int) -> list[SparseVec]:
+    """Row i holds the nonzero fundamental-class coefficients of
+    basis_k[i] * basis_{d-k}[j], keyed by j."""
+    d, fi = ring.top_degree, ring.fundamental_index
+    # basis_0[0] is the unit, so its products with basis_d are basis_d itself
+    if k == 0:
+        return [{fi: Fraction(1)}]
+    if k == d:
+        return [{0: Fraction(1)} if i == fi else {} for i in range(ring.dims[d])]
+    rows: list[SparseVec] = [{} for _ in range(ring.dims[k])]
+    for (i, j), vec in ring._table(k, d - k).items():
+        if fi in vec:
+            rows[i][j] = vec[fi]
+    return rows
+
+
 def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
     """P[i][j] = fundamental-class coefficient of basis_k[i] * basis_{d-k}[j]."""
     d = ring.top_degree
     if not (0 <= k <= d):
         raise ValueError(f"degree {k} out of range 0..{d}")
-    fi = ring.fundamental_index
-    rows, cols = range(ring.dims[k]), range(ring.dims[d - k])
-    # basis_0[0] is the unit, so its products with basis_d are basis_d itself
-    if k == 0:
-        return [[Fraction(int(j == fi)) for j in cols] for i in rows]
-    if k == d:
-        return [[Fraction(int(i == fi)) for j in cols] for i in rows]
-    table, zero = ring._table(k, d - k), Fraction(0)
-    return [[table.get((i, j), _ZERO).get(fi, zero) for j in cols] for i in rows]
+    zero, cols = Fraction(0), range(ring.dims[d - k])
+    return [[row.get(j, zero) for j in cols] for row in _pairing_rows(ring, k)]
 
 
-def _ideal_rows(ring: GradedRing, k: int) -> Matrix:
-    """Dense rows spanning the degree-k product ideal: every stored product
+def _ideal_rows(ring: GradedRing, k: int) -> list[SparseVec]:
+    """Rows spanning the degree-k product ideal: every stored product
     g * y with g in `left_factors()` and y a basis element of degree k - deg g.
 
     On a validated ring these span every product x * y of positive-degree
@@ -659,19 +665,18 @@ def _ideal_rows(ring: GradedRing, k: int) -> Matrix:
     lefts: dict[int, set[int]] = {}
     for p, i in ring.left_factors():
         lefts.setdefault(p, set()).add(i)
-    zero, rows = Fraction(0), []
-    for p in range(1, k):
-        for (i, _), vec in ring._table(p, k - p).items():
-            if i in lefts.get(p, ()):
-                rows.append([vec.get(t, zero) for t in range(ring.dims[k])])
-    return rows
+    return [
+        vec for p in range(1, k) for (i, _), vec in ring._table(p, k - p).items()
+        if i in lefts.get(p, ())
+    ]
 
 
 def kunneth_ideal_basis(ring: GradedRing, k: int) -> list[RingElement]:
     """Canonical basis of the span of positive-degree products in degree k:
     the RREF basis of `_ideal_rows`, which is unique, so neither the order of
     the rows nor their choice among spanning sets changes it."""
-    return [ring.element(k, row) for row in row_space_basis(_ideal_rows(ring, k))]
+    basis = row_space_basis(_ideal_rows(ring, k))
+    return [RingElement._trusted(ring, {k: row}) for row in basis]
 
 
 def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
@@ -685,7 +690,7 @@ def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
         return False
     # the RREF basis is independent, so its rank is its length
     basis = row_space_basis(_ideal_rows(ring, k))
-    return bool(basis) and len(basis) == rank(basis + [omega.vector(k)])
+    return bool(basis) and len(basis) == rank(basis + [omega._coords[k]])
 
 
 def factorizations(
@@ -697,13 +702,9 @@ def factorizations(
     a valid answer.
 
     For c = basis_ell[i] the system is the matrix of y -> c * y from degree
-    k - ell, whose column j is the stored product (i, j) of the (ell, k - ell)
-    table. It is solved on the columns with a stored product and the rows
-    those products reach; when omega has a coordinate outside those rows
-    there is no solution. That is the same solution as on the full matrix:
-    a zero column is a free variable, which `solve_many` sets to 0, and a zero
-    row is never a pivot and, as omega is zero there, never inconsistent;
-    the rows and columns kept stay in order, so every pivot is the same.
+    k - ell: one sparse row per degree-k coordinate t, holding coordinate t
+    of each stored product (i, j) of the (ell, k - ell) table at column j.
+    A class with no stored product has c * y = 0 for every y.
     """
     if omega.is_zero():
         return []
@@ -712,21 +713,17 @@ def factorizations(
     k = omega.degree()
     if not (1 <= ell <= k - 1):
         raise ValueError(f"cofactor degree must satisfy 1 <= {ell} <= {k - 1}")
-    goal, zero = omega._coords[k], Fraction(0)
-    by_class: dict[int, dict[int, SparseVec]] = {}
+    systems: dict[int, list[SparseVec]] = {}
     for (i, j), vec in ring._table(ell, k - ell).items():
-        by_class.setdefault(i, {})[j] = vec
+        if i not in systems:
+            systems[i] = [{} for _ in range(ring.dims[k])]
+        for t, c in vec.items():
+            systems[i][t][j] = c
     out = []
-    for i in sorted(by_class):
-        products = by_class[i]
-        reached = {t for vec in products.values() for t in vec}
-        if not goal.keys() <= reached:
-            continue
-        cols, rows = sorted(products), sorted(reached)
-        system = [[products[j].get(t, zero) for j in cols] for t in rows]
-        (x,) = solve_many(system, [[goal.get(t, zero) for t in rows]])
+    for i in sorted(systems):
+        (x,) = solve_many(systems[i], [omega._coords[k]], ring.dims[k - ell])
         if x is not None:
             # a solution for a nonzero omega is never zero
-            cofactor = {k - ell: {j: v for j, v in zip(cols, x) if v}}
-            out.append((ring.basis_element(ell, i), RingElement._trusted(ring, cofactor)))
+            cofactor = RingElement._trusted(ring, {k - ell: x})
+            out.append((ring.basis_element(ell, i), cofactor))
     return out

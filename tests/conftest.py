@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from qrob import ExtElement
+from qrob import ExtElement, RingElement
 
 
 def e(n: int, *axes) -> ExtElement:
@@ -306,6 +306,20 @@ def reference_invert(a):
     return [row[n:] for row in rows] if pivots == list(range(n)) else None
 
 
+def reference_nullspace(a, ncols):
+    """One kernel vector of a per free column of `reference_gauss_jordan`:
+    1 there and minus that column of the reduced rows at the pivots."""
+    reduced, pivots, _ = reference_gauss_jordan(a, ncols)
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[free]
+        kernel.append(v)
+    return kernel
+
+
 def reference_factorizations(ring, omega, ell):
     """(c, c') for every degree-ell basis class c, in basis order, with
     c * c' = omega, where c' is the solution with every free variable zero
@@ -319,7 +333,7 @@ def reference_factorizations(ring, omega, ell):
         system = [[y.coefficient(k, t) for y in images] for t in range(ring.dims[k])]
         (x,) = reference_solve_many(system, [omega.vector(k)])
         if x is not None:
-            out.append((c, ring.element(k - ell, x)))
+            out.append((c, RingElement(ring, {k - ell: x})))
     return out
 
 
@@ -450,7 +464,6 @@ def _reference_candidates(ring, omega, n):
     degree-1 annihilators of each factor against the basis one degree below
     it, then every row degree of every factor against the complementary
     basis. breaks(m) says whether m classes break the kind's bound."""
-    from qrob.linalg import nullspace
     from qrob.ring import multiply
 
     for ell in range(1, n):
@@ -461,8 +474,8 @@ def _reference_candidates(ring, omega, n):
                 [y.coefficient(above, t) for y in images]
                 for t in range(ring.dims[above] if above <= ring.top_degree else 0)
             ]
-            kernel = nullspace(system, ncols=ring.dims[1])
-            anns = [ring.element(1, v) for v in kernel]
+            kernel = reference_nullspace(system, ring.dims[1])
+            anns = [RingElement(ring, {1: v}) for v in kernel]
             yield "H1Annihilator", factor, cofactor, anns, ring.basis(ell - 1), (
                 lambda m: m >= n
             )
@@ -483,8 +496,6 @@ def reference_kronecker_search(ring, omega, n):
     their lambda exists, and each group's maximal pivot block is inverted
     into dual classes by adding scaled column classes.
     """
-    from qrob.linalg import invert, pivot_rows_cols
-
     for kind, factor, cofactor, rows, cols, breaks in _reference_candidates(ring, omega, n):
         if not rows or not cols:
             continue
@@ -498,10 +509,11 @@ def reference_kronecker_search(ring, omega, n):
             seen.append((group, mask))
             col_ids = sorted(mask)
             block = [[lam[r][c] for c in col_ids] for r in group]
-            piv_rows, piv_cols = pivot_rows_cols(block)
+            _, piv_cols, order = reference_gauss_jordan(block)
+            piv_rows = order[: len(piv_cols)]
             if not breaks(len(piv_rows)):
                 continue
-            inv = invert([[block[r][c] for c in piv_cols] for r in piv_rows])
+            inv = reference_invert([[block[r][c] for c in piv_cols] for r in piv_rows])
             rights = []
             for j in range(len(piv_cols)):
                 acc = ring.zero()

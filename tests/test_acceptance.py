@@ -32,9 +32,8 @@ from qrob import (
 from qrob.cli import main
 from qrob.exterior import ExtElement, blades, merge_axes
 from qrob.homsearch import EnumBudget, enumerate_hom_detailed
-from qrob.linalg import rank
 from qrob.pipeline import verify_document
-from conftest import convolve
+from conftest import _oracle_rank, convolve
 
 
 @contextmanager
@@ -134,7 +133,7 @@ def test_criterion_4_ring_properties(capsys):
             one = ring.unit()
             for k in range(ring.top_degree + 1):
                 mat = poincare_pairing(ring, k)
-                assert rank(mat) == ring.dims[k]
+                assert _oracle_rank(mat) == ring.dims[k]
                 for x in ring.basis(k):
                     assert one * x == x and x * one == x
         for left_text, right_text in [("surface(2)", "cp(2)"), ("torus(3)", "torus(2)")]:

@@ -10,18 +10,58 @@ import pytest
 
 from conftest import reference_gauss_jordan, reference_invert, reference_solve_many
 from qrob import linalg
-from qrob.linalg import (
-    fraction_from_str,
-    fraction_to_str,
-    invert,
-    mat,
-    nullspace,
-    pivot_rows_cols,
-    rank,
-    row_space_basis,
-    rref,
-    solve_many,
-)
+from qrob.linalg import fraction_from_str, fraction_to_str
+
+
+# The kernel takes and returns sparse rows {column: value}; these adapters run
+# the dense comparisons below through it, a matrix being a list of rows.
+def mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _dense(rows, width):
+    return [[row.get(j, Fraction(0)) for j in range(width)] for row in rows]
+
+
+def _width(a):
+    return len(a[0]) if a else 0
+
+
+def rref(a):
+    rows, pivots = linalg.rref(_sparse(a))
+    return _dense(rows, _width(a)), pivots
+
+
+def rank(a):
+    return linalg.rank(_sparse(a))
+
+
+def row_space_basis(a):
+    return _dense(linalg.row_space_basis(_sparse(a)), _width(a))
+
+
+def nullspace(a, ncols=None):
+    ncols = _width(a) if ncols is None else ncols
+    return _dense(linalg.nullspace(_sparse(a), ncols), ncols)
+
+
+def solve_many(a, bs):
+    sparse_bs = [{i: x for i, x in enumerate(b) if x} for b in bs]
+    xs = linalg.solve_many(_sparse(a), sparse_bs, _width(a))
+    return [None if x is None else _dense([x], _width(a))[0] for x in xs]
+
+
+def invert(a):
+    inv = linalg.invert(_sparse(a))
+    return None if inv is None else _dense(inv, len(a))
+
+
+def pivot_rows_cols(a):
+    return linalg.pivot_rows_cols(_sparse(a))
 
 
 def test_rref_and_rank():
@@ -55,8 +95,6 @@ def test_nullspace():
     basis = nullspace(a)
     assert basis == [[Fraction(-1), Fraction(1), Fraction(0)]]
     assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        nullspace([])
 
 
 def test_row_space_basis_canonical():
@@ -188,6 +226,53 @@ def test_elimination_matches_dense_reference():
         assert a == before
         count += 1
     assert count > 250
+
+
+def test_sparse_rows_take_any_column_ids():
+    big = 10**9
+    rows = [{big + 5: Fraction(2), 3 * big: Fraction(1)}, {big + 5: Fraction(1)}, {7: Fraction(3)}]
+    assert linalg.rref(rows) == ([{7: 1}, {big + 5: 1}, {3 * big: 1}], [7, big + 5, 3 * big])
+    assert linalg.pivot_rows_cols(rows) == ([2, 0, 1], [7, big + 5, 3 * big])
+    assert rows[0] == {big + 5: 2, 3 * big: 1}  # the input is not changed
+    assert linalg.solve_many(rows[:2], [{0: Fraction(2)}], 3 * big + 1) == [{3 * big: 2}]
+
+
+def test_empty_rows_are_never_pivots():
+    assert linalg.rref([{}, {}]) == ([{}, {}], [])
+    assert linalg.rank([]) == linalg.rank([{}]) == 0
+    assert linalg.row_space_basis([{}, {1: Fraction(2)}]) == [{1: 1}]
+    assert linalg.pivot_rows_cols([{}, {0: Fraction(1)}]) == ([1], [0])
+    assert linalg.nullspace([{}], 2) == [{0: 1}, {1: 1}]
+    assert linalg.nullspace([], 0) == []
+    assert linalg.solve_many([{}, {}], [{}], 3) == [{}]
+    assert linalg.invert([{0: Fraction(1)}, {}]) is None
+
+
+def test_one_nonzero_per_row_at_scale():
+    # 3,000 rows over 1,000 columns a million apart, three rows per column
+    rows = [{i % 1000 * 10**6: Fraction(i + 1)} for i in range(3000)]
+    cols = [m * 10**6 for m in range(1000)]
+    assert linalg.rank(rows) == 1000
+    assert linalg.pivot_rows_cols(rows) == (list(range(1000)), cols)
+    reduced, pivots = linalg.rref(rows)
+    assert pivots == cols
+    assert reduced == [{c: 1} for c in cols] + [{}] * 2000
+    b = {i: Fraction(2 * (i + 1)) for i in range(3000)}
+    assert linalg.solve_many(rows, [b], 10**9) == [{c: 2 for c in cols}]
+    b[2999] += 1
+    assert linalg.solve_many(rows, [b], 10**9) == [None]
+
+
+def test_right_hand_side_on_a_row_without_coefficients_is_inconsistent():
+    rows = [{0: Fraction(1)}, {}]
+    assert linalg.solve_many(rows, [{1: Fraction(1)}, {0: Fraction(3)}], 1) == [None, {0: 3}]
+
+
+def test_invert_takes_square_sparse_matrices():
+    assert linalg.invert([{1: Fraction(2)}, {0: Fraction(1)}]) == [{1: 1}, {0: Fraction(1, 2)}]
+    for bad in ([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1)}], [{-1: Fraction(1)}]):
+        with pytest.raises(ValueError):
+            linalg.invert(bad)
 
 
 def test_fraction_to_str_matches_fraction_str():

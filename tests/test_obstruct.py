@@ -45,16 +45,19 @@ from qrob import (
     submanifold_bound,
 )
 from qrob.errors import VerificationFailure
-from qrob.linalg import identity
 from qrob.obstruct import (
     _annihilator_bounds,
     _annihilator_candidates,
-    _lambda_matrix,
+    _lambda_rows,
     _product_table,
     check_ring_map,
     kronecker_systems,
 )
 from qrob.pipeline import certificate_to_obj, verify_certificate_obj
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def test_prywes_bound_connsum8():
@@ -234,6 +237,16 @@ def _two_term_target(ring, p):
             if sum(map(bool, two.vector(p + q))) > 1:
                 return two
     return None
+
+
+def _lambda_matrix(products, degree, target):
+    """The dense lambda matrix of `_lambda_rows`: None where no lambda exists."""
+    lam, no_lam = _lambda_rows(products, degree, target)
+    width = len(products[0]) if products else 0
+    return [
+        [None if c in bad else row.get(c, Fraction(0)) for c in range(width)]
+        for row, bad in zip(lam, no_lam)
+    ]
 
 
 def test_lambda_matrix_matches_dense_products_on_catalog():

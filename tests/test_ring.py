@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import qrob.ring
 from conftest import (
     CATALOG,
     LAW_RINGS,
@@ -169,6 +170,26 @@ def test_pairing_connsum2_block_diagonal():
 def test_pairing_sphere_degree0():
     ring = build(Sphere(4))
     assert poincare_pairing(ring, 0) == [[Fraction(1)]]
+
+
+def test_validate_ranks_only_the_stored_pairings(monkeypatch):
+    # validate hands `rank` one entry per nonzero (k, d - k) pairing with
+    # 0 < 2k <= d, read from the tables, and no dims[k] x dims[d - k] cells
+    for text in ("surface(200)", "connsum(s2xs2,30) * cp(2)"):
+        ring = build(parse_manifold(text))
+        obj = ring.to_obj()
+        d, fi = obj["top_degree"], obj["fundamental_index"]
+        stored = sum(
+            1 for ((p, _), (q, _)), vec in oracle_products(obj).items()
+            if 0 < 2 * p <= d and p + q == d and vec.get((d, fi))
+        )
+        entries, rank = [], qrob.ring.rank
+        monkeypatch.setattr(
+            qrob.ring, "rank", lambda rows: entries.append(sum(map(len, rows))) or rank(rows)
+        )
+        ring.validate()
+        monkeypatch.undo()
+        assert sum(entries) == stored > 0, text
 
 
 def test_surface_equals_connsum_of_tori():
@@ -597,7 +618,7 @@ def test_multiply_matches_public_constructor():
         assert zeros
         for k in range(ring.top_degree + 1):
             for i, x in enumerate(ring.basis(k)):
-                public = ring.element(k, [int(t == i) for t in range(ring.dims[k])])
+                public = RingElement(ring, {k: [int(t == i) for t in range(ring.dims[k])]})
                 assert x == public and hash(x) == hash(public)
 
 
