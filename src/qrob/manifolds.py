@@ -220,13 +220,8 @@ def kunneth_layout(
 def _products(ring: GradedRing) -> dict[tuple[int, int], dict]:
     """The nonzero products basis_p[i] * basis_q[j], as {(i, j): vec} for each
     degree pair (p, q) up to the top degree, with the unit rows of degree 0."""
-    d, one = ring.top_degree, Fraction(1)
-    return {
-        (p, q): ring._table(p, q) if p and q else {
-            (i, 0) if q == 0 else (0, i): {i: one} for i in range(ring.dims[p or q])
-        }
-        for p in range(d + 1) for q in range(d + 1 - p)
-    }
+    d = ring.top_degree
+    return {(p, q): ring._table(p, q) for p in range(d + 1) for q in range(d + 1 - p)}
 
 
 def _product_ring(

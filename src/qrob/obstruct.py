@@ -139,14 +139,23 @@ class KroneckerSystem(Record):
         )
 
     def check(self) -> RingElement:
-        """Require a nonzero omega, two nonzero families of one size and of the
-        kind's degrees, and every entry's product; else InvalidSystemError.
-        Returns omega = diag * cofactor.
+        """Require a nonzero omega, two nonzero families of one size m and of
+        the kind's degrees k' and k - k', m at most min(dims[k'], dims[k - k']),
+        and every entry's product; else InvalidSystemError. Returns
+        omega = diag * cofactor.
 
-        Each family has one degree, so `_product_table` reads every product
-        from `GradedRing.times`: diag times each row when the kind annihilates
-        the rows (zero), then each row times each column (diag on the diagonal,
-        zero elsewhere). A failure names the first wrong entry in that order."""
+        The size bound holds for every valid system and is checked before any
+        entry, so a forged family costs no products: if sum_i a_i rows[i] = 0,
+        multiplying by cols[j] gives a_j * diag = 0, and diag is nonzero, so
+        every a_j = 0 and the rows are independent in degree k'; multiplying
+        rows[i] by a relation among the columns shows the same for them in
+        degree k - k'.
+
+        Each family has one degree, so `_product_table` gives every nonzero
+        product: diag times each row when the kind annihilates the rows (all
+        zero), then row i times each column ({i: diag}). A failure names the
+        first wrong entry in that order, the least offending column of the
+        first offending row."""
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
         omega = multiply(self.diag, self.cofactor)
@@ -164,6 +173,12 @@ class KroneckerSystem(Record):
         ring = self.diag.ring
         if any(x.ring is not ring and x.ring != ring for x in self.rows + self.cols):
             raise RingMismatchError("elements belong to different rings")
+        most = min(ring.dims[kp], ring.dims[k - kp])
+        if len(self.rows) > most:
+            raise InvalidSystemError(
+                f"{row} has {len(self.rows)} classes, more than the "
+                f"min(dims[{kp}], dims[{k - kp}]) = {most} that can pair off"
+            )
 
         def wrong(a: str, b: str, on_diag: bool) -> InvalidSystemError:
             expected = f"the {diag}" if on_diag else "zero"
@@ -171,14 +186,15 @@ class KroneckerSystem(Record):
             return InvalidSystemError(message, detail=(a, b))
 
         if pattern.annihilated:
-            for i, prod in enumerate(_product_table([self.diag], self.rows)[0]):
-                if prod:
-                    raise wrong(diag, f"{row}[{i}]", False)
+            (prods,) = _product_table([self.diag], self.rows)
+            if prods:
+                raise wrong(diag, f"{row}[{min(prods)}]", False)
         goal = self.diag._coords[k]
         for i, prods in enumerate(_product_table(self.rows, self.cols)):
-            for j, prod in enumerate(prods):
-                if prod != (goal if i == j else {}):
-                    raise wrong(f"{row}[{i}]", f"{col}[{j}]", i == j)
+            expected = {i: goal}
+            if prods != expected:
+                j = min(c for c in prods.keys() | {i} if prods.get(c) != expected.get(c))
+                raise wrong(f"{row}[{i}]", f"{col}[{j}]", i == j)
         return omega
 
     def certificate(self, n: int) -> Certificate | None:
@@ -249,37 +265,72 @@ def prywes_bound(
 
 def _product_table(
     rows: list[RingElement], cols: list[RingElement]
-) -> list[list[SparseVec]]:
-    """rows[r] * cols[c] from `GradedRing.times`, for nonzero rows of one
-    degree p and cols of one degree q: sparse coordinates in degree p + q,
-    and a zero product is the empty dict."""
+) -> list[dict[int, SparseVec]]:
+    """Per row r, {c: rows[r] * cols[c]} for the nonzero products only, in
+    increasing c, for nonzero rows of one degree p and cols of one degree q:
+    sparse coordinates in degree p + q, as `GradedRing.times` gives them.
+
+    Only stored products are visited: the (p, q) table's pairs (i, j),
+    indexed by i, whose j some column's support holds (j -> [(c,
+    coefficient)]). A family of basis classes thus reads its products as
+    they are stored. The table has unit rows when p or q is 0 and nothing
+    above the top degree (`GradedRing._table`)."""
     ring, p, q = rows[0].ring, rows[0].degree(), cols[0].degree()
-    col_vecs = [y._coords[q] for y in cols]
-    return [[ring.times(p, x._coords[p], q, y) for y in col_vecs] for x in rows]
+    support: dict[int, list[tuple[int, Fraction]]] = {}
+    for c, y in enumerate(cols):
+        for j, b in y._coords[q].items():
+            support.setdefault(j, []).append((c, b))
+    by_left: dict[int, list[tuple[list[tuple[int, Fraction]], SparseVec]]] = {}
+    for (i, j), vec in ring._table(p, q).items():
+        if j in support:
+            by_left.setdefault(i, []).append((support[j], vec))
+    table = []
+    for x in rows:
+        # c -> [(a * b, stored product)]; a factor 1 needs no multiplication
+        terms: dict[int, list[tuple[Fraction, SparseVec]]] = {}
+        for i, a in x._coords[p].items():
+            for cols_of_j, vec in by_left.get(i, ()):
+                for c, b in cols_of_j:
+                    terms.setdefault(c, []).append((b if a == 1 else a * b, vec))
+        row = {}
+        for c in sorted(terms):
+            acc: SparseVec = {}
+            for f, vec in terms[c]:
+                for t, v in vec.items():
+                    v = v if f == 1 else f * v
+                    acc[t] = acc[t] + v if t in acc else v
+            prod = {t: v for t, v in acc.items() if v}
+            if prod:
+                row[c] = prod
+        table.append(row)
+    return table
 
 
 def _lambda_rows(
-    products: list[list[SparseVec]], degree: int, target: RingElement
+    products: list[dict[int, SparseVec]], degree: int, target: RingElement
 ) -> tuple[list[SparseVec], list[frozenset[int]]]:
-    """Per row r of the products, which are sparse coordinates in one degree:
-    lam[r] = {c: nonzero lam} with products[r][c] == lam * target, and the
-    columns where no such lam exists.
+    """Per row r of `_product_table`, whose products are sparse coordinates
+    in one degree: lam[r] = {c: nonzero lam} with products[r][c] == lam *
+    target, and the columns where no such lam exists.
 
-    A zero product has lam = 0, found without a division; a nonzero one of
-    another degree than the target's, off its support or not proportional
-    to it has none.
+    Only the stored nonzero products are visited; an absent one is zero and
+    has lam = 0. A nonzero one of another degree than the target's, off its
+    support or not proportional to it has none.
     """
     k = target.degree()
     goal = target._coords[k]
     pivot = min(goal)
+    # on a one-term support with coefficient 1, lam is the product's coefficient
+    unit = goal == {pivot: 1}
     lam: list[SparseVec] = []
     no_lam: list[frozenset[int]] = []
     for table_row in products:
         ratios, bad = {}, []
-        for c, prod in enumerate(table_row):
-            if not prod:
-                continue
+        for c, prod in table_row.items():
             if degree == k and prod.keys() == goal.keys():
+                if unit:
+                    ratios[c] = prod[pivot]
+                    continue
                 ratio = prod[pivot] / goal[pivot]
                 if all(prod[t] == ratio * x for t, x in goal.items()):
                     ratios[c] = ratio
@@ -300,7 +351,7 @@ def kronecker_systems(
     rows: list[RingElement],
     cols: list[RingElement],
     target: RingElement,
-    products: list[list[SparseVec]],
+    products: list[dict[int, SparseVec]],
     min_size: int,
 ):
     """Yield exact Kronecker systems (lefts, rights) against the target class,

@@ -162,7 +162,15 @@ class GradedRing:
     # -- product ----------------------------------------------------------
 
     def _table(self, p: int, q: int) -> dict[tuple[int, int], SparseVec]:
-        return self.structure.get((p, q), {})
+        """The nonzero products basis_p[i] * basis_q[j], as {(i, j): vec}: the
+        stored table, the unit rows when p or q is 0, and nothing above the
+        top degree, as `times` multiplies."""
+        if p + q > self.top_degree:
+            return _ZERO
+        if p and q:
+            return self.structure.get((p, q), _ZERO)
+        one = Fraction(1)
+        return {(i, 0) if q == 0 else (0, i): {i: one} for i in range(self.dims[p or q])}
 
     def times(self, p: int, x: SparseVec, q: int, y: SparseVec) -> SparseVec:
         """Sparse coordinates of x * y in degree p+q, for sparse x of degree p
@@ -335,7 +343,7 @@ class GradedRing:
                 continue
             x = images[p][i]
             for q in range(1, min(self.top_degree, top - p) + 1):
-                table = self._table(p, q) if p + q <= self.top_degree else {}
+                table = self._table(p, q)
                 for j, y in enumerate(images.get(q, ())):
                     if phi(p + q, table.get((i, j), _ZERO)) != mul(x, y):
                         return p, i, q, j
@@ -452,20 +460,31 @@ class GradedRing:
         for g in pres.generators:
             if not (1 <= g.degree <= d and 0 <= g.index < self.dims[g.degree]):
                 raise RingValidationError(f"generator out of range: {g}")
+        # the word prefixes as a trie, (node, generator id) -> node, with each
+        # node's (degree, coordinates): every prefix is multiplied out once
+        nodes: list[tuple[int, SparseVec]] = [(0, {0: Fraction(1)})]
+        child: dict[tuple[int, int], int] = {}
         for k in range(d + 1):
             if len(pres.words[k]) != self.dims[k]:
                 raise RingValidationError(f"presentation incomplete in degree {k}")
             for i, word in enumerate(pres.words[k]):
-                degree, acc = 0, {0: Fraction(1)}
                 for gid in word:
                     if not 0 <= gid < len(pres.generators):
                         raise RingValidationError(
                             f"presentation word for ({k},{i}) names no generator {gid}"
                         )
-                    g = pres.generators[gid]
-                    acc = self.times(degree, acc, g.degree, {g.index: 1})
-                    degree += g.degree
-                if degree != k or acc != {i: 1}:
+                node = 0
+                for gid in word:
+                    if (node, gid) not in child:
+                        degree, acc = nodes[node]
+                        g = pres.generators[gid]
+                        child[node, gid] = len(nodes)
+                        nodes.append((
+                            degree + g.degree,
+                            self.times(degree, acc, g.degree, {g.index: 1}),
+                        ))
+                    node = child[node, gid]
+                if nodes[node] != (k, {i: 1}):
                     raise RingValidationError(
                         f"presentation word for ({k},{i}) does not multiply out"
                     )
@@ -482,10 +501,7 @@ class RingElement:
         self.ring = ring
         clean: dict[int, SparseVec] = {}
         for k, vec in coords.items():
-            if not (0 <= k <= ring.top_degree):
-                raise ValueError(f"degree {k} out of range")
-            if len(vec) != ring.dims[k]:
-                raise ValueError(f"coordinate length mismatch in degree {k}")
+            _check_dense_degree(ring, k, len(vec))
             exact = (c if type(c) is Fraction else Fraction(c) for c in vec)
             sparse = {i: c for i, c in enumerate(exact) if c}
             if sparse:
@@ -585,19 +601,38 @@ class RingElement:
             raise RingMismatchError("elements belong to different rings")
 
     def to_obj(self) -> dict:
-        return {
-            "coords": {
-                str(k): [fraction_to_str(c) for c in self.vector(k)]
-                for k in sorted(self._coords)
-            }
-        }
+        """Dense coordinate lists per nonempty degree, every zero written "0"."""
+        coords = {}
+        for k in sorted(self._coords):
+            vec = coords[str(k)] = ["0"] * self.ring.dims[k]
+            for i, c in self._coords[k].items():
+                vec[i] = fraction_to_str(c)
+        return {"coords": coords}
 
     @classmethod
     def from_obj(cls, ring: GradedRing, obj: dict) -> "RingElement":
-        return cls(
-            ring,
-            {int(k): [fraction_from_str(c) for c in vec] for k, vec in obj["coords"].items()},
-        )
+        """The class a document writes as dense coordinate lists per degree.
+        Every literal is read first, then each degree is checked as the
+        constructor checks it: ValueError for a bad literal, a degree out of
+        range or a wrong length. A degree written all "0" is absent."""
+        read = {
+            int(k): ({
+                i: x for i, s in enumerate(vec)
+                if s != "0" and (x := fraction_from_str(s))
+            }, len(vec))
+            for k, vec in obj["coords"].items()
+        }
+        for k, (_, length) in read.items():
+            _check_dense_degree(ring, k, length)
+        return cls._trusted(ring, {k: sparse for k, (sparse, _) in read.items() if sparse})
+
+
+def _check_dense_degree(ring: GradedRing, k: int, length: int) -> None:
+    """A dense coordinate list of this length can hold degree k's classes."""
+    if not (0 <= k <= ring.top_degree):
+        raise ValueError(f"degree {k} out of range")
+    if length != ring.dims[k]:
+        raise ValueError(f"coordinate length mismatch in degree {k}")
 
 
 def _summed(ring: GradedRing, parts) -> RingElement:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qrob import build, parse_manifold
 from qrob.cli import _COMMANDS, main
 
 
@@ -248,6 +249,32 @@ def test_verify_rejects_a_mixed_degree_row_class(capsys, tmp_path, manifold, n, 
     tampered.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(tampered))
     assert code == 1 and out.startswith("FAIL: NonHomogeneousError") and err == ""
+
+
+@pytest.mark.parametrize("manifold,n,row,col,kp", [
+    ("connsum(s2xs2,8) * cp(2)", "6", "left", "right", 2),
+    ("surface(2) * cp(2)", "4", "annihilators", "duals", 1),
+])
+def test_verify_rejects_a_family_larger_than_the_degrees(capsys, tmp_path, manifold, n, row, col, kp):
+    # m independent row classes need m <= min(dims[k'], dims[k - k']): a
+    # family padded past that fails before any of its products is formed
+    out_file = tmp_path / "verdict.json"
+    run(capsys, "check", manifold, "--omega", "vol(1)^sym(2)", "--n", n, "-o", str(out_file))
+    doc = json.loads(out_file.read_text())
+    classes = doc["certificate"]["classes"]
+    k = doc["certificate"]["degree"]  # of the diagonal class
+    dims = build(parse_manifold(manifold)).dims
+    most = min(dims[kp], dims[k - kp])
+    for role in (row, col):
+        classes[role] = [classes[role][0]] * (most + 1)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(forged))
+    message = (
+        f"{row} has {most + 1} classes, more than the "
+        f"min(dims[{kp}], dims[{k - kp}]) = {most} that can pair off"
+    )
+    assert (code, err) == (1, "") and out == f"FAIL: InvalidSystemError: {message}\n"
 
 
 def test_export_and_verify_ring(capsys, tmp_path):

@@ -239,10 +239,10 @@ def _two_term_target(ring, p):
     return None
 
 
-def _lambda_matrix(products, degree, target):
-    """The dense lambda matrix of `_lambda_rows`: None where no lambda exists."""
+def _lambda_matrix(products, width, degree, target):
+    """The dense lambda matrix of `_lambda_rows` over `width` columns: None
+    where no lambda exists."""
     lam, no_lam = _lambda_rows(products, degree, target)
-    width = len(products[0]) if products else 0
     return [
         [None if c in bad else row.get(c, Fraction(0)) for c in range(width)]
         for row, bad in zip(lam, no_lam)
@@ -266,7 +266,7 @@ def test_lambda_matrix_matches_dense_products_on_catalog():
                 for q in (k - p, k - p + 1):  # the target degree, and one above
                     cols = ring.basis(q) if q <= ring.top_degree else []
                     if cols:
-                        lam = _lambda_matrix(_product_table(rows, cols), p + q, target)
+                        lam = _lambda_matrix(_product_table(rows, cols), len(cols), p + q, target)
                         expected = reference_lambda(rows, cols, target)
                         assert lam == expected, (manifold, k, p, q)
 
@@ -285,6 +285,48 @@ def test_kronecker_systems_are_exact_on_skewed_rows():
                             for j, y in enumerate(rights):
                                 expected = target if i == j else ring.zero()
                                 assert multiply(x, y) == expected, (manifold, ell, kp)
+
+
+def test_product_table_reads_basis_products_without_times(monkeypatch):
+    # the (2, 2) table of this ring stores 73 of the 25 x 25 basis products
+    ring, _ = _query("connsum(s2xs2,12) * cp(2)", "vol(1)^sym(2)", 6)
+    calls = []
+    times = GradedRing.times
+
+    def counting(self, *args):
+        calls.append(args)
+        return times(self, *args)
+
+    monkeypatch.setattr(GradedRing, "times", counting)
+    table = _product_table(ring.basis(2), ring.basis(2))
+    assert calls == []
+    assert sum(map(len, table)) == len(ring.structure[2, 2]) == 73
+    for i, row in enumerate(table):
+        assert row == {j: ring.structure[2, 2][i, j] for j in sorted(row)}
+
+
+def test_product_table_stores_exactly_the_nonzero_products():
+    # the skewed rows of the test below, against skewed columns of every
+    # degree: degree 0 (unit rows) and degrees past the top (no products)
+    for manifold, omega_text, n in CATALOG[:8]:
+        ring, _ = _query(manifold, omega_text, n)
+        for p in range(ring.top_degree + 1):
+            rows = _basis_rows(ring, p)[::-1]
+            for q in range(ring.top_degree + 1):
+                cols = _basis_rows(ring, q)
+                if not rows or not cols:
+                    continue
+                table = _product_table(rows, cols)
+                assert len(table) == len(rows)
+                for x, stored in zip(rows, table):
+                    assert list(stored) == sorted(stored)
+                    for c, y in enumerate(cols):
+                        expected = multiply(x, y)
+                        got = stored.get(c, {})
+                        assert RingElement._trusted(ring, {p + q: got} if got else {}) == expected
+                        assert all(got.values()), (manifold, p, q, c)
+                if p + q > ring.top_degree:
+                    assert table == [{}] * len(rows)
 
 
 def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
@@ -400,6 +442,20 @@ def test_kronecker_check_names_the_first_wrong_entry(manifold, n, kind):
     assert err.value.detail == first[:2]
     assert str(err.value).startswith(f"product of {first[0]} and {first[1]} is not")
 
+
+
+@pytest.mark.parametrize("manifold,n,kind", CERTIFIED_SYSTEMS)
+def test_kronecker_check_names_the_least_wrong_column_of_a_row(manifold, n, kind):
+    # row 1 is wrong at column 3 and on the diagonal; the diagonal comes first
+    _, system = _certified_system(manifold, n, kind)
+    entries, m = _entries(system), len(system.rows)
+    row_one = entries[len(entries) - m * m + m:][:m]
+    tampered = _tampered(system, [row_one[3][2:4], row_one[1][2:4]])
+    with pytest.raises(InvalidSystemError) as err:
+        tampered.check()
+    row, col, diag = qrob.obstruct._PATTERNS[kind].roles
+    assert err.value.detail == (f"{row}[1]", f"{col}[1]") == row_one[1][:2]
+    assert str(err.value) == f"product of {row}[1] and {col}[1] is not the {diag}"
 
 
 @pytest.mark.parametrize("moved", ["a row", "a column", "every row and column"])

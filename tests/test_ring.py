@@ -26,6 +26,7 @@ from qrob import (
     CPm,
     GradedRing,
     Product,
+    Query,
     RingElement,
     RingMismatchError,
     RingValidationError,
@@ -41,6 +42,7 @@ from qrob import (
     parse_manifold,
     parse_omega,
     poincare_pairing,
+    run_query,
 )
 from qrob.manifolds import _torus_ring
 from qrob.ring import canonical_json
@@ -321,6 +323,94 @@ def test_to_obj_matches_dense_formatting():
     for manifold in LAW_RINGS:
         ring = build(parse_manifold(manifold))
         assert ring.to_obj() == _pair_ring_obj(ring), manifold
+
+
+def _verdict_classes(result):
+    """omega and every class a verdict's certificate records."""
+    out = [result.omega]
+    cert = result.certificate
+    if cert is not None:
+        for value in [*cert.classes.values(), cert.omega]:
+            out += value if isinstance(value, list) else [value]
+    return [x for x in out if isinstance(x, RingElement)]
+
+
+def _dense_class_obj(x):
+    """A class document written coordinate by coordinate, zeros included."""
+    ring = x.ring
+    return {"coords": {
+        str(k): [str(x.coefficient(k, i)) for i in range(ring.dims[k])]
+        for k in sorted(x.degrees())
+    }}
+
+
+def test_class_documents_match_dense_reference():
+    seen = 0
+    for query in CATALOG:
+        for x in _verdict_classes(run_query(Query(*query))):
+            obj = x.to_obj()
+            assert obj == _dense_class_obj(x), query
+            assert RingElement.from_obj(x.ring, obj) == x
+            seen += 1
+    assert seen > 2 * len(CATALOG)
+
+
+@pytest.mark.parametrize("coords, message", [
+    ({"3": ["1"]}, "degree 3 out of range"),
+    ({"-1": ["1"]}, "degree -1 out of range"),
+    ({"1": ["1", "0", "0"]}, "coordinate length mismatch in degree 1"),
+    ({"2": []}, "coordinate length mismatch in degree 2"),
+    ({"1": ["1/0", "0"]}, "zero denominator in '1/0'"),
+    ({"1": ["0", "0.5"]}, "not an exact rational literal: '0.5'"),
+    ({"1": [1, "0"]}, "not an exact rational literal: 1"),
+    # every literal is read before any degree is checked
+    ({"5": ["1"], "1": ["0", "1/0"]}, "zero denominator in '1/0'"),
+])
+def test_class_document_errors(coords, message):
+    ring = build(Torus(2))
+    with pytest.raises(ValueError) as err:
+        RingElement.from_obj(ring, {"coords": coords})
+    assert str(err.value) == message
+
+
+def test_class_document_zero_degree_is_absent():
+    ring = build(Torus(2))
+    x = RingElement.from_obj(ring, {"coords": {"0": ["0"], "1": ["0/3", "-2"], "2": ["0"]}})
+    assert x.degrees() == {1} and x.coords() == {1: {1: Fraction(-2)}}
+    assert x == RingElement(ring, {1: [0, -2]})
+    assert RingElement.from_obj(ring, {"coords": {"1": ["0", "0"]}}).is_zero()
+    assert x.to_obj() == {"coords": {"1": ["0", "-2"]}}
+
+
+def _torus3_with_word(k, i, word):
+    obj = build(Torus(3)).to_obj()
+    obj["monomial_presentation"]["words"][k][i] = word
+    return obj
+
+
+def test_presentation_word_sharing_a_valid_prefix_is_named():
+    # torus(3) writes basis_2[1] = t1^t3 as [0, 2]; [0, 1] extends [0], the
+    # word of basis_1[0], into the word of basis_2[0], both multiplied out
+    # before it
+    with pytest.raises(RingValidationError) as err:
+        GradedRing.from_obj(_torus3_with_word(2, 1, [0, 1]))
+    assert str(err.value) == "presentation word for (2,1) does not multiply out"
+
+
+def test_presentation_word_generator_ids_are_checked_before_products(monkeypatch):
+    calls = []
+    times = GradedRing.times
+
+    def counting(self, *args):
+        calls.append(args)
+        return times(self, *args)
+
+    monkeypatch.setattr(GradedRing, "times", counting)
+    # basis_1[0] is the first word with a letter, so no product precedes it
+    with pytest.raises(RingValidationError) as err:
+        GradedRing.from_obj(_torus3_with_word(1, 0, [0, 7]))
+    assert str(err.value) == "presentation word for (1,0) names no generator 7"
+    assert calls == []
 
 
 def test_from_obj_rejects_corruption():
