@@ -274,7 +274,9 @@ def _product_table(
     indexed by i, whose j some column's support holds (j -> [(c,
     coefficient)]). A family of basis classes thus reads its products as
     they are stored. The table has unit rows when p or q is 0 and nothing
-    above the top degree (`GradedRing._table`)."""
+    above the top degree (`GradedRing._table`). No columns give empty rows."""
+    if not cols:
+        return [{} for _ in rows]
     ring, p, q = rows[0].ring, rows[0].degree(), cols[0].degree()
     support: dict[int, list[tuple[int, Fraction]]] = {}
     for c, y in enumerate(cols):
@@ -286,19 +288,18 @@ def _product_table(
             by_left.setdefault(i, []).append((support[j], vec))
     table = []
     for x in rows:
-        # c -> [(a * b, stored product)]; a factor 1 needs no multiplication
+        # c -> [(a * b, stored product)]
         terms: dict[int, list[tuple[Fraction, SparseVec]]] = {}
         for i, a in x._coords[p].items():
             for cols_of_j, vec in by_left.get(i, ()):
                 for c, b in cols_of_j:
-                    terms.setdefault(c, []).append((b if a == 1 else a * b, vec))
+                    terms.setdefault(c, []).append((a * b, vec))
         row = {}
         for c in sorted(terms):
             acc: SparseVec = {}
             for f, vec in terms[c]:
                 for t, v in vec.items():
-                    v = v if f == 1 else f * v
-                    acc[t] = acc[t] + v if t in acc else v
+                    acc[t] = acc[t] + f * v if t in acc else f * v
             prod = {t: v for t, v in acc.items() if v}
             if prod:
                 row[c] = prod
@@ -320,17 +321,12 @@ def _lambda_rows(
     k = target.degree()
     goal = target._coords[k]
     pivot = min(goal)
-    # on a one-term support with coefficient 1, lam is the product's coefficient
-    unit = goal == {pivot: 1}
     lam: list[SparseVec] = []
     no_lam: list[frozenset[int]] = []
     for table_row in products:
         ratios, bad = {}, []
         for c, prod in table_row.items():
             if degree == k and prod.keys() == goal.keys():
-                if unit:
-                    ratios[c] = prod[pivot]
-                    continue
                 ratio = prod[pivot] / goal[pivot]
                 if all(prod[t] == ratio * x for t, x in goal.items()):
                     ratios[c] = ratio
@@ -411,12 +407,12 @@ def _annihilator_candidates(
 ) -> list[RingElement]:
     """Canonical basis of the degree-1 classes killed by the factor: the
     kernel of x -> factor * x on degree 1, whose column j is the product of
-    the factor with basis_1[j]; its rows are the coordinates those products
-    reach."""
-    ell = factor.degree()
-    x, rows = factor._coords[ell], {}
-    for j in range(ring.dims[1]):
-        for t, c in ring.times(ell, x, 1, {j: Fraction(1)}).items():
+    the factor with basis_1[j] (`_product_table`); its rows are the
+    coordinates those products reach."""
+    (prods,) = _product_table([factor], ring.basis(1))
+    rows: dict[int, SparseVec] = {}
+    for j, vec in prods.items():
+        for t, c in vec.items():
             rows.setdefault(t, {})[j] = c
     kernel = nullspace(list(rows.values()), ring.dims[1])
     return [RingElement._trusted(ring, {1: v}) for v in kernel]
