@@ -12,10 +12,13 @@ m <= min(rows with a nonzero lambda, columns with one); every kind's bound
 is monotone in m. A candidate or group whose size bound is below the least
 m that breaks its kind's bound is skipped, and the rest come in the same
 canonical order, so the first certificate is that of an unpruned search.
-An H1Annihilator factor c = basis_l[i] has as many annihilator rows as the
-kernel of x -> c * x on degree 1, dims[1] less that map's rank; the rank is
-at least 1 once the (l, 1) table stores a product (i, j), and that bound is
-read for every i of degree l before omega is factored.
+Each factor c = basis_l[i] is bounded before omega is factored by it. A
+DualPair factor is the target, so lambda is nonzero exactly where a stored
+product of the shared basis families is a multiple of basis_l[i] alone, and
+one pass over their table bounds every i. An H1Annihilator factor has as
+many annihilator rows as the kernel of x -> c * x on degree 1, dims[1] less
+that map's rank, which is at least 1 once the (l, 1) table stores a product
+(i, j).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .ring import (
     Matrix,
     RingElement,
     SparseVec,
-    factorizations,
+    _cofactor,
+    _left_products,
     in_kunneth_ideal,
     multiply,
 )
@@ -421,36 +425,44 @@ def _annihilator_candidates(
 def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:
     """For each basis class basis_ell[i], a bound on the number of its
     degree-1 annihilators: dims[1], less 1 when the (ell, 1) table stores a
-    product (i, j) (argument in `_kronecker_candidates`)."""
+    product (i, j) (argument in the module docstring)."""
     acting = {i for i, _ in ring.structure.get((ell, 1), {})}
     return [ring.dims[1] - (i in acting) for i in range(ring.dims[ell])]
+
+
+def _target_bounds(products: list[dict[int, SparseVec]], count: int) -> list[int]:
+    """`_block_bound` of lambda against each of the `count` basis classes of a
+    degree as target, from `_product_table` of two basis families of degrees
+    summing to it: lambda(r, c) != 0 iff product (r, c) is a multiple of that class."""
+    rows, cols = [set() for _ in range(count)], [set() for _ in range(count)]
+    for r, table_row in enumerate(products):
+        for c, prod in table_row.items():
+            if len(prod) == 1:
+                (i,) = prod
+                rows[i].add(r)
+                cols[i].add(c)
+    return [min(len(a), len(b)) for a, b in zip(rows, cols)]
 
 
 def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
     """Yield (kind, factor, cofactor, rows, cols, products, min_size) in
     canonical order, with products = _product_table(rows, cols) and min_size
-    the least family size that breaks the kind's bound.
+    the least family size that breaks the kind's bound: first the degree-1
+    annihilators of each factor c = basis_l[i] of omega (c * c' = omega is
+    solvable, `_cofactor`) against the basis one degree below it, then each
+    basis degree k' against the complementary basis, for l >= 2.
 
-    First the degree-1 annihilators of each factor of omega against the basis
-    one degree below it, then each basis degree k' of each factor of degree at
-    least 2 against the complementary basis.
-
-    Only candidates that cannot certify are left out, so the first
-    certificate is unchanged. A system from rows and cols has
-    m <= min(len(rows), len(cols)) classes, and every kind's bound is
-    monotone in m; so a degree k' with min(dims[k'], dims[l - k']) below
-    min_size is skipped, and a degree l with no k' left is skipped before
-    `factorizations` runs. The basis families and their product table are
-    shared by every factor of one (l, k'); annihilator rows depend on the
-    factor, so their table is built per factor.
-
-    A factor c = basis_l[i] has dims[1] less the rank of x -> c * x on
-    degree 1 annihilator rows, and that rank is at least 1 when the (l, 1)
-    table stores a product (i, j) (`_annihilator_bounds`). So a degree l
-    where no class's bound reaches min_size is skipped before
-    `factorizations` runs, and a factor whose bound is below it before its
-    kernel is taken. On a torus dims[1] = n and c * H^1 != 0 for every c of
-    degree l < n, so every l is skipped.
+    Only candidates that cannot certify are left out (module docstring), so
+    the first certificate is unchanged. A degree k' with min(dims[k'],
+    dims[l - k']) below min_size is skipped. Then a class skips each k'
+    where its bound is below min_size, and a class with no k' left is
+    skipped before omega is factored by it. A DualPair class's bound is the
+    `_block_bound` that `kronecker_systems` tests first (`_target_bounds`),
+    an H1Annihilator class's is `_annihilator_bounds`; on a torus no class
+    reaches n annihilators, since c * H^1 != 0 for every c of degree l < n.
+    Basis families and their product tables are shared by every class of
+    one (l, k'); annihilator rows depend on the factor, and so does their
+    table.
     """
     for kind in ("H1Annihilator", "DualPair"):
         pattern = _PATTERNS[kind]
@@ -465,25 +477,27 @@ def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
                 sizes = {kp: s for kp, s in sizes.items() if max(most, default=0) >= s}
             if not sizes or not ring.dims[n - ell]:
                 continue
-            factors = factorizations(ring, omega, ell)
             bases = {kp: (ring.basis(kp), ring.basis(ell - kp)) for kp in sizes}
-            tables = {
-                kp: _product_table(*bases[kp])
-                for kp in sizes if factors and not pattern.annihilated
+            tables = {kp: _product_table(*bases[kp]) for kp in sizes if not pattern.annihilated}
+            bounds = {
+                kp: _target_bounds(tables[kp], ring.dims[ell]) if kp in tables else most
+                for kp in sizes
             }
-            for factor, cofactor in factors:
-                for kp, size in sizes.items():
+            for i, stored in _left_products(ring, ell, n - ell).items():
+                reach = [kp for kp, size in sizes.items() if bounds[kp][i] >= size]
+                cofactor = _cofactor(ring, omega, ell, stored) if reach else None
+                if cofactor is None:
+                    continue
+                factor = ring.basis_element(ell, i)
+                for kp in reach:
                     rows, cols = bases[kp]
                     products = tables.get(kp)
                     if pattern.annihilated:
-                        (i,) = factor.coords()[ell]
-                        if most[i] < size:
-                            continue
                         rows = _annihilator_candidates(ring, factor)
-                        if len(rows) < size:
+                        if len(rows) < sizes[kp]:
                             continue
                         products = _product_table(rows, cols)
-                    yield kind, factor, cofactor, rows, cols, products, size
+                    yield kind, factor, cofactor, rows, cols, products, sizes[kp]
 
 
 def search_obstruction(

@@ -118,6 +118,7 @@ class GradedRing:
         "fundamental_index",
         "presentation",
         "_hash_hex",
+        "_ideal_bases",
     )
 
     def __init__(
@@ -139,6 +140,7 @@ class GradedRing:
         self.fundamental_index = int(fundamental_index)
         self.presentation = presentation
         self._hash_hex = None
+        self._ideal_bases: dict[int, tuple[RingElement, ...]] = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -707,15 +709,19 @@ def _ideal_rows(ring: GradedRing, k: int) -> list[SparseVec]:
 
 
 def kunneth_ideal_basis(ring: GradedRing, k: int) -> list[RingElement]:
-    """Canonical basis of the span of positive-degree products in degree k:
-    the RREF basis of `_ideal_rows`, which is unique, so neither the order of
-    the rows nor their choice among spanning sets changes it."""
-    basis = row_space_basis(_ideal_rows(ring, k))
-    return [RingElement._trusted(ring, {k: row}) for row in basis]
+    """Canonical basis of the span of positive-degree products in degree k,
+    once per ring and degree: the RREF basis of `_ideal_rows`, which is unique,
+    so neither the order of the rows nor their choice among spanning sets changes it."""
+    if k not in ring._ideal_bases:
+        basis = row_space_basis(_ideal_rows(ring, k))
+        ring._ideal_bases[k] = tuple(RingElement._trusted(ring, {k: row}) for row in basis)
+    return list(ring._ideal_bases[k])
 
 
 def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
-    """Exact membership of a homogeneous class in the product ideal."""
+    """Exact membership of a homogeneous class in the product ideal: each
+    RREF basis row is 1 at its pivot, its least column, and 0 at the other
+    pivots, so omega is in it iff omega less each pivot entry times its row is 0."""
     if omega.is_zero():
         return True
     if not omega.is_homogeneous():
@@ -723,24 +729,45 @@ def in_kunneth_ideal(ring: GradedRing, omega: RingElement) -> bool:
     k = omega.degree()
     if k < 2:
         return False
-    # the RREF basis is independent, so its rank is its length
-    basis = row_space_basis(_ideal_rows(ring, k))
-    return bool(basis) and len(basis) == rank(basis + [omega._coords[k]])
+    vec = omega._coords[k]
+    rest = dict(vec)
+    for b in kunneth_ideal_basis(ring, k):
+        row = b._coords[k]
+        f = vec.get(min(row))
+        for t, x in row.items() if f else ():
+            rest[t] = rest.get(t, 0) - f * x
+    return not any(rest.values())
+
+
+def _left_products(ring: GradedRing, ell: int, q: int) -> dict[int, list[tuple[int, SparseVec]]]:
+    """i -> [(j, basis_ell[i] * basis_q[j])] over the stored (ell, q) table, in increasing i."""
+    by_left: dict[int, list[tuple[int, SparseVec]]] = {}
+    for (i, j), vec in ring._table(ell, q).items():
+        by_left.setdefault(i, []).append((j, vec))
+    return dict(sorted(by_left.items()))
+
+
+def _cofactor(ring: GradedRing, omega: RingElement, ell: int, products) -> RingElement | None:
+    """The canonical exact c' with c * c' = omega, or None, for a degree-ell
+    basis class c with the stored products [(j, vec)] that `_left_products`
+    lists: the matrix of y -> c * y has a sparse row per coordinate t of
+    omega's degree, holding coordinate t of each product at column j."""
+    k = omega.degree()
+    system: list[SparseVec] = [{} for _ in range(ring.dims[k])]
+    for j, vec in products:
+        for t, c in vec.items():
+            system[t][j] = c
+    (x,) = solve_many(system, [omega._coords[k]], ring.dims[k - ell])
+    # a solution for a nonzero omega is never zero
+    return None if x is None else RingElement._trusted(ring, {k - ell: x})
 
 
 def factorizations(
     ring: GradedRing, omega: RingElement, ell: int
 ) -> list[tuple[RingElement, RingElement]]:
-    """All pairs (c, c') with c a degree-ell basis element and c * c' = omega.
-
-    c' is the canonical exact solution of the linear system; an empty list is
-    a valid answer.
-
-    For c = basis_ell[i] the system is the matrix of y -> c * y from degree
-    k - ell: one sparse row per degree-k coordinate t, holding coordinate t
-    of each stored product (i, j) of the (ell, k - ell) table at column j.
-    A class with no stored product has c * y = 0 for every y.
-    """
+    """All pairs (c, c') with c a degree-ell basis element and c * c' = omega,
+    c' from `_cofactor`; an empty list is a valid answer. A class with no
+    stored product has c * y = 0 for every y."""
     if omega.is_zero():
         return []
     if not omega.is_homogeneous():
@@ -748,17 +775,6 @@ def factorizations(
     k = omega.degree()
     if not (1 <= ell <= k - 1):
         raise ValueError(f"cofactor degree must satisfy 1 <= {ell} <= {k - 1}")
-    systems: dict[int, list[SparseVec]] = {}
-    for (i, j), vec in ring._table(ell, k - ell).items():
-        if i not in systems:
-            systems[i] = [{} for _ in range(ring.dims[k])]
-        for t, c in vec.items():
-            systems[i][t][j] = c
-    out = []
-    for i in sorted(systems):
-        (x,) = solve_many(systems[i], [omega._coords[k]], ring.dims[k - ell])
-        if x is not None:
-            # a solution for a nonzero omega is never zero
-            cofactor = RingElement._trusted(ring, {k - ell: x})
-            out.append((ring.basis_element(ell, i), cofactor))
-    return out
+    stored = _left_products(ring, ell, k - ell)
+    cofactors = {i: _cofactor(ring, omega, ell, products) for i, products in stored.items()}
+    return [(ring.basis_element(ell, i), c) for i, c in cofactors.items() if c is not None]

@@ -1,5 +1,7 @@
 """Product-ideal layers: membership, bases, factorizations."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import CATALOG, LAW_RINGS, reference_kunneth_bases
@@ -8,6 +10,7 @@ from qrob import (
     GradedRing,
     IdealUndefinedError,
     NonHomogeneousError,
+    RingElement,
     Sphere,
     Torus,
     build,
@@ -102,6 +105,7 @@ def test_ideal_basis_and_membership_match_reference():
     obj = build(parse_manifold("surface(2) * cp(2)")).to_obj()
     obj["monomial_presentation"] = None
     rings = [build(parse_manifold(text)) for text in LAW_RINGS]
+    seen = {True: 0, False: 0}
     for ring in rings + [GradedRing.from_obj(obj)]:
         for k, expected in reference_kunneth_bases(ring.to_obj()).items():
             basis = kunneth_ideal_basis(ring, k)
@@ -109,9 +113,21 @@ def test_ideal_basis_and_membership_match_reference():
             probes = ring.basis(k)
             if probes:
                 probes.append(probes[0] + probes[-1])
+            # a rational combination of every reference row, which is in the
+            # ideal, alone and with each basis class added
+            combo = [
+                sum((Fraction((-1) ** t * (t + 1), 2 * t + 3) * row[c]
+                     for t, row in enumerate(expected)), Fraction(0))
+                for c in range(ring.dims[k])
+            ]
+            if any(combo):
+                combo = RingElement(ring, {k: combo})
+                probes += [combo] + [combo + b for b in ring.basis(k)]
             for omega in probes:
                 member = _in_rref_span(expected, omega.vector(k))
                 assert in_kunneth_ideal(ring, omega) == member, (ring, k, omega)
+                seen[member] += 1
+    assert seen[True] and seen[False]
 
 
 def _in_rref_span(rows, vec):

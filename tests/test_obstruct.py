@@ -48,8 +48,10 @@ from qrob.errors import VerificationFailure
 from qrob.obstruct import (
     _annihilator_bounds,
     _annihilator_candidates,
+    _block_bound,
     _lambda_rows,
     _product_table,
+    _target_bounds,
     check_ring_map,
     kronecker_systems,
 )
@@ -480,9 +482,11 @@ def test_kronecker_check_rejects_classes_of_another_ring(manifold, n, kind, move
         moved_system.certificate(n)
 
 # CATALOG and workload queries, then families where the certifying factor is
-# the last one or where no kind's bound can be reached.
+# the last one, one of squares (each class pairs with itself), or where no
+# kind's bound can be reached.
 DIFFERENTIAL_QUERIES = tuple(dict.fromkeys(
     list(CATALOG) + list(WORKLOAD_QUERIES)
+    + [("connsum(cp(2),16) * cp(2)", "vol(1)^sym(2)", 6)]
     + [(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6) for v in range(1, 13)]
     + [(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4) for g in range(1, 11)]
     + [(f"connsum(s2xs2,{v}) * torus(2)", "vol(1)^vol(2)", 6) for v in range(1, 5)]
@@ -523,21 +527,39 @@ def test_search_eliminates_only_the_certifying_group(monkeypatch):
     assert len(calls["invert"]) == len(calls["pivot_rows_cols"]) == 1
 
 
+def test_search_solves_and_lambdas_only_the_certifying_factor(monkeypatch):
+    # the certifying DualPair factor is vol⊗1, the last of 2v + 2 degree-4
+    # classes; every other class's bound read from the (2, 2) table is below
+    # C(6, 2) + 1 = 16
+    calls = _count_calls(monkeypatch, "_cofactor", "_lambda_rows")
+    for v in (12, 30):
+        ring, omega = _query(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6)
+        assert search_obstruction(ring, omega, 6).inequality.lhs == 2 * v
+        # without the per-class bound: 2v + 2 solves and 2v + 1 lambda passes
+        assert len(calls["_cofactor"]) == len(calls["_lambda_rows"]) == 1, v
+        calls["_cofactor"].clear()
+        calls["_lambda_rows"].clear()
+
+
 def test_search_skips_degree_one_annihilator_factors(monkeypatch):
     # an H1Annihilator system with l = 1 has the single column basis(0)
-    calls = _count_calls(monkeypatch, "factorizations")
+    calls = _count_calls(monkeypatch, "_cofactor")
     for g in range(1, 11):
         ring, omega = _query(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4)
         search_obstruction(ring, omega, 4)
-    assert calls["factorizations"] and all(ell != 1 for *_, ell in calls["factorizations"])
+    assert calls["_cofactor"] and all(ell != 1 for _, _, ell, _ in calls["_cofactor"])
 
 
 def test_search_without_reachable_bound_never_factors_omega(monkeypatch):
     # dims = [1, 0, 15, 0, 16, ...]: no family can exceed C(6, 2) = 15
-    calls = _count_calls(monkeypatch, "factorizations")
+    calls = _count_calls(monkeypatch, "_cofactor")
     ring, omega = _query("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6)
     assert search_obstruction(ring, omega, 6) is None
-    assert calls["factorizations"] == []
+    assert calls["_cofactor"] == []
+    # one more summand reaches the bound, and the count sees its solve
+    ring, omega = _query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6)
+    assert search_obstruction(ring, omega, 6) is not None
+    assert calls["_cofactor"]
 
 
 def test_annihilator_bounds_cover_every_basis_class():
@@ -556,6 +578,28 @@ def test_annihilator_bounds_cover_every_basis_class():
     assert tight
 
 
+def test_target_bounds_equal_the_block_bound_of_each_class():
+    # the search skips a DualPair factor by this bound before omega is
+    # factored, so it must be the very bound kronecker_systems tests first
+    reached = 0
+    for manifold in LAW_RINGS:
+        ring = build(parse_manifold(manifold))
+        for ell in range(1, ring.top_degree + 1):
+            for kp in range(ell + 1):
+                rows, cols = ring.basis(kp), ring.basis(ell - kp)
+                if not rows:
+                    continue
+                products = _product_table(rows, cols)
+                bounds = _target_bounds(products, ring.dims[ell])
+                expected = [
+                    _block_bound(_lambda_rows(products, ell, target)[0])
+                    for target in ring.basis(ell)
+                ]
+                assert bounds == expected, (manifold, ell, kp)
+                reached += sum(b > 1 for b in bounds)
+    assert reached
+
+
 def test_annihilator_candidates_match_reference_kernels():
     for manifold in LAW_RINGS:
         ring = build(parse_manifold(manifold))
@@ -569,11 +613,15 @@ def test_annihilator_candidates_match_reference_kernels():
 def test_search_on_tori_neither_factors_nor_annihilates(monkeypatch):
     # dims[1] = n, and every class c of degree l < n has c * H^1 != 0, so no
     # factor can have n annihilators; no DualPair family can exceed C(n, k')
-    calls = _count_calls(monkeypatch, "factorizations", "_annihilator_candidates")
+    calls = _count_calls(monkeypatch, "_cofactor", "_annihilator_candidates")
     for n in (5, 6, 7):
         ring, omega = _query(f"torus({n})", "vol(1)", n)
         assert search_obstruction(ring, omega, n) is None
-    assert calls == {"factorizations": [], "_annihilator_candidates": []}
+    assert calls == {"_cofactor": [], "_annihilator_candidates": []}
+    # a surface's factors do reach the bound, and the counts see them
+    ring, omega = _query("surface(2) * cp(2)", "vol(1)^sym(2)", 4)
+    assert search_obstruction(ring, omega, 4).kind == "H1Annihilator"
+    assert calls["_cofactor"] and calls["_annihilator_candidates"]
 
 
 def test_certificate_m_matches_family_parameters():

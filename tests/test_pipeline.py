@@ -7,6 +7,8 @@ import pickle
 
 import pytest
 
+import qrob.linalg
+import qrob.ring
 from qrob import (
     GradedRing,
     Query,
@@ -17,6 +19,7 @@ from qrob import (
     build,
     build_with_classes,
     connsum_power,
+    kunneth_ideal_basis,
     parse_manifold,
     parse_omega,
     prywes_bound,
@@ -535,3 +538,28 @@ def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
     calls = _count_ring_writes(monkeypatch)
     verify_document(doc)
     assert len(calls) == 1
+
+
+def test_check_and_verify_eliminate_the_ideal_rows_once(monkeypatch):
+    # the precondition and the search's guard share one RREF of the degree-6
+    # ideal rows, and omega is reduced by its rows rather than ranked with them
+    query = Query("connsum(s2xs2,12) * cp(2)", "vol(1)^sym(2)", 6)
+    ring = build(parse_manifold(query.manifold))
+    ideal = qrob.ring._ideal_rows(ring, 6)
+    basis = [b.coords()[6] for b in kunneth_ideal_basis(ring, 6)]
+    eliminated = []
+    eliminate = qrob.linalg._eliminate
+
+    def counted(m, ncols=None):
+        eliminated.append(m[: len(ideal)] == ideal or m[: len(basis)] == basis)
+        return eliminate(m, ncols)
+
+    monkeypatch.setattr(qrob.linalg, "_eliminate", counted)
+    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
+    doc = json.loads(document_json(result_to_obj(run_query(query))))
+    # without the shared RREF: 4 in check and 2 in verify
+    assert doc["verdict"] == "OBSTRUCTED" and sum(eliminated) == 1
+    eliminated.clear()
+    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
+    verify_document(doc)
+    assert sum(eliminated) == 1
