@@ -12,19 +12,19 @@ m <= min(rows with a nonzero lambda, columns with one); every kind's bound
 is monotone in m. A candidate or group whose size bound is below the least
 m that breaks its kind's bound is skipped, and the rest come in the same
 canonical order, so the first certificate is that of an unpruned search.
-Each factor c = basis_l[i] is bounded before omega is factored by it. A
-DualPair factor is the target, so lambda is nonzero exactly where a stored
-product of the shared basis families is a multiple of basis_l[i] alone, and
-one pass over their table bounds every i. An H1Annihilator factor has as
-many annihilator rows as the kernel of x -> c * x on degree 1, dims[1] less
-that map's rank, which is at least 1 once the (l, 1) table stores a product
-(i, j).
+Each factor c = basis_l[i] is bounded before omega is factored by it. The
+factor is the target, so lambda is nonzero exactly where a stored product is
+a multiple of basis_l[i] alone, and one pass over a product table gives the
+lambda of every i (`_lambdas`), which both the bound and the systems read. An
+H1Annihilator factor has as many annihilator rows as the kernel of
+x -> c * x on degree 1, dims[1] less that map's rank, which is at least 1
+once the (l, 1) table stores a product (i, j).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from fractions import Fraction
 
 from .errors import (
@@ -311,74 +311,50 @@ def _product_table(
     return table
 
 
-def _lambda_rows(
-    products: list[dict[int, SparseVec]], degree: int, target: RingElement
-) -> tuple[list[SparseVec], list[frozenset[int]]]:
-    """Per row r of `_product_table`, whose products are sparse coordinates
-    in one degree: lam[r] = {c: nonzero lam} with products[r][c] == lam *
-    target, and the columns where no such lam exists.
-
-    Only the stored nonzero products are visited; an absent one is zero and
-    has lam = 0. A nonzero one of another degree than the target's, off its
-    support or not proportional to it has none.
-    """
-    k = target.degree()
-    goal = target._coords[k]
-    pivot = min(goal)
-    lam: list[SparseVec] = []
-    no_lam: list[frozenset[int]] = []
-    for table_row in products:
-        ratios, bad = {}, []
+def _lambdas(products: list[dict[int, SparseVec]]) -> dict[int, dict[int, SparseVec]]:
+    """{i: {r: {c: lambda}}} from `_product_table`, whose products are sparse
+    coordinates in one degree: lambda against each basis class basis[i] of
+    that degree as target. A product is lambda * basis[i] exactly when its
+    support is {i}, and lambda is its coefficient there; an absent product
+    is zero and has lambda = 0. Rows and columns come in increasing order."""
+    index: dict[int, dict[int, SparseVec]] = {}
+    for r, table_row in enumerate(products):
         for c, prod in table_row.items():
-            if degree == k and prod.keys() == goal.keys():
-                ratio = prod[pivot] / goal[pivot]
-                if all(prod[t] == ratio * x for t, x in goal.items()):
-                    ratios[c] = ratio
-                    continue
-            bad.append(c)
-        lam.append(ratios)
-        no_lam.append(frozenset(bad))
-    return lam, no_lam
+            if len(prod) == 1:
+                ((i, x),) = prod.items()
+                index.setdefault(i, {}).setdefault(r, {})[c] = x
+    return index
 
 
-def _block_bound(lam: list[SparseVec]) -> int:
-    """No invertible block of lam is larger than its rows with a nonzero
-    entry, nor than its columns with one."""
+def _block_bound(lam: Collection[SparseVec]) -> int:
+    """No invertible block of lam, sparse rows, is larger than its rows with
+    a nonzero entry, nor than its columns with one."""
     return min(sum(map(bool, lam)), len(set().union(*lam)))
 
 
 def kronecker_systems(
     rows: list[RingElement],
     cols: list[RingElement],
-    target: RingElement,
     products: list[dict[int, SparseVec]],
+    lam: dict[int, SparseVec],
     min_size: int,
 ):
-    """Yield exact Kronecker systems (lefts, rights) against the target class,
+    """Yield exact Kronecker systems (lefts, rights) against a basis class,
     each of at least min_size >= 1 classes.
 
-    `products` is `_product_table(rows, cols)`, and the columns share one
-    degree. Row classes are grouped by which column products are exact
-    multiples of the target; in each group the coefficient matrix is
+    `products` is `_product_table(rows, cols)` and lam that class's entry of
+    `_lambdas(products)`. Row classes are grouped by which column products
+    are exact multiples of the class; in each group the lambda matrix is
     restricted to a maximal invertible pivot block and inverted, so the
-    returned families satisfy left_i * right_j = delta_ij * target on the
+    returned families satisfy left_i * right_j = delta_ij * class on the
     nose. Deterministic.
 
-    A pivot block has no more rows than its group has rows with a nonzero
-    lambda, nor more columns than columns with one (`_block_bound`). When
-    that bound on the whole lambda matrix, or on a group's block, is below
-    min_size, it is skipped before any elimination. Every kind's bound is
-    monotone in the family size m, and the search passes the least m that
-    breaks it; so exactly the systems that cannot certify are skipped, and
-    the others come in the same order.
+    A group whose `_block_bound` is below min_size is skipped before any
+    elimination. Every kind's bound is monotone in the family size m, and
+    the search passes the least m that breaks it; so exactly the systems
+    that cannot certify are skipped, and the others come in the same order.
     """
-    if not rows or not cols:
-        return
-    ring = target.ring
-    q = cols[0].degree()
-    lam, no_lam = _lambda_rows(products, rows[0].degree() + q, target)
-    if _block_bound(lam) < min_size:
-        return
+    no_lam = [frozenset(row.keys() - lam.get(r, {}).keys()) for r, row in enumerate(products)]
     seen: set[frozenset[int]] = set()
     for skip in no_lam:
         # a group: every row with a lambda wherever this one has one
@@ -386,7 +362,7 @@ def kronecker_systems(
             continue
         seen.add(skip)
         group = [r for r, other in enumerate(no_lam) if other <= skip]
-        block = [{c: x for c, x in lam[r].items() if c not in skip} for r in group]
+        block = [{c: x for c, x in lam.get(r, {}).items() if c not in skip} for r in group]
         if _block_bound(block) < min_size:
             continue
         piv_rows, piv_cols = pivot_rows_cols(block)
@@ -395,6 +371,7 @@ def kronecker_systems(
         inv = invert([{at[c]: x for c, x in block[r].items() if c in at} for r in piv_rows])
         lefts = [rows[group[r]] for r in piv_rows]
         # rights[j] = sum over t of inv[t][j] * (the t-th pivot column class)
+        ring, q = cols[0].ring, cols[0].degree()
         duals: list[SparseVec] = [{} for _ in piv_cols]
         for t, c in enumerate(piv_cols):
             for i, coeff in cols[c]._coords[q].items():
@@ -430,39 +407,26 @@ def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:
     return [ring.dims[1] - (i in acting) for i in range(ring.dims[ell])]
 
 
-def _target_bounds(products: list[dict[int, SparseVec]], count: int) -> list[int]:
-    """`_block_bound` of lambda against each of the `count` basis classes of a
-    degree as target, from `_product_table` of two basis families of degrees
-    summing to it: lambda(r, c) != 0 iff product (r, c) is a multiple of that class."""
-    rows, cols = [set() for _ in range(count)], [set() for _ in range(count)]
-    for r, table_row in enumerate(products):
-        for c, prod in table_row.items():
-            if len(prod) == 1:
-                (i,) = prod
-                rows[i].add(r)
-                cols[i].add(c)
-    return [min(len(a), len(b)) for a, b in zip(rows, cols)]
-
-
 def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
-    """Yield (kind, factor, cofactor, rows, cols, products, min_size) in
-    canonical order, with products = _product_table(rows, cols) and min_size
-    the least family size that breaks the kind's bound: first the degree-1
-    annihilators of each factor c = basis_l[i] of omega (c * c' = omega is
-    solvable, `_cofactor`) against the basis one degree below it, then each
-    basis degree k' against the complementary basis, for l >= 2.
+    """Yield (kind, factor, cofactor, rows, cols, products, lam, min_size) in
+    canonical order, with products = _product_table(rows, cols), lam its
+    `_lambdas` against the factor and min_size the least family size that
+    breaks the kind's bound: first the degree-1 annihilators of each factor
+    c = basis_l[i] of omega (c * c' = omega is solvable, `_cofactor`)
+    against the basis one degree below it, then each basis degree k'
+    against the complementary basis, for l >= 2.
 
     Only candidates that cannot certify are left out (module docstring), so
     the first certificate is unchanged. A degree k' with min(dims[k'],
     dims[l - k']) below min_size is skipped. Then a class skips each k'
     where its bound is below min_size, and a class with no k' left is
     skipped before omega is factored by it. A DualPair class's bound is the
-    `_block_bound` that `kronecker_systems` tests first (`_target_bounds`),
-    an H1Annihilator class's is `_annihilator_bounds`; on a torus no class
-    reaches n annihilators, since c * H^1 != 0 for every c of degree l < n.
-    Basis families and their product tables are shared by every class of
-    one (l, k'); annihilator rows depend on the factor, and so does their
-    table.
+    `_block_bound` of its lambda in the shared table, an H1Annihilator
+    class's is `_annihilator_bounds`; on a torus no class reaches n
+    annihilators, since c * H^1 != 0 for every c of degree l < n. Basis
+    families, their product tables and lambdas are shared by every class of
+    one (l, k'); annihilator rows depend on the factor, and so do their
+    table and its lambdas, whose `_block_bound` is tested after the solve.
     """
     for kind in ("H1Annihilator", "DualPair"):
         pattern = _PATTERNS[kind]
@@ -479,25 +443,30 @@ def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
                 continue
             bases = {kp: (ring.basis(kp), ring.basis(ell - kp)) for kp in sizes}
             tables = {kp: _product_table(*bases[kp]) for kp in sizes if not pattern.annihilated}
-            bounds = {
-                kp: _target_bounds(tables[kp], ring.dims[ell]) if kp in tables else most
-                for kp in sizes
-            }
+            lams = {kp: _lambdas(table) for kp, table in tables.items()}
             for i, stored in _left_products(ring, ell, n - ell).items():
-                reach = [kp for kp, size in sizes.items() if bounds[kp][i] >= size]
+                if pattern.annihilated:
+                    reach = [kp for kp, size in sizes.items() if most[i] >= size]
+                else:
+                    reach = [kp for kp, size in sizes.items()
+                             if _block_bound(lams[kp].get(i, {}).values()) >= size]
                 cofactor = _cofactor(ring, omega, ell, stored) if reach else None
                 if cofactor is None:
                     continue
                 factor = ring.basis_element(ell, i)
                 for kp in reach:
                     rows, cols = bases[kp]
-                    products = tables.get(kp)
                     if pattern.annihilated:
                         rows = _annihilator_candidates(ring, factor)
                         if len(rows) < sizes[kp]:
                             continue
                         products = _product_table(rows, cols)
-                    yield kind, factor, cofactor, rows, cols, products, sizes[kp]
+                        lam = _lambdas(products).get(i, {})
+                        if _block_bound(lam.values()) < sizes[kp]:
+                            continue
+                    else:
+                        products, lam = tables[kp], lams[kp][i]
+                    yield kind, factor, cofactor, rows, cols, products, lam, sizes[kp]
 
 
 def search_obstruction(
@@ -519,8 +488,8 @@ def search_obstruction(
     if cert is not None:
         return cert
     candidates = _kronecker_candidates(ring, omega, n)
-    for kind, factor, cofactor, rows, cols, products, size in candidates:
-        for lefts, rights in kronecker_systems(rows, cols, factor, products, size):
+    for kind, factor, cofactor, rows, cols, products, lam, size in candidates:
+        for lefts, rights in kronecker_systems(rows, cols, products, lam, size):
             cert = KroneckerSystem(kind, factor, cofactor, lefts, rights).certificate(n)
             if cert is not None:
                 return cert

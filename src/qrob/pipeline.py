@@ -357,7 +357,8 @@ def _rederive(
         expected = submanifold_report_obj(report, ring, subring, iota, omega)
         summary = "submanifold report re-derived"
     elif fmt == CERTIFICATE_FORMAT:
-        iota = _recorded_iota_star(obj)
+        # only a submanifold certificate records a restriction map
+        iota = _recorded_iota_star(obj) if uses_subring else None
         cert = verify_certificate_obj(obj, ring, subring, iota)
         expected = certificate_to_obj(cert)
         if iota is not None:

@@ -46,16 +46,15 @@ from qrob import (
 )
 from qrob.errors import VerificationFailure
 from qrob.obstruct import (
+    _PATTERNS,
     _annihilator_bounds,
     _annihilator_candidates,
-    _block_bound,
-    _lambda_rows,
+    _lambdas,
     _product_table,
-    _target_bounds,
     check_ring_map,
     kronecker_systems,
 )
-from qrob.pipeline import certificate_to_obj, verify_certificate_obj
+from qrob.pipeline import certificate_to_obj, verify_certificate_obj, verify_document
 
 
 def identity(n: int) -> list[list[Fraction]]:
@@ -230,51 +229,43 @@ def _basis_rows(ring, p):
     return rows + [rows[0] + rows[-1], rows[0] + rows[-1].scale(Fraction(-1, 2))]
 
 
-def _two_term_target(ring, p):
-    """Some basis(p)[0] * y + basis(p)[-1] * y with a two-term support, or None."""
-    rows = ring.basis(p)
-    for q in range(1, ring.top_degree - p + 1) if len(rows) >= 2 else ():
-        for y in ring.basis(q):
-            two = multiply(rows[0], y) + multiply(rows[-1], y)
-            if sum(map(bool, two.vector(p + q))) > 1:
-                return two
-    return None
-
-
-def _lambda_matrix(products, width, degree, target):
-    """The dense lambda matrix of `_lambda_rows` over `width` columns: None
-    where no lambda exists."""
-    lam, no_lam = _lambda_rows(products, degree, target)
+def _lambda_matrix(products, width, i):
+    """The dense lambda matrix that `_lambdas` gives against basis class i
+    over `width` columns: None where a nonzero product has no lambda."""
+    lam = _lambdas(products).get(i, {})
     return [
-        [None if c in bad else row.get(c, Fraction(0)) for c in range(width)]
-        for row, bad in zip(lam, no_lam)
+        [lam.get(r, {}).get(c, None if c in row else Fraction(0)) for c in range(width)]
+        for r, row in enumerate(products)
     ]
 
 
+def _basis_index(x):
+    """i for the basis class x = basis_k[i]."""
+    ((_, vec),) = x.coords().items()
+    ((i, _),) = vec.items()
+    return i
+
+
 def test_lambda_matrix_matches_dense_products_on_catalog():
+    reached = 0
     for manifold, omega_text, n in CATALOG:
-        ring, omega = _query(manifold, omega_text, n)
-        targets = []
-        for ell in range(1, n):
-            targets += [f for f, _ in factorizations(ring, omega, ell)[:1]]
-        twos = (_two_term_target(ring, p) for p in range(ring.top_degree))
-        targets += [t for t in twos if t is not None]
-        for target in targets:
-            k = target.degree()
-            row_sets = [_annihilator_candidates(ring, target)]
-            row_sets += [_basis_rows(ring, p) for p in range(k + 1)]
-            for rows in filter(None, row_sets):
-                p = rows[0].degree()
-                for q in (k - p, k - p + 1):  # the target degree, and one above
-                    cols = ring.basis(q) if q <= ring.top_degree else []
+        ring, _ = _query(manifold, omega_text, n)
+        for k in range(1, n):
+            for i, target in enumerate(ring.basis(k)):
+                row_sets = [_annihilator_candidates(ring, target)]
+                row_sets += [_basis_rows(ring, p) for p in range(k + 1)]
+                for rows in filter(None, row_sets):
+                    cols = ring.basis(k - rows[0].degree())
                     if cols:
-                        lam = _lambda_matrix(_product_table(rows, cols), len(cols), p + q, target)
-                        expected = reference_lambda(rows, cols, target)
-                        assert lam == expected, (manifold, k, p, q)
+                        lam = _lambda_matrix(_product_table(rows, cols), len(cols), i)
+                        assert lam == reference_lambda(rows, cols, target), (manifold, k, i)
+                        reached += any(x for row in lam for x in row)
+    assert reached
 
 
 def test_kronecker_systems_are_exact_on_skewed_rows():
     # the skewed sums first make pivot blocks neither diagonal nor symmetric
+    found = 0
     for manifold, omega_text, n in CATALOG[:8]:
         ring, omega = _query(manifold, omega_text, n)
         for ell in range(2, n):
@@ -282,11 +273,14 @@ def test_kronecker_systems_are_exact_on_skewed_rows():
                 for kp in range(1, ell):
                     rows, cols = _basis_rows(ring, kp)[::-1], ring.basis(ell - kp)
                     products = _product_table(rows, cols)
-                    for lefts, rights in kronecker_systems(rows, cols, target, products, 1):
+                    lam = _lambdas(products).get(_basis_index(target), {})
+                    for lefts, rights in kronecker_systems(rows, cols, products, lam, 1):
+                        found += 1
                         for i, x in enumerate(lefts):
                             for j, y in enumerate(rights):
                                 expected = target if i == j else ring.zero()
                                 assert multiply(x, y) == expected, (manifold, ell, kp)
+    assert found
 
 
 def test_product_table_reads_basis_products_without_times(monkeypatch):
@@ -344,7 +338,8 @@ def test_kronecker_systems_make_no_multiply_calls(monkeypatch):
     monkeypatch.setattr(qrob.ring, "multiply", counting)
     rows = cols = ring.basis(2)
     products = _product_table(rows, cols)
-    systems = list(kronecker_systems(rows, cols, factor, products, 1))
+    lam = _lambdas(products)[_basis_index(factor)]
+    systems = list(kronecker_systems(rows, cols, products, lam, 1))
     assert systems and calls == []
 
 
@@ -375,6 +370,29 @@ def test_kronecker_certificate_multiplies_only_diag_by_cofactor(monkeypatch, man
     monkeypatch.setattr(qrob.ring, "multiply", counting)
     assert certificate_to_obj(system.certificate(n)) == certificate_to_obj(cert)
     assert calls == [(system.diag, system.cofactor)]
+
+
+@pytest.mark.parametrize("manifold,n,kind", [
+    ("connsum(s2xs2,8) * cp(2)", 6, "DualPair"),
+    ("surface(2) * cp(2)", 4, "H1Annihilator"),
+])
+def test_kronecker_check_accepts_a_diag_that_is_not_a_basis_class(manifold, n, kind):
+    # the search only builds systems against basis classes, but the verifier
+    # checks rows * cols = delta * diag for any diag: 2 diag, 2 rows and
+    # cofactor / 2 still obstruct, while 2 diag alone breaks the diagonal
+    cert, system = _certified_system(manifold, n, kind)
+    ring, diag = system.diag.ring, _PATTERNS[kind].roles[2]
+    scaled = KroneckerSystem(
+        kind, system.diag.scale(2), system.cofactor.scale(Fraction(1, 2)),
+        [x.scale(2) for x in system.rows], system.cols,
+    ).certificate(n)
+    assert scaled.omega == cert.omega
+    assert scaled.inequality.to_obj() == cert.inequality.to_obj()
+    assert verify_document(certificate_to_obj(scaled), ring=ring).startswith("certificate")
+    doc = certificate_to_obj(cert)
+    doc["classes"][diag] = system.diag.scale(2).to_obj()
+    with pytest.raises(VerificationFailure, match=f"is not the {diag}$"):
+        verify_document(doc, ring=ring)
 
 
 def _tampered(system, pairs):
@@ -531,14 +549,17 @@ def test_search_solves_and_lambdas_only_the_certifying_factor(monkeypatch):
     # the certifying DualPair factor is vol⊗1, the last of 2v + 2 degree-4
     # classes; every other class's bound read from the (2, 2) table is below
     # C(6, 2) + 1 = 16
-    calls = _count_calls(monkeypatch, "_cofactor", "_lambda_rows")
+    calls = _count_calls(monkeypatch, "_cofactor", "_lambdas")
     for v in (12, 30):
         ring, omega = _query(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6)
         assert search_obstruction(ring, omega, 6).inequality.lhs == 2 * v
-        # without the per-class bound: 2v + 2 solves and 2v + 1 lambda passes
-        assert len(calls["_cofactor"]) == len(calls["_lambda_rows"]) == 1, v
+        # one lambda pass over the one shared (2, 2) table, and without the
+        # per-class bound 2v + 2 solves
+        assert len(calls["_cofactor"]) == len(calls["_lambdas"]) == 1, v
+        (products,) = calls["_lambdas"][0]
+        assert products == _product_table(ring.basis(2), ring.basis(2)), v
         calls["_cofactor"].clear()
-        calls["_lambda_rows"].clear()
+        calls["_lambdas"].clear()
 
 
 def test_search_skips_degree_one_annihilator_factors(monkeypatch):
@@ -576,28 +597,6 @@ def test_annihilator_bounds_cover_every_basis_class():
                 assert bound >= count, (manifold, ell, i)
                 tight += bound == count
     assert tight
-
-
-def test_target_bounds_equal_the_block_bound_of_each_class():
-    # the search skips a DualPair factor by this bound before omega is
-    # factored, so it must be the very bound kronecker_systems tests first
-    reached = 0
-    for manifold in LAW_RINGS:
-        ring = build(parse_manifold(manifold))
-        for ell in range(1, ring.top_degree + 1):
-            for kp in range(ell + 1):
-                rows, cols = ring.basis(kp), ring.basis(ell - kp)
-                if not rows:
-                    continue
-                products = _product_table(rows, cols)
-                bounds = _target_bounds(products, ring.dims[ell])
-                expected = [
-                    _block_bound(_lambda_rows(products, ell, target)[0])
-                    for target in ring.basis(ell)
-                ]
-                assert bounds == expected, (manifold, ell, kp)
-                reached += sum(b > 1 for b in bounds)
-    assert reached
 
 
 def test_annihilator_candidates_match_reference_kernels():

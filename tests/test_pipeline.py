@@ -231,6 +231,26 @@ def test_prywes_certificate_requires_top_degree_n():
         verify_document(doc, ring=ring)
 
 
+def test_standalone_certificate_rejects_a_stray_iota_star():
+    # only a SubmanifoldBound certificate records a restriction map; one on
+    # any other kind is not echoed back but differs from the re-derivation
+    annihilator = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
+    dual = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
+    ring = build(connsum_power(S2xS2(), 8))
+    cases = [
+        (annihilator.certificate, annihilator.ring),
+        (dual.certificate, dual.ring),
+        (prywes_bound(ring, 4), ring),
+    ]
+    assert [cert.kind for cert, _ in cases] == ["H1Annihilator", "DualPair", "PrywesBound"]
+    for cert, ring in cases:
+        doc = certificate_to_obj(cert)
+        assert verify_document(doc, ring=ring) == f"certificate re-verified ({cert.kind})"
+        doc["iota_star"] = [[["7"]]]
+        with pytest.raises(VerificationFailure, match="re-derivation at iota_star$"):
+            verify_document(doc, ring=ring)
+
+
 def test_verdict_document_names_its_ring_only_by_hash():
     # verify rebuilds the ring from the query: an edited ring_hash fails, and
     # so does an embedded ring, even the query's own in canonical form
