@@ -134,7 +134,7 @@ class ExtElement:
                 if merged is None:
                     continue
                 sign, axes = merged
-                c = sign * ca * cb
+                c = ca * cb if sign > 0 else -(ca * cb)
                 acc[axes] = acc[axes] + c if axes in acc else c
         return ExtElement._trusted(self.ambient_n, acc)
 

@@ -16,12 +16,12 @@ from .exterior import ExtElement, blades, wedge
 from .manifolds import (
     ConnSum,
     CPm,
+    FactorClasses,
     ManifoldExpr,
     S2xS2,
     Sphere,
     Surface,
     Torus,
-    build,
     factor_list,
 )
 from .record import Frozen, Record
@@ -156,59 +156,47 @@ def _factor_gen_images(
     connected sums to the template of their leftmost summand, whose generators
     come first in the sum's ring.
     """
+    size = len(axes)
     if isinstance(expr, Torus):
-        if len(axes) > expr.n:
-            return None
-        return [ExtElement.basis(n, (a,)) for a in axes]
+        return [ExtElement.basis(n, (a,)) for a in axes] if size <= expr.n else None
     if isinstance(expr, Sphere):
-        if len(axes) == expr.n:
-            return [ExtElement.basis(n, axes)]
-        return None
+        return [ExtElement.basis(n, axes)] if size == expr.n else None
     if isinstance(expr, CPm):
-        if len(axes) % 2 or len(axes) > 2 * expr.m:
+        if size % 2 or size > 2 * expr.m:
             return None
-        image = ExtElement.zero(n)
-        for i in range(0, len(axes), 2):
-            image = image + ExtElement.basis(n, axes[i : i + 2])
-        return [image]
+        blocks = (ExtElement.basis(n, axes[i : i + 2]) for i in range(0, size, 2))
+        return [sum(blocks, ExtElement.zero(n))]
     if isinstance(expr, S2xS2):
-        if len(axes) == 4:
-            return [ExtElement.basis(n, axes[:2]), ExtElement.basis(n, axes[2:])]
-        return None
+        return [ExtElement.basis(n, b) for b in (axes[:2], axes[2:])] if size == 4 else None
     if isinstance(expr, Surface):
-        if len(axes) == 2:
-            return [ExtElement.basis(n, (a,)) for a in axes]
-        return None
+        return [ExtElement.basis(n, (a,)) for a in axes] if size == 2 else None
     if isinstance(expr, ConnSum):
         return _factor_gen_images(expr.left, axes, n)
     return None
 
 
 def witness_template(
-    expr: ManifoldExpr, omega: RingElement, n: int
+    expr: ManifoldExpr, factors: tuple[FactorClasses, ...], omega: RingElement, n: int
 ) -> HomWitness | None:
     """Try the template catalog over axis-block allocations; verified only.
 
-    A factor given no axes maps all its generators to zero; each block is
-    padded with zeros up to its factor ring's generator count."""
-    ring = build(expr)
-    factors = factor_list(expr)
-    factor_rings = [build(f) for f in factors]
-    maxima = [min(n, r.top_degree) for r in factor_rings]
+    `factors` and omega's ring are what the build of expr gives. A factor
+    given no axes maps all its generators to zero; each block is padded with
+    zeros up to the factor's generator count, and its top degree is vol's."""
+    maxima = [min(n, f["vol"].degree()) for f in factors]
     zero = ExtElement.zero(n)
     for sizes in _compositions(n, maxima):
         start = 1
         gen_images: list[ExtElement] = []
-        for f_expr, f_ring, size in zip(factors, factor_rings, sizes):
+        for f_expr, f, size in zip(factor_list(expr), factors, sizes):
             axes = tuple(range(start, start + size))
             start += size
             block = _factor_gen_images(f_expr, axes, n) if axes else []
             if block is None:
                 break
-            padding = len(f_ring.presentation.generators) - len(block)
-            gen_images += block + [zero] * padding
+            gen_images += block + [zero] * (f["generators"] - len(block))
         else:
-            witness = witness_from_generators(ring, gen_images, n)
+            witness = witness_from_generators(omega.ring, gen_images, n)
             if verify_hom(witness, omega):
                 return witness
     return None

@@ -24,7 +24,8 @@ from .ring import Generator, GradedRing, Matrix, Presentation, RingElement, Spar
 
 class _Node(Frozen):
     """An expression node, equal to a node of the same class with equal
-    fields; the build cache is keyed by nodes, and parses compare by value."""
+    fields, so parses compare by value. No cache is keyed by nodes: hashing a
+    long ConnSum chain recurses down it."""
 
     __slots__ = ()
 
@@ -108,46 +109,35 @@ def factor_list(expr: ManifoldExpr) -> list[ManifoldExpr]:
 def _sphere_ring(n: int) -> GradedRing:
     dims = [1] + [0] * (n - 1) + [1]
     labels = [["1"]] + [[] for _ in range(n - 1)] + [["vol"]]
-    words: list[tuple[tuple[int, ...], ...]] = []
-    for k in range(n + 1):
-        if k == 0:
-            words.append(((),))
-        elif k == n:
-            words.append(((0,),))
-        else:
-            words.append(())
-    pres = Presentation((Generator(n, 0, "vol"),), tuple(words))
-    return GradedRing(n, dims, labels, {}, 0, pres)
+    words = ((),), *[()] * (n - 1), ((0,),)
+    return GradedRing(n, dims, labels, {}, 0, Presentation((Generator(n, 0, "vol"),), words))
 
 
 def _torus_ring(n: int) -> GradedRing:
     """The exterior algebra on t1..tn. Blades are bit masks here: a product
     is nonzero iff the masks are disjoint, and its sign is the parity of the
-    inversions, the number of pairs x in a, y in b with x > y."""
+    inversions, the pairs x in a, y in b with x > y: the parity of b & odd,
+    where a's mask `odd` holds the axes y with an odd number of a's above y."""
     axes_by_degree = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
     masks = [[sum(1 << a for a in axes) for axes in per] for per in axes_by_degree]
+    odd_masks = [[sum(1 << y for y in range(1, n + 1) if (a >> (y + 1)).bit_count() & 1)
+                  for a in per] for per in masks]
     position = [{m: i for i, m in enumerate(per)} for per in masks]
     dims = [len(per) for per in axes_by_degree]
-    labels = []
-    for k, per in enumerate(axes_by_degree):
-        if k == 0:
-            labels.append(["1"])
-        elif k == n:
-            labels.append(["vol"])
-        else:
-            labels.append(["^".join(f"t{a}" for a in axes) for axes in per])
+    labels = [["1"]] + [
+        ["^".join(f"t{a}" for a in axes) for axes in per] for per in axes_by_degree[1:n]
+    ] + [["vol"]]
     plus, minus = Fraction(1), Fraction(-1)
     structure = {}
     for p in range(1, n):
         for q in range(1, n - p + 1):
             table = {}
             target = position[p + q]
-            for i, a in enumerate(masks[p]):
-                for j, (b, axes) in enumerate(zip(masks[q], axes_by_degree[q])):
-                    if a & b:
-                        continue
-                    odd = sum((a >> (y + 1)).bit_count() for y in axes) & 1
-                    table[(i, j)] = {target[a | b]: minus if odd else plus}
+            for i, (a, odd) in enumerate(zip(masks[p], odd_masks[p])):
+                for j, b in enumerate(masks[q]):
+                    if not a & b:
+                        sign = minus if (b & odd).bit_count() & 1 else plus
+                        table[(i, j)] = {target[a | b]: sign}
             structure[(p, q)] = table
     gens = tuple(Generator(1, i, f"t{i + 1}") for i in range(n))
     words = tuple(
@@ -159,16 +149,10 @@ def _torus_ring(n: int) -> GradedRing:
 def _cpm_ring(m: int) -> GradedRing:
     d = 2 * m
     dims = [1 if k % 2 == 0 else 0 for k in range(d + 1)]
-    labels = []
-    for k in range(d + 1):
-        if k % 2:
-            labels.append([])
-        elif k == 0:
-            labels.append(["1"])
-        elif k == 2:
-            labels.append(["s"])
-        else:
-            labels.append([f"s^{k // 2}"])
+    labels = [
+        [] if k % 2 else ["1"] if k == 0 else ["s"] if k == 2 else [f"s^{k // 2}"]
+        for k in range(d + 1)
+    ]
     structure = {}
     for p in range(2, d, 2):
         for q in range(2, d - p + 1, 2):
@@ -388,9 +372,9 @@ def _connsum_ring(rings: list[GradedRing]) -> GradedRing:
 
 # -- build --------------------------------------------------------------------
 
-FactorClasses = dict[str, RingElement | None]
-
-_BUILD_CACHE: dict[ManifoldExpr, tuple[GradedRing, tuple[FactorClasses, ...]]] = {}
+# a factor's classes "vol" and "sym" (None if it has none), which omega names,
+# and "generators", its generator count, which only the template reads
+FactorClasses = dict[str, RingElement | int | None]
 
 
 def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...]]:
@@ -413,13 +397,18 @@ def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...
         ring = _product_ring(lring, rring, layout, index)
         sides = [True] * len(lclasses) + [False] * len(rclasses)
         classes = tuple(
-            {k: None if x is None else _pull_back(ring, index, x, left) for k, x in fc.items()}
+            {k: _pull_back(ring, index, x, left) if isinstance(x, RingElement) else x
+             for k, x in fc.items()}
             for fc, left in zip(lclasses + rclasses, sides)
         )
         return ring, classes
     else:
         raise TypeError(f"not a manifold expression: {expr!r}")
-    classes: FactorClasses = {"vol": ring.fundamental_class(), "sym": None}
+    classes: FactorClasses = {
+        "vol": ring.fundamental_class(),
+        "sym": None,
+        "generators": len(ring.presentation.generators),
+    }
     if isinstance(expr, CPm):
         classes["sym"] = ring.basis_element(2, 0)
     return ring, (classes,)
@@ -428,12 +417,10 @@ def _construct(expr: ManifoldExpr) -> tuple[GradedRing, tuple[FactorClasses, ...
 def build_with_classes(
     expr: ManifoldExpr,
 ) -> tuple[GradedRing, tuple[FactorClasses, ...]]:
-    """Build and validate the ring, with the named class of each factor."""
-    if expr not in _BUILD_CACHE:
-        ring, classes = _construct(expr)
-        ring.validate()
-        _BUILD_CACHE[expr] = (ring, classes)
-    return _BUILD_CACHE[expr]
+    """Build and validate the ring, with the named classes of each factor."""
+    ring, classes = _construct(expr)
+    ring.validate()
+    return ring, classes
 
 
 def build(expr: ManifoldExpr) -> GradedRing:

@@ -126,6 +126,13 @@ class KroneckerSystem(Record):
     so it keeps the rows linearly independent (wedge a relation with the image
     of cols[j]); the kind's bound on their number then obstructs it. `kind` is
     a key of _PATTERNS, and rows and cols are lists of classes.
+
+    An annihilating kind (H1Annihilator) needs its diagonal below the degree
+    n of omega: its bound m >= n rests on phi(diag) * phi(a) = 0 for the m
+    annihilators a, so m independent degree-1 images divide phi(diag) and
+    m <= l = deg diag, which breaks m >= n only for l <= n - 1. At l = n that
+    product lies in degree n + 1 of the exterior algebra, which is zero, so it
+    bounds nothing: the n-torus's volume class has n annihilators and a witness.
     """
 
     __slots__ = ("kind", "diag", "cofactor", "rows", "cols")
@@ -143,7 +150,8 @@ class KroneckerSystem(Record):
         )
 
     def check(self) -> RingElement:
-        """Require a nonzero omega, two nonzero families of one size m and of
+        """Require a nonzero omega, for an annihilating kind a diagonal of
+        lower degree than omega, two nonzero families of one size m and of
         the kind's degrees k' and k - k', m at most min(dims[k'], dims[k - k']),
         and every entry's product; else InvalidSystemError. Returns
         omega = diag * cofactor.
@@ -166,6 +174,12 @@ class KroneckerSystem(Record):
         if omega.is_zero():
             raise InvalidSystemError(f"{diag} * cofactor is zero")
         k = self.diag.degree()
+        if pattern.annihilated and k in omega.degrees():
+            raise InvalidSystemError(
+                f"{self.kind} needs a {diag} of degree below n = deg({diag} * cofactor): "
+                f"a degree-n {diag} times a degree-1 class maps to degree n + 1 of the "
+                "exterior algebra, which is zero, so its annihilators bound nothing"
+            )
         if len(self.rows) != len(self.cols) or not self.rows:
             raise InvalidSystemError(f"{row} and {col} must pair off one to one")
         kp = self.rows[0].degree()

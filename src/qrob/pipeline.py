@@ -66,9 +66,10 @@ class QueryResult(Record):
         return EXIT_BY_VERDICT[self.verdict]
 
 
-def _prepare(query: Query) -> tuple[ManifoldExpr, GradedRing, RingElement, dict]:
-    """Build the query's ring and omega, check n and omega's degree, and
-    compute the preconditions report; raise QrobError on a malformed query."""
+def _prepare(query: Query) -> tuple[ManifoldExpr, GradedRing, tuple, RingElement, dict]:
+    """Build the query's ring with its factors' named classes and omega, check
+    n and omega's degree, and compute the preconditions report; raise
+    QrobError on a malformed query."""
     expr = parse_manifold(query.manifold)
     ring, factors = build_with_classes(expr)
     omega = parse_omega(query.omega, ring, factors)
@@ -86,11 +87,11 @@ def _prepare(query: Query) -> tuple[ManifoldExpr, GradedRing, RingElement, dict]
         )
     in_ideal = nonzero and in_kunneth_ideal(ring, omega)
     preconditions = {"omega_nonzero": nonzero, "omega_in_kunneth_ideal": in_ideal}
-    return expr, ring, omega, preconditions
+    return expr, ring, factors, omega, preconditions
 
 
 def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
-    expr, ring, omega, preconditions = _prepare(query)
+    expr, ring, factors, omega, preconditions = _prepare(query)
     if not all(preconditions.values()):
         return QueryResult(
             query, ring, omega, UNKNOWN, preconditions,
@@ -105,7 +106,7 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
             query, ring, omega, OBSTRUCTED, preconditions,
             certificate=certificate,
         )
-    witness = witness_template(expr, omega, query.n)
+    witness = witness_template(expr, factors, omega, query.n)
     if witness is not None:
         return QueryResult(
             query, ring, omega, WITNESS, preconditions,
@@ -298,7 +299,7 @@ def _rederive(
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
-        _, rebuilt, omega, preconditions = _prepare(query)
+        _, rebuilt, _, omega, preconditions = _prepare(query)
         if ring is not None and ring != rebuilt:
             raise VerificationFailure("the given ring's ring_hash is not the query's ring_hash")
         verdict = obj["verdict"]

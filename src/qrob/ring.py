@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     IdealUndefinedError,
@@ -56,15 +57,6 @@ class Presentation(Frozen):
     """Each basis element written as an exact ordered product of generators."""
 
     __slots__ = ("generators", "words")  # words[degree][index] -> generator ids
-
-    def to_obj(self) -> dict:
-        return {
-            "generators": [
-                {"degree": g.degree, "index": g.index, "name": g.name}
-                for g in self.generators
-            ],
-            "words": [[list(w) for w in per_degree] for per_degree in self.words],
-        }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Presentation":
@@ -133,8 +125,9 @@ class GradedRing:
         self.top_degree = int(top_degree)
         self.dims = tuple(int(d) for d in dims)
         self.labels = tuple(tuple(str(s) for s in per_degree) for per_degree in labels)
+        # the given product dicts are kept, not copied; only empty ones are dropped
         self.structure = {
-            pq: {ij: dict(vec) for ij, vec in table.items() if vec}
+            pq: {ij: vec for ij, vec in table.items() if vec}
             for pq, table in structure.items()
         }
         self.fundamental_index = int(fundamental_index)
@@ -197,26 +190,44 @@ class GradedRing:
 
     # -- serialization ------------------------------------------------------
 
-    def to_obj(self) -> dict:
+    def to_json(self) -> str:
+        """The one serializer of a ring, in the canonical encoding, written
+        straight from the tables (a test checks it against `canonical_json`):
+        `hash_hex` hashes this text and `to_obj` reads it back."""
+        enc, lit, pres = encode_basestring_ascii, fraction_to_str, self.presentation
+        pres_text = "null"
+        # each coefficient object's literal, written once: most tables share a
+        # few objects, and the ring keeps every one alive, so no id is reused
+        literals: dict[int, str] = {}
         tables = []
-        for (p, q) in sorted(self.structure):
-            table = self.structure[(p, q)]
-            products = [
-                [i, j, [[t, fraction_to_str(c)] for t, c in sorted(table[(i, j)].items())]]
-                for (i, j) in sorted(table)
-            ]
+        for p, q in sorted(self.structure):
+            table, products = self.structure[p, q], []
+            for i, j in sorted(table):
+                coords = ",".join([
+                    f'[{t},"{literals.get(id(c)) or literals.setdefault(id(c), lit(c))}"]'
+                    for t, c in sorted(table[i, j].items())
+                ])
+                products.append(f"[{i},{j},[{coords}]]")
             if products:
-                tables.append({"p": p, "q": q, "products": products})
-        return {
-            "top_degree": self.top_degree,
-            "dims": list(self.dims),
-            "labels": [list(per_degree) for per_degree in self.labels],
-            "structure": tables,
-            "fundamental_index": self.fundamental_index,
-            "monomial_presentation": (
-                self.presentation.to_obj() if self.presentation else None
-            ),
-        }
+                tables.append(f'{{"p":{p},"products":[{",".join(products)}],"q":{q}}}')
+        labels = ",".join("[" + ",".join(map(enc, per)) + "]" for per in self.labels)
+        if pres:
+            gens = ",".join(
+                f'{{"degree":{g.degree},"index":{g.index},"name":{enc(g.name)}}}'
+                for g in pres.generators
+            )
+            words = ",".join("[" + ",".join(f"[{','.join(map(str, w))}]" for w in per) + "]"
+                             for per in pres.words)
+            pres_text = f'{{"generators":[{gens}],"words":[{words}]}}'
+        return (
+            f'{{"dims":[{",".join(map(str, self.dims))}],'
+            f'"fundamental_index":{self.fundamental_index},"labels":[{labels}],'
+            f'"monomial_presentation":{pres_text},"structure":[{",".join(tables)}],'
+            f'"top_degree":{self.top_degree}}}'
+        )
+
+    def to_obj(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GradedRing":
@@ -255,9 +266,7 @@ class GradedRing:
     def hash_hex(self) -> str:
         """The SHA-256 of the ring's canonical JSON, computed once."""
         if self._hash_hex is None:
-            self._hash_hex = hashlib.sha256(
-                canonical_json(self.to_obj()).encode("utf-8")
-            ).hexdigest()
+            self._hash_hex = hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
         return self._hash_hex
 
     def __eq__(self, other) -> bool:
@@ -298,10 +307,10 @@ class GradedRing:
             raise RingValidationError("label count must match dimension")
         if not (0 <= self.fundamental_index < self.dims[d]):
             raise RingValidationError("fundamental class index out of range")
-        self._validate_tables()
-        self._validate_commutativity()
+        rows, by_result = self._integer_tables()
+        self._validate_commutativity(rows)
         self._validate_presentation()
-        self._validate_associativity(self.left_factors())
+        self._validate_associativity(self.left_factors(), rows, by_result)
         self._validate_pairing()
 
     def left_factors(self) -> list[tuple[int, int]]:
@@ -351,35 +360,53 @@ class GradedRing:
                         return p, i, q, j
         return None
 
-    def _validate_tables(self) -> None:
-        d = self.top_degree
+    def _integer_tables(self, scale: int = 1):
+        """Range-check every stored product and copy the tables, scaled by L,
+        the lcm of all denominators, to integers in one pass: rows[(p, q)][i][j]
+        = L * (basis_p[i] * basis_q[j]) as {t: int}, and by_result[(p, q)][t] =
+        [(i, j, L * its coordinate t)]. The pass at `scale` 1 finds L, so only
+        a ring with a non-integer constant is copied twice."""
+        d, dims, need = self.top_degree, self.dims, scale
+        rows: dict[tuple[int, int], dict[int, dict[int, dict[int, int]]]] = {}
+        by_result: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
         for (p, q), table in self.structure.items():
             if p < 1 or q < 1 or p + q > d:
                 raise RingValidationError(f"illegal structure table ({p}, {q})")
+            dp, dq, dpq = dims[p], dims[q], dims[p + q]
+            per_i = rows[p, q] = {}
+            per_t = by_result[p, q] = {}
             for (i, j), vec in table.items():
-                if not (0 <= i < self.dims[p] and 0 <= j < self.dims[q]):
+                if not (0 <= i < dp and 0 <= j < dq):
                     raise RingValidationError(f"index out of range in table ({p},{q})")
-                if any(not (0 <= t < self.dims[p + q]) for t in vec):
-                    raise RingValidationError(
-                        f"product coordinate out of range in table ({p},{q})"
-                    )
+                row = per_i.setdefault(i, {})[j] = {}
+                for t, c in vec.items():
+                    if not 0 <= t < dpq:
+                        raise RingValidationError(
+                            f"product coordinate out of range in table ({p},{q})"
+                        )
+                    num, den = c.as_integer_ratio()
+                    if need % den:
+                        need = math.lcm(need, den)
+                    row[t] = a = num * (scale // den)
+                    per_t.setdefault(t, []).append((i, j, a))
+        return (rows, by_result) if need == scale else self._integer_tables(need)
 
-    def _validate_commutativity(self) -> None:
-        # every nonzero product is checked against its mirror, so a product
-        # whose mirror is missing fails from one side or the other; the
-        # mirror has the same support and, for odd p*q, negated coefficients
+    def _validate_commutativity(self, rows) -> None:
+        # every nonzero product against its mirror, in table order, on the
+        # integer copy: the mirror has the same support and, for odd p*q,
+        # negated coefficients, so a missing mirror fails from one side
         for (p, q), table in self.structure.items():
-            mirror, odd = self._table(q, p), p * q % 2
-            for (i, j), vec in table.items():
-                other = mirror.get((j, i), _ZERO)
+            per_i, mirror, odd = rows[p, q], rows.get((q, p), _ZERO), p * q % 2
+            for i, j in table:
+                vec, other = per_i[i][j], mirror.get(j, _ZERO).get(i, _ZERO)
                 if other.keys() != vec.keys() or (
-                    any(other[t] != -c for t, c in vec.items()) if odd else other != vec
+                    any(other[t] != -a for t, a in vec.items()) if odd else other != vec
                 ):
                     raise RingValidationError(
                         f"graded commutativity fails at ({p},{i})*({q},{j})"
                     )
 
-    def _validate_associativity(self, left: list[tuple[int, int]]) -> None:
+    def _validate_associativity(self, left: list[tuple[int, int]], rows, by_result) -> None:
         """(x*y)*z == x*(y*z) for each left factor x = (p, i), y and z basis
         elements of positive degree and total degree at most the top.
 
@@ -388,29 +415,12 @@ class GradedRing:
         z = basis_r[k] at once. (x*y)*z is read from x's row of the (p, q)
         table and the (p+q, r) rows. x*(y*z) is read from the (q, r) table
         indexed by result coordinate, s -> [(j, k, coefficient)], for only
-        the s with x*basis_{q+r}[s] nonzero. The tables are first scaled by
-        L, the lcm of all their denominators, to integers: each side is a sum
-        of products of two structure constants, so both scale by L^2 and
-        their equality is exact. A failure names the least (j, k) with a
-        nonzero difference, the first pair a scan of y, then z, in index
-        order meets."""
+        the s with x*basis_{q+r}[s] nonzero. Both read the integer copy of
+        `_integer_tables`, scaled by L: each side is a sum of products of two
+        structure constants, so both scale by L^2 and their equality is
+        exact. A failure names the least (j, k) with a nonzero difference,
+        the first pair a scan of y, then z, in index order meets."""
         d = self.top_degree
-        scale = math.lcm(
-            *(c.denominator for t in self.structure.values()
-              for vec in t.values() for c in vec.values())
-        )
-        # rows[(p, q)][i][j]: L * (basis_p[i] * basis_q[j]), nonzero ones only;
-        # by_result[(p, q)][t]: [(i, j, L * coordinate t of that product)]
-        rows: dict[tuple[int, int], dict[int, dict[int, dict[int, int]]]] = {}
-        by_result: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
-        for pq, table in self.structure.items():
-            per_i = rows[pq] = {}
-            per_t = by_result[pq] = {}
-            for (i, j), vec in table.items():
-                row = per_i.setdefault(i, {})[j] = {}
-                for t, c in vec.items():
-                    row[t] = a = c.numerator * (scale // c.denominator)
-                    per_t.setdefault(t, []).append((i, j, a))
         for p, i in left:
             for q in range(1, d - p):
                 xy_row = rows.get((p, q), {}).get(i, _ZERO)

@@ -227,7 +227,7 @@ def test_criterion_7_soundness_exclusion():
             omega = parse_omega(omega_text, ring, factors)
             assert in_kunneth_ideal(ring, omega)
             certificate = search_obstruction(ring, omega, n)
-            witness = witness_template(expr, omega, n)
+            witness = witness_template(expr, factors, omega, n)
             if witness is None:
                 witness = enumerate_hom_detailed(ring, omega, n, budget).witness
             assert not (certificate is not None and witness is not None), manifold

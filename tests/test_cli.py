@@ -33,6 +33,14 @@ def test_ring_show_json(capsys):
     assert doc["pairings"]["1"] == [["0", "1"], ["-1", "0"]]
 
 
+def test_ring_show_long_connected_sum(capsys):
+    # a connected sum of 500 summands parses to a left-nested chain of 499
+    # nodes; the build flattens it once, and nothing hashes the chain
+    code, out, err = run(capsys, "ring", "show", "connsum(s2xs2,500)")
+    assert (code, err) == (0, "")
+    assert "dims: [1, 0, 1000, 0, 1]" in out
+
+
 def test_kunneth_ideal_dims(capsys):
     code, out, _ = run(capsys, "kunneth-ideal", "cp(2)", "--k", "4")
     assert code == 0 and "dim K^4 = 1" in out
@@ -294,7 +302,7 @@ def test_standalone_witness_file_with_ring(capsys, tmp_path):
 
     ring, factors = build_with_classes(parse_manifold("torus(4)"))
     omega = parse_omega("vol(1)", ring, factors)
-    witness = witness_template(parse_manifold("torus(4)"), omega, 4)
+    witness = witness_template(parse_manifold("torus(4)"), factors, omega, 4)
     wfile = tmp_path / "witness.json"
     rfile = tmp_path / "ring.json"
     wfile.write_text(document_json(witness_to_obj(witness, omega)))

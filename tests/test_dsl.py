@@ -129,6 +129,15 @@ def test_omega_power_by_repetition():
     assert not omega.is_zero()
 
 
+def test_factor_generator_count_is_not_an_omega_name():
+    # the build records each factor's generator count for the template, but
+    # the grammar names only vol(i) and sym(i)
+    ring, factors = _env("torus(2) * cp(2)")
+    assert [f["generators"] for f in factors] == [2, 1]
+    with pytest.raises(ParseError, match="unknown class name 'generators'"):
+        parse_omega("generators(1)", ring, factors)
+
+
 def test_omega_errors():
     ring, factors = _env("torus(2) * cp(2)")
     with pytest.raises(ParseError):

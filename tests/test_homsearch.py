@@ -87,15 +87,17 @@ def test_witness_apply_is_linear():
 
 
 def test_witness_template_torus4():
-    ring = build(Torus(4))
-    witness = witness_template(Torus(4), ring.fundamental_class(), 4)
+    ring, factors = build_with_classes(Torus(4))
+    witness = witness_template(Torus(4), factors, ring.fundamental_class(), 4)
     assert witness is not None
     assert verify_hom(witness, ring.fundamental_class())
 
 
 def test_witness_template_t1_cp2_matches_spec_images():
-    ring, omega = _t1_cp2()
-    witness = witness_template(parse_manifold("surface(1) * cp(2)"), omega, 4)
+    expr = parse_manifold("surface(1) * cp(2)")
+    ring, factors = build_with_classes(expr)
+    omega = parse_omega("vol(1)^sym(2)", ring, factors)
+    witness = witness_template(expr, factors, omega, 4)
     assert witness is not None
     by_label = {
         ring.labels[k][i]: img
@@ -110,14 +112,14 @@ def test_witness_template_t1_cp2_matches_spec_images():
 def test_witness_template_t2_cp2_fails():
     ring, factors = build_with_classes(parse_manifold("surface(2) * cp(2)"))
     omega = parse_omega("vol(1)^sym(2)", ring, factors)
-    assert witness_template(parse_manifold("surface(2) * cp(2)"), omega, 4) is None
+    assert witness_template(parse_manifold("surface(2) * cp(2)"), factors, omega, 4) is None
 
 
 def test_witness_template_kills_unused_factor():
     # a form class living on one factor only: the other factor maps to zero
     ring, factors = build_with_classes(parse_manifold("surface(3) * cp(2)"))
     omega = parse_omega("sym(2)", ring, factors)
-    witness = witness_template(parse_manifold("surface(3) * cp(2)"), omega, 2)
+    witness = witness_template(parse_manifold("surface(3) * cp(2)"), factors, omega, 2)
     assert witness is not None
     assert verify_hom(witness, omega)
     assert all(img.is_zero() for img in witness.images[1])
@@ -389,8 +391,9 @@ def test_enumeration_counts_skipped_assignments(monkeypatch):
 def test_verify_hom_wedges_generator_times_basis(monkeypatch):
     # at most one wedge per (generator, positive-degree basis element):
     # 7 x 127 for torus(7)
-    _, omega = _query("torus(7)", "vol(1)")
-    witness = witness_template(parse_manifold("torus(7)"), omega, 7)
+    ring, factors = build_with_classes(parse_manifold("torus(7)"))
+    omega = ring.fundamental_class()
+    witness = witness_template(parse_manifold("torus(7)"), factors, omega, 7)
     calls = []
     original = ExtElement.wedge
 

@@ -175,6 +175,38 @@ def test_annihilator_system_corruption_detected():
         bad.certificate(4)  # cofactor * anns[i] != 0
 
 
+def _volume_annihilator_system(k):
+    """The H1Annihilator system on torus(k) whose factor is the volume class
+    itself, with the unit as cofactor: every degree-1 class t annihilates
+    it, and t's dual is the blade of the other axes, signed so that their
+    product is +vol. Its k annihilators meet m >= n = k."""
+    ring = build(Torus(k))
+    vol = ring.fundamental_class()
+    rows = ring.basis(1)
+    cols = [
+        b.scale(x.coefficient(k, 0))
+        for t in rows for b in ring.basis(k - 1) if not (x := t * b).is_zero()
+    ]
+    return KroneckerSystem("H1Annihilator", vol, ring.unit(), rows, cols)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_annihilator_factor_of_degree_n_yields_no_certificate(k):
+    # at degree n every phi(vol) * phi(t) lies in degree n + 1 of the
+    # exterior algebra, which is zero, so annihilating vol bounds nothing:
+    # torus(k) has a witness for vol(1). Every entry of the forged system
+    # holds, so only the degree rule refuses it.
+    system = _volume_annihilator_system(k)
+    assert all(
+        multiply(r, c) == (system.diag if i == j else system.diag.ring.zero())
+        for i, r in enumerate(system.rows) for j, c in enumerate(system.cols)
+    )
+    with pytest.raises(InvalidSystemError, match="annihilators bound nothing"):
+        system.certificate(k)
+    with pytest.raises(InvalidSystemError, match="H1Annihilator needs a factor of degree below n"):
+        system.check()
+
+
 def _query(manifold, omega_text, n):
     ring, factors = build_with_classes(parse_manifold(manifold))
     return ring, parse_omega(omega_text, ring, factors)

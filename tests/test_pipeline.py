@@ -12,6 +12,7 @@ import qrob.ring
 from qrob import (
     GradedRing,
     Query,
+    QueryResult,
     QrobError,
     S2xS2,
     Surface,
@@ -28,7 +29,6 @@ from qrob import (
     submanifold_bound,
     verify_document,
 )
-from qrob import manifolds
 from qrob.cli import main
 from qrob.errors import InvalidSystemError, VerificationFailure
 from qrob.homsearch import EnumBudget
@@ -528,7 +528,7 @@ def test_malformed_image_blade_in_a_verdict_fails_without_traceback(
 @pytest.mark.parametrize("query", [_OBSTRUCTED_QUERY, _WITNESS_QUERY],
                          ids=["obstructed", "witness"])
 def test_check_writes_the_ring_once(query, monkeypatch):
-    # the verdict names its ring by hash, so writing it costs one to_obj,
+    # the verdict names its ring by hash, so writing it costs one to_json,
     # the one that the hash is taken over
     calls = _count_ring_writes(monkeypatch)
     document_json(result_to_obj(run_query(query)))
@@ -536,16 +536,16 @@ def test_check_writes_the_ring_once(query, monkeypatch):
 
 
 def _count_ring_writes(monkeypatch) -> list:
-    """Start from an empty build cache and record every GradedRing.to_obj."""
-    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
+    """Record every GradedRing.to_json, the one serializer of a ring, which
+    to_obj reads back too."""
     calls = []
-    to_obj = GradedRing.to_obj
+    to_json = GradedRing.to_json
 
     def counted(ring):
         calls.append(ring)
-        return to_obj(ring)
+        return to_json(ring)
 
-    monkeypatch.setattr(GradedRing, "to_obj", counted)
+    monkeypatch.setattr(GradedRing, "to_json", counted)
     return calls
 
 
@@ -558,6 +558,57 @@ def test_verdict_verify_writes_the_rebuilt_ring_once(query, monkeypatch):
     calls = _count_ring_writes(monkeypatch)
     verify_document(doc)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("query", [_WITNESS_QUERY, Query("torus(7)", "vol(1)", 7)],
+                         ids=["surface1-cp2", "torus7"])
+def test_check_validates_the_ring_once(query, monkeypatch):
+    # the template reads the built ring and each factor's generator count
+    # from the build, so no factor ring is built or validated again
+    calls = []
+    validate = GradedRing.validate
+
+    def counted(ring):
+        calls.append(ring)
+        return validate(ring)
+
+    monkeypatch.setattr(GradedRing, "validate", counted)
+    assert run_query(query).verdict == "WITNESS"
+    assert len(calls) == 1
+
+
+def _forged_volume_annihilator_verdict(result) -> dict:
+    """check's torus(2) WITNESS result for vol(1), turned OBSTRUCTED by an
+    H1Annihilator certificate whose factor is vol itself, with the unit as
+    cofactor: t1 and t2 annihilate vol and pair off with t2 and -t1, and
+    2 >= 2. Every product in it holds; only the factor's degree is wrong."""
+    query, ring, vol = result.query, result.ring, result.omega
+    t1, t2 = ring.basis(1)
+    cert = Certificate(
+        kind="H1Annihilator", ring_hash=ring.hash_hex(), n=2, degree=2,
+        inequality=Inequality(2, ">=", 2),
+        classes={"factor": vol, "cofactor": ring.unit(),
+                 "annihilators": [t1, t2], "duals": [t2, -t1]},
+        omega=vol,
+        conclusion=_PATTERNS["H1Annihilator"].conclusion.format(m=2, kp=1, n=2, rhs=2),
+    )
+    forged = QueryResult(query, ring, vol, "OBSTRUCTED", result.preconditions,
+                         certificate=cert)
+    return json.loads(document_json(result_to_obj(forged)))
+
+
+def test_forged_volume_annihilator_verdict_fails_verify(tmp_path, capsys):
+    # the WITNESS verdict for the same query verifies, so the OBSTRUCTED one
+    # must not: two documents that contradict each other never both verify
+    result = run_query(Query("torus(2)", "vol(1)", 2))
+    assert verify_document(result_to_obj(result)) == "witness re-verified"
+    doc = _forged_volume_annihilator_verdict(result)
+    with pytest.raises(VerificationFailure, match="annihilators bound nothing"):
+        verify_document(doc)
+    path = tmp_path / "forged.json"
+    path.write_text(document_json(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL:")
 
 
 def test_check_and_verify_eliminate_the_ideal_rows_once(monkeypatch):
@@ -575,11 +626,9 @@ def test_check_and_verify_eliminate_the_ideal_rows_once(monkeypatch):
         return eliminate(m, ncols)
 
     monkeypatch.setattr(qrob.linalg, "_eliminate", counted)
-    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
     doc = json.loads(document_json(result_to_obj(run_query(query))))
     # without the shared RREF: 4 in check and 2 in verify
     assert doc["verdict"] == "OBSTRUCTED" and sum(eliminated) == 1
     eliminated.clear()
-    monkeypatch.setattr(manifolds, "_BUILD_CACHE", {})
     verify_document(doc)
     assert sum(eliminated) == 1

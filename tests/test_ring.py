@@ -1,5 +1,6 @@
 """Graded ring constructors, products, duality pairings, serialization."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -398,6 +399,8 @@ def test_presentation_word_sharing_a_valid_prefix_is_named():
 
 
 def test_presentation_word_generator_ids_are_checked_before_products(monkeypatch):
+    # built before `times` is counted, since every build validates
+    obj = _torus3_with_word(1, 0, [0, 7])
     calls = []
     times = GradedRing.times
 
@@ -408,7 +411,7 @@ def test_presentation_word_generator_ids_are_checked_before_products(monkeypatch
     monkeypatch.setattr(GradedRing, "times", counting)
     # basis_1[0] is the first word with a letter, so no product precedes it
     with pytest.raises(RingValidationError) as err:
-        GradedRing.from_obj(_torus3_with_word(1, 0, [0, 7]))
+        GradedRing.from_obj(obj)
     assert str(err.value) == "presentation word for (1,0) names no generator 7"
     assert calls == []
 
@@ -570,6 +573,38 @@ def test_commutativity_failure_names_the_first_product():
     obj = build(parse_manifold("s2xs2 * cp(2)")).to_obj()
     _set_coefficient(obj, 2, 4, 0, 0, 2, 1)
     assert _validation_message(obj) == "graded commutativity fails at (2,0)*(4,0)"
+
+
+def test_validation_faults_on_the_integer_copy_keep_their_messages():
+    # validation compares commutativity and associativity on one integer copy
+    # of the tables, scaled by L and range-checked as it is made. t2 *
+    # (t1^t3) = -vol in torus(3) against a mirror (t1^t3) * t2 := +vol; in
+    # cp(3), s * s^2 := vol/2 (L = 2) against an unscaled mirror; and a
+    # coordinate out of range in the last table of torus(3) is reported
+    # before the commutativity fault of its first table.
+    obj = build(Torus(3)).to_obj()
+    _set_coefficient(obj, 2, 1, 1, 1, 0, 1)
+    assert _validation_message(obj) == "graded commutativity fails at (1,1)*(2,1)"
+    obj = build(CPm(3)).to_obj()
+    _set_coefficient(obj, 2, 4, 0, 0, 0, "1/2")
+    assert _validation_message(obj) == "graded commutativity fails at (2,0)*(4,0)"
+    obj = build(Torus(3)).to_obj()
+    _set_coefficient(obj, 1, 1, 1, 0, 0, 1)
+    _set_coefficient(obj, 2, 1, 0, 2, 5, 1)
+    assert [(e["p"], e["q"]) for e in obj["structure"]] == [(1, 1), (1, 2), (2, 1)]
+    assert _validation_message(obj) == "product coordinate out of range in table (2,1)"
+
+
+def test_hash_is_the_sha256_of_the_stdlib_canonical_json():
+    # to_json is the one ring writer: hash_hex hashes it and to_obj reads it
+    # back, and its bytes are those of json.dumps on the object it writes,
+    # which is the dense reference object
+    for manifold in dict.fromkeys(m for m, _, _ in CATALOG):
+        ring = build(parse_manifold(manifold))
+        obj = ring.to_obj()
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert ring.hash_hex() == hashlib.sha256(text.encode()).hexdigest(), manifold
+        assert ring.to_json() == text and obj == _pair_ring_obj(ring), manifold
 
 
 def _factorization_targets(manifold):
