@@ -153,11 +153,11 @@ def _omega_sum(s: _Scanner, ring, factors) -> RingElement:
 
 
 def _omega_term(s: _Scanner, ring, factors) -> RingElement:
-    sign = Fraction(1)
+    sign = 1
     while s.peek() == "-":
         s.pos += 1
         sign = -sign
-    coeff = Fraction(1)
+    coeff = 1
     if s.peek() in _DIGITS:
         coeff = _omega_rational(s)
         if s.peek() == "*":
@@ -171,7 +171,7 @@ def _omega_term(s: _Scanner, ring, factors) -> RingElement:
     return value.scale(sign * coeff)
 
 
-def _omega_rational(s: _Scanner) -> Fraction:
+def _omega_rational(s: _Scanner) -> int | Fraction:
     num = s.integer()
     if s.peek() == "/":
         s.pos += 1
@@ -179,7 +179,7 @@ def _omega_rational(s: _Scanner) -> Fraction:
         if den == 0:
             raise ParseError("zero denominator", s.pos, s.text)
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 def _omega_atom(s: _Scanner, ring, factors) -> RingElement:

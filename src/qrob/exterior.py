@@ -1,8 +1,9 @@
 """Sparse exact arithmetic in the exterior algebra on n generators.
 
 Elements are maps from basis blades (strictly increasing axis tuples within
-1..n) to nonzero rationals. The zero element is the empty map. Values are
-immutable after construction and all operations are pure.
+1..n) to nonzero exact rationals, ints when integral and Fractions otherwise
+(`linalg`). The zero element is the empty map. Values are immutable after
+construction and all operations are pure.
 
 The constructor and `ExtElement.from_obj` check every input term. Results of
 wedge, add and scale are valid by construction and are built trusted, without
@@ -13,11 +14,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionMismatchError, NonHomogeneousError
-from .linalg import fraction_from_str, fraction_to_str
+from .linalg import Rational, exact, fraction_from_str, fraction_to_str
 
 Axes = tuple[int, ...]
 
@@ -66,24 +66,24 @@ class ExtElement:
         if ambient_n < 1:
             raise DimensionMismatchError("ambient dimension must be positive")
         self.ambient_n = ambient_n
-        clean: dict[Axes, Fraction] = {}
+        clean: dict[Axes, Rational] = {}
         for key, coeff in (terms or {}).items():
             axes = tuple(key)
             if any(a < 1 or a > ambient_n for a in axes):
                 raise ValueError(f"axes out of range 1..{ambient_n}: {axes}")
             if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
                 raise ValueError(f"axes must be strictly increasing: {axes}")
-            c = Fraction(coeff)
+            c = exact(coeff)
             if c:
-                clean[axes] = clean.get(axes, Fraction(0)) + c
+                clean[axes] = clean.get(axes, 0) + c
                 if not clean[axes]:
                     del clean[axes]
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, n: int, terms: dict[Axes, Fraction]) -> "ExtElement":
+    def _trusted(cls, n: int, terms: dict[Axes, Rational]) -> "ExtElement":
         """Wrap terms whose axes are valid blades of 1..n and whose
-        coefficients are Fractions; zero coefficients are dropped."""
+        coefficients are exact rationals; zero coefficients are dropped."""
         self = object.__new__(cls)
         self.ambient_n, self._terms = n, {a: c for a, c in terms.items() if c}
         return self
@@ -100,11 +100,11 @@ class ExtElement:
     def basis(cls, n: int, axes, coeff=1) -> "ExtElement":
         return cls(n, {tuple(axes): coeff})
 
-    def items(self) -> list[tuple[Axes, Fraction]]:
+    def items(self) -> list[tuple[Axes, Rational]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def coefficient(self, axes) -> Fraction:
-        return self._terms.get(tuple(axes), Fraction(0))
+    def coefficient(self, axes) -> Rational:
+        return self._terms.get(tuple(axes), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -127,7 +127,7 @@ class ExtElement:
             raise DimensionMismatchError(
                 f"ambient dimensions differ: {self.ambient_n} vs {other.ambient_n}"
             )
-        acc: dict[Axes, Fraction] = {}
+        acc: dict[Axes, Rational] = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 merged = merge_axes(a, b)
@@ -139,7 +139,7 @@ class ExtElement:
         return ExtElement._trusted(self.ambient_n, acc)
 
     def scale(self, factor) -> "ExtElement":
-        f = Fraction(factor)
+        f = exact(factor)
         return ExtElement._trusted(
             self.ambient_n, {a: f * c for a, c in self._terms.items()}
         )

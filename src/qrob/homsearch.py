@@ -8,11 +8,11 @@ returned witness has passed `verify_hom`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import MissingPresentationError, ShapeMismatchError
 from .exterior import ExtElement, blades, wedge
+from .linalg import Rational, exact
 from .manifolds import (
     ConnSum,
     CPm,
@@ -209,17 +209,17 @@ class EnumBudget(Frozen):
     """Coefficient set and assignment cap for the enumeration search."""
 
     __slots__ = ("coefficients", "max_nodes")
-    _defaults = {"coefficients": (Fraction(-1), Fraction(0), Fraction(1)), "max_nodes": 50_000}
+    _defaults = {"coefficients": (-1, 0, 1), "max_nodes": 50_000}
 
-    def nonzero(self) -> list[Fraction]:
+    def nonzero(self) -> list[Rational]:
         # Positive before negative at each magnitude, smallest magnitude first.
         return sorted(
-            (Fraction(c) for c in set(self.coefficients) if c != 0),
+            (exact(c) for c in set(self.coefficients) if c != 0),
             key=lambda c: (abs(c), c < 0),
         )
 
 
-def _image_stream(n: int, k: int, coeffs: list[Fraction]):
+def _image_stream(n: int, k: int, coeffs: list[Rational]):
     """Candidate images of one degree-k generator, by support size then blades.
 
     Above degree n there are no blades, and zero is the only candidate.
@@ -228,7 +228,7 @@ def _image_stream(n: int, k: int, coeffs: list[Fraction]):
     base = list(blades(n, k))
     for size in range(1, len(base) + 1):
         for support in combinations(base, size):
-            patterns: list[list[Fraction]] = [[]]
+            patterns: list[list[Rational]] = [[]]
             for _ in range(size):
                 patterns = [p + [c] for p in patterns for c in coeffs]
             for pattern in patterns:

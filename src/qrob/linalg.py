@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals on sparse rows.
 
-A row is a dict {column: Fraction} holding its nonzero entries; column ids
-are any nonnegative integers, and a matrix is a list of rows. Everything
-here is pure and deterministic; no floating point anywhere.
+An exact rational is an int when integral and a Fraction otherwise, never a
+float or a bool: values enter through `exact` or `fraction_from_str`, and
+stay ints until `_eliminate` divides by a pivot other than +-1, the one
+division. A row is a dict {column: int | Fraction} of its nonzero entries;
+column ids are nonnegative integers, and a matrix is a list of rows.
 """
 
 from __future__ import annotations
@@ -11,25 +13,34 @@ import re
 import threading
 from fractions import Fraction
 
-SparseVec = dict[int, Fraction]
+Rational = int | Fraction
+SparseVec = dict[int, Rational]
 
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x) if type(x) is Fraction else str(Fraction(x))
+def exact(x) -> Rational:
+    """x as an exact rational: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def fraction_to_str(x: Rational) -> str:
+    return str(exact(x))
 
 
 # fraction_from_str's accepted literals; emptied when it reaches the bound
 _LITERALS_MAX = 4096
-_literals: dict[str, Fraction] = {}
+_literals: dict[str, Rational] = {}
 _literals_lock = threading.Lock()
 
 
-def fraction_from_str(s: str) -> Fraction:
-    """An integer or a/b with ASCII digits and b nonzero, else ValueError.
-    Decimal or exponent notation is rejected: file formats are bit-exact.
-    Accepted literals are memoized, so a repeated one is parsed once."""
+def fraction_from_str(s: str) -> Rational:
+    """An integer or a/b with ASCII digits and b nonzero, else ValueError; an
+    int when integral. Decimal or exponent notation is rejected: file formats
+    are bit-exact. Accepted literals are memoized, so one is parsed once."""
     x = _literals.get(s) if type(s) is str else None
     if x is not None:
         return x
@@ -39,7 +50,7 @@ def fraction_from_str(s: str) -> Fraction:
     num, den = match.groups()
     if den is not None and not int(den):
         raise ValueError(f"zero denominator in {s!r}")
-    x = Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    x = int(num) if den is None else exact(Fraction(int(num), int(den)))
     if type(s) is str:
         with _literals_lock:
             if len(_literals) >= _LITERALS_MAX:
@@ -76,10 +87,11 @@ def _eliminate(m: list[SparseVec], ncols: int | None = None) -> tuple[list[int],
         pr = min((i for i in index[c] if i not in used), default=None)
         if pr is None:
             continue
-        prow = m[pr]
-        inv = Fraction(1) / prow[c]
-        for k in prow:
-            prow[k] *= inv
+        prow, p = m[pr], m[pr][c]
+        if p != 1:
+            f = -1 if p == -1 else Fraction(1) / p
+            for k in prow:
+                prow[k] *= f
         for i in list(index[c]):
             if i == pr:
                 continue
@@ -126,7 +138,7 @@ def nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
     for fc in range(ncols):
         if fc not in pivot_set:
             v = {pc: -row[fc] for row, pc in zip(r, pivots) if fc in row}
-            v[fc] = Fraction(1)
+            v[fc] = 1
             basis.append(v)
     return basis
 
@@ -162,7 +174,7 @@ def invert(rows: list[SparseVec]) -> list[SparseVec] | None:
         raise ValueError("invert needs a square matrix")
     aug = _copy(rows)
     for i, row in enumerate(aug):
-        row[n + i] = Fraction(1)
+        row[n + i] = 1
     if _eliminate(aug, n)[0] != list(range(n)):
         return None
     return [{c - n: v for c, v in row.items() if c >= n} for row in aug]

@@ -13,7 +13,6 @@ generators of the others, and its middle classes are labelled c1..cN.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from operator import attrgetter
 
@@ -127,7 +126,6 @@ def _torus_ring(n: int) -> GradedRing:
     labels = [["1"]] + [
         ["^".join(f"t{a}" for a in axes) for axes in per] for per in axes_by_degree[1:n]
     ] + [["vol"]]
-    plus, minus = Fraction(1), Fraction(-1)
     structure = {}
     for p in range(1, n):
         for q in range(1, n - p + 1):
@@ -136,7 +134,7 @@ def _torus_ring(n: int) -> GradedRing:
             for i, (a, odd) in enumerate(zip(masks[p], odd_masks[p])):
                 for j, b in enumerate(masks[q]):
                     if not a & b:
-                        sign = minus if (b & odd).bit_count() & 1 else plus
+                        sign = -1 if (b & odd).bit_count() & 1 else 1
                         table[(i, j)] = {target[a | b]: sign}
             structure[(p, q)] = table
     gens = tuple(Generator(1, i, f"t{i + 1}") for i in range(n))
@@ -156,7 +154,7 @@ def _cpm_ring(m: int) -> GradedRing:
     structure = {}
     for p in range(2, d, 2):
         for q in range(2, d - p + 1, 2):
-            structure[(p, q)] = {(0, 0): {0: Fraction(1)}}
+            structure[(p, q)] = {(0, 0): {0: 1}}
     gens = (Generator(2, 0, "s"),)
     words = tuple(
         ((0,) * (k // 2),) if k % 2 == 0 else () for k in range(d + 1)
@@ -167,7 +165,7 @@ def _cpm_ring(m: int) -> GradedRing:
 def _s2xs2_ring() -> GradedRing:
     dims = [1, 0, 2, 0, 1]
     labels = [["1"], [], ["c1", "c2"], [], ["vol"]]
-    structure = {(2, 2): {(0, 1): {0: Fraction(1)}, (1, 0): {0: Fraction(1)}}}
+    structure = {(2, 2): {(0, 1): {0: 1}, (1, 0): {0: 1}}}
     gens = (Generator(2, 0, "c1"), Generator(2, 1, "c2"))
     words = ((() ,), (), ((0,), (1,)), (), ((0, 1),))
     return GradedRing(4, dims, labels, structure, 0, Presentation(gens, words))
@@ -231,10 +229,7 @@ def _product_ring(
                     for li, lc in lvec.items():
                         f = -lc if odd else lc
                         for ri, rc in rvec.items():
-                            # nearly every f is ±1, which needs no multiplication
-                            vec[index[(p + r, li, q + t, ri)]] = (
-                                rc if f == 1 else -rc if f == -1 else f * rc
-                            )
+                            vec[index[(p + r, li, q + t, ri)]] = f * rc
     # (x, y) keys in basis order, the order in which the searches read them
     structure = {ab: dict(sorted(tab.items())) for ab, tab in sorted(tables.items()) if tab}
     fund = index[(left.top_degree, left.fundamental_index,
@@ -297,10 +292,10 @@ def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:
     mats: list[Matrix] = []
     for k in range(d + 1):
         rows = left.dims[k] if k <= left.top_degree else 0
-        mat = [[Fraction(0)] * len(layout[k]) for _ in range(rows)]
+        mat = [[0] * len(layout[k]) for _ in range(rows)]
         for col, (p, i, q, j) in enumerate(layout[k]):
             if q == 0 and p == k and rows:
-                mat[i][col] = Fraction(1)
+                mat[i][col] = 1
         mats.append(mat)
     return mats
 
@@ -309,10 +304,15 @@ def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:
 
 
 def _connsum_summands(expr: ManifoldExpr) -> list[ManifoldExpr]:
-    """Flatten nested connected sums left-to-right into the summand sequence."""
-    if isinstance(expr, ConnSum):
-        return _connsum_summands(expr.left) + _connsum_summands(expr.right)
-    return [expr]
+    """Flatten nested connected sums left-to-right, by a loop: any depth."""
+    summands, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ConnSum):
+            stack += (node.right, node.left)
+        else:
+            summands.append(node)
+    return summands
 
 
 def _connsum_ring(rings: list[GradedRing]) -> GradedRing:

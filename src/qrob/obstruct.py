@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection
-from fractions import Fraction
 
 from .errors import (
     InvalidSystemError,
@@ -33,7 +32,7 @@ from .errors import (
     RingMismatchError,
     VerificationFailure,
 )
-from .linalg import invert, nullspace, pivot_rows_cols, rank
+from .linalg import Rational, invert, nullspace, pivot_rows_cols, rank
 from .ring import (
     GradedRing,
     Matrix,
@@ -296,18 +295,18 @@ def _product_table(
     if not cols:
         return [{} for _ in rows]
     ring, p, q = rows[0].ring, rows[0].degree(), cols[0].degree()
-    support: dict[int, list[tuple[int, Fraction]]] = {}
+    support: dict[int, list[tuple[int, Rational]]] = {}
     for c, y in enumerate(cols):
         for j, b in y._coords[q].items():
             support.setdefault(j, []).append((c, b))
-    by_left: dict[int, list[tuple[list[tuple[int, Fraction]], SparseVec]]] = {}
+    by_left: dict[int, list[tuple[list[tuple[int, Rational]], SparseVec]]] = {}
     for (i, j), vec in ring._table(p, q).items():
         if j in support:
             by_left.setdefault(i, []).append((support[j], vec))
     table = []
     for x in rows:
         # c -> [(a * b, stored product)]
-        terms: dict[int, list[tuple[Fraction, SparseVec]]] = {}
+        terms: dict[int, list[tuple[Rational, SparseVec]]] = {}
         for i, a in x._coords[p].items():
             for cols_of_j, vec in by_left.get(i, ()):
                 for c, b in cols_of_j:

@@ -3,9 +3,10 @@
 A ring is given by per-degree dimensions, basis labels, and sparse structure
 constants; products of total degree above the top degree vanish (the ring
 models the full cohomology of a closed oriented manifold of that dimension).
-All coefficients are exact rationals. Rings and their elements are immutable
-after construction and every query here is a pure function, so values are
-safe to share across threads.
+Coefficients are exact rationals, ints when integral and Fractions otherwise
+(`linalg`); the built-in rings store int constants. Rings and their elements
+are immutable after construction and every query here is a pure function, so
+values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -23,7 +23,9 @@ from .errors import (
     RingValidationError,
 )
 from .linalg import (
+    Rational,
     SparseVec,
+    exact,
     fraction_from_str,
     fraction_to_str,
     rank,
@@ -41,10 +43,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-Matrix = list[list[Fraction]]  # dense rows, as documents write a matrix
+Matrix = list[list[Rational]]  # dense rows, as documents write a matrix
 # structure[(p, q)][(i, j)] = sparse coordinate vector of basis_p[i] * basis_q[j]
-# in degree p+q; only degrees p, q >= 1 with p+q <= top_degree are stored, and
-# missing entries mean the product is zero.
+# in degree p+q, ints where integral; only degrees p, q >= 1 with p+q <=
+# top_degree are stored, and missing entries mean the product is zero.
 Structure = dict[tuple[int, int], dict[tuple[int, int], SparseVec]]
 _ZERO: SparseVec = {}
 
@@ -149,7 +151,7 @@ class GradedRing:
     def basis_element(self, k: int, i: int) -> "RingElement":
         if not (0 <= k <= self.top_degree) or not (0 <= i < self.dims[k]):
             raise ValueError(f"no basis element ({k}, {i})")
-        return RingElement._trusted(self, {k: {i: Fraction(1)}})
+        return RingElement._trusted(self, {k: {i: 1}})
 
     def basis(self, k: int) -> list["RingElement"]:
         return [self.basis_element(k, i) for i in range(self.dims[k])]
@@ -164,8 +166,7 @@ class GradedRing:
             return _ZERO
         if p and q:
             return self.structure.get((p, q), _ZERO)
-        one = Fraction(1)
-        return {(i, 0) if q == 0 else (0, i): {i: one} for i in range(self.dims[p or q])}
+        return {(i, 0) if q == 0 else (0, i): {i: 1} for i in range(self.dims[p or q])}
 
     def times(self, p: int, x: SparseVec, q: int, y: SparseVec) -> SparseVec:
         """Sparse coordinates of x * y in degree p+q, for sparse x of degree p
@@ -474,7 +475,7 @@ class GradedRing:
                 raise RingValidationError(f"generator out of range: {g}")
         # the word prefixes as a trie, (node, generator id) -> node, with each
         # node's (degree, coordinates): every prefix is multiplied out once
-        nodes: list[tuple[int, SparseVec]] = [(0, {0: Fraction(1)})]
+        nodes: list[tuple[int, SparseVec]] = [(0, {0: 1})]
         child: dict[tuple[int, int], int] = {}
         for k in range(d + 1):
             if len(pres.words[k]) != self.dims[k]:
@@ -508,22 +509,21 @@ class RingElement:
 
     __slots__ = ("ring", "_coords")
 
-    def __init__(self, ring: GradedRing, coords: dict[int, list[Fraction]]):
+    def __init__(self, ring: GradedRing, coords: dict[int, list[Rational]]):
         """Take dense coordinate lists per degree, as documents write a class."""
         self.ring = ring
         clean: dict[int, SparseVec] = {}
         for k, vec in coords.items():
             _check_dense_degree(ring, k, len(vec))
-            exact = (c if type(c) is Fraction else Fraction(c) for c in vec)
-            sparse = {i: c for i, c in enumerate(exact) if c}
+            sparse = {i: c for i, c in enumerate(map(exact, vec)) if c}
             if sparse:
                 clean[k] = sparse
         self._coords = clean
 
     @classmethod
     def _trusted(cls, ring: GradedRing, coords: dict[int, SparseVec]):
-        """Wrap sparse coordinates in range, exact Fractions, none of them zero
-        and no degree empty."""
+        """Wrap sparse coordinates in range, exact rationals (ints or
+        Fractions), none of them zero and no degree empty."""
         self = object.__new__(cls)
         self.ring, self._coords = ring, coords
         return self
@@ -532,10 +532,10 @@ class RingElement:
         """Sparse copies of the coordinates, {degree: {index: coefficient}}."""
         return {k: dict(vec) for k, vec in self._coords.items()}
 
-    def vector(self, k: int) -> list[Fraction]:
+    def vector(self, k: int) -> list[Rational]:
         """Dense coordinates in degree k, as documents write them."""
-        vec, zero = self._coords.get(k, _ZERO), Fraction(0)
-        return [vec.get(i, zero) for i in range(self.ring.dims[k])]
+        vec = self._coords.get(k, _ZERO)
+        return [vec.get(i, 0) for i in range(self.ring.dims[k])]
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -553,11 +553,11 @@ class RingElement:
             )
         return next(iter(self._coords))
 
-    def coefficient(self, k: int, i: int) -> Fraction:
-        return self._coords.get(k, _ZERO).get(i, Fraction(0))
+    def coefficient(self, k: int, i: int) -> Rational:
+        return self._coords.get(k, _ZERO).get(i, 0)
 
     def scale(self, factor) -> "RingElement":
-        f = Fraction(factor)
+        f = exact(factor)
         if not f:
             return self.ring.zero()
         scaled = {k: {i: f * c for i, c in v.items()} for k, v in self._coords.items()}
@@ -676,9 +676,9 @@ def _pairing_rows(ring: GradedRing, k: int) -> list[SparseVec]:
     d, fi = ring.top_degree, ring.fundamental_index
     # basis_0[0] is the unit, so its products with basis_d are basis_d itself
     if k == 0:
-        return [{fi: Fraction(1)}]
+        return [{fi: 1}]
     if k == d:
-        return [{0: Fraction(1)} if i == fi else {} for i in range(ring.dims[d])]
+        return [{0: 1} if i == fi else {} for i in range(ring.dims[d])]
     rows: list[SparseVec] = [{} for _ in range(ring.dims[k])]
     for (i, j), vec in ring._table(k, d - k).items():
         if fi in vec:
@@ -691,8 +691,8 @@ def poincare_pairing(ring: GradedRing, k: int) -> Matrix:
     d = ring.top_degree
     if not (0 <= k <= d):
         raise ValueError(f"degree {k} out of range 0..{d}")
-    zero, cols = Fraction(0), range(ring.dims[d - k])
-    return [[row.get(j, zero) for j in cols] for row in _pairing_rows(ring, k)]
+    cols = range(ring.dims[d - k])
+    return [[row.get(j, 0) for j in cols] for row in _pairing_rows(ring, k)]
 
 
 def _ideal_rows(ring: GradedRing, k: int) -> list[SparseVec]:

@@ -41,6 +41,14 @@ def test_ring_show_long_connected_sum(capsys):
     assert "dims: [1, 0, 1000, 0, 1]" in out
 
 
+def test_ring_show_connected_sum_of_1000_summands(capsys):
+    # a chain deeper than the recursion limit: its summands are flattened
+    # with a loop, so the build neither recurses down it nor caps its length
+    code, out, err = run(capsys, "ring", "show", "connsum(s2xs2,1000)")
+    assert (code, err) == (0, "")
+    assert "dims: [1, 0, 2000, 0, 1]" in out
+
+
 def test_kunneth_ideal_dims(capsys):
     code, out, _ = run(capsys, "kunneth-ideal", "cp(2)", "--k", "4")
     assert code == 0 and "dim K^4 = 1" in out

@@ -70,6 +70,20 @@ GOLDEN = {
         "f0b9aa086072164c16b79912963b0783da3e657db50839f2d719169b950bd85b",
 }
 
+# Queries whose omega has a non-integral coefficient, so the Fraction path of
+# every layer is written out: the SHA-256 of each `check -o` document, with
+# the exit code of its verdict.
+NONINTEGRAL_GOLDEN = {
+    ("surface(2) * cp(2)", "2/3*vol(1)^sym(2)", 4):
+        (1, "8ecee5b1cb2c50ceafc8a69ac9b83f59229bd7f48e2d4fb19fc83c3bb9fb6193"),
+    ("connsum(s2xs2,8) * cp(2)", "1/2*vol(1)^sym(2)", 6):
+        (1, "c816a70c28e4f2064e965212a57c20eb3ee45104eca44f858c566edfa3f7711c"),
+    ("torus(4)", "-3/5*vol(1)", 4):
+        (0, "6c08fc94d5bd63e0e26c162d43655a7b4d8741b66a558a4b6bf8cde7212e1313"),
+    ("cp(3)", "7/2*sym(1)^sym(1)^sym(1)", 6):
+        (0, "b963f93ccd55a4a85f20ab9de9bebb2e6c4e1f9be6465ac30d6d7b7fe99a86a9"),
+}
+
 
 @functools.cache
 def _result(query):
@@ -158,3 +172,15 @@ def test_indented_documents_verify_alike(query, tmp_path, capsys):
             assert main(["verify", str(doc_path), "--ring", str(ring_path)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0].startswith("OK: ")
+
+
+@pytest.mark.parametrize("query", NONINTEGRAL_GOLDEN,
+                         ids=[f"{m}|{o}|{n}" for m, o, n in NONINTEGRAL_GOLDEN])
+def test_nonintegral_omega_document_bytes(query, tmp_path, capsys):
+    manifold, omega, n = query
+    code, digest = NONINTEGRAL_GOLDEN[query]
+    path = tmp_path / "doc.json"
+    assert main(["check", manifold, "--omega", omega, "--n", str(n), "-o", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("OK: ")

@@ -302,8 +302,14 @@ def test_fraction_literals_take_ascii_digits_and_a_nonzero_denominator():
     for bad in BAD_LITERALS:
         with pytest.raises(ValueError):
             fraction_from_str(bad)
-    for text, value in (("+2", 2), ("-0", 0), ("0/5", 0), ("007/0014", Fraction(1, 2))):
-        assert fraction_from_str(text) == value and type(fraction_from_str(text)) is Fraction
+    # an integral value is an int, whatever its spelling; any other is a Fraction
+    for text, value in (
+        ("+2", 2), ("-0", 0), ("0/5", 0), ("6/3", 2), ("-8/4", -2), ("0014/0007", 2),
+        ("007/0014", Fraction(1, 2)), ("-3/6", Fraction(-1, 2)), ("5/3", Fraction(5, 3)),
+    ):
+        x = fraction_from_str(text)
+        assert x == value and type(x) is type(value), text
+        assert type(x) is int or x.denominator != 1, text
 
 
 def test_fraction_from_str_parses_once_and_still_rejects_every_bad_literal():

@@ -90,10 +90,17 @@ def test_wedge_associative_when_compatible(a, b, c):
 def test_arithmetic_results_keep_the_checked_invariant(pair, factor):
     # wedge, scale, + and - build their results without re-checking them;
     # each must still be what the checked constructor would build
+    # a and b have int coefficients, so every result but a scale by a
+    # non-integral factor stays int: no Fraction, float or bool appears
     a, b = pair
     results = [wedge(a, b), a.scale(factor), a + b, a - b, -a]
+    assert all(type(c) is int for x in (a, b) for _, c in x.items())
     for result in results:
-        assert all(type(c) is Fraction and c for _, c in result.items())
+        integral = result is not results[1] or type(factor) is int
+        assert all(
+            c and (type(c) is int if integral else type(c) is Fraction)
+            for _, c in result.items()
+        )
         assert result == ExtElement(result.ambient_n, dict(result.items()))
     assert (a - a).items() == []
     assert a.scale(0).is_zero()
