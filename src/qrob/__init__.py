@@ -44,16 +44,13 @@ from .manifolds import (
     connsum_power,
     pull_left,
     pull_right,
-    slice_restriction,
 )
 from .obstruct import (
     Certificate,
     Inequality,
     KroneckerSystem,
-    SubmanifoldReport,
     prywes_bound,
     search_obstruction,
-    submanifold_bound,
 )
 from .homsearch import (
     EnumBudget,
@@ -94,7 +91,6 @@ __all__ = [
     "S2xS2",
     "ShapeMismatchError",
     "Sphere",
-    "SubmanifoldReport",
     "Surface",
     "Torus",
     "VerificationFailure",
@@ -114,8 +110,6 @@ __all__ = [
     "pull_right",
     "run_query",
     "search_obstruction",
-    "slice_restriction",
-    "submanifold_bound",
     "verify_document",
     "verify_hom",
     "wedge",

@@ -2,7 +2,7 @@
 
 usage: qrob check EXPR --omega OMEGA --n N [--coeff-set Q,...] [--enum-budget N]
                   [--format text|json] [-o FILE]
-       qrob verify FILE [--ring RING_FILE] [--subring RING_FILE]
+       qrob verify FILE [--ring RING_FILE]
        qrob ring show EXPR [--format text|json] [-o FILE]
        qrob kunneth-ideal EXPR --k K [--format text|json] [-o FILE]
        qrob export EXPR -o FILE
@@ -140,9 +140,8 @@ def _cmd_check(args) -> int:
 def _cmd_verify(args) -> int:
     obj = json.loads(Path(args.file).read_text(encoding="utf-8"))
     ring = _read_ring(args.ring_file) if args.ring_file else None
-    subring = _read_ring(args.subring_file) if args.subring_file else None
     try:
-        summary = verify_document(obj, ring=ring, subring=subring)
+        summary = verify_document(obj, ring=ring)
     except QrobError as exc:
         sys.stdout.write(f"FAIL: {exc}\n")
         return 1
@@ -171,8 +170,7 @@ _COMMANDS = {
         "--coeff-set": ("coeff_set", "-1,0,1"), "--enum-budget": ("enum_budget", 50_000),
         **_OUTPUT,
     }),
-    ("verify",): (_cmd_verify, ("file",),
-                  {"--ring": ("ring_file", None), "--subring": ("subring_file", None)}),
+    ("verify",): (_cmd_verify, ("file",), {"--ring": ("ring_file", None)}),
     ("export",): (_cmd_export, ("expr",),
                   {"-o": ("output", _REQUIRED), "--output": ("output", _REQUIRED)}),
 }

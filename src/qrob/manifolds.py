@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from .errors import RingValidationError
 from .record import Frozen
-from .ring import Generator, GradedRing, Matrix, Presentation, RingElement, SparseVec
+from .ring import Generator, GradedRing, Presentation, RingElement, SparseVec
 
 
 class _Node(Frozen):
@@ -278,26 +278,6 @@ def pull_right(
 ) -> RingElement:
     """Image of a right-factor class under the projection pull-back."""
     return _pull_back(product_ring, kunneth_layout(left, right)[1], x, False)
-
-
-def slice_restriction(left: GradedRing, right: GradedRing) -> list[Matrix]:
-    """Restriction matrices for the slice inclusion of the left factor.
-
-    Basis classes (p, i, q, j) of the product map to basis_p[i] when q = 0
-    and to zero otherwise; the result is one matrix per product degree with
-    shape dims_left[k] x dims_product[k].
-    """
-    layout, _ = kunneth_layout(left, right)
-    d = left.top_degree + right.top_degree
-    mats: list[Matrix] = []
-    for k in range(d + 1):
-        rows = left.dims[k] if k <= left.top_degree else 0
-        mat = [[0] * len(layout[k]) for _ in range(rows)]
-        for col, (p, i, q, j) in enumerate(layout[k]):
-            if q == 0 and p == k and rows:
-                mat[i][col] = 1
-        mats.append(mat)
-    return mats
 
 
 # -- connected sum ------------------------------------------------------------

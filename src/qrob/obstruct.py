@@ -24,18 +24,16 @@ once the (l, 1) table stores a product (i, j).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection
+from collections.abc import Collection
 
 from .errors import (
     InvalidSystemError,
     NonHomogeneousError,
     RingMismatchError,
-    VerificationFailure,
 )
-from .linalg import Rational, invert, nullspace, pivot_rows_cols, rank
+from .linalg import Rational, invert, nullspace, pivot_rows_cols
 from .ring import (
     GradedRing,
-    Matrix,
     RingElement,
     SparseVec,
     _cofactor,
@@ -59,7 +57,7 @@ class Inequality(Frozen):
 class Certificate(Record):
     """A self-contained obstruction witness.
 
-    `kind` is PrywesBound, H1Annihilator, DualPair or SubmanifoldBound.
+    `kind` is PrywesBound, H1Annihilator or DualPair.
     `classes` holds the payload classes by role; `omega`, when present, ties
     the certificate to the form class of the originating query.
     """
@@ -507,109 +505,3 @@ def search_obstruction(
             if cert is not None:
                 return cert
     return None
-
-
-# -- submanifold restriction bound --------------------------------------------
-
-
-class DegreeReport(Record):
-    __slots__ = ("degree", "image_dim", "bound", "surjective")
-
-
-class SubmanifoldReport(Record):
-    __slots__ = ("degrees", "certificate")  # a list of DegreeReport, and one or None
-
-
-def check_ring_map(
-    source: GradedRing, target: GradedRing, mats: list[Matrix]
-) -> Callable[[int, SparseVec], RingElement]:
-    """Verify a degree-preserving, unital, multiplicative linear map, given as
-    one matrix per degree with a column per source basis class, and return it
-    as phi(k, vec), the image of the degree-k class with sparse coordinates
-    vec."""
-    if len(mats) != source.top_degree + 1:
-        raise VerificationFailure("restriction map must cover degrees 0..top")
-    for k in range(source.top_degree + 1):
-        expected_rows = target.dims[k] if k <= target.top_degree else 0
-        if len(mats[k]) != expected_rows or any(
-            len(row) != source.dims[k] for row in mats[k]
-        ):
-            raise VerificationFailure(f"restriction matrix shape wrong in degree {k}")
-    images = {
-        k: [
-            RingElement(target, {k: [row[j] for row in mat]} if mat else {})
-            for j in range(source.dims[k])
-        ]
-        for k, mat in enumerate(mats)
-    }
-
-    def phi(k: int, vec: SparseVec) -> RingElement:
-        return sum((images[k][j].scale(c) for j, c in vec.items()), target.zero())
-
-    if images[0][0] != target.unit():
-        raise VerificationFailure("restriction map does not preserve the unit")
-    top = max(source.top_degree, target.top_degree)
-    bad = source.first_unmultiplicative(images, phi, multiply, top)
-    if bad:
-        raise VerificationFailure(
-            "restriction map is not multiplicative at ({},{})*({},{})".format(*bad)
-        )
-    return phi
-
-
-def submanifold_bound(
-    ring_n: GradedRing,
-    ring_m: GradedRing,
-    iota_star: list[Matrix],
-    omega: RingElement,
-    n: int,
-) -> SubmanifoldReport:
-    """Binomial bounds on the restricted images, with duality surjectivity.
-
-    A certificate is emitted for the first degree k where the restriction is
-    surjective in the complementary degree n-k while dim of the degree-k
-    image exceeds C(n, k).
-    """
-    if ring_m.top_degree != n:
-        raise VerificationFailure(
-            f"submanifold ring must have top degree {n}, got {ring_m.top_degree}"
-        )
-    if n > ring_n.top_degree:
-        raise VerificationFailure(
-            f"submanifold dimension {n} exceeds the top degree {ring_n.top_degree}"
-        )
-    restrict = check_ring_map(ring_n, ring_m, iota_star)
-    if all(restrict(k, vec).is_zero() for k, vec in omega.coords().items()):
-        raise VerificationFailure("omega restricts to zero on the submanifold")
-    reports = []
-    for k in range(n + 1):
-        image_dim = rank([dict(enumerate(row)) for row in iota_star[k]])
-        reports.append(
-            DegreeReport(
-                degree=k,
-                image_dim=image_dim,
-                bound=math.comb(n, k),
-                surjective=image_dim == ring_m.dims[k],
-            )
-        )
-    certificate = None
-    for k in range(1, n):
-        if reports[n - k].surjective and reports[k].image_dim > reports[k].bound:
-            certificate = Certificate(
-                kind="SubmanifoldBound",
-                ring_hash=ring_n.hash_hex(),
-                n=n,
-                degree=k,
-                inequality=Inequality(reports[k].image_dim, ">", reports[k].bound),
-                classes={"subring_hash": ring_m.hash_hex()},
-                omega=omega,
-                conclusion=(
-                    f"the restricted degree-{k} image has dimension "
-                    f"{reports[k].image_dim} > C({n},{k}) = {reports[k].bound} while "
-                    f"the restriction is surjective in degree {n - k}; no "
-                    "infinite-energy quasiregular omega-curve exists under the "
-                    "stated hypotheses."
-                ),
-            )
-            break
-    return SubmanifoldReport(degrees=reports, certificate=certificate)

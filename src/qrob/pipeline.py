@@ -17,20 +17,17 @@ from .homsearch import (
     verify_hom,
     witness_template,
 )
-from .linalg import fraction_from_str, fraction_to_str
+from .linalg import fraction_to_str
 from .manifolds import ManifoldExpr, build_with_classes
 from .obstruct import (
     Certificate,
     KroneckerSystem,
-    SubmanifoldReport,
     prywes_bound,
     search_obstruction,
-    submanifold_bound,
 )
 from .ring import (
     RING_FORMAT,
     GradedRing,
-    Matrix,
     RingElement,
     canonical_json,
     in_kunneth_ideal,
@@ -43,7 +40,6 @@ VERDICT_FORMAT = "qrob.verdict/3"
 CERTIFICATE_FORMAT = "qrob.certificate/2"
 WITNESS_FORMAT = "qrob.witness/2"
 KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/2"
-SUBMANIFOLD_REPORT_FORMAT = "qrob.submanifold-report/3"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"
@@ -163,17 +159,13 @@ def certificate_to_obj(cert: Certificate) -> dict:
     return obj
 
 
-def verify_certificate_obj(
-    obj: dict, ring: GradedRing, subring: GradedRing | None = None,
-    iota_star: list[Matrix] | None = None,
-) -> Certificate:
+def verify_certificate_obj(obj: dict, ring: GradedRing) -> Certificate:
     """Re-derive a certificate with the search's own code and return it.
 
-    Kronecker certificates are rebuilt from their recorded classes, the
-    dimension bound from the ring, and the submanifold bound from the ring,
-    subring, restriction map and omega. Raises when the recorded data do not
-    obstruct; `verify_document` then compares the re-emitted certificate with
-    the recorded one.
+    Kronecker certificates are rebuilt from their recorded classes and the
+    dimension bound from the ring; any other kind fails. Raises when the
+    recorded data do not obstruct; `verify_document` then compares the
+    re-emitted certificate with the recorded one.
     """
     kind = obj["kind"]
     n = int(obj["n"])
@@ -183,10 +175,6 @@ def verify_certificate_obj(
         if n != ring.top_degree:
             raise VerificationFailure("the dimension bound needs n equal to the top degree")
         cert = prywes_bound(ring, n, omega)
-    elif kind == "SubmanifoldBound":
-        if omega is None or subring is None or iota_star is None:
-            raise VerificationFailure("submanifold certificate needs omega, subring and iota_star")
-        cert = submanifold_bound(ring, subring, iota_star, omega, n).certificate
     else:  # a Kronecker kind; from_classes rejects any other
         system = KroneckerSystem.from_classes(
             kind, obj.get("classes", {}), lambda o: RingElement.from_obj(ring, o)
@@ -254,11 +242,7 @@ def _differences(expected, recorded, path: str = "") -> list[str]:
     return [] if same else [path]
 
 
-def verify_document(
-    obj: dict,
-    ring: GradedRing | None = None,
-    subring: GradedRing | None = None,
-) -> str:
+def verify_document(obj: dict, ring: GradedRing | None = None) -> str:
     """Re-check an emitted document; returns a summary line.
 
     The payload is re-derived with the search's own code and re-emitted with
@@ -267,7 +251,7 @@ def verify_document(
     failure, a malformed document included, raises VerificationFailure.
     """
     try:
-        expected, summary = _rederive(obj, ring, subring)
+        expected, summary = _rederive(obj, ring)
         differing = _differences(expected, obj)
     except VerificationFailure:
         raise
@@ -282,20 +266,14 @@ def verify_document(
     return summary
 
 
-def _rederive(
-    obj: dict, ring: GradedRing | None, subring: GradedRing | None
-) -> tuple[dict, str]:
+def _rederive(obj: dict, ring: GradedRing | None) -> tuple[dict, str]:
     """The document that the emitters write for obj's re-derived payload.
 
     Only a ring document holds a ring. A verdict's ring is rebuilt from its
-    query; every other document's rings are `ring` and `subring`, which the
-    re-emitted `ring_hash` and `subring_hash` must name. A ring or subring
-    that the document does not use fails.
+    query; every other document's ring is `ring`, which the re-emitted
+    `ring_hash` must name.
     """
     fmt = obj.get("format")
-    uses_subring = fmt == SUBMANIFOLD_REPORT_FORMAT or obj.get("kind") == "SubmanifoldBound"
-    if subring is not None and not uses_subring:
-        raise VerificationFailure(f"--subring is not used by a {fmt} document")
     if fmt == VERDICT_FORMAT:
         q = obj["query"]
         query = Query(q["manifold"], q["omega"], int(q["n"]))
@@ -335,9 +313,7 @@ def _rederive(
         if "pairings" in obj:
             expected["pairings"] = pairings_obj(embedded)
         return expected, "ring re-validated"
-    if fmt not in (
-        CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT, SUBMANIFOLD_REPORT_FORMAT
-    ):
+    if fmt not in (CERTIFICATE_FORMAT, WITNESS_FORMAT, KUNNETH_IDEAL_FORMAT):
         raise VerificationFailure(f"unrecognized document format {fmt!r}")
     if ring is None:
         raise VerificationFailure("no ring available: pass --ring")
@@ -345,25 +321,9 @@ def _rederive(
         k = obj["degree"]
         expected = kunneth_ideal_basis_doc(ring, k, kunneth_ideal_basis(ring, k))
         summary = "product ideal basis re-derived"
-    elif fmt == SUBMANIFOLD_REPORT_FORMAT:
-        if obj["certificate"] is None:
-            raise VerificationFailure(
-                "a submanifold report without a certificate records no restriction map"
-            )
-        if subring is None:
-            raise VerificationFailure("no subring available: pass --subring")
-        iota = _recorded_iota_star(obj["certificate"])
-        omega = RingElement.from_obj(ring, obj["omega"])
-        report = submanifold_bound(ring, subring, iota, omega, int(obj["certificate"]["n"]))
-        expected = submanifold_report_obj(report, ring, subring, iota, omega)
-        summary = "submanifold report re-derived"
     elif fmt == CERTIFICATE_FORMAT:
-        # only a submanifold certificate records a restriction map
-        iota = _recorded_iota_star(obj) if uses_subring else None
-        cert = verify_certificate_obj(obj, ring, subring, iota)
+        cert = verify_certificate_obj(obj, ring)
         expected = certificate_to_obj(cert)
-        if iota is not None:
-            expected["iota_star"] = [_matrix_obj(m) for m in iota]
         summary = f"certificate re-verified ({cert.kind})"
     else:
         witness = HomWitness.from_obj(ring, obj)
@@ -373,14 +333,6 @@ def _rederive(
         expected = witness_to_obj(witness, omega)
         summary = "witness re-verified"
     return expected, summary
-
-
-def _recorded_iota_star(obj: dict) -> list[Matrix] | None:
-    """The restriction map that a certificate object records, if any."""
-    iota = obj.get("iota_star")
-    if iota is None:
-        return None
-    return [[[fraction_from_str(c) for c in r] for r in m] for m in iota]
 
 
 def ring_document(ring: GradedRing) -> dict:
@@ -403,42 +355,9 @@ def kunneth_ideal_basis_doc(
     }
 
 
-def _matrix_obj(mat: Matrix) -> list:
-    return [[fraction_to_str(c) for c in row] for row in mat]
-
-
 def pairings_obj(ring: GradedRing) -> dict:
     """The duality pairing matrices that `ring show` adds to a ring document."""
     return {
-        str(k): _matrix_obj(poincare_pairing(ring, k))
+        str(k): [[fraction_to_str(c) for c in row] for row in poincare_pairing(ring, k)]
         for k in range(ring.top_degree + 1)
-    }
-
-
-def submanifold_report_obj(
-    report: SubmanifoldReport,
-    ring_n: GradedRing,
-    ring_m: GradedRing,
-    iota_star: list[Matrix],
-    omega: RingElement,
-) -> dict:
-    cert_obj = None
-    if report.certificate is not None:
-        cert_obj = certificate_to_obj(report.certificate)
-        cert_obj["iota_star"] = [_matrix_obj(m) for m in iota_star]
-    return {
-        "format": SUBMANIFOLD_REPORT_FORMAT,
-        "ring_hash": ring_n.hash_hex(),
-        "subring_hash": ring_m.hash_hex(),
-        "omega": omega.to_obj(),
-        "degrees": [
-            {
-                "degree": r.degree,
-                "image_dim": r.image_dim,
-                "bound": r.bound,
-                "surjective": r.surjective,
-            }
-            for r in report.degrees
-        ],
-        "certificate": cert_obj,
     }

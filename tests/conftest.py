@@ -402,37 +402,6 @@ def hom_oracle_accepts(ring_obj: dict, witness_obj: dict, omega_obj: dict) -> bo
     return not phi(omega).is_zero()
 
 
-def ring_map_oracle_accepts(source_obj: dict, target_obj: dict, mats) -> bool:
-    """Whether per-degree matrices (mats[k][row][col], a basis class of the
-    source per column) map the unit to the unit and are multiplicative on
-    every pair of source basis elements.
-
-    Products come from the raw tables of both ring objects
-    (`oracle_products`); a degree with an empty matrix maps to zero. Every
-    pair is checked, those whose degrees sum past the source's top degree
-    included: their product is zero, so the product of their images must be.
-    """
-    d, dims = source_obj["top_degree"], source_obj["dims"]
-
-    def phi(vec: dict) -> dict:
-        acc: dict = {}
-        for (k, i), c in vec.items():
-            for t, row in enumerate(mats[k]):
-                acc[(k, t)] = acc.get((k, t), 0) + row[i] * c
-        return {x: c for x, c in acc.items() if c}
-
-    if phi({(0, 0): Fraction(1)}) != {(0, 0): 1}:
-        return False
-    source, target = oracle_products(source_obj), oracle_products(target_obj)
-    basis = [(p, i) for p in range(d + 1) for i in range(dims[p])]
-    for x in basis:
-        for y in basis:
-            lhs = phi(source.get((x, y), {}))
-            if lhs != _oracle_mul(target, phi({x: 1}), phi({y: 1})):
-                return False
-    return True
-
-
 def reference_lambda(rows, cols, target):
     """The lambda matrix from full products and a dense multiple-of-target test."""
     from qrob.ring import multiply

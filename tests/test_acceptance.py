@@ -13,7 +13,6 @@ from contextlib import contextmanager, redirect_stdout
 from conftest import CATALOG, LAW_RINGS, ring_law_failure, wedge_blades_oracle
 from qrob import (
     Sphere,
-    Surface,
     Torus,
     build,
     build_with_classes,
@@ -24,8 +23,6 @@ from qrob import (
     parse_omega,
     poincare_pairing,
     search_obstruction,
-    slice_restriction,
-    submanifold_bound,
     wedge,
     witness_template,
 )
@@ -233,25 +230,24 @@ def test_criterion_7_soundness_exclusion():
             assert not (certificate is not None and witness is not None), manifold
 
 
-def test_criterion_8_submanifold_bound():
-    with criterion(8, "slice restriction: torus slice passes, genus-2 slice certifies 4 > 2", 5):
-        left = build(Torus(2))
-        right = build(Torus(2))
-        ring, factors = build_with_classes(parse_manifold("torus(2) * torus(2)"))
-        omega = parse_omega("vol(1) + vol(2)", ring, factors)
-        report = submanifold_bound(
-            ring, left, slice_restriction(left, right), omega, 2
-        )
-        assert report.certificate is None
-        by_degree = {r.degree: r for r in report.degrees}
-        assert by_degree[1].image_dim == 2 and by_degree[1].bound == 2
-
-        left = build(Surface(2))
-        ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
-        omega = parse_omega("vol(1) + vol(2)", ring, factors)
-        report = submanifold_bound(
-            ring, left, slice_restriction(left, right), omega, 2
-        )
-        cert = report.certificate
-        assert cert is not None and cert.kind == "SubmanifoldBound"
-        assert cert.inequality.lhs == 4 and cert.inequality.rhs == 2
+def test_criterion_8_submanifold_bound(tmp_path):
+    # a product with a torus factor has the curve x -> (p, pi(x)), with
+    # pi: R^n -> T^n the covering map, however large the other factor's
+    # cohomology; no restriction to a slice obstructs it
+    with criterion(8, "slice products with a torus factor: verified witnesses", 5):
+        cases = [
+            ("surface(2) * torus(2)", 2),
+            ("torus(2) * torus(2)", 2),
+            ("connsum(s2xs2,4) * torus(4)", 4),
+        ]
+        for manifold, n in cases:
+            code, doc = _check(tmp_path, manifold, "vol(1) + vol(2)", n)
+            assert (code, doc["verdict"]) == (0, "WITNESS"), manifold
+            assert verify_document(doc) == "witness re-verified"
+            if manifold == "surface(2) * torus(2)":
+                labels = build(parse_manifold(manifold)).labels[1]
+                images = doc["witness"]["images"]["1"]
+                for t, axis in (("t1", 1), ("t2", 2)):
+                    assert images[labels.index(f"1⊗{t}")] == {
+                        "ambient_n": 2, "terms": [{"axes": [axis], "coeff": "1"}],
+                    }

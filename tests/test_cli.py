@@ -406,6 +406,10 @@ def test_check_output_stable_across_runs(capsys, tmp_path):
     assert files[0] == files[1]
 
 
+# verify takes its one ring from --ring; no document names a subring
+_NO_SUBRING = "usage error: verify: unknown option '--subring'\n"
+
+
 def test_malformed_ring_files_exit_three(capsys, tmp_path):
     doc_file = tmp_path / "verdict.json"
     run(
@@ -415,14 +419,14 @@ def test_malformed_ring_files_exit_three(capsys, tmp_path):
     for i, bad in enumerate(({"foo": 1}, [1, 2], "ring", None, {"ring": [1, 2]})):
         bad_file = tmp_path / f"bad{i}.json"
         bad_file.write_text(json.dumps(bad))
-        for argv in (
-            ("ring", "show", f"@{bad_file}"),
-            ("verify", str(doc_file), "--ring", str(bad_file)),
-            ("verify", str(doc_file), "--subring", str(bad_file)),
+        for argv, message in (
+            (("ring", "show", f"@{bad_file}"), "error:"),
+            (("verify", str(doc_file), "--ring", str(bad_file)), "error:"),
+            (("verify", str(doc_file), "--subring", str(bad_file)), _NO_SUBRING),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 3, (bad, argv)
-            assert err.startswith("error:") and "Traceback" not in out + err
+            assert err.startswith(message) and "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -486,7 +490,7 @@ def test_unreadable_input_exit_three(capsys, tmp_path, argv):
     garbage.write_text("not json")
     paths = {"doc": doc, "garbage": garbage, "missing": tmp_path / "missing.json"}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
-    assert code == 3 and err.startswith("error:")
+    assert code == 3 and err.startswith(_NO_SUBRING if "--subring" in argv else "error:")
     assert "Traceback" not in out + err
 
 
@@ -624,14 +628,23 @@ def test_verify_kunneth_ideal_against_another_ring_fails(capsys, tmp_path):
     assert code == 1 and "ring_hash" in out
 
 
-@pytest.mark.parametrize("doc, needed, unused", [
-    ("ring-show", (), ("--ring", "ring")),
-    ("verdict", (), ("--subring", "ring")),
-    ("ideal", ("--ring", "cp2"), ("--subring", "ring-show")),
-], ids=["ring-document-with-another-ring", "verdict-with-subring", "ideal-with-subring"])
-def test_verify_rejects_an_unused_ring_option(capsys, tmp_path, doc, needed, unused):
+@pytest.mark.parametrize("doc, needed, edit, expected", [
+    ("ring-show", (), ("--ring", "ring"),
+     (1, "FAIL: --ring is unused: it is not the ring this document holds\n", "")),
+    ("verdict", (), ("--subring", "ring"), (3, "", _NO_SUBRING)),
+    ("ideal", ("--ring", "cp2"), ("--subring", "ring-show"), (3, "", _NO_SUBRING)),
+    # the retired SubmanifoldBound kind and its report are read like any
+    # other unknown kind and format
+    ("certificate", ("--ring", "ring"), {"kind": "SubmanifoldBound"},
+     (1, "FAIL: InvalidSystemError: unknown certificate kind 'SubmanifoldBound'\n", "")),
+    ("certificate", ("--ring", "ring"), {"format": "qrob.submanifold-report/3"},
+     (1, "FAIL: unrecognized document format 'qrob.submanifold-report/3'\n", "")),
+], ids=["ring-document-with-another-ring", "verdict-with-subring", "ideal-with-subring",
+        "certificate-of-kind-SubmanifoldBound", "submanifold-report-format"])
+def test_verify_rejects_an_unused_ring_option(capsys, tmp_path, doc, needed, edit, expected):
     files = {name: str(tmp_path / f"{name}.json")
-             for name in ("ring-show", "verdict", "ideal", "ring", "cp2")}
+             for name in ("ring-show", "verdict", "ideal", "ring", "cp2", "obstructed",
+                          "certificate")}
     for argv in (
         ("ring", "show", "torus(2)", "-o", files["ring-show"]),
         ("check", "surface(1) * cp(2)", "--omega", "vol(1)^sym(2)", "--n", "4",
@@ -641,8 +654,18 @@ def test_verify_rejects_an_unused_ring_option(capsys, tmp_path, doc, needed, unu
         ("export", "cp(2)", "-o", files["cp2"]),
     ):
         assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "check", "surface(2) * cp(2)", "--omega", "vol(1)^sym(2)",
+               "--n", "4", "-o", files["obstructed"])[0] == 1
+    # the verdict's certificate as a standalone document, checked against --ring
+    certificate = json.loads(Path(files["obstructed"]).read_text())["certificate"]
+    Path(files["certificate"]).write_text(json.dumps(certificate))
     needed = [files.get(arg, arg) for arg in needed]
     code, out, _ = run(capsys, "verify", files[doc], *needed)
     assert code == 0 and out.startswith("OK:")
-    code, out, _ = run(capsys, "verify", files[doc], *needed, unused[0], files[unused[1]])
-    assert code == 1 and out.startswith("FAIL:") and unused[0] in out
+    if isinstance(edit, dict):
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**json.loads(Path(files[doc]).read_text()), **edit}))
+        argv = (str(edited), *needed)
+    else:
+        argv = (files[doc], *needed, edit[0], files[edit[1]])
+    assert run(capsys, "verify", *argv) == expected

@@ -1,7 +1,6 @@
 """Obstruction verifiers and searchers, including the hand-built paper systems."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from conftest import (
     reference_annihilators,
     reference_kronecker_search,
     reference_lambda,
-    ring_map_oracle_accepts,
 )
 
 from qrob import (
@@ -41,8 +39,6 @@ from qrob import (
     pull_left,
     pull_right,
     search_obstruction,
-    slice_restriction,
-    submanifold_bound,
 )
 from qrob.errors import VerificationFailure
 from qrob.obstruct import (
@@ -51,14 +47,9 @@ from qrob.obstruct import (
     _annihilator_candidates,
     _lambdas,
     _product_table,
-    check_ring_map,
     kronecker_systems,
 )
 from qrob.pipeline import certificate_to_obj, verify_certificate_obj, verify_document
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def test_prywes_bound_connsum8():
@@ -664,124 +655,3 @@ def test_certificate_m_matches_family_parameters():
         ring, omega = _query(f"connsum(s2xs2,{nu}) * cp(2)", "vol(1)^sym(2)", 6)
         cert = search_obstruction(ring, omega, 6)
         assert cert.kind == "DualPair" and cert.inequality.lhs == 2 * nu
-
-
-# -- submanifold restriction bound -------------------------------------------
-
-
-def test_submanifold_slice_of_torus_product_passes():
-    left = build(Torus(2))
-    right = build(Torus(2))
-    ring, factors = build_with_classes(parse_manifold("torus(2) * torus(2)"))
-    omega = parse_omega("vol(1) + vol(2)", ring, factors)
-    iota = slice_restriction(left, right)
-    report = submanifold_bound(ring, left, iota, omega, 2)
-    assert report.certificate is None
-    by_degree = {r.degree: r for r in report.degrees}
-    assert by_degree[1].image_dim == 2 and by_degree[1].bound == 2
-    assert all(r.surjective for r in report.degrees)
-
-
-def test_submanifold_surface2_slice_is_obstructed():
-    left = build(Surface(2))
-    right = build(Torus(2))
-    ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
-    omega = parse_omega("vol(1) + vol(2)", ring, factors)
-    iota = slice_restriction(left, right)
-    report = submanifold_bound(ring, left, iota, omega, 2)
-    cert = report.certificate
-    assert cert is not None and cert.kind == "SubmanifoldBound"
-    assert cert.degree == 1
-    assert (cert.inequality.lhs, cert.inequality.rhs) == (4, 2)
-
-
-def test_submanifold_identity_inclusion():
-    ring = build(Torus(2))
-    iota = [identity(ring.dims[k]) for k in range(3)]
-    report = submanifold_bound(ring, ring, iota, ring.fundamental_class(), 2)
-    assert report.certificate is None
-
-
-def test_submanifold_rejects_non_multiplicative_map():
-    left = build(Surface(2))
-    right = build(Torus(2))
-    ring = build(parse_manifold("surface(2) * torus(2)"))
-    iota = slice_restriction(left, right)
-    iota[2][0][0] += 1  # break multiplicativity
-    with pytest.raises(VerificationFailure):
-        submanifold_bound(ring, left, iota, ring.fundamental_class(), 2)
-
-
-def test_submanifold_rejects_larger_dimension():
-    # the projection pull-back H*(T^2) -> H*(T^2 x T^2) is a ring map, but the
-    # target has top degree 4 > 2, so it is no submanifold restriction
-    ring, right = build(Torus(2)), build(Torus(2))
-    big = build(parse_manifold("torus(2) * torus(2)"))
-    iota = [
-        [[pull_left(big, ring, right, b).vector(k)[r] for b in ring.basis(k)]
-         for r in range(big.dims[k])]
-        for k in range(ring.top_degree + 1)
-    ]
-    with pytest.raises(VerificationFailure, match="exceeds the top degree"):
-        submanifold_bound(ring, big, iota, ring.fundamental_class(), 4)
-
-
-def test_submanifold_rejects_vanishing_restriction():
-    left = build(Torus(2))
-    right = build(Torus(2))
-    ring, factors = build_with_classes(parse_manifold("torus(2) * torus(2)"))
-    omega = parse_omega("vol(2)", ring, factors)  # restricts to zero on the slice
-    iota = slice_restriction(left, right)
-    with pytest.raises(VerificationFailure):
-        submanifold_bound(ring, left, iota, omega, 2)
-
-
-def _ring_map_accepted(source, target, mats) -> bool:
-    try:
-        check_ring_map(source, target, mats)
-    except VerificationFailure:
-        return False
-    return True
-
-
-@pytest.mark.parametrize("g", range(1, 5))
-@pytest.mark.parametrize("right_text", ["torus(2)", "cp(2)"])
-def test_check_ring_map_agrees_with_all_pairs_oracle(g, right_text):
-    left, right = build(Surface(g)), build(parse_manifold(right_text))
-    ring = build(parse_manifold(f"surface({g}) * {right_text}"))
-    rng = random.Random(g)
-    maps = [
-        (ring, left, slice_restriction(left, right)),
-        (left, left, [identity(dim) for dim in left.dims]),
-        (ring, ring, [identity(dim) for dim in ring.dims]),
-    ]
-    for source, target, mats in maps:
-        objs = source.to_obj(), target.to_obj()
-        assert ring_map_oracle_accepts(*objs, mats)
-        assert _ring_map_accepted(source, target, mats)
-        # one seeded single-entry corruption of every nonempty matrix
-        for k, mat in enumerate(mats):
-            if not (mat and mat[0]):
-                continue
-            bad = [[list(row) for row in m] for m in mats]
-            r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
-            bad[k][r][c] += rng.choice([-2, -1, 1, Fraction(1, 2)])
-            expected = ring_map_oracle_accepts(*objs, bad)
-            assert _ring_map_accepted(source, target, bad) == expected, (k, r, c)
-
-
-def test_check_ring_map_checks_generator_left(monkeypatch):
-    # generator x basis products for the surface(6) * torus(2) slice; checking
-    # every basis pair took 1,992 products
-    left, right = build(Surface(6)), build(Torus(2))
-    ring = build(parse_manifold("surface(6) * torus(2)"))
-    calls = []
-
-    def counting(x, y):
-        calls.append((x, y))
-        return multiply(x, y)
-
-    monkeypatch.setattr(qrob.obstruct, "multiply", counting)
-    monkeypatch.setattr(qrob.ring, "multiply", counting)
-    check_ring_map(ring, left, slice_restriction(left, right))
-    assert len(calls) == 756

@@ -16,7 +16,6 @@ from qrob import (
     QrobError,
     S2xS2,
     Surface,
-    Torus,
     build,
     build_with_classes,
     connsum_power,
@@ -25,8 +24,6 @@ from qrob import (
     parse_omega,
     prywes_bound,
     run_query,
-    slice_restriction,
-    submanifold_bound,
     verify_document,
 )
 from qrob.cli import main
@@ -38,7 +35,6 @@ from qrob.pipeline import (
     document_json,
     result_to_obj,
     ring_document,
-    submanifold_report_obj,
     witness_to_obj,
 )
 
@@ -232,8 +228,8 @@ def test_prywes_certificate_requires_top_degree_n():
 
 
 def test_standalone_certificate_rejects_a_stray_iota_star():
-    # only a SubmanifoldBound certificate records a restriction map; one on
-    # any other kind is not echoed back but differs from the re-derivation
+    # no certificate kind records a restriction map, so a stray iota_star is
+    # not echoed back but differs from the re-derivation
     annihilator = run_query(Query("surface(2) * cp(2)", "vol(1)^sym(2)", 4))
     dual = run_query(Query("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6))
     ring = build(connsum_power(S2xS2(), 8))
@@ -306,74 +302,6 @@ def test_obstructed_verdict_rejects_edited_conclusion():
     doc["certificate"]["conclusion"] = "no homomorphism exists for any omega."
     with pytest.raises(VerificationFailure, match="conclusion"):
         verify_document(doc)
-
-
-def test_submanifold_certificate_round_trip(tmp_path, capsys):
-    left, right = build(Surface(2)), build(Torus(2))
-    ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
-    omega = parse_omega("vol(1) + vol(2)", ring, factors)
-    iota = slice_restriction(left, right)
-    report = submanifold_bound(ring, left, iota, omega, 2)
-    cert = submanifold_report_obj(report, ring, left, iota, omega)["certificate"]
-    assert cert["kind"] == "SubmanifoldBound" and cert["degree"] == 1
-    assert "subring" not in cert
-    ring_path, subring_path = tmp_path / "ring.json", tmp_path / "subring.json"
-    ring_path.write_text(document_json(ring_document(ring)))
-    subring_path.write_text(document_json(ring_document(left)))
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(document_json(cert))
-    argv = ["verify", str(cert_path), "--ring", str(ring_path)]
-    assert main(argv + ["--subring", str(subring_path)]) == 0
-    assert capsys.readouterr().out == "OK: certificate re-verified (SubmanifoldBound)\n"
-    assert main(argv) == 1
-    assert "needs omega, subring and iota_star" in capsys.readouterr().out
-    cert["degree"] = 9
-    cert_path.write_text(document_json(cert))
-    assert main(argv + ["--subring", str(subring_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.startswith("FAIL:") and "degree" in captured.out
-    assert "Traceback" not in captured.out + captured.err
-
-
-def test_submanifold_report_verifies_with_ring(tmp_path, capsys):
-    left, right = build(Surface(2)), build(Torus(2))
-    ring, factors = build_with_classes(parse_manifold("surface(2) * torus(2)"))
-    omega = parse_omega("vol(1) + vol(2)", ring, factors)
-    iota = slice_restriction(left, right)
-    report = submanifold_bound(ring, left, iota, omega, 2)
-    doc = json.loads(document_json(submanifold_report_obj(report, ring, left, iota, omega)))
-    ring_path, report_path = tmp_path / "ring.json", tmp_path / "report.json"
-    subring_path, relabelled_path = tmp_path / "subring.json", tmp_path / "relabelled.json"
-    ring_path.write_text(document_json(ring_document(ring)))
-    subring_path.write_text(document_json(ring_document(left)))
-    # the same subring with one class renamed: iota_star still restricts
-    # into it, so only the subring_hash that the report records tells them apart
-    relabelled = ring_document(left)
-    relabelled["ring"]["labels"][1][0] = "renamed"
-    relabelled_path.write_text(document_json(relabelled))
-
-    def verify(edited, subring=subring_path):
-        report_path.write_text(document_json(edited))
-        argv = ["verify", str(report_path), "--ring", str(ring_path)]
-        code = main(argv + (["--subring", str(subring)] if subring else []))
-        return code, capsys.readouterr().out
-
-    assert verify(doc) == (0, "OK: submanifold report re-derived\n")
-    assert "subring" not in doc["certificate"]
-    code, out = verify(doc, subring=None)
-    assert code == 1 and out.startswith("FAIL:") and "no subring available" in out
-    code, out = verify(doc, subring=relabelled_path)
-    assert code == 1 and out == (
-        "FAIL: document does not match its re-derivation at "
-        "certificate.classes.subring_hash, subring_hash\n"
-    )
-    edited = json.loads(json.dumps(doc))
-    edited["degrees"][1]["image_dim"] = 3
-    code, out = verify(edited)
-    assert code == 1 and out.startswith("FAIL:") and "degrees" in out
-    # without a certificate the report records no restriction map
-    code, out = verify(dict(doc, certificate=None))
-    assert code == 1 and out.startswith("FAIL:") and "no restriction map" in out
 
 
 def test_obstructed_verdict_requires_preconditions(tmp_path, capsys):
