@@ -91,17 +91,37 @@ def verify_hom(witness: HomWitness, omega: RingElement) -> bool:
     """Exact check: the witness map phi is multiplicative and omega maps
     nonzero.
 
-    Multiplicativity is checked by `GradedRing.first_unmultiplicative`
-    (every built or loaded ring is validated, phi(1) = 1 and the exterior
-    algebra is associative) up to degree max(top degree, ambient n), the
-    larger of the two algebras' top degrees. omega is tested degree by
+    phi(x*y) = phi(x)^phi(y) is checked for x = basis_p[i] in the ring's
+    `left_factors()` and y = basis_q[j] any basis element of positive degree
+    with p + q at most top = max(top degree, ambient n), the larger of the
+    two algebras' top degrees. A pair with a factor in a degree the images
+    omit holds, as both sides are zero; above the ring's top degree its
+    product is zero, so there the wedge must vanish too. Without a
+    presentation the left factors are every basis element, so every pair is
+    checked. With one, the check is exact because the ring is validated,
+    phi(1) = 1 and the exterior algebra is associative: let P(m) say
+    phi(u*y) = phi(u)phi(y) for every product u of m generators and every
+    basis element y with deg u + deg y at most top. P(0) holds because
+    phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
+    associativity, P(m - 1) and the check give
+    phi(u*y) = phi(u'*(g*y)) = phi(u')phi(g*y) = phi(u')phi(g)phi(y),
+    and P(m - 1) with y = g gives phi(u')phi(g) = phi(u), so P(m) holds.
+    Validation makes every basis element the product of its presentation
+    word, so the law holds on every basis pair. omega is tested degree by
     degree, since images of different degrees cannot cancel.
     """
     witness.check_shape()
-    ring = witness.ring
+    ring, images = witness.ring, witness.images
     top = max(ring.top_degree, witness.ambient_n)
-    if ring.first_unmultiplicative(witness.images, witness.apply_vec, wedge, top):
-        return False
+    for p, i in ring.left_factors():
+        if p not in images:
+            continue
+        x = images[p][i]
+        for q in range(1, min(ring.top_degree, top - p) + 1):
+            table = ring._table(p, q)
+            for j, y in enumerate(images.get(q, ())):
+                if witness.apply_vec(p + q, table.get((i, j), {})) != x.wedge(y):
+                    return False
     return any(not witness.apply_vec(k, vec).is_zero() for k, vec in omega.coords().items())
 
 

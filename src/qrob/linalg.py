@@ -4,13 +4,13 @@ An exact rational is an int when integral and a Fraction otherwise, never a
 float or a bool: values enter through `exact` or `fraction_from_str`, and
 stay ints until `_eliminate` divides by a pivot other than +-1, the one
 division. A row is a dict {column: int | Fraction} of its nonzero entries;
-column ids are nonnegative integers, and a matrix is a list of rows.
+column ids are nonnegative integers, and a matrix is a list of rows. The
+module holds no state: every function here is pure.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 
 Rational = int | Fraction
@@ -31,32 +31,17 @@ def fraction_to_str(x: Rational) -> str:
     return str(exact(x))
 
 
-# fraction_from_str's accepted literals; emptied when it reaches the bound
-_LITERALS_MAX = 4096
-_literals: dict[str, Rational] = {}
-_literals_lock = threading.Lock()
-
-
 def fraction_from_str(s: str) -> Rational:
     """An integer or a/b with ASCII digits and b nonzero, else ValueError; an
     int when integral. Decimal or exponent notation is rejected: file formats
-    are bit-exact. Accepted literals are memoized, so one is parsed once."""
-    x = _literals.get(s) if type(s) is str else None
-    if x is not None:
-        return x
+    are bit-exact."""
     match = _FRACTION_RE.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise ValueError(f"not an exact rational literal: {s!r}")
     num, den = match.groups()
     if den is not None and not int(den):
         raise ValueError(f"zero denominator in {s!r}")
-    x = int(num) if den is None else exact(Fraction(int(num), int(den)))
-    if type(s) is str:
-        with _literals_lock:
-            if len(_literals) >= _LITERALS_MAX:
-                _literals.clear()
-            _literals[s] = x
-    return x
+    return int(num) if den is None else exact(Fraction(int(num), int(den)))
 
 
 def _copy(rows: list[SparseVec]) -> list[SparseVec]:

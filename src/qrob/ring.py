@@ -4,16 +4,17 @@ A ring is given by per-degree dimensions, basis labels, and sparse structure
 constants; products of total degree above the top degree vanish (the ring
 models the full cohomology of a closed oriented manifold of that dimension).
 Coefficients are exact rationals, ints when integral and Fractions otherwise
-(`linalg`); the built-in rings store int constants. Rings and their elements
-are immutable after construction and every query here is a pure function, so
-values are safe to share across threads.
+(`linalg`); the built-in rings store int constants, and validation rejects a
+structure constant of any other type. Rings and their elements are immutable
+after construction and every query here is a pure function, so values are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -195,19 +196,14 @@ class GradedRing:
         """The one serializer of a ring, in the canonical encoding, written
         straight from the tables (a test checks it against `canonical_json`):
         `hash_hex` hashes this text and `to_obj` reads it back."""
-        enc, lit, pres = encode_basestring_ascii, fraction_to_str, self.presentation
+        enc, pres = encode_basestring_ascii, self.presentation
         pres_text = "null"
-        # each coefficient object's literal, written once: most tables share a
-        # few objects, and the ring keeps every one alive, so no id is reused
-        literals: dict[int, str] = {}
         tables = []
         for p, q in sorted(self.structure):
             table, products = self.structure[p, q], []
             for i, j in sorted(table):
-                coords = ",".join([
-                    f'[{t},"{literals.get(id(c)) or literals.setdefault(id(c), lit(c))}"]'
-                    for t, c in sorted(table[i, j].items())
-                ])
+                # a validated constant is an int or a Fraction: str is its literal
+                coords = ",".join([f'[{t},"{c}"]' for t, c in sorted(table[i, j].items())])
                 products.append(f"[{i},{j},[{coords}]]")
             if products:
                 tables.append(f'{{"p":{p},"products":[{",".join(products)}],"q":{q}}}')
@@ -308,8 +304,8 @@ class GradedRing:
             raise RingValidationError("label count must match dimension")
         if not (0 <= self.fundamental_index < self.dims[d]):
             raise RingValidationError("fundamental class index out of range")
-        rows, by_result = self._integer_tables()
-        self._validate_commutativity(rows)
+        rows, by_result = self._indexed_tables()
+        self._validate_commutativity()
         self._validate_presentation()
         self._validate_associativity(self.left_factors(), rows, by_result)
         self._validate_pairing()
@@ -323,53 +319,15 @@ class GradedRing:
             return [(p, i) for p in range(1, d + 1) for i in range(self.dims[p])]
         return [(g.degree, g.index) for g in self.presentation.generators]
 
-    def first_unmultiplicative(self, images, phi, mul, top: int):
-        """The first basis pair (p, i, q, j) at which the graded linear map
-        phi out of this ring breaks phi(x*y) = mul(phi(x), phi(y)) for
-        x = basis_p[i], y = basis_q[j], or None when there is none.
-
-        images[k][i] is phi(basis_k[i]); a degree missing from `images` maps
-        to zero, and so does every degree above it. phi(k, vec) is the image
-        of the degree-k class with sparse coordinates vec. mul is the target's
-        product and top is at least the larger of this ring's and the
-        target's top degrees.
-
-        The law is checked for x in `left_factors()` and y any basis element
-        of positive degree with p + q at most top; a pair with a factor in a
-        missing degree holds, as both sides are zero. Above this ring's top
-        degree its product is zero, so there the target's product must vanish
-        too. Without a presentation the left factors are every basis element,
-        so every pair is checked. With one, the check is exact provided this
-        ring is validated, phi(1) = 1 and the target is associative: let P(m)
-        say phi(u*y) = phi(u)phi(y) for every product u of m generators and
-        every basis element y with deg u + deg y at most top. P(0) holds
-        because phi(1) = 1. For u = u'g with u' a product of m - 1 generators,
-        associativity, P(m - 1) and the check give
-        phi(u*y) = phi(u'*(g*y)) = phi(u')phi(g*y) = phi(u')phi(g)phi(y),
-        and P(m - 1) with y = g gives phi(u')phi(g) = phi(u), so P(m) holds.
-        Validation makes every basis element the product of its presentation
-        word, so the law holds on every basis pair.
-        """
-        for p, i in self.left_factors():
-            if p not in images:
-                continue
-            x = images[p][i]
-            for q in range(1, min(self.top_degree, top - p) + 1):
-                table = self._table(p, q)
-                for j, y in enumerate(images.get(q, ())):
-                    if phi(p + q, table.get((i, j), _ZERO)) != mul(x, y):
-                        return p, i, q, j
-        return None
-
-    def _integer_tables(self, scale: int = 1):
-        """Range-check every stored product and copy the tables, scaled by L,
-        the lcm of all denominators, to integers in one pass: rows[(p, q)][i][j]
-        = L * (basis_p[i] * basis_q[j]) as {t: int}, and by_result[(p, q)][t] =
-        [(i, j, L * its coordinate t)]. The pass at `scale` 1 finds L, so only
-        a ring with a non-integer constant is copied twice."""
-        d, dims, need = self.top_degree, self.dims, scale
-        rows: dict[tuple[int, int], dict[int, dict[int, dict[int, int]]]] = {}
-        by_result: dict[tuple[int, int], dict[int, list[tuple[int, int, int]]]] = {}
+    def _indexed_tables(self):
+        """Range-check every stored product and its constants, and index the
+        stored vectors in one pass: rows[(p, q)][i][j] is the vector of
+        basis_p[i] * basis_q[j], and by_result[(p, q)][t] = [(i, j, its
+        coordinate t)]. A constant must be an int or a Fraction: a float is
+        not exact, and a bool is no coefficient."""
+        d, dims = self.top_degree, self.dims
+        rows: dict[tuple[int, int], dict[int, dict[int, SparseVec]]] = {}
+        by_result: dict[tuple[int, int], dict[int, list[tuple[int, int, Rational]]]] = {}
         for (p, q), table in self.structure.items():
             if p < 1 or q < 1 or p + q > d:
                 raise RingValidationError(f"illegal structure table ({p}, {q})")
@@ -379,27 +337,28 @@ class GradedRing:
             for (i, j), vec in table.items():
                 if not (0 <= i < dp and 0 <= j < dq):
                     raise RingValidationError(f"index out of range in table ({p},{q})")
-                row = per_i.setdefault(i, {})[j] = {}
+                per_i.setdefault(i, {})[j] = vec
                 for t, c in vec.items():
                     if not 0 <= t < dpq:
                         raise RingValidationError(
                             f"product coordinate out of range in table ({p},{q})"
                         )
-                    num, den = c.as_integer_ratio()
-                    if need % den:
-                        need = math.lcm(need, den)
-                    row[t] = a = num * (scale // den)
-                    per_t.setdefault(t, []).append((i, j, a))
-        return (rows, by_result) if need == scale else self._integer_tables(need)
+                    if type(c) is not int and type(c) is not Fraction:
+                        raise RingValidationError(
+                            f"structure constant {c!r} in table ({p},{q}) "
+                            "is not an int or a Fraction"
+                        )
+                    per_t.setdefault(t, []).append((i, j, c))
+        return rows, by_result
 
-    def _validate_commutativity(self, rows) -> None:
-        # every nonzero product against its mirror, in table order, on the
-        # integer copy: the mirror has the same support and, for odd p*q,
-        # negated coefficients, so a missing mirror fails from one side
+    def _validate_commutativity(self) -> None:
+        # every nonzero product against its mirror, in table order: the mirror
+        # has the same support and, for odd p*q, negated coefficients, so a
+        # missing mirror fails from one side
         for (p, q), table in self.structure.items():
-            per_i, mirror, odd = rows[p, q], rows.get((q, p), _ZERO), p * q % 2
-            for i, j in table:
-                vec, other = per_i[i][j], mirror.get(j, _ZERO).get(i, _ZERO)
+            mirror, odd = self.structure.get((q, p), _ZERO), p * q % 2
+            for (i, j), vec in table.items():
+                other = mirror.get((j, i), _ZERO)
                 if other.keys() != vec.keys() or (
                     any(other[t] != -a for t, a in vec.items()) if odd else other != vec
                 ):
@@ -416,10 +375,9 @@ class GradedRing:
         z = basis_r[k] at once. (x*y)*z is read from x's row of the (p, q)
         table and the (p+q, r) rows. x*(y*z) is read from the (q, r) table
         indexed by result coordinate, s -> [(j, k, coefficient)], for only
-        the s with x*basis_{q+r}[s] nonzero. Both read the integer copy of
-        `_integer_tables`, scaled by L: each side is a sum of products of two
-        structure constants, so both scale by L^2 and their equality is
-        exact. A failure names the least (j, k) with a nonzero difference,
+        the s with x*basis_{q+r}[s] nonzero. Both read the stored constants,
+        ints or Fractions, through the index of `_indexed_tables`, so their
+        equality is exact. A failure names the least (j, k) with a nonzero difference,
         the first pair a scan of y, then z, in index order meets."""
         d = self.top_degree
         for p, i in left:
@@ -430,7 +388,7 @@ class GradedRing:
                     yz_by_s = by_result.get((q, r), _ZERO)
                     x_row = rows.get((p, q + r), {}).get(i, _ZERO)
                     # (x*y)*z - x*(y*z), keyed by (j, k, u)
-                    diff: dict[tuple[int, int, int], int] = {}
+                    diff: dict[tuple[int, int, int], Rational] = {}
                     for j, xy in xy_row.items():
                         for t, a in xy.items():
                             for k, vec in xy_z.get(t, _ZERO).items():

@@ -1,8 +1,6 @@
 """Exact rational matrix routines."""
 
 import random
-import sys
-import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -310,44 +308,3 @@ def test_fraction_literals_take_ascii_digits_and_a_nonzero_denominator():
         x = fraction_from_str(text)
         assert x == value and type(x) is type(value), text
         assert type(x) is int or x.denominator != 1, text
-
-
-def test_fraction_from_str_parses_once_and_still_rejects_every_bad_literal():
-    one = fraction_from_str("1")
-    assert one == 1 and fraction_from_str("1") is one
-    assert fraction_from_str("-3/6") == Fraction(-1, 2)
-    for bad in BAD_LITERALS * 2:
-        with pytest.raises(ValueError):
-            fraction_from_str(bad)
-    assert fraction_from_str("1") is one
-    # the memo keeps accepted literals only, and never more than its bound
-    assert not set(linalg._literals) & {b for b in BAD_LITERALS if type(b) is str}
-    for i in range(linalg._LITERALS_MAX + 10):
-        assert fraction_from_str(f"{i}/7") == Fraction(i, 7)
-        assert len(linalg._literals) <= linalg._LITERALS_MAX
-
-
-def test_fraction_from_str_memo_stays_bounded_and_exact_across_threads(monkeypatch):
-    # a small bound is crossed on every few misses; with more threads than
-    # cores switching often, an unlocked check-then-insert overshoots it
-    monkeypatch.setattr(linalg, "_LITERALS_MAX", 3)
-    wrong, sizes = [], []
-
-    def parse(t):
-        for i in range(3000):
-            if fraction_from_str(f"{i}/{t + 2}") != Fraction(i, t + 2):
-                wrong.append((t, i))
-            sizes.append(len(linalg._literals))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=parse, args=(t,)) for t in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not wrong and max(sizes) <= 3

@@ -534,9 +534,9 @@ def test_associativity_failure_names_the_least_z():
 
 
 def test_associativity_with_a_half_coefficient():
-    # Tables with a denominator 2 are compared at scale L = 2: t1 * (t2^t3) :=
-    # vol/2 in torus(3) breaks associativity, while x * x := x^2/2 in cp(3)
-    # without a presentation is only a rescaled basis and stays valid.
+    # Tables with a denominator 2 are compared in exact Fractions: t1 *
+    # (t2^t3) := vol/2 in torus(3) breaks associativity, while x * x := x^2/2
+    # in cp(3) without a presentation is only a rescaled basis and stays valid.
     obj = build(Torus(3)).to_obj()
     _set_coefficient(obj, 1, 2, 0, 2, 0, "1/2")
     _set_coefficient(obj, 2, 1, 2, 0, 0, "1/2")
@@ -576,13 +576,13 @@ def test_commutativity_failure_names_the_first_product():
     assert _validation_message(obj) == "graded commutativity fails at (2,0)*(4,0)"
 
 
-def test_validation_faults_on_the_integer_copy_keep_their_messages():
-    # validation compares commutativity and associativity on one integer copy
-    # of the tables, scaled by L and range-checked as it is made. t2 *
-    # (t1^t3) = -vol in torus(3) against a mirror (t1^t3) * t2 := +vol; in
-    # cp(3), s * s^2 := vol/2 (L = 2) against an unscaled mirror; and a
-    # coordinate out of range in the last table of torus(3) is reported
-    # before the commutativity fault of its first table.
+def test_validation_faults_keep_their_messages():
+    # validation compares commutativity and associativity on the stored
+    # constants, range-checked and indexed in one pass. t2 * (t1^t3) = -vol
+    # in torus(3) against a mirror (t1^t3) * t2 := +vol; in cp(3), s * s^2 :=
+    # vol/2 against a mirror of vol; and a coordinate out of range in the
+    # last table of torus(3) is reported before the commutativity fault of
+    # its first table.
     obj = build(Torus(3)).to_obj()
     _set_coefficient(obj, 2, 1, 1, 1, 0, 1)
     assert _validation_message(obj) == "graded commutativity fails at (1,1)*(2,1)"
@@ -594,18 +594,43 @@ def test_validation_faults_on_the_integer_copy_keep_their_messages():
     _set_coefficient(obj, 2, 1, 0, 2, 5, 1)
     assert [(e["p"], e["q"]) for e in obj["structure"]] == [(1, 1), (1, 2), (2, 1)]
     assert _validation_message(obj) == "product coordinate out of range in table (2,1)"
+    # a constant must be an int or a Fraction: a float is not exact, and a
+    # bool is no coefficient, though both would multiply as numbers
+    for c in (0.5, True):
+        ring = _torus2_with(c)
+        with pytest.raises(RingValidationError) as exc:
+            ring.validate()
+        assert str(exc.value) == (
+            f"structure constant {c!r} in table (1,1) is not an int or a Fraction"
+        )
+
+
+def _torus2_with(c) -> GradedRing:
+    """torus(2)'s ring built with t1 * t2 = c vol, t2 * t1 = -c vol and no
+    presentation, not yet validated."""
+    products = {(0, 1): {0: c}, (1, 0): {0: -c}}
+    return GradedRing(2, [1, 2, 1], [["1"], ["t1", "t2"], ["vol"]], {(1, 1): products})
 
 
 def test_hash_is_the_sha256_of_the_stdlib_canonical_json():
     # to_json is the one ring writer: hash_hex hashes it and to_obj reads it
     # back, and its bytes are those of json.dumps on the object it writes,
-    # which is the dense reference object
-    for manifold in dict.fromkeys(m for m, _, _ in CATALOG):
-        ring = build(parse_manifold(manifold))
+    # which is the dense reference object. Besides the CATALOG rings: torus(2)
+    # with t1 * t2 = vol/2 and no presentation, read from a file, and one
+    # built with the constant Fraction(2, 1), written "2".
+    half = build(Torus(2)).to_obj()
+    _set_coefficient(half, 1, 1, 0, 1, 0, "1/2")
+    _set_coefficient(half, 1, 1, 1, 0, 0, "-1/2")
+    half["monomial_presentation"] = None
+    two = _torus2_with(Fraction(2, 1))
+    two.validate()
+    assert '[0,1,[[0,"2"]]]' in two.to_json()
+    rings = [build(parse_manifold(m)) for m in dict.fromkeys(m for m, _, _ in CATALOG)]
+    for ring in [*rings, GradedRing.from_obj(half), two]:
         obj = ring.to_obj()
         text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        assert ring.hash_hex() == hashlib.sha256(text.encode()).hexdigest(), manifold
-        assert ring.to_json() == text and obj == _pair_ring_obj(ring), manifold
+        assert ring.hash_hex() == hashlib.sha256(text.encode()).hexdigest(), ring
+        assert ring.to_json() == text and obj == _pair_ring_obj(ring), ring
 
 
 def _factorization_targets(manifold):
