@@ -53,7 +53,6 @@ from .obstruct import (
     search_obstruction,
 )
 from .homsearch import (
-    EnumBudget,
     HomWitness,
     verify_hom,
     witness_template,
@@ -68,7 +67,6 @@ __all__ = [
     "ConnSum",
     "CPm",
     "DimensionMismatchError",
-    "EnumBudget",
     "ExtElement",
     "GradedRing",
     "HomWitness",

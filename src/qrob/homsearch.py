@@ -8,11 +8,10 @@ returned witness has passed `verify_hom`.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 from .errors import MissingPresentationError, ShapeMismatchError
 from .exterior import ExtElement, blades, wedge
-from .linalg import Rational, exact
 from .manifolds import (
     ConnSum,
     CPm,
@@ -24,7 +23,7 @@ from .manifolds import (
     Torus,
     factor_list,
 )
-from .record import Frozen, Record
+from .record import Record
 from .ring import GradedRing, RingElement, SparseVec
 
 
@@ -225,22 +224,15 @@ def witness_template(
 # -- bounded enumeration --------------------------------------------------------
 
 
-class EnumBudget(Frozen):
-    """Coefficient set and assignment cap for the enumeration search."""
-
-    __slots__ = ("coefficients", "max_nodes")
-    _defaults = {"coefficients": (-1, 0, 1), "max_nodes": 50_000}
-
-    def nonzero(self) -> list[Rational]:
-        # Positive before negative at each magnitude, smallest magnitude first.
-        return sorted(
-            (exact(c) for c in set(self.coefficients) if c != 0),
-            key=lambda c: (abs(c), c < 0),
-        )
+# the nonzero coefficients a candidate image's blades take, in this order
+COEFFICIENTS = (1, -1)
+# the enumeration's default cap on visited and counted assignments
+MAX_NODES = 50_000
 
 
-def _image_stream(n: int, k: int, coeffs: list[Rational]):
-    """Candidate images of one degree-k generator, by support size then blades.
+def _image_stream(n: int, k: int):
+    """Candidate images of one degree-k generator, by support size then blades,
+    then sign patterns over COEFFICIENTS.
 
     Above degree n there are no blades, and zero is the only candidate.
     """
@@ -248,10 +240,7 @@ def _image_stream(n: int, k: int, coeffs: list[Rational]):
     base = list(blades(n, k))
     for size in range(1, len(base) + 1):
         for support in combinations(base, size):
-            patterns: list[list[Rational]] = [[]]
-            for _ in range(size):
-                patterns = [p + [c] for p in patterns for c in coeffs]
-            for pattern in patterns:
+            for pattern in product(COEFFICIENTS, repeat=size):
                 yield ExtElement._trusted(n, dict(zip(support, pattern)))
 
 
@@ -295,7 +284,7 @@ def enumerate_hom_detailed(
     ring: GradedRing,
     omega: RingElement,
     n: int,
-    budget: EnumBudget = EnumBudget(),
+    max_nodes: int = MAX_NODES,
 ) -> EnumerationOutcome:
     """Staged deterministic enumeration of generator-image assignments.
 
@@ -312,8 +301,7 @@ def enumerate_hom_detailed(
     pres = ring.presentation
     if pres is None:
         raise MissingPresentationError("enumeration needs a monomial presentation")
-    coeffs = budget.nonzero()
-    streams = [_image_stream(n, g.degree, coeffs) for g in pres.generators]
+    streams = [_image_stream(n, g.degree) for g in pres.generators]
     pools: list[list[ExtElement]] = [[] for _ in streams]
     size = len(streams)
     degrees = [g.degree for g in pres.generators]
@@ -339,7 +327,7 @@ def enumerate_hom_detailed(
         """Count or visit this stage's assignments below a prefix; True stops."""
         nonlocal nodes, witness
         if g == size:
-            if nodes >= budget.max_nodes:
+            if nodes >= max_nodes:
                 return True
             nodes += 1
             if sum(partials, ExtElement.zero(n)).is_zero():
@@ -362,9 +350,9 @@ def enumerate_hom_detailed(
                         extended[w] = extended[w].wedge(image)
             if all(part.is_zero() for part in extended):
                 subtree = counts[g + 1][remaining - i]
-                if nodes + subtree > budget.max_nodes:
+                if nodes + subtree > max_nodes:
                     # a node-by-node walk would stop inside this subtree
-                    nodes = max(nodes, budget.max_nodes)
+                    nodes = max(nodes, max_nodes)
                     return True
                 nodes += subtree
                 continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .dsl import parse_manifold, parse_omega
 from .errors import QrobError, VerificationFailure
 from .homsearch import (
-    EnumBudget,
+    MAX_NODES,
     HomWitness,
     enumerate_hom_detailed,
     verify_hom,
@@ -86,7 +86,7 @@ def _prepare(query: Query) -> tuple[ManifoldExpr, GradedRing, tuple, RingElement
     return expr, ring, factors, omega, preconditions
 
 
-def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
+def run_query(query: Query, max_nodes: int = MAX_NODES) -> QueryResult:
     expr, ring, factors, omega, preconditions = _prepare(query)
     if not all(preconditions.values()):
         return QueryResult(
@@ -108,7 +108,7 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
             query, ring, omega, WITNESS, preconditions,
             witness=witness, search_log={"witness_method": "template"},
         )
-    outcome = enumerate_hom_detailed(ring, omega, query.n, budget)
+    outcome = enumerate_hom_detailed(ring, omega, query.n, max_nodes)
     if outcome.witness is not None:
         return QueryResult(
             query, ring, omega, WITNESS, preconditions,
@@ -122,7 +122,7 @@ def run_query(query: Query, budget: EnumBudget = EnumBudget()) -> QueryResult:
             "template": "no verified template",
             "enumeration": {
                 "nodes": outcome.nodes,
-                "max_nodes": budget.max_nodes,
+                "max_nodes": max_nodes,
                 "space_exhausted": outcome.space_exhausted,
             },
         },
@@ -137,10 +137,8 @@ def certificate_to_obj(cert: Certificate) -> dict:
     for role, value in cert.classes.items():
         if isinstance(value, RingElement):
             classes[role] = value.to_obj()
-        elif isinstance(value, list):
-            classes[role] = [v.to_obj() for v in value]
         else:
-            classes[role] = value
+            classes[role] = [v.to_obj() for v in value]
     obj = {
         "format": CERTIFICATE_FORMAT,
         "kind": cert.kind,

@@ -239,13 +239,16 @@ class GradedRing:
                     raise RingValidationError(
                         "structure tables exist only for p, q >= 1"
                     )
-                table: dict[tuple[int, int], SparseVec] = {}
+                if (p, q) in structure:
+                    raise RingValidationError(f"structure table ({p}, {q}) is repeated")
+                table = structure[p, q] = {}
                 for i, j, pairs in entry["products"]:
                     ij = tuple(_require_int(x, "product index") for x in (i, j))
-                    vec = _read_product(pairs)
-                    if vec:
-                        table[ij] = vec
-                structure[(p, q)] = table
+                    if ij in table:
+                        raise RingValidationError(
+                            f"product ({i}, {j}) of table ({p}, {q}) is repeated"
+                        )
+                    table[ij] = _read_product(pairs)
             pres_obj = obj.get("monomial_presentation")
             ring = cls(
                 _require_int(obj["top_degree"], "top_degree"),

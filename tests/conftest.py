@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -400,6 +402,91 @@ def hom_oracle_accepts(ring_obj: dict, witness_obj: dict, omega_obj: dict) -> bo
         for i, c in enumerate(vec)
     }
     return not phi(omega).is_zero()
+
+
+# certificate kind -> (row role, column role, diagonal role)
+_CERT_ROLES = {
+    "DualPair": ("left", "right", "target"),
+    "H1Annihilator": ("annihilators", "duals", "factor"),
+}
+
+
+def _oracle_class(obj: dict) -> dict:
+    """A class object's nonzero coordinates, {(degree, index): Fraction}."""
+    return {
+        (int(k), t): Fraction(c)
+        for k, vec in obj["coords"].items()
+        for t, c in enumerate(vec)
+        if Fraction(c)
+    }
+
+
+def _oracle_degree(x: dict) -> int | None:
+    """The one degree of a nonzero homogeneous class, else None."""
+    degrees = {k for k, _ in x}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def cert_oracle_accepts(ring_obj: dict, cert_obj: dict, omega_obj: dict | None) -> bool:
+    """Whether a certificate object proves that no graded homomorphism into
+    the exterior algebra on n generators maps omega to nonzero.
+
+    PrywesBound: n is the top degree, omega (when given) is nonzero of
+    degree n, and the recorded degree is the first whose dimension exceeds
+    C(n, k). DualPair and H1Annihilator: rows[i] * cols[j] is the diagonal
+    class for i = j and zero otherwise, diag * cofactor = omega is nonzero
+    of degree n, each family is nonzero of one degree, and the family size m
+    breaks the kind's bound; an H1Annihilator's rows have degree 1 and are
+    annihilated by a diagonal of degree at most n - 1. The recorded ring
+    hash, degrees and inequality must be the recounted ones. Products come
+    from the raw ring tables (`oracle_products`).
+    """
+    n, kind, d, dims = cert_obj["n"], cert_obj["kind"], ring_obj["top_degree"], ring_obj["dims"]
+    canonical = json.dumps(ring_obj, sort_keys=True, separators=(",", ":"))
+    if cert_obj["ring_hash"] != hashlib.sha256(canonical.encode("ascii")).hexdigest():
+        return False
+    omega = None if omega_obj is None else _oracle_class(omega_obj)
+    if cert_obj.get("omega") != omega_obj:
+        return False
+    if omega is not None and (not omega or _oracle_degree(omega) != n):
+        return False
+    if kind == "PrywesBound":
+        k = next((k for k in range(n + 1) if n == d and dims[k] > math.comb(n, k)), None)
+        inequality = None if k is None else {"lhs": dims[k], "rel": ">", "rhs": math.comb(n, k)}
+        return k is not None and cert_obj["degree"] == k and cert_obj["inequality"] == inequality
+    if kind not in _CERT_ROLES or omega is None:
+        return False
+    row, col, diag_role = _CERT_ROLES[kind]
+    classes = cert_obj["classes"]
+    if set(classes) != {row, col, diag_role, "cofactor"}:
+        return False
+    diag, cofactor = _oracle_class(classes[diag_role]), _oracle_class(classes["cofactor"])
+    rows = [_oracle_class(x) for x in classes[row]]
+    cols = [_oracle_class(y) for y in classes[col]]
+    products = oracle_products(ring_obj)
+    if _oracle_mul(products, diag, cofactor) != omega:
+        return False
+    m, k = len(rows), _oracle_degree(diag)
+    if not m or len(cols) != m or k is None or cert_obj["degree"] != k:
+        return False
+    kp = _oracle_degree(rows[0])
+    degrees = [_oracle_degree(x) for x in rows] + [_oracle_degree(y) for y in cols]
+    if kp is None or degrees != [kp] * m + [k - kp] * m:
+        return False
+    for i, x in enumerate(rows):
+        for j, y in enumerate(cols):
+            if _oracle_mul(products, x, y) != (diag if i == j else {}):
+                return False
+    if kind == "DualPair":
+        inequality = {"lhs": m, "rel": ">", "rhs": math.comb(n, kp)}
+        return 1 <= kp < k and cert_obj.get("k_prime") == kp and (
+            cert_obj["inequality"] == inequality and m > math.comb(n, kp)
+        )
+    annihilated = all(not _oracle_mul(products, diag, x) for x in rows)
+    inequality = {"lhs": m, "rel": ">=", "rhs": n}
+    return kp == 1 and k <= n - 1 and annihilated and (
+        "k_prime" not in cert_obj and cert_obj["inequality"] == inequality and m >= n
+    )
 
 
 def reference_lambda(rows, cols, target):

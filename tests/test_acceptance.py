@@ -28,7 +28,7 @@ from qrob import (
 )
 from qrob.cli import main
 from qrob.exterior import ExtElement, blades, merge_axes
-from qrob.homsearch import EnumBudget, enumerate_hom_detailed
+from qrob.homsearch import enumerate_hom_detailed
 from qrob.pipeline import verify_document
 from conftest import _oracle_rank, convolve
 
@@ -217,7 +217,6 @@ def test_criterion_6_round_trip_and_tampering(tmp_path):
 
 def test_criterion_7_soundness_exclusion():
     with criterion(7, "no catalog input admits both a certificate and a witness", 60):
-        budget = EnumBudget(max_nodes=5_000)
         for manifold, omega_text, n in CATALOG:
             expr = parse_manifold(manifold)
             ring, factors = build_with_classes(expr)
@@ -226,7 +225,7 @@ def test_criterion_7_soundness_exclusion():
             certificate = search_obstruction(ring, omega, n)
             witness = witness_template(expr, factors, omega, n)
             if witness is None:
-                witness = enumerate_hom_detailed(ring, omega, n, budget).witness
+                witness = enumerate_hom_detailed(ring, omega, n, 5_000).witness
             assert not (certificate is not None and witness is not None), manifold
 
 

@@ -325,37 +325,11 @@ def test_standalone_witness_file_with_ring(capsys, tmp_path):
     assert code == 1
 
 
-def test_custom_coefficient_set_accepted(capsys):
-    code, out, _ = run(
-        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
-        "--coeff-set", "0,2,-1/2",
-    )
-    assert code == 0 and "verdict: WITNESS" in out
-
-
-def test_coeff_set_zero_denominator_exit_three(capsys):
-    code, _, err = run(
-        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
-        "--coeff-set", "1/0",
-    )
-    assert code == 3 and "--coeff-set" in err
-
-
-def test_coeff_set_not_a_number_exit_three(capsys):
-    code, _, err = run(
-        capsys, "check", "torus(2)", "--omega", "vol(1)", "--n", "2",
-        "--coeff-set", "abc",
-    )
-    assert code == 3 and "--coeff-set" in err
-
-
-# a literal must be exact ASCII, and the set must hold a nonzero value
-@pytest.mark.parametrize(
-    "coeffs", ["\u0661,2e0", "1_0", "0.5", "\u0661", "", ",", "0", "0,0"]
-)
-def test_coeff_set_takes_only_exact_ascii_literals(capsys, coeffs):
-    code, _, err = run(capsys, *_CHECK, "--coeff-set", coeffs)
-    assert code == 3 and err.startswith("usage error:") and "--coeff-set" in err
+def test_coeff_set_is_an_unknown_option(capsys):
+    # the enumeration's coefficients are fixed at +1 and -1
+    code, out, err = run(capsys, *_CHECK, "--coeff-set", "-1,0,1")
+    assert code == 3 and err.startswith("usage error:")
+    assert "unknown option '--coeff-set'" in err and out == ""
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -429,19 +403,32 @@ def test_malformed_ring_files_exit_three(capsys, tmp_path):
             assert err.startswith(message) and "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("pairs, message", [
-    # the first torus(2) product, t1 * t2 = vol, with coordinate 0 listed twice
-    ([[0, "1"], [0, "1"]], "coordinate index 0 is repeated"),
-    # the dense vector that qrob.ring/1 wrote for the same product
-    (["1"], '[index, "coefficient"]'),
-], ids=["repeated-index", "dense-vector"])
-def test_ring_file_products_must_be_index_coefficient_pairs(capsys, tmp_path, pairs, message):
+_T2_PRODUCTS = [[0, 1, [[0, "1"]]], [1, 0, [[0, "-1"]]]]  # t1 * t2 = vol = -t2 * t1
+
+
+@pytest.mark.parametrize("structure, message", [
+    # t1 * t2 = vol with coordinate 0 listed twice
+    ([{"p": 1, "q": 1, "products": [[0, 1, [[0, "1"], [0, "1"]]], _T2_PRODUCTS[1]]}],
+     "coordinate index 0 is repeated"),
+    # the dense vector that qrob.ring/1 wrote for t1 * t2
+    ([{"p": 1, "q": 1, "products": [[0, 1, ["1"]], _T2_PRODUCTS[1]]}],
+     '[index, "coefficient"]'),
+    # t1 * t2 = 5 vol = -t2 * t1 in front of the true products
+    ([{"p": 1, "q": 1, "products": [[0, 1, [[0, "5"]]], [1, 0, [[0, "-5"]]], *_T2_PRODUCTS]}],
+     "product (0, 1) of table (1, 1) is repeated"),
+    # a (1, 1) table saying t1 * t2 = 7 vol in front of the true one
+    ([{"p": 1, "q": 1, "products": [[0, 1, [[0, "7"]]]]},
+      {"p": 1, "q": 1, "products": _T2_PRODUCTS}],
+     "structure table (1, 1) is repeated"),
+], ids=["repeated-index", "dense-vector", "repeated-product", "repeated-table"])
+def test_ring_file_products_must_be_index_coefficient_pairs(
+    capsys, tmp_path, structure, message
+):
     ring_file = tmp_path / "ring.json"
     run(capsys, "export", "torus(2)", "-o", str(ring_file))
     doc = json.loads(ring_file.read_text())
-    product = doc["ring"]["structure"][0]["products"][0]
-    assert product == [0, 1, [[0, "1"]]]
-    product[2] = pairs
+    assert doc["ring"]["structure"] == [{"p": 1, "q": 1, "products": _T2_PRODUCTS}]
+    doc["ring"]["structure"] = structure
     ring_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "ring", "show", f"@{ring_file}")
     assert code == 3 and err.startswith("error:") and message in err

@@ -10,11 +10,12 @@ intended, update the digest and say why in CHANGES.md.
 import functools
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG
-from qrob import Query, run_query
+from conftest import CATALOG, cert_oracle_accepts
+from qrob import Query, VerificationFailure, run_query
 from qrob.cli import main
 from qrob.pipeline import (
     certificate_to_obj,
@@ -184,3 +185,46 @@ def test_nonintegral_omega_document_bytes(query, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("OK: ")
+
+
+def _verify_accepts(obj: dict, ring=None) -> bool:
+    try:
+        verify_document(obj, ring=ring)
+    except VerificationFailure:
+        return False
+    return True
+
+
+def _with_one_family_coefficient_doubled(cert: dict) -> dict:
+    """A copy of a certificate object whose first row class has its first
+    nonzero coefficient doubled."""
+    cert = json.loads(json.dumps(cert))
+    row = next(v for v in cert["classes"].values() if isinstance(v, list))[0]
+    vec = next(iter(row["coords"].values()))
+    t = next(t for t, c in enumerate(vec) if Fraction(c))
+    vec[t] = str(2 * Fraction(vec[t]))
+    return cert
+
+
+def test_certificate_oracle_agrees_with_verify():
+    # every certificate of a CATALOG or NONINTEGRAL_GOLDEN query, in its
+    # verdict and as a standalone certificate document, then each with one
+    # family coefficient doubled; the oracle shares no code with qrob
+    kinds = []
+    for query in (*CATALOG, *NONINTEGRAL_GOLDEN):
+        result = _result(query)
+        if result.certificate is None:
+            continue
+        kinds.append(result.certificate.kind)
+        ring_obj = result.ring.to_obj()
+        verdict = json.loads(_document(query))
+        standalone = certificate_to_obj(result.certificate)
+        for accepted, cert in (
+            (True, standalone), (False, _with_one_family_coefficient_doubled(standalone)),
+        ):
+            assert cert_oracle_accepts(ring_obj, cert, verdict["omega"]) is accepted, query
+            assert _verify_accepts(cert, result.ring) is accepted, query
+            doc = dict(verdict, certificate=cert)
+            assert cert_oracle_accepts(ring_obj, doc["certificate"], doc["omega"]) is accepted
+            assert _verify_accepts(doc) is accepted, query
+    assert kinds == ["H1Annihilator"] * 4 + ["DualPair"] * 3 + ["H1Annihilator", "DualPair"]

@@ -11,7 +11,6 @@ import pytest
 from conftest import CATALOG, e, hom_oracle_accepts, random_element, wedge_oracle
 from qrob import (
     CPm,
-    EnumBudget,
     ExtElement,
     GradedRing,
     HomWitness,
@@ -154,7 +153,7 @@ def test_enumerate_cp2_finds_two_blade_witness():
 def test_enumerate_budget_cap():
     ring, factors = build_with_classes(parse_manifold("connsum(s2xs2,2) * cp(2)"))
     omega = parse_omega("vol(1)^sym(2)", ring, factors)
-    outcome = enumerate_hom_detailed(ring, omega, 6, EnumBudget(max_nodes=500))
+    outcome = enumerate_hom_detailed(ring, omega, 6, max_nodes=500)
     assert outcome.witness is None
     assert outcome.nodes == 500
     assert not outcome.space_exhausted
@@ -165,16 +164,6 @@ def test_enumerate_deterministic():
     a = enumerate_hom_detailed(ring, ring.fundamental_class(), 4).witness
     b = enumerate_hom_detailed(ring, ring.fundamental_class(), 4).witness
     assert a.to_obj() == b.to_obj()
-
-
-def test_enumerate_respects_coefficient_set():
-    from fractions import Fraction
-
-    ring = build(CPm(2))
-    budget = EnumBudget(coefficients=(Fraction(0), Fraction(2)))
-    witness = enumerate_hom_detailed(ring, ring.fundamental_class(), 4, budget).witness
-    assert witness is not None
-    assert witness.images[2][0] == 2 * e(4, 1, 2) + 2 * e(4, 3, 4)
 
 
 def test_enumerate_needs_presentation():
@@ -246,18 +235,15 @@ def test_witness_images_match_naive_word_fold(text):
 # -- brute-force enumeration oracle ---------------------------------------------
 
 
-def _oracle_images(n, degree, coefficients):
-    """One generator's candidates: zero, then by support size, blades, coefficients."""
+def _oracle_images(n, degree):
+    """One generator's candidates: zero, then by support size, blades, signs."""
     yield ExtElement.zero(n)
     if degree > n:
         return
-    nonzero = sorted(
-        {Fraction(c) for c in coefficients if c}, key=lambda c: (abs(c), c < 0)
-    )
     basis = list(combinations(range(1, n + 1), degree))
     for size in range(1, len(basis) + 1):
         for support in combinations(basis, size):
-            for pattern in product(nonzero, repeat=size):
+            for pattern in product((1, -1), repeat=size):
                 yield ExtElement(n, dict(zip(support, pattern)))
 
 
@@ -268,7 +254,7 @@ def _oracle_word(n, factors):
     return acc
 
 
-def _oracle_enumerate(ring, omega, n, coefficients, max_nodes):
+def _oracle_enumerate(ring, omega, n, max_nodes):
     """(witness, nodes, space_exhausted) from every index tuple sorted by (sum, tuple).
 
     No stage beyond max_nodes is ever reached, so each generator needs at most
@@ -277,7 +263,7 @@ def _oracle_enumerate(ring, omega, n, coefficients, max_nodes):
     """
     pres = ring.presentation
     pools = [
-        list(islice(_oracle_images(n, g.degree, coefficients), max_nodes + 1))
+        list(islice(_oracle_images(n, g.degree), max_nodes + 1))
         for g in pres.generators
     ]
     bound = 0
@@ -322,15 +308,10 @@ def _query(manifold, omega_text):
     return ring, parse_omega(omega_text, ring, factors)
 
 
-def _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes):
+def _assert_matches_oracle(manifold, omega_text, n, max_nodes):
     ring, omega = _query(manifold, omega_text)
-    budget = EnumBudget(
-        coefficients=tuple(Fraction(c) for c in coefficients), max_nodes=max_nodes
-    )
-    outcome = enumerate_hom_detailed(ring, omega, n, budget)
-    witness, nodes, exhausted = _oracle_enumerate(
-        ring, omega, n, coefficients, max_nodes
-    )
+    outcome = enumerate_hom_detailed(ring, omega, n, max_nodes)
+    witness, nodes, exhausted = _oracle_enumerate(ring, omega, n, max_nodes)
     assert (outcome.nodes, outcome.space_exhausted) == (nodes, exhausted)
     if witness is None:
         assert outcome.witness is None
@@ -339,33 +320,43 @@ def _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes):
     return outcome
 
 
+# Stages end where every index sum up to a bound is used: for two or three
+# degree-1 generators at 1, 3, 6, ... and 1, 4, 10, 20, 35, 56, ..., and for
+# five generators at 1, 6, 21, 56, 126, 252, ...
 @pytest.mark.parametrize(
-    "manifold, omega_text, n, coefficients, budgets",
+    "manifold, omega_text, n, budgets",
     [
-        ("torus(2)", "vol(1)", 2, (-1, 0, 1), (0, 3, 100)),
-        ("torus(3)", "vol(1)", 3, (-1, 0, 1), (40, 400)),
-        ("torus(3)", "vol(1)", 2, (0, 1), (5, 1000)),
-        ("cp(2)", "sym(1)^sym(1)", 4, (-1, 0, 1), (10, 100)),
-        ("cp(2)", "sym(1)^sym(1)", 4, (0, 2), (100,)),
-        ("surface(1) * cp(2)", "vol(1)^sym(2)", 4, (-1, 0, 1), (100, 1000)),
-        ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (-1, 0, 1), (1, 200)),
-        ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (0, 1, -2), (150,)),
-        ("surface(2) * sphere(3)", "vol(1)", 2, (0, 1), (255, 256, 257)),
+        # stage 0 only, the end of stage 1, past the witness at node 12
+        ("torus(2)", "vol(1)", 2, (0, 3, 100)),
+        # inside stage 5, past the witness at node 179
+        ("torus(3)", "vol(1)", 3, (40, 400)),
+        # omega has no word of degree 2: every stage is counted in bulk, and
+        # 9^3 = 729 assignments exhaust the space
+        ("torus(3)", "vol(1)", 2, (5, 728, 729, 1000)),
+        # one generator, so every stage is one node: short of the witness at
+        # node 30, at it, and past it
+        ("cp(2)", "sym(1)^sym(1)", 4, (10, 29, 30, 100)),
+        # inside stage 7, past the witness at node 500
+        ("surface(1) * cp(2)", "vol(1)^sym(2)", 4, (100, 1000)),
+        # the end of stage 0, inside stage 5, its end, and one past it
+        ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6, (1, 200, 252, 253)),
+        # the degree-3 sphere class has only the zero image at n = 2, and
+        # 9^4 = 6561 assignments exhaust the space
+        ("surface(2) * sphere(3)", "vol(1)", 2, (6560, 6561, 6562)),
     ],
 )
-def test_enumeration_matches_brute_force_oracle(
-    manifold, omega_text, n, coefficients, budgets
-):
+def test_enumeration_matches_brute_force_oracle(manifold, omega_text, n, budgets):
     for max_nodes in budgets:
-        _assert_matches_oracle(manifold, omega_text, n, coefficients, max_nodes)
+        _assert_matches_oracle(manifold, omega_text, n, max_nodes)
 
 
 @pytest.mark.parametrize(
-    "max_nodes, nodes, exhausted", [(255, 255, False), (256, 256, True), (257, 256, True)]
+    "max_nodes, nodes, exhausted",
+    [(6560, 6560, False), (6561, 6561, True), (6562, 6561, True)],
 )
 def test_enumeration_budget_edges_against_oracle(max_nodes, nodes, exhausted):
-    # four degree-1 generators with 2^2 candidates each: 256 assignments in all
-    outcome = _assert_matches_oracle("surface(2)", "vol(1)", 2, (0, 1), max_nodes)
+    # four degree-1 generators with 3^2 candidates each: 6561 assignments in all
+    outcome = _assert_matches_oracle("surface(2)", "vol(1)", 2, max_nodes)
     assert outcome.witness is None
     assert (outcome.nodes, outcome.space_exhausted) == (nodes, exhausted)
 

@@ -9,6 +9,7 @@ import pytest
 
 import qrob.linalg
 import qrob.ring
+from conftest import cert_oracle_accepts
 from qrob import (
     GradedRing,
     Query,
@@ -28,7 +29,6 @@ from qrob import (
 )
 from qrob.cli import main
 from qrob.errors import InvalidSystemError, VerificationFailure
-from qrob.homsearch import EnumBudget
 from qrob.obstruct import _PATTERNS, Certificate, Inequality, KroneckerSystem
 from qrob.pipeline import (
     certificate_to_obj,
@@ -126,7 +126,7 @@ def test_mixed_degree_omega_is_an_error():
 def test_unknown_budget_reporting():
     result = run_query(
         Query("connsum(s2xs2,3) * cp(2)", "vol(1)^sym(2)", 6),
-        budget=EnumBudget(max_nodes=100),
+        max_nodes=100,
     )
     assert result.verdict == "UNKNOWN"
     log = result.search_log["enumeration"]
@@ -220,11 +220,13 @@ def test_prywes_certificate_requires_top_degree_n():
     assert cert is not None and cert.degree == 2
     doc = certificate_to_obj(cert)
     assert verify_document(doc, ring=ring) == "certificate re-verified (PrywesBound)"
+    assert cert_oracle_accepts(ring.to_obj(), doc, None)
     # C(3,2) = 3 < 16 still holds, but n = 3 is not the top degree
     doc["n"] = 3
     doc["inequality"]["rhs"] = 3
     with pytest.raises(VerificationFailure, match="top degree"):
         verify_document(doc, ring=ring)
+    assert not cert_oracle_accepts(ring.to_obj(), doc, None)
 
 
 def test_standalone_certificate_rejects_a_stray_iota_star():
@@ -533,6 +535,7 @@ def test_forged_volume_annihilator_verdict_fails_verify(tmp_path, capsys):
     doc = _forged_volume_annihilator_verdict(result)
     with pytest.raises(VerificationFailure, match="annihilators bound nothing"):
         verify_document(doc)
+    assert not cert_oracle_accepts(result.ring.to_obj(), doc["certificate"], doc["omega"])
     path = tmp_path / "forged.json"
     path.write_text(document_json(doc))
     assert main(["verify", str(path)]) == 1

@@ -425,6 +425,26 @@ def test_from_obj_rejects_corruption():
         GradedRing.from_obj(obj)
 
 
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_from_obj_rejects_a_repeated_table_or_product(zero_first):
+    # Read last-wins, each edit puts the true torus(2) tables back; a zero
+    # product, which reading drops, still counts as the first entry.
+    obj = build(Torus(2)).to_obj()
+    table = obj["structure"][0]
+    first = [0, 1, []] if zero_first else [0, 1, [[0, "5"]]]
+    table["products"].insert(0, first)
+    with pytest.raises(RingValidationError) as err:
+        GradedRing.from_obj(obj)
+    assert str(err.value) == "product (0, 1) of table (1, 1) is repeated"
+    del table["products"][0]
+    obj["structure"].insert(0, {"p": 1, "q": 1, "products": [first]})
+    with pytest.raises(RingValidationError) as err:
+        GradedRing.from_obj(obj)
+    assert str(err.value) == "structure table (1, 1) is repeated"
+    del obj["structure"][0]
+    assert GradedRing.from_obj(obj) == build(Torus(2))
+
+
 def _set_coefficient(obj: dict, p: int, q: int, i: int, j: int, t: int, value) -> None:
     """Set coordinate t of basis_p[i] * basis_q[j] in a ring object's tables:
     edit the coefficient of its [t, "c"] pair, or insert the pair in index
