@@ -97,8 +97,8 @@ class ExtElement:
         return cls(n, {(): value})
 
     @classmethod
-    def basis(cls, n: int, axes, coeff=1) -> "ExtElement":
-        return cls(n, {tuple(axes): coeff})
+    def basis(cls, n: int, axes) -> "ExtElement":
+        return cls(n, {tuple(axes): 1})
 
     def items(self) -> list[tuple[Axes, Rational]]:
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -109,7 +109,7 @@ def _sphere_ring(n: int) -> GradedRing:
     dims = [1] + [0] * (n - 1) + [1]
     labels = [["1"]] + [[] for _ in range(n - 1)] + [["vol"]]
     words = ((),), *[()] * (n - 1), ((0,),)
-    return GradedRing(n, dims, labels, {}, 0, Presentation((Generator(n, 0, "vol"),), words))
+    return GradedRing(n, dims, labels, {}, Presentation((Generator(n, 0, "vol"),), words))
 
 
 def _torus_ring(n: int) -> GradedRing:
@@ -141,7 +141,7 @@ def _torus_ring(n: int) -> GradedRing:
     words = tuple(
         tuple(tuple(a - 1 for a in axes) for axes in per) for per in axes_by_degree
     )
-    return GradedRing(n, dims, labels, structure, 0, Presentation(gens, words))
+    return GradedRing(n, dims, labels, structure, Presentation(gens, words))
 
 
 def _cpm_ring(m: int) -> GradedRing:
@@ -159,7 +159,7 @@ def _cpm_ring(m: int) -> GradedRing:
     words = tuple(
         ((0,) * (k // 2),) if k % 2 == 0 else () for k in range(d + 1)
     )
-    return GradedRing(d, dims, labels, structure, 0, Presentation(gens, words))
+    return GradedRing(d, dims, labels, structure, Presentation(gens, words))
 
 
 def _s2xs2_ring() -> GradedRing:
@@ -168,7 +168,7 @@ def _s2xs2_ring() -> GradedRing:
     structure = {(2, 2): {(0, 1): {0: 1}, (1, 0): {0: 1}}}
     gens = (Generator(2, 0, "c1"), Generator(2, 1, "c2"))
     words = ((() ,), (), ((0,), (1,)), (), ((0, 1),))
-    return GradedRing(4, dims, labels, structure, 0, Presentation(gens, words))
+    return GradedRing(4, dims, labels, structure, Presentation(gens, words))
 
 
 # -- product (tensor basis with Koszul signs) --------------------------------
@@ -232,8 +232,6 @@ def _product_ring(
                             vec[index[(p + r, li, q + t, ri)]] = f * rc
     # (x, y) keys in basis order, the order in which the searches read them
     structure = {ab: dict(sorted(tab.items())) for ab, tab in sorted(tables.items()) if tab}
-    fund = index[(left.top_degree, left.fundamental_index,
-                  right.top_degree, right.fundamental_index)]
     lg = left.presentation.generators
     rg = right.presentation.generators
     gens = tuple(
@@ -251,7 +249,7 @@ def _product_ring(
     )
     pres = Presentation(gens, words)
     d = left.top_degree + right.top_degree
-    return GradedRing(d, dims, labels, structure, fund, pres)
+    return GradedRing(d, dims, labels, structure, pres)
 
 
 def _pull_back(
@@ -318,7 +316,7 @@ def _connsum_ring(rings: list[GradedRing]) -> GradedRing:
             for ring, off in zip(rings, offsets):
                 for (i, j), vec in ring._table(p, q).items():
                     if p + q == d:
-                        c = vec.get(ring.fundamental_index)
+                        c = vec.get(0)
                         vec = {0: c} if c else {}
                     else:
                         vec = {t + off[p + q]: c for t, c in vec.items()}
@@ -345,9 +343,9 @@ def _connsum_ring(rings: list[GradedRing]) -> GradedRing:
                 tuple(remap[gid] for gid in w) for w in ring.presentation.words[k]
             )
     first = rings[0]
-    words.append([tuple(first.presentation.words[d][first.fundamental_index])])
+    words.append([tuple(first.presentation.words[d][0])])
     pres = Presentation(tuple(gens), tuple(tuple(per) for per in words))
-    return GradedRing(d, dims, labels, structure, 0, pres)
+    return GradedRing(d, dims, labels, structure, pres)
 
 
 # -- build --------------------------------------------------------------------

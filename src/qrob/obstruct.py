@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection
+from itertools import chain
 
 from .errors import (
     InvalidSystemError,
@@ -418,66 +419,70 @@ def _annihilator_bounds(ring: GradedRing, ell: int) -> list[int]:
     return [ring.dims[1] - (i in acting) for i in range(ring.dims[ell])]
 
 
-def _kronecker_candidates(ring: GradedRing, omega: RingElement, n: int):
-    """Yield (kind, factor, cofactor, rows, cols, products, lam, min_size) in
-    canonical order, with products = _product_table(rows, cols), lam its
-    `_lambdas` against the factor and min_size the least family size that
-    breaks the kind's bound: first the degree-1 annihilators of each factor
-    c = basis_l[i] of omega (c * c' = omega is solvable, `_cofactor`)
-    against the basis one degree below it, then each basis degree k'
-    against the complementary basis, for l >= 2.
+def _bounded_factors(ring: GradedRing, omega: RingElement, n: int, ell: int, reach):
+    """(i, c, c', reach(i)) for each class c = basis_ell[i] with a truthy
+    reach(i), its kind's bound check, and c * c' = omega solvable
+    (`_cofactor`), in increasing i; omega is factored only after the check."""
+    for i, stored in _left_products(ring, ell, n - ell).items():
+        reached = reach(i)
+        cofactor = _cofactor(ring, omega, ell, stored) if reached else None
+        if cofactor is not None:
+            yield i, ring.basis_element(ell, i), cofactor, reached
 
-    Only candidates that cannot certify are left out (module docstring), so
-    the first certificate is unchanged. A degree k' with min(dims[k'],
-    dims[l - k']) below min_size is skipped. Then a class skips each k'
-    where its bound is below min_size, and a class with no k' left is
-    skipped before omega is factored by it. A DualPair class's bound is the
-    `_block_bound` of its lambda in the shared table, an H1Annihilator
-    class's is `_annihilator_bounds`; on a torus no class reaches n
-    annihilators, since c * H^1 != 0 for every c of degree l < n. Basis
-    families, their product tables and lambdas are shared by every class of
-    one (l, k'); annihilator rows depend on the factor, and so do their
-    table and its lambdas, whose `_block_bound` is tested after the solve.
-    """
-    for kind in ("H1Annihilator", "DualPair"):
-        pattern = _PATTERNS[kind]
-        for ell in range(1, n):
-            sizes = {
-                kp: pattern.min_size(n, kp) for kp in pattern.row_degrees(ell)
-                if min(ring.dims[kp], ring.dims[ell - kp]) >= pattern.min_size(n, kp)
-            }
-            if pattern.annihilated:
-                # a factor basis_l[i] has at most most[i] annihilator rows
-                most = _annihilator_bounds(ring, ell)
-                sizes = {kp: s for kp, s in sizes.items() if max(most, default=0) >= s}
-            if not sizes or not ring.dims[n - ell]:
+
+def _annihilator_systems(ring: GradedRing, omega: RingElement, n: int):
+    """H1Annihilator systems in canonical order: for l in 1..n-1, the
+    degree-1 annihilators of each factor c = basis_l[i] of omega against
+    basis_{l-1}. A class is bounded by `_annihilator_bounds` before omega is
+    factored by it, which on a torus rules out every class (c * H^1 != 0 for
+    every c of degree l < n), and by its own table's `_block_bound` after."""
+    size = _PATTERNS["H1Annihilator"].min_size(n, 1)
+    for ell in range(1, n):
+        most = _annihilator_bounds(ring, ell)
+        largest = min(ring.dims[1], ring.dims[ell - 1], max(most, default=0))
+        if largest < size or not ring.dims[n - ell]:
+            continue
+        cols = ring.basis(ell - 1)
+        bounded = _bounded_factors(ring, omega, n, ell, lambda i: most[i] >= size)
+        for i, factor, cofactor, _ in bounded:
+            rows = _annihilator_candidates(ring, factor)
+            if len(rows) < size:
                 continue
-            bases = {kp: (ring.basis(kp), ring.basis(ell - kp)) for kp in sizes}
-            tables = {kp: _product_table(*bases[kp]) for kp in sizes if not pattern.annihilated}
-            lams = {kp: _lambdas(table) for kp, table in tables.items()}
-            for i, stored in _left_products(ring, ell, n - ell).items():
-                if pattern.annihilated:
-                    reach = [kp for kp, size in sizes.items() if most[i] >= size]
-                else:
-                    reach = [kp for kp, size in sizes.items()
-                             if _block_bound(lams[kp].get(i, {}).values()) >= size]
-                cofactor = _cofactor(ring, omega, ell, stored) if reach else None
-                if cofactor is None:
-                    continue
-                factor = ring.basis_element(ell, i)
-                for kp in reach:
-                    rows, cols = bases[kp]
-                    if pattern.annihilated:
-                        rows = _annihilator_candidates(ring, factor)
-                        if len(rows) < sizes[kp]:
-                            continue
-                        products = _product_table(rows, cols)
-                        lam = _lambdas(products).get(i, {})
-                        if _block_bound(lam.values()) < sizes[kp]:
-                            continue
-                    else:
-                        products, lam = tables[kp], lams[kp][i]
-                    yield kind, factor, cofactor, rows, cols, products, lam, sizes[kp]
+            products = _product_table(rows, cols)
+            lam = _lambdas(products).get(i, {})
+            if _block_bound(lam.values()) < size:
+                continue
+            for lefts, rights in kronecker_systems(rows, cols, products, lam, size):
+                yield KroneckerSystem("H1Annihilator", factor, cofactor, lefts, rights)
+
+
+def _dual_pair_systems(ring: GradedRing, omega: RingElement, n: int):
+    """DualPair systems in canonical order: for l in 2..n-1, each factor
+    c = basis_l[i] of omega and each k' in 1..l-1, basis_k' against
+    basis_{l-k'}. The families, their product table and its lambdas are
+    shared by every class of one (l, k'). A class is bounded at each k' by
+    the `_block_bound` of its lambda before omega is factored by it."""
+    pattern = _PATTERNS["DualPair"]
+    for ell in range(2, n):
+        sizes = {
+            kp: pattern.min_size(n, kp) for kp in pattern.row_degrees(ell)
+            if min(ring.dims[kp], ring.dims[ell - kp]) >= pattern.min_size(n, kp)
+        }
+        if not sizes or not ring.dims[n - ell]:
+            continue
+        bases = {kp: (ring.basis(kp), ring.basis(ell - kp)) for kp in sizes}
+        tables = {kp: _product_table(*bases[kp]) for kp in sizes}
+        lams = {kp: _lambdas(table) for kp, table in tables.items()}
+
+        def reach(i):
+            return [kp for kp, size in sizes.items()
+                    if _block_bound(lams[kp].get(i, {}).values()) >= size]
+
+        for i, factor, cofactor, reached in _bounded_factors(ring, omega, n, ell, reach):
+            for kp in reached:
+                systems = kronecker_systems(*bases[kp], tables[kp], lams[kp][i], sizes[kp])
+                for lefts, rights in systems:
+                    yield KroneckerSystem("DualPair", factor, cofactor, lefts, rights)
 
 
 def search_obstruction(
@@ -486,7 +491,7 @@ def search_obstruction(
     """Deterministic certificate search in canonical order.
 
     Order: the dimension bound (which applies only when n equals the top
-    degree), then the Kronecker systems of `_kronecker_candidates`.
+    degree), then `_annihilator_systems`, then `_dual_pair_systems`.
     """
     if omega.is_zero():
         raise ValueError("omega must be nonzero")
@@ -498,10 +503,8 @@ def search_obstruction(
     cert = prywes_bound(ring, n, omega=omega)
     if cert is not None:
         return cert
-    candidates = _kronecker_candidates(ring, omega, n)
-    for kind, factor, cofactor, rows, cols, products, lam, size in candidates:
-        for lefts, rights in kronecker_systems(rows, cols, products, lam, size):
-            cert = KroneckerSystem(kind, factor, cofactor, lefts, rights).certificate(n)
-            if cert is not None:
-                return cert
+    for system in chain(_annihilator_systems(ring, omega, n), _dual_pair_systems(ring, omega, n)):
+        cert = system.certificate(n)
+        if cert is not None:
+            return cert
     return None

@@ -110,7 +110,6 @@ class GradedRing:
         "dims",
         "labels",
         "structure",
-        "fundamental_index",
         "presentation",
         "_hash_hex",
         "_ideal_bases",
@@ -122,7 +121,6 @@ class GradedRing:
         dims,
         labels,
         structure: Structure,
-        fundamental_index: int = 0,
         presentation: Presentation | None = None,
     ):
         self.top_degree = int(top_degree)
@@ -133,7 +131,6 @@ class GradedRing:
             pq: {ij: vec for ij, vec in table.items() if vec}
             for pq, table in structure.items()
         }
-        self.fundamental_index = int(fundamental_index)
         self.presentation = presentation
         self._hash_hex = None
         self._ideal_bases: dict[int, tuple[RingElement, ...]] = {}
@@ -147,7 +144,7 @@ class GradedRing:
         return self.basis_element(0, 0)
 
     def fundamental_class(self) -> "RingElement":
-        return self.basis_element(self.top_degree, self.fundamental_index)
+        return self.basis_element(self.top_degree, 0)
 
     def basis_element(self, k: int, i: int) -> "RingElement":
         if not (0 <= k <= self.top_degree) or not (0 <= i < self.dims[k]):
@@ -218,7 +215,7 @@ class GradedRing:
             pres_text = f'{{"generators":[{gens}],"words":[{words}]}}'
         return (
             f'{{"dims":[{",".join(map(str, self.dims))}],'
-            f'"fundamental_index":{self.fundamental_index},"labels":[{labels}],'
+            f'"fundamental_index":0,"labels":[{labels}],'
             f'"monomial_presentation":{pres_text},"structure":[{",".join(tables)}],'
             f'"top_degree":{self.top_degree}}}'
         )
@@ -255,9 +252,11 @@ class GradedRing:
                 [_require_int(dim, "dims entry") for dim in obj["dims"]],
                 obj["labels"],
                 structure,
-                _require_int(obj.get("fundamental_index", 0), "fundamental_index"),
                 Presentation.from_obj(pres_obj) if pres_obj else None,
             )
+            # the fundamental class is basis_d[0]: the field is always 0
+            if _require_int(obj.get("fundamental_index", 0), "fundamental_index"):
+                raise RingValidationError("fundamental class index out of range")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise RingValidationError(f"malformed ring object: {exc!r}") from exc
         ring.validate()
@@ -305,7 +304,7 @@ class GradedRing:
             raise RingValidationError("negative dimension")
         if any(len(self.labels[k]) != self.dims[k] for k in range(d + 1)):
             raise RingValidationError("label count must match dimension")
-        if not (0 <= self.fundamental_index < self.dims[d]):
+        if not self.dims[d]:
             raise RingValidationError("fundamental class index out of range")
         rows, by_result = self._indexed_tables()
         self._validate_commutativity()
@@ -633,17 +632,12 @@ def multiply(x: RingElement, y: RingElement) -> RingElement:
 
 def _pairing_rows(ring: GradedRing, k: int) -> list[SparseVec]:
     """Row i holds the nonzero fundamental-class coefficients of
-    basis_k[i] * basis_{d-k}[j], keyed by j."""
-    d, fi = ring.top_degree, ring.fundamental_index
-    # basis_0[0] is the unit, so its products with basis_d are basis_d itself
-    if k == 0:
-        return [{fi: 1}]
-    if k == d:
-        return [{0: 1} if i == fi else {} for i in range(ring.dims[d])]
+    basis_k[i] * basis_{d-k}[j], keyed by j; the fundamental class is
+    basis_d[0], and `_table` gives the unit rows for k = 0 and k = d."""
     rows: list[SparseVec] = [{} for _ in range(ring.dims[k])]
-    for (i, j), vec in ring._table(k, d - k).items():
-        if fi in vec:
-            rows[i][j] = vec[fi]
+    for (i, j), vec in ring._table(k, ring.top_degree - k).items():
+        if 0 in vec:
+            rows[i][j] = vec[0]
     return rows
 
 

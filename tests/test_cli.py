@@ -591,6 +591,26 @@ def test_ring_file_integer_fields_must_be_integers(capsys, tmp_path, path, value
         assert "must be an integer" in err and "Traceback" not in out + err
 
 
+def test_ring_file_fundamental_index_must_be_zero(capsys, tmp_path):
+    # the fundamental class is basis_d[0]: a file naming another index is an
+    # input error, and one without the key reads and writes it as 0
+    ring_file, show_file = tmp_path / "ring.json", tmp_path / "show.json"
+    run(capsys, "ring", "show", "torus(2)", "-o", str(ring_file))
+    doc = json.loads(ring_file.read_text())
+    doc["ring"]["fundamental_index"] = 1
+    ring_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ring", "show", f"@{ring_file}")
+    assert (code, out, err) == (3, "", "error: fundamental class index out of range\n")
+    del doc["ring"]["fundamental_index"]
+    ring_file.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "ring", "show", f"@{ring_file}", "-o", str(show_file))
+    shown = json.loads(show_file.read_text())
+    assert code == 0 and shown["ring"]["fundamental_index"] == 0
+    assert shown["ring_hash"] == build(parse_manifold("torus(2)")).hash_hex()
+    code, out, _ = run(capsys, "verify", str(show_file))
+    assert code == 0 and out.startswith("OK:")
+
+
 def test_verify_kunneth_ideal_document(capsys, tmp_path):
     ideal_file, ring_file = tmp_path / "ki.json", tmp_path / "ring.json"
     run(capsys, "kunneth-ideal", "cp(2)", "--k", "4", "-o", str(ideal_file))

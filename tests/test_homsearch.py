@@ -169,8 +169,7 @@ def test_enumerate_deterministic():
 def test_enumerate_needs_presentation():
     ring = build(Torus(2))
     stripped = type(ring)(
-        ring.top_degree, ring.dims, ring.labels, ring.structure,
-        ring.fundamental_index, None,
+        ring.top_degree, ring.dims, ring.labels, ring.structure, None,
     )
     with pytest.raises(MissingPresentationError):
         enumerate_hom_detailed(stripped, stripped.fundamental_class(), 2)

@@ -49,7 +49,14 @@ from qrob.obstruct import (
     _product_table,
     kronecker_systems,
 )
-from qrob.pipeline import certificate_to_obj, verify_certificate_obj, verify_document
+from qrob.pipeline import (
+    Query,
+    certificate_to_obj,
+    run_query,
+    verify_certificate_obj,
+    verify_document,
+)
+from qrob.ring import _cofactor, _left_products
 
 
 def test_prywes_bound_connsum8():
@@ -196,6 +203,65 @@ def test_annihilator_factor_of_degree_n_yields_no_certificate(k):
         system.certificate(k)
     with pytest.raises(InvalidSystemError, match="H1Annihilator needs a factor of degree below n"):
         system.check()
+
+
+# every WITNESS row of CATALOG, then more queries with a witness: larger tori,
+# slice products with a torus factor, connected sums and products
+FORGERY_ROWS = [
+    *[(f"torus({k})", "vol(1)", k) for k in range(2, 8)],
+    ("surface(1) * cp(2)", "vol(1)^sym(2)", 4),
+    ("connsum(s2xs2,1) * cp(2)", "vol(1)^sym(2)", 6),
+    ("cp(2)", "sym(1)^sym(1)", 4),
+    ("cp(3)", "sym(1)^sym(1)^sym(1)", 6),
+    ("surface(2) * torus(2)", "vol(1) + vol(2)", 2),
+    ("torus(2) * torus(2)", "vol(1) + vol(2)", 2),
+    ("connsum(cp(2),2)", "vol(1)", 4),
+    ("connsum(s2xs2,2)", "vol(1)", 4),
+    ("s2xs2 * cp(2)", "vol(1)^vol(2)", 8),
+    ("cp(3) * torus(2)", "vol(1)^vol(2)", 8),
+]
+
+
+def _basis_systems(ring, omega, n):
+    """Every system that `KroneckerSystem` admits from basis data, built
+    without the search: each kind, each l in 1..n, each basis class of
+    degree l with a cofactor, rows from basis(k') or from the class's
+    degree-1 annihilators, and every group that `kronecker_systems` forms."""
+    for kind, pattern in _PATTERNS.items():
+        for ell in range(1, n + 1):
+            for i, stored in _left_products(ring, ell, n - ell).items():
+                cofactor = _cofactor(ring, omega, ell, stored)
+                if cofactor is None:
+                    continue
+                factor = ring.basis_element(ell, i)
+                for kp in pattern.row_degrees(ell):
+                    cols = ring.basis(ell - kp)
+                    row_sets = [ring.basis(kp)]
+                    row_sets += [_annihilator_candidates(ring, factor)] if kp == 1 else []
+                    for rows in filter(None, row_sets):
+                        products = _product_table(rows, cols)
+                        lam = _lambdas(products).get(i, {})
+                        for lefts, rights in kronecker_systems(rows, cols, products, lam, 1):
+                            yield KroneckerSystem(kind, factor, cofactor, lefts, rights)
+
+
+def test_no_basis_system_certifies_a_query_with_a_witness():
+    # what verify accepts, not only what the search proposes: a certificate
+    # here would contradict a witness that verifies. Without the rule that an
+    # annihilating kind's diagonal lies below degree n, torus(k)'s volume
+    # class and its k annihilators certify every torus.
+    built = 0
+    for manifold, omega_text, n in FORGERY_ROWS:
+        assert run_query(Query(manifold, omega_text, n)).verdict == "WITNESS", manifold
+        ring, omega = _query(manifold, omega_text, n)
+        for system in _basis_systems(ring, omega, n):
+            built += 1
+            try:
+                cert = system.certificate(n)
+            except InvalidSystemError:
+                continue
+            assert cert is None, (manifold, system.kind, system.diag.degree())
+    assert built > 2000
 
 
 def _query(manifold, omega_text, n):
@@ -430,8 +496,7 @@ def _tampered(system, pairs):
         table = structure.setdefault((p, q), {})
         table[i, j] = {} if (i, j) in table else {0: Fraction(1)}
     bad = GradedRing(
-        ring.top_degree, ring.dims, ring.labels, structure,
-        ring.fundamental_index, ring.presentation,
+        ring.top_degree, ring.dims, ring.labels, structure, ring.presentation,
     )
 
     def move(x):

@@ -148,7 +148,7 @@ def test_torus_tables_match_blade_oracle():
             for vec in table.values()
             for c in vec.values()
         )
-        oracle = GradedRing(n, ring.dims, ring.labels, expected, 0, ring.presentation)
+        oracle = GradedRing(n, ring.dims, ring.labels, expected, ring.presentation)
         assert oracle.hash_hex() == ring.hash_hex()
 
 
@@ -174,6 +174,21 @@ def test_pairing_connsum2_block_diagonal():
 def test_pairing_sphere_degree0():
     ring = build(Sphere(4))
     assert poincare_pairing(ring, 0) == [[Fraction(1)]]
+
+
+def test_pairing_matches_oracle_products_in_every_degree():
+    # degrees 0 and d read the unit rows of `_table` like every other degree;
+    # the fundamental class is basis_d[0]
+    rings = [build(parse_manifold(m)) for m in LAW_RINGS]
+    for ring in [*rings, GradedRing.from_obj(_half_torus2_obj())]:
+        d, dims = ring.top_degree, ring.dims
+        products = oracle_products(ring.to_obj())
+        assert poincare_pairing(ring, 0) == poincare_pairing(ring, d) == [[1]], ring
+        for k in range(d + 1):
+            assert poincare_pairing(ring, k) == [
+                [products.get(((k, i), (d - k, j)), {}).get((d, 0), 0) for j in range(dims[d - k])]
+                for i in range(dims[k])
+            ], (ring, k)
 
 
 def test_validate_ranks_only_the_stored_pairings(monkeypatch):
@@ -310,7 +325,7 @@ def _pair_ring_obj(ring: GradedRing) -> dict:
         "dims": list(ring.dims),
         "labels": [list(per_degree) for per_degree in ring.labels],
         "structure": tables,
-        "fundamental_index": ring.fundamental_index,
+        "fundamental_index": 0,
         "monomial_presentation": pres and {
             "generators": [
                 {"degree": g.degree, "index": g.index, "name": g.name}
@@ -632,21 +647,26 @@ def _torus2_with(c) -> GradedRing:
     return GradedRing(2, [1, 2, 1], [["1"], ["t1", "t2"], ["vol"]], {(1, 1): products})
 
 
+def _half_torus2_obj() -> dict:
+    """torus(2)'s ring object with t1 * t2 = vol/2 and no presentation."""
+    half = build(Torus(2)).to_obj()
+    _set_coefficient(half, 1, 1, 0, 1, 0, "1/2")
+    _set_coefficient(half, 1, 1, 1, 0, 0, "-1/2")
+    half["monomial_presentation"] = None
+    return half
+
+
 def test_hash_is_the_sha256_of_the_stdlib_canonical_json():
     # to_json is the one ring writer: hash_hex hashes it and to_obj reads it
     # back, and its bytes are those of json.dumps on the object it writes,
     # which is the dense reference object. Besides the CATALOG rings: torus(2)
     # with t1 * t2 = vol/2 and no presentation, read from a file, and one
     # built with the constant Fraction(2, 1), written "2".
-    half = build(Torus(2)).to_obj()
-    _set_coefficient(half, 1, 1, 0, 1, 0, "1/2")
-    _set_coefficient(half, 1, 1, 1, 0, 0, "-1/2")
-    half["monomial_presentation"] = None
     two = _torus2_with(Fraction(2, 1))
     two.validate()
     assert '[0,1,[[0,"2"]]]' in two.to_json()
     rings = [build(parse_manifold(m)) for m in dict.fromkeys(m for m, _, _ in CATALOG)]
-    for ring in [*rings, GradedRing.from_obj(half), two]:
+    for ring in [*rings, GradedRing.from_obj(_half_torus2_obj()), two]:
         obj = ring.to_obj()
         text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         assert ring.hash_hex() == hashlib.sha256(text.encode()).hexdigest(), ring
