@@ -175,6 +175,8 @@ def _factor_gen_images(
     connected sums to the template of their leftmost summand, whose generators
     come first in the sum's ring.
     """
+    while isinstance(expr, ConnSum):
+        expr = expr.left
     size = len(axes)
     if isinstance(expr, Torus):
         return [ExtElement.basis(n, (a,)) for a in axes] if size <= expr.n else None
@@ -189,8 +191,6 @@ def _factor_gen_images(
         return [ExtElement.basis(n, b) for b in (axes[:2], axes[2:])] if size == 4 else None
     if isinstance(expr, Surface):
         return [ExtElement.basis(n, (a,)) for a in axes] if size == 2 else None
-    if isinstance(expr, ConnSum):
-        return _factor_gen_images(expr.left, axes, n)
     return None
 
 

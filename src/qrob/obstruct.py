@@ -48,9 +48,6 @@ from .record import Frozen, Record
 class Inequality(Frozen):
     __slots__ = ("lhs", "rel", "rhs")  # rel is ">" or ">="
 
-    def holds(self) -> bool:
-        return self.lhs > self.rhs if self.rel == ">" else self.lhs >= self.rhs
-
     def to_obj(self) -> dict:
         return {"lhs": self.lhs, "rel": self.rel, "rhs": self.rhs}
 
@@ -215,27 +212,30 @@ class KroneckerSystem(Record):
 
     def certificate(self, n: int) -> Certificate | None:
         """The certificate when the checked system breaks the kind's bound in
-        dimension n, which must be the degree of diag * cofactor."""
+        dimension n, which must be the degree of diag * cofactor. It records
+        only the least breaking family, the first `min_size` rows and columns:
+        a subfamily of a checked system is one too, so every certificate of
+        a system is written the same way."""
         omega = self.check()
         pattern = _PATTERNS[self.kind]
         row, col, diag = pattern.roles
         if omega.degrees() != {n}:
             raise InvalidSystemError(f"{diag} * cofactor is not of degree n = {n}")
-        m, kp = len(self.rows), self.rows[0].degree()
-        rel, rhs = pattern.bound(n, kp)
-        inequality = Inequality(m, rel, rhs)
-        if not inequality.holds():
+        kp = self.rows[0].degree()
+        m = pattern.min_size(n, kp)
+        if len(self.rows) < m:
             return None
+        rel, rhs = pattern.bound(n, kp)
         return Certificate(
             kind=self.kind,
             ring_hash=self.diag.ring.hash_hex(),
             n=n,
             degree=self.diag.degree(),
             k_prime=kp if pattern.records_k_prime else None,
-            inequality=inequality,
+            inequality=Inequality(m, rel, rhs),
             classes={
                 diag: self.diag, "cofactor": self.cofactor,
-                row: list(self.rows), col: list(self.cols),
+                row: self.rows[:m], col: self.cols[:m],
             },
             omega=omega,
             conclusion=pattern.conclusion.format(m=m, kp=kp, n=n, rhs=rhs),

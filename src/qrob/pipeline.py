@@ -36,10 +36,10 @@ from .ring import (
 )
 from .record import Frozen, Record
 
-VERDICT_FORMAT = "qrob.verdict/3"
-CERTIFICATE_FORMAT = "qrob.certificate/2"
-WITNESS_FORMAT = "qrob.witness/2"
-KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/2"
+VERDICT_FORMAT = "qrob.verdict/4"
+CERTIFICATE_FORMAT = "qrob.certificate/3"
+WITNESS_FORMAT = "qrob.witness/3"
+KUNNETH_IDEAL_FORMAT = "qrob.kunneth-ideal/3"
 
 WITNESS = "WITNESS"
 OBSTRUCTED = "OBSTRUCTED"

@@ -88,18 +88,18 @@ def _require_int(value, field: str) -> int:
     return value
 
 
-def _read_product(pairs) -> SparseVec:
-    """A product's nonzero coordinates from its [index, "coefficient"] pairs."""
+def _read_pairs(pairs, role: str) -> SparseVec:
+    """The nonzero coordinates of a ring file's product or a document's class
+    (named by role) from its [index, "coefficient"] pairs."""
     vec: SparseVec = {}
     for pair in pairs:
         if type(pair) is not list or len(pair) != 2:
             raise RingValidationError(
-                f'{RING_FORMAT} writes a product as [index, "coefficient"] pairs, '
-                f"got {pair!r}"
+                f'a {role} is written as [index, "coefficient"] pairs, got {pair!r}'
             )
-        t = _require_int(pair[0], "product coordinate index")
+        t = _require_int(pair[0], f"{role} coordinate index")
         if t in vec:
-            raise RingValidationError(f"product coordinate index {t} is repeated")
+            raise RingValidationError(f"{role} coordinate index {t} is repeated")
         vec[t] = fraction_from_str(pair[1])
     return {t: c for t, c in vec.items() if c}
 
@@ -245,7 +245,7 @@ class GradedRing:
                         raise RingValidationError(
                             f"product ({i}, {j}) of table ({p}, {q}) is repeated"
                         )
-                    table[ij] = _read_product(pairs)
+                    table[ij] = _read_pairs(pairs, "product")
             pres_obj = obj.get("monomial_presentation")
             ring = cls(
                 _require_int(obj["top_degree"], "top_degree"),
@@ -469,16 +469,19 @@ class RingElement:
 
     __slots__ = ("ring", "_coords")
 
-    def __init__(self, ring: GradedRing, coords: dict[int, list[Rational]]):
-        """Take dense coordinate lists per degree, as documents write a class."""
-        self.ring = ring
-        clean: dict[int, SparseVec] = {}
+    def __init__(self, ring: GradedRing, coords: dict[int, dict[int, Rational]]):
+        """Take sparse coordinates, {degree: {index: coefficient}}: degrees
+        and indices must be ints in range, else ValueError; coefficients are
+        made exact and zeros dropped."""
+        self.ring, self._coords = ring, {}
         for k, vec in coords.items():
-            _check_dense_degree(ring, k, len(vec))
-            sparse = {i: c for i, c in enumerate(map(exact, vec)) if c}
-            if sparse:
-                clean[k] = sparse
-        self._coords = clean
+            if type(k) is not int or not 0 <= k <= ring.top_degree:
+                raise ValueError(f"degree {k!r} out of range")
+            for i in vec:
+                if type(i) is not int or not 0 <= i < ring.dims[k]:
+                    raise ValueError(f"index {i!r} out of range in degree {k}")
+            if sparse := {i: x for i, c in vec.items() if (x := exact(c))}:
+                self._coords[k] = sparse
 
     @classmethod
     def _trusted(cls, ring: GradedRing, coords: dict[int, SparseVec]):
@@ -491,11 +494,6 @@ class RingElement:
     def coords(self) -> dict[int, SparseVec]:
         """Sparse copies of the coordinates, {degree: {index: coefficient}}."""
         return {k: dict(vec) for k, vec in self._coords.items()}
-
-    def vector(self, k: int) -> list[Rational]:
-        """Dense coordinates in degree k, as documents write them."""
-        vec = self._coords.get(k, _ZERO)
-        return [vec.get(i, 0) for i in range(self.ring.dims[k])]
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -573,38 +571,20 @@ class RingElement:
             raise RingMismatchError("elements belong to different rings")
 
     def to_obj(self) -> dict:
-        """Dense coordinate lists per nonempty degree, every zero written "0"."""
-        coords = {}
-        for k in sorted(self._coords):
-            vec = coords[str(k)] = ["0"] * self.ring.dims[k]
-            for i, c in self._coords[k].items():
-                vec[i] = fraction_to_str(c)
-        return {"coords": coords}
+        """Each nonempty degree's nonzero coordinates as [index, "coefficient"]
+        pairs in increasing index, as a ring file writes a product."""
+        return {"coords": {
+            str(k): [[i, fraction_to_str(c)] for i, c in sorted(vec.items())]
+            for k, vec in self._coords.items()
+        }}
 
     @classmethod
     def from_obj(cls, ring: GradedRing, obj: dict) -> "RingElement":
-        """The class a document writes as dense coordinate lists per degree.
-        Every literal is read first, then each degree is checked as the
-        constructor checks it: ValueError for a bad literal, a degree out of
-        range or a wrong length. A degree written all "0" is absent."""
-        read = {
-            int(k): ({
-                i: x for i, s in enumerate(vec)
-                if s != "0" and (x := fraction_from_str(s))
-            }, len(vec))
-            for k, vec in obj["coords"].items()
-        }
-        for k, (_, length) in read.items():
-            _check_dense_degree(ring, k, length)
-        return cls._trusted(ring, {k: sparse for k, (sparse, _) in read.items() if sparse})
-
-
-def _check_dense_degree(ring: GradedRing, k: int, length: int) -> None:
-    """A dense coordinate list of this length can hold degree k's classes."""
-    if not (0 <= k <= ring.top_degree):
-        raise ValueError(f"degree {k} out of range")
-    if length != ring.dims[k]:
-        raise ValueError(f"coordinate length mismatch in degree {k}")
+        """The class a document writes as `to_obj` does: each degree's pairs
+        read as a ring file's product, then checked by the constructor."""
+        return cls(ring, {
+            int(k): _read_pairs(pairs, "class") for k, pairs in obj["coords"].items()
+        })
 
 
 def _summed(ring: GradedRing, parts) -> RingElement:

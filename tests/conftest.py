@@ -322,6 +322,11 @@ def reference_nullspace(a, ncols):
     return kernel
 
 
+def dense_vector(x, k: int) -> list:
+    """The degree-k coordinates of a class, zeros included."""
+    return [x.coefficient(k, i) for i in range(x.ring.dims[k])]
+
+
 def reference_factorizations(ring, omega, ell):
     """(c, c') for every degree-ell basis class c, in basis order, with
     c * c' = omega, where c' is the solution with every free variable zero
@@ -333,9 +338,9 @@ def reference_factorizations(ring, omega, ell):
     for c in ring.basis(ell):
         images = [c * y for y in cols]
         system = [[y.coefficient(k, t) for y in images] for t in range(ring.dims[k])]
-        (x,) = reference_solve_many(system, [omega.vector(k)])
+        (x,) = reference_solve_many(system, [dense_vector(omega, k)])
         if x is not None:
-            out.append((c, RingElement(ring, {k - ell: x})))
+            out.append((c, RingElement(ring, {k - ell: dict(enumerate(x))})))
     return out
 
 
@@ -396,12 +401,7 @@ def hom_oracle_accepts(ring_obj: dict, witness_obj: dict, omega_obj: dict) -> bo
             xy = products.get((x, y), {})
             if phi(xy) != wedge_oracle(images.get(x, zero), images.get(y, zero)):
                 return False
-    omega = {
-        (int(k), i): Fraction(c)
-        for k, vec in omega_obj["coords"].items()
-        for i, c in enumerate(vec)
-    }
-    return not phi(omega).is_zero()
+    return not phi(_oracle_class(omega_obj)).is_zero()
 
 
 # certificate kind -> (row role, column role, diagonal role)
@@ -412,13 +412,21 @@ _CERT_ROLES = {
 
 
 def _oracle_class(obj: dict) -> dict:
-    """A class object's nonzero coordinates, {(degree, index): Fraction}."""
+    """A class object's coordinates, {(degree, index): Fraction}, from its
+    [index, "coefficient"] pairs per degree."""
     return {
         (int(k), t): Fraction(c)
-        for k, vec in obj["coords"].items()
-        for t, c in enumerate(vec)
+        for k, pairs in obj["coords"].items()
+        for t, c in pairs
         if Fraction(c)
     }
+
+
+def least_breaking_size(kind: str, n: int, kp: int) -> int:
+    """The fewest classes of degree kp that break a Kronecker kind's bound in
+    dimension n: more than C(n, kp) pair off (DualPair), or n annihilate
+    (H1Annihilator)."""
+    return math.comb(n, kp) + 1 if kind == "DualPair" else n
 
 
 def _oracle_degree(x: dict) -> int | None:
@@ -436,7 +444,8 @@ def cert_oracle_accepts(ring_obj: dict, cert_obj: dict, omega_obj: dict | None) 
     C(n, k). DualPair and H1Annihilator: rows[i] * cols[j] is the diagonal
     class for i = j and zero otherwise, diag * cofactor = omega is nonzero
     of degree n, each family is nonzero of one degree, and the family size m
-    breaks the kind's bound; an H1Annihilator's rows have degree 1 and are
+    is the least that breaks the kind's bound (`least_breaking_size`); an
+    H1Annihilator's rows have degree 1 and are
     annihilated by a diagonal of degree at most n - 1. The recorded ring
     hash, degrees and inequality must be the recounted ones. Products come
     from the raw ring tables (`oracle_products`).
@@ -473,6 +482,8 @@ def cert_oracle_accepts(ring_obj: dict, cert_obj: dict, omega_obj: dict | None) 
     degrees = [_oracle_degree(x) for x in rows] + [_oracle_degree(y) for y in cols]
     if kp is None or degrees != [kp] * m + [k - kp] * m:
         return False
+    if m != least_breaking_size(kind, n, kp):
+        return False
     for i, x in enumerate(rows):
         for j, y in enumerate(cols):
             if _oracle_mul(products, x, y) != (diag if i == j else {}):
@@ -480,13 +491,29 @@ def cert_oracle_accepts(ring_obj: dict, cert_obj: dict, omega_obj: dict | None) 
     if kind == "DualPair":
         inequality = {"lhs": m, "rel": ">", "rhs": math.comb(n, kp)}
         return 1 <= kp < k and cert_obj.get("k_prime") == kp and (
-            cert_obj["inequality"] == inequality and m > math.comb(n, kp)
+            cert_obj["inequality"] == inequality
         )
     annihilated = all(not _oracle_mul(products, diag, x) for x in rows)
     inequality = {"lhs": m, "rel": ">=", "rhs": n}
     return kp == 1 and k <= n - 1 and annihilated and (
-        "k_prime" not in cert_obj and cert_obj["inequality"] == inequality and m >= n
+        "k_prime" not in cert_obj and cert_obj["inequality"] == inequality
     )
+
+
+def found_system(query):
+    """The Kronecker system the search certifies a (manifold, omega, n) query
+    with, before its certificate cuts it to the least breaking family. This
+    is qrob's own search, not an oracle."""
+    from itertools import chain
+
+    from qrob import build_with_classes, parse_manifold, parse_omega
+    from qrob.obstruct import _annihilator_systems, _dual_pair_systems
+
+    manifold, omega_text, n = query
+    ring, factors = build_with_classes(parse_manifold(manifold))
+    omega = parse_omega(omega_text, ring, factors)
+    systems = chain(_annihilator_systems(ring, omega, n), _dual_pair_systems(ring, omega, n))
+    return next(s for s in systems if s.certificate(n) is not None)
 
 
 def reference_lambda(rows, cols, target):
@@ -494,7 +521,7 @@ def reference_lambda(rows, cols, target):
     from qrob.ring import multiply
 
     k = target.degree()
-    tvec = target.vector(k)
+    tvec = dense_vector(target, k)
     pivot = next(t for t, c in enumerate(tvec) if c)
     out = []
     for x in rows:
@@ -506,7 +533,7 @@ def reference_lambda(rows, cols, target):
             elif prod.degrees() != {k}:
                 row.append(None)
             else:
-                vec = prod.vector(k)
+                vec = dense_vector(prod, k)
                 lam = vec[pivot] / tvec[pivot]
                 exact = all(v == lam * t for v, t in zip(vec, tvec))
                 row.append(lam if exact else None)
@@ -515,11 +542,12 @@ def reference_lambda(rows, cols, target):
 
 
 def _reference_candidates(ring, omega, n):
-    """(kind, factor, cofactor, rows, cols, breaks) for every Kronecker
+    """(kind, factor, cofactor, rows, cols, least) for every Kronecker
     candidate in the search's canonical order, none left out: first the
     degree-1 annihilators of each factor against the basis one degree below
     it, then every row degree of every factor against the complementary
-    basis. breaks(m) says whether m classes break the kind's bound."""
+    basis. least is the fewest classes that break the kind's bound: n
+    annihilators, or more than C(n, k') pairs of degree k'."""
     from qrob.ring import multiply
 
     for ell in range(1, n):
@@ -531,28 +559,28 @@ def _reference_candidates(ring, omega, n):
                 for t in range(ring.dims[above] if above <= ring.top_degree else 0)
             ]
             kernel = reference_nullspace(system, ring.dims[1])
-            anns = [RingElement(ring, {1: v}) for v in kernel]
-            yield "H1Annihilator", factor, cofactor, anns, ring.basis(ell - 1), (
-                lambda m: m >= n
-            )
+            anns = [RingElement(ring, {1: dict(enumerate(v))}) for v in kernel]
+            yield "H1Annihilator", factor, cofactor, anns, ring.basis(ell - 1), n
     for ell in range(2, n):
         for factor, cofactor in reference_factorizations(ring, omega, ell):
             for kp in range(1, ell):
                 yield "DualPair", factor, cofactor, ring.basis(kp), ring.basis(ell - kp), (
-                    lambda m, kp=kp: m > math.comb(n, kp)
+                    math.comb(n, kp) + 1
                 )
 
 
 def reference_kronecker_search(ring, omega, n):
     """The first Kronecker system (kind, factor, cofactor, lefts, rights) whose
-    size breaks its kind's bound, or None, by an unpruned search.
+    size breaks its kind's bound, or None, by an unpruned search, cut to its
+    first `least` lefts and rights: a certificate records the least breaking
+    family.
 
     Every candidate and every group is eliminated; lambda comes from full
     products (`reference_lambda`); rows are grouped by the columns where
     their lambda exists, and each group's maximal pivot block is inverted
     into dual classes by adding scaled column classes.
     """
-    for kind, factor, cofactor, rows, cols, breaks in _reference_candidates(ring, omega, n):
+    for kind, factor, cofactor, rows, cols, least in _reference_candidates(ring, omega, n):
         if not rows or not cols:
             continue
         lam = reference_lambda(rows, cols, factor)
@@ -567,7 +595,7 @@ def reference_kronecker_search(ring, omega, n):
             block = [[lam[r][c] for c in col_ids] for r in group]
             _, piv_cols, order = reference_gauss_jordan(block)
             piv_rows = order[: len(piv_cols)]
-            if not breaks(len(piv_rows)):
+            if len(piv_rows) < least:
                 continue
             inv = reference_invert([[block[r][c] for c in piv_cols] for r in piv_rows])
             rights = []
@@ -576,5 +604,6 @@ def reference_kronecker_search(ring, omega, n):
                 for t, c in enumerate(piv_cols):
                     acc = acc + cols[col_ids[c]].scale(inv[t][j])
                 rights.append(acc)
-            return kind, factor, cofactor, [rows[group[r]] for r in piv_rows], rights
+            lefts = [rows[group[r]] for r in piv_rows]
+            return kind, factor, cofactor, lefts[:least], rights[:least]
     return None

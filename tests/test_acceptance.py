@@ -10,7 +10,13 @@ import random
 import time
 from contextlib import contextmanager, redirect_stdout
 
-from conftest import CATALOG, LAW_RINGS, ring_law_failure, wedge_blades_oracle
+from conftest import (
+    CATALOG,
+    LAW_RINGS,
+    found_system,
+    ring_law_failure,
+    wedge_blades_oracle,
+)
 from qrob import (
     Sphere,
     Torus,
@@ -61,8 +67,12 @@ def test_criterion_1_surface_family(tmp_path):
             assert code == 1 and doc["verdict"] == "OBSTRUCTED"
             cert = doc["certificate"]
             assert cert["kind"] == "H1Annihilator"
-            assert cert["inequality"] == {"lhs": 2 * g, "rel": ">=", "rhs": 4}
-            assert len(cert["classes"]["annihilators"]) == 2 * g
+            # the search finds all 2g annihilators; the certificate records
+            # the least family that breaks m >= 4
+            query = (f"surface({g})*cp(2)", "vol(1)^sym(2)", 4)
+            assert len(found_system(query).rows) == 2 * g
+            assert cert["inequality"] == {"lhs": 4, "rel": ">=", "rhs": 4}
+            assert len(cert["classes"]["annihilators"]) == 4
             verify_document(doc)
         start = time.monotonic()
         code, doc = _check(tmp_path, "surface(1)*cp(2)", "vol(1)^sym(2)", 4)
@@ -82,7 +92,10 @@ def test_criterion_2_connsum_family(tmp_path):
             assert code == 1 and doc["verdict"] == "OBSTRUCTED"
             cert = doc["certificate"]
             assert cert["kind"] == "DualPair"
-            assert cert["inequality"] == {"lhs": 2 * nu, "rel": ">", "rhs": 15}
+            query = (f"connsum(s2xs2,{nu})*cp(2)", "vol(1)^sym(2)", 6)
+            assert len(found_system(query).rows) == 2 * nu
+            assert cert["inequality"] == {"lhs": 16, "rel": ">", "rhs": 15}
+            assert len(cert["classes"]["left"]) == 16
             verify_document(doc)
         for nu in range(1, 8):
             start = time.monotonic()
@@ -200,10 +213,10 @@ def test_criterion_6_round_trip_and_tampering(tmp_path):
         tampered["witness"]["images"]["1"][0]["terms"][0]["coeff"] = "2"
         assert fails(tampered)
         tampered = json.loads(json.dumps(docs[1]))
-        tampered["certificate"]["classes"]["duals"][0]["coords"]["1"][0] = "3"
+        tampered["certificate"]["classes"]["duals"][0]["coords"]["1"][0][1] = "3"
         assert fails(tampered)
         tampered = json.loads(json.dumps(docs[2]))
-        tampered["certificate"]["classes"]["left"][0]["coords"]["2"][0] = "7"
+        tampered["certificate"]["classes"]["left"][0]["coords"]["2"][0][1] = "7"
         assert fails(tampered)
         # a verdict names its ring only by hash: another ring's hash fails,
         # and so does an embedded ring, even the query's own

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import found_system
 from qrob import build, parse_manifold
 from qrob.cli import _COMMANDS, main
 
@@ -239,12 +240,73 @@ def test_verify_detects_tampering(capsys, tmp_path):
         "--n", "4", "-o", str(out_file),
     )
     doc = json.loads(out_file.read_text())
-    doc["certificate"]["classes"]["annihilators"][0]["coords"]["1"][0] = "2"
+    doc["certificate"]["classes"]["annihilators"][0]["coords"]["1"][0][1] = "2"
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(tampered))
     assert code == 1
     assert "annihilators[0]" in out
+
+
+# a DualPair verdict whose search finds 18 pairs, 16 of them recorded, and a
+# witness verdict whose omega has two coordinates
+_DUAL_PAIR = ("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6)
+_TWO_TERMS = ("torus(2) * torus(2)", "vol(1) + vol(2)", 2)
+
+
+def _left0(doc: dict) -> dict:
+    """The coordinates of a DualPair verdict's first row class."""
+    return doc["certificate"]["classes"]["left"][0]["coords"]
+
+
+def _as_dense_list(doc, dims):
+    ((t, c),) = _left0(doc)["2"]
+    _left0(doc)["2"] = [c if i == t else "0" for i in range(dims[2])]
+
+
+def _one_more_pair(doc, dims):
+    system, classes = found_system(_DUAL_PAIR), doc["certificate"]["classes"]
+    classes["left"].append(system.rows[16].to_obj())
+    classes["right"].append(system.cols[16].to_obj())
+
+
+_MISMATCH = "document does not match its re-derivation at "
+
+
+@pytest.mark.parametrize("query, edit, message", [
+    (_DUAL_PAIR, lambda doc, dims: _left0(doc)["2"].insert(0, [0, "0"]),
+     _MISMATCH + "certificate.classes.left\n"),
+    (_TWO_TERMS, lambda doc, dims: doc["omega"]["coords"]["2"].reverse(),
+     _MISMATCH + "omega.coords.2\n"),
+    (_DUAL_PAIR, lambda doc, dims: _left0(doc)["2"].append(list(_left0(doc)["2"][0])),
+     "RingValidationError: class coordinate index 2 is repeated\n"),
+    (_DUAL_PAIR, lambda doc, dims: _left0(doc)["2"][0].__setitem__(0, dims[2]),
+     "ValueError: index 19 out of range in degree 2\n"),
+    (_DUAL_PAIR, lambda doc, dims: _left0(doc)["2"][0].__setitem__(0, 0.0),
+     "RingValidationError: class coordinate index must be an integer, got 0.0\n"),
+    (_DUAL_PAIR, lambda doc, dims: _left0(doc).update({str(len(dims)): [[0, "1"]]}),
+     "ValueError: degree 9 out of range\n"),
+    (_DUAL_PAIR, _as_dense_list,
+     'RingValidationError: a class is written as [index, "coefficient"] pairs, got \'0\'\n'),
+    (_DUAL_PAIR, _one_more_pair,
+     _MISMATCH + "certificate.classes.left, certificate.classes.right\n"),
+    (_DUAL_PAIR, lambda doc, dims: doc.update(format="qrob.verdict/3"),
+     "unrecognized document format 'qrob.verdict/3'\n"),
+], ids=[
+    "zero-pair", "unsorted-pairs", "repeated-index", "index-past-dims", "non-int-index",
+    "degree-out-of-range", "dense-list", "family-one-longer", "verdict-3",
+])
+def test_verify_rejects_every_non_canonical_class(capsys, tmp_path, query, edit, message):
+    # a class is written one way only: its nonzero [index, "c"] pairs in
+    # increasing index, and a certificate holds the least breaking family
+    manifold, omega, n = query
+    path = tmp_path / "verdict.json"
+    run(capsys, "check", manifold, "--omega", omega, "--n", str(n), "-o", str(path))
+    assert run(capsys, "verify", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    edit(doc, build(parse_manifold(manifold)).dims)
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (1, "FAIL: " + message, "")
 
 
 @pytest.mark.parametrize("manifold,n,role", [
@@ -260,7 +322,7 @@ def test_verify_rejects_a_mixed_degree_row_class(capsys, tmp_path, manifold, n, 
     )
     assert code == 1
     doc = json.loads(out_file.read_text())
-    doc["certificate"]["classes"][role][0]["coords"]["0"] = ["1"]
+    doc["certificate"]["classes"][role][0]["coords"]["0"] = [[0, "1"]]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(tampered))
@@ -499,6 +561,15 @@ def test_deeply_nested_input_exit_three(capsys, tmp_path, argv):
     assert "Traceback" not in out + err
 
 
+def test_long_connsum_chain_with_a_template_is_unknown(capsys):
+    # the template walks down a 1200-summand chain to its leftmost summand
+    code, out, err = run(
+        capsys, "check", "connsum(s2xs2,1200) * torus(2)", "--omega", "vol(1)",
+        "--n", "4", "--enum-budget", "0",
+    )
+    assert (code, err) == (2, "") and out.startswith("verdict: UNKNOWN")
+
+
 @pytest.mark.parametrize("value", [[1, 2], "verdict", 3, None])
 def test_verify_non_object_document_fails(capsys, tmp_path, value):
     path = tmp_path / "doc.json"
@@ -620,7 +691,7 @@ def test_verify_kunneth_ideal_document(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(ideal_file))
     assert code == 1 and "no ring available" in out
     doc = json.loads(ideal_file.read_text())
-    doc["basis"][0]["coords"]["4"] = ["2"]
+    doc["basis"][0]["coords"]["4"] = [[0, "2"]]
     ideal_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(ideal_file), "--ring", str(ring_file))
     assert code == 1 and out.startswith("FAIL:") and "basis" in out

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CATALOG, cert_oracle_accepts
+from conftest import CATALOG, cert_oracle_accepts, found_system
 from qrob import Query, VerificationFailure, run_query
 from qrob.cli import main
+from qrob.obstruct import _PATTERNS
 from qrob.pipeline import (
     certificate_to_obj,
     document_json,
@@ -28,47 +29,47 @@ from qrob.pipeline import (
 
 GOLDEN = {
     ("torus(2)", "vol(1)", 2):
-        "0fde6c7f8cad50d8607daf6d72677a6b19f0658a5b09e70812b0dcda84ae8584",
+        "8b674e3d48ae8e427d3132ebde89e638f18c154234ace7c13a819e564256e853",
     ("torus(3)", "vol(1)", 3):
-        "489f711d30a9247cf0596f9ba76c2ac6b285adab28e9b8646f4b99e5593fa153",
+        "0aba245c28202746b04309337f72fe49b739c566f0316133e3170d901c993def",
     ("torus(4)", "vol(1)", 4):
-        "4010ad7a345b852734e82f02f463a8cb6e4eead12fec976e267d52919e7ccbac",
+        "726121fd16cd820bc70b441f23c74d32b7aa85134e26ff1dd6882a14a5fd69f8",
     ("torus(5)", "vol(1)", 5):
-        "6db3481cf786b1e071637186ee1e0d608176d411777a016feef7e595bb6a9d20",
+        "88314a71f24b99a1278bdfc41b8aed49159d14abf6689dc4254dc48d550335a1",
     ("surface(1) * cp(2)", "vol(1)^sym(2)", 4):
-        "cf80530d3307a408e64633754c56e42a587ed8fdd527a7dd74ce96d5173c79e2",
+        "cfb5949aa64b81d7a5720abbf0bf914c739cbc6dec9202ec5e02defe782d5955",
     ("surface(2) * cp(2)", "vol(1)^sym(2)", 4):
-        "d98ae5697bf04db02de06481a9c69ec953c4b98bea87e9e320195e974df2b5ea",
+        "bfafba73f4e57729e9e37bbbe3bf317af15302b83e3e525b0aa7941078672044",
     ("surface(3) * cp(2)", "vol(1)^sym(2)", 4):
-        "0b3b2eb27e5d5ccc00886dfc18e2100a5822b2dfd8843efce935b43f2a7cf8d7",
+        "9be41bb08535cd92347c2a79060eb1eb1966d6b2096d016458434a5f5629c291",
     ("surface(4) * cp(2)", "vol(1)^sym(2)", 4):
-        "990f9e98110f6640f7a772d136223ad516f0a09f3ae0cd3ca12737a751199d4d",
+        "b883af1199a0d84b46ddf7672ba35c23f50403bd72001a958ee76e1daf25c686",
     ("surface(5) * cp(2)", "vol(1)^sym(2)", 4):
-        "427a70906bfa426270001e3f40efd990275ccf87a23bcc0551bd6752cb971947",
+        "df0f2afdf7ca085ea82a0724c88575940b610e6cfcc1ffd0108dbbc070a212f2",
     ("connsum(s2xs2,1) * cp(2)", "vol(1)^sym(2)", 6):
-        "b4b5f8b3c387a197b8a685901c87413a6e92e655a735e2adfba688faf49b1dcf",
+        "43d41667973e556fe264da37db5eef0e86dfe70a76e9d829dbd0b885479743d2",
     ("connsum(s2xs2,2) * cp(2)", "vol(1)^sym(2)", 6):
-        "e62dc414ed959a0800628856a51a8a92e109e0fba53bc91aca74a59b86191dc5",
+        "d5bb8cb92da847960c4303b96b538e9d6d335e5a623b047fc1ac379f3e672c4e",
     ("connsum(s2xs2,3) * cp(2)", "vol(1)^sym(2)", 6):
-        "6445ce9896c1fc4c83db3ca50f3d6fcb44b1f1f20f928e735e7a60ae245b967d",
+        "adf554018855fd17bd4606af68101349aadfaef6e6ad65dc7bd4cb4a435678c2",
     ("connsum(s2xs2,4) * cp(2)", "vol(1)^sym(2)", 6):
-        "261db1bf00ef087642df537fd90bfdc6b3ca3587aee7f332940228dddba0cc75",
+        "cb06623c94c59445dc30f6358c975e73fc31fbffab7b9f3602bae9ed3f008c2e",
     ("connsum(s2xs2,5) * cp(2)", "vol(1)^sym(2)", 6):
-        "5221e8c5f192f257335ef9df6f7066a04ff95110f5daf3e02ddfa28f8f60cfbb",
+        "c80558f0d24627b551493c3f45c337a335c206327888760bd37fc6fc8b0fe895",
     ("connsum(s2xs2,6) * cp(2)", "vol(1)^sym(2)", 6):
-        "3ffd6a067856aad27b97031284095f81d3f543e2cc307d698cb48f3ed1172bef",
+        "2e32764a5ca518139242301a59c9a3b0c1059408f5840a47f0693149250baea4",
     ("connsum(s2xs2,7) * cp(2)", "vol(1)^sym(2)", 6):
-        "9ee0209edff449c66f68d5ccbc8f83822aa92ff4d7d522eea591d048550d5fb9",
+        "dceb5cd00cfe00232e0bb659944ebb4cf604d071c5ef35aa7116e04fd980b5ca",
     ("connsum(s2xs2,8) * cp(2)", "vol(1)^sym(2)", 6):
-        "b55980b5a11a29eb0654c3ce867ff04a3b58e1f49070eb39437cb95fe995f47e",
+        "cd365d4792c399ece1f2a07a9c568e8421b726346f1a8fbb998ad944a76957c7",
     ("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6):
-        "2a087d9b430ffd2c65411696d320168f2e04dfa6937859698e41c90cac13ea32",
+        "37bf99568c0db0423a170e4ac23237a9053b94cfcd57db86f43ac5516deab838",
     ("connsum(s2xs2,10) * cp(2)", "vol(1)^sym(2)", 6):
-        "7070c538749e75bd0ab388729d6a670bccfa22d4f0ebe24123caba83ce4ee2b1",
+        "2dab31aa2d4a5a8536c38b6883d6f3f9dbbd7889210f71ea8f38de96c4561977",
     ("cp(2)", "sym(1)^sym(1)", 4):
-        "867fe799a89d5f237b5de59d3575a6452a9878166698ef9eed48c2ebb6f049ca",
+        "1dd50df694a683b64fe31d4a4ad998a55a04be1b4b9192e90360d50cd0c1015b",
     ("cp(3)", "sym(1)^sym(1)^sym(1)", 6):
-        "f0b9aa086072164c16b79912963b0783da3e657db50839f2d719169b950bd85b",
+        "a3e6f6dfda19543b616337eb1b7c162d9d79ad2a41ef630ae11912beeafac06d",
 }
 
 # Queries whose omega has a non-integral coefficient, so the Fraction path of
@@ -76,13 +77,13 @@ GOLDEN = {
 # the exit code of its verdict.
 NONINTEGRAL_GOLDEN = {
     ("surface(2) * cp(2)", "2/3*vol(1)^sym(2)", 4):
-        (1, "8ecee5b1cb2c50ceafc8a69ac9b83f59229bd7f48e2d4fb19fc83c3bb9fb6193"),
+        (1, "ed3805dc0c80e23aa705fcbccc95b67a8ff847102dc38348d04096ecbc786619"),
     ("connsum(s2xs2,8) * cp(2)", "1/2*vol(1)^sym(2)", 6):
-        (1, "c816a70c28e4f2064e965212a57c20eb3ee45104eca44f858c566edfa3f7711c"),
+        (1, "78f3054e7fa859e531c5a4d07e39fd83759b744268638c1241127afa65541374"),
     ("torus(4)", "-3/5*vol(1)", 4):
-        (0, "6c08fc94d5bd63e0e26c162d43655a7b4d8741b66a558a4b6bf8cde7212e1313"),
+        (0, "0874d038126f16af0696584226a16a6d6352b06602078e4e915a7b253cbb890c"),
     ("cp(3)", "7/2*sym(1)^sym(1)^sym(1)", 6):
-        (0, "b963f93ccd55a4a85f20ab9de9bebb2e6c4e1f9be6465ac30d6d7b7fe99a86a9"),
+        (0, "b67600acba4fb6e8df9f861ab9c77811df725e9980d5b9ada504bf4b03723dd0"),
 }
 
 
@@ -197,20 +198,36 @@ def _verify_accepts(obj: dict, ring=None) -> bool:
 
 def _with_one_family_coefficient_doubled(cert: dict) -> dict:
     """A copy of a certificate object whose first row class has its first
-    nonzero coefficient doubled."""
+    coefficient doubled."""
     cert = json.loads(json.dumps(cert))
     row = next(v for v in cert["classes"].values() if isinstance(v, list))[0]
-    vec = next(iter(row["coords"].values()))
-    t = next(t for t, c in enumerate(vec) if Fraction(c))
-    vec[t] = str(2 * Fraction(vec[t]))
+    pair = next(iter(row["coords"].values()))[0]
+    pair[1] = str(2 * Fraction(pair[1]))
+    return cert
+
+
+def _with_one_more_pair(cert: dict, query) -> dict | None:
+    """A copy of a certificate object whose families gain the next row and
+    column of the system the search certified with, a valid system one class
+    longer than the least breaking family; None when it has no more."""
+    system = found_system(query)
+    m = cert["inequality"]["lhs"]
+    if len(system.rows) == m:
+        return None
+    cert = json.loads(json.dumps(cert))
+    row, col, _ = _PATTERNS[cert["kind"]].roles
+    cert["classes"][row].append(system.rows[m].to_obj())
+    cert["classes"][col].append(system.cols[m].to_obj())
     return cert
 
 
 def test_certificate_oracle_agrees_with_verify():
     # every certificate of a CATALOG or NONINTEGRAL_GOLDEN query, in its
     # verdict and as a standalone certificate document, then each with one
-    # family coefficient doubled; the oracle shares no code with qrob
-    kinds = []
+    # family coefficient doubled and, where the search's system has one, with
+    # one more valid pair than the least family; the oracle shares no code
+    # with qrob
+    kinds, longer = [], 0
     for query in (*CATALOG, *NONINTEGRAL_GOLDEN):
         result = _result(query)
         if result.certificate is None:
@@ -219,12 +236,14 @@ def test_certificate_oracle_agrees_with_verify():
         ring_obj = result.ring.to_obj()
         verdict = json.loads(_document(query))
         standalone = certificate_to_obj(result.certificate)
-        for accepted, cert in (
-            (True, standalone), (False, _with_one_family_coefficient_doubled(standalone)),
-        ):
+        tampered = [_with_one_family_coefficient_doubled(standalone)]
+        tampered += [c for c in [_with_one_more_pair(standalone, query)] if c]
+        longer += len(tampered) - 1
+        for accepted, cert in [(True, standalone), *((False, c) for c in tampered)]:
             assert cert_oracle_accepts(ring_obj, cert, verdict["omega"]) is accepted, query
             assert _verify_accepts(cert, result.ring) is accepted, query
             doc = dict(verdict, certificate=cert)
             assert cert_oracle_accepts(ring_obj, doc["certificate"], doc["omega"]) is accepted
             assert _verify_accepts(doc) is accepted, query
     assert kinds == ["H1Annihilator"] * 4 + ["DualPair"] * 3 + ["H1Annihilator", "DualPair"]
+    assert longer == 5  # surface(3..5) * cp(2) and connsum(s2xs2,9..10) * cp(2)

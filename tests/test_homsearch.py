@@ -16,11 +16,13 @@ from qrob import (
     HomWitness,
     MissingPresentationError,
     Query,
+    S2xS2,
     Sphere,
     Surface,
     Torus,
     build,
     build_with_classes,
+    connsum_power,
     parse_manifold,
     parse_omega,
     run_query,
@@ -29,7 +31,11 @@ from qrob import (
     witness_template,
 )
 from qrob.errors import VerificationFailure
-from qrob.homsearch import enumerate_hom_detailed, witness_from_generators
+from qrob.homsearch import (
+    _factor_gen_images,
+    enumerate_hom_detailed,
+    witness_from_generators,
+)
 from qrob.pipeline import witness_to_obj
 
 
@@ -122,6 +128,20 @@ def test_witness_template_kills_unused_factor():
     assert witness is not None
     assert verify_hom(witness, omega)
     assert all(img.is_zero() for img in witness.images[1])
+
+
+def test_connsum_template_takes_its_leftmost_summand_at_any_depth(monkeypatch):
+    # a chain of 5000 summands is walked by a loop, not one call per summand,
+    # and no ring is built for it
+    import qrob.manifolds
+
+    def no_build(expr):
+        raise AssertionError("the template built a ring")
+
+    monkeypatch.setattr(qrob.manifolds, "_construct", no_build)
+    chain = connsum_power(S2xS2(), 5000)
+    assert _factor_gen_images(chain, (1, 2, 3, 4), 4) == [e(4, 1, 2), e(4, 3, 4)]
+    assert _factor_gen_images(chain, (1, 2), 4) is None
 
 
 def test_enumerate_torus2_finds_axis_witness():
@@ -277,9 +297,8 @@ def _oracle_enumerate(ring, omega, n, max_nodes):
         bound += 1
     words = [
         (c, pres.words[k][i])
-        for k in sorted(omega.degrees())
-        for i, c in enumerate(omega.vector(k))
-        if c
+        for k, vec in sorted(omega.coords().items())
+        for i, c in sorted(vec.items())
     ]
     nodes = 0
     for combo in tuples:

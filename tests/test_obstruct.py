@@ -11,6 +11,8 @@ from conftest import (
     CATALOG,
     LAW_RINGS,
     WORKLOAD_QUERIES,
+    dense_vector,
+    found_system,
     reference_annihilators,
     reference_kronecker_search,
     reference_lambda,
@@ -273,7 +275,9 @@ def test_search_surface3_gives_annihilator_certificate():
     ring, omega = _query("surface(3) * cp(2)", "vol(1)^sym(2)", 4)
     cert = search_obstruction(ring, omega, 4)
     assert cert is not None and cert.kind == "H1Annihilator"
-    assert cert.inequality.lhs == 6
+    # the six annihilators found are cut to the least family, four
+    assert cert.inequality.lhs == 4
+    assert len(found_system(("surface(3) * cp(2)", "vol(1)^sym(2)", 4)).rows) == 6
     verify_certificate_obj(certificate_to_obj(cert), ring)
 
 
@@ -281,7 +285,8 @@ def test_search_connsum9_gives_dual_certificate():
     ring, omega = _query("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6)
     cert = search_obstruction(ring, omega, 6)
     assert cert is not None and cert.kind == "DualPair"
-    assert (cert.inequality.lhs, cert.inequality.rhs) == (18, 15)
+    assert (cert.inequality.lhs, cert.inequality.rhs) == (16, 15)
+    assert len(found_system(("connsum(s2xs2,9) * cp(2)", "vol(1)^sym(2)", 6)).rows) == 18
     verify_certificate_obj(certificate_to_obj(cert), ring)
 
 
@@ -500,7 +505,7 @@ def _tampered(system, pairs):
     )
 
     def move(x):
-        return RingElement(bad, {k: x.vector(k) for k in x.degrees()})
+        return RingElement(bad, x.coords())
 
     return KroneckerSystem(
         system.kind, move(system.diag), move(system.cofactor),
@@ -628,7 +633,7 @@ def _count_calls(monkeypatch, *names):
 def test_search_eliminates_only_the_certifying_group(monkeypatch):
     calls = _count_calls(monkeypatch, "invert", "pivot_rows_cols")
     ring, omega = _query("connsum(s2xs2,12) * cp(2)", "vol(1)^sym(2)", 6)
-    assert search_obstruction(ring, omega, 6).inequality.lhs == 24
+    assert search_obstruction(ring, omega, 6).inequality.lhs == 16
     # without the size prunes: 49 inversions and 601 pivot searches
     assert len(calls["invert"]) == len(calls["pivot_rows_cols"]) == 1
 
@@ -640,7 +645,7 @@ def test_search_solves_and_lambdas_only_the_certifying_factor(monkeypatch):
     calls = _count_calls(monkeypatch, "_cofactor", "_lambdas")
     for v in (12, 30):
         ring, omega = _query(f"connsum(s2xs2,{v}) * cp(2)", "vol(1)^sym(2)", 6)
-        assert search_obstruction(ring, omega, 6).inequality.lhs == 2 * v
+        assert search_obstruction(ring, omega, 6).inequality.lhs == 16
         # one lambda pass over the one shared (2, 2) table, and without the
         # per-class bound 2v + 2 solves
         assert len(calls["_cofactor"]) == len(calls["_lambdas"]) == 1, v
@@ -694,7 +699,7 @@ def test_annihilator_candidates_match_reference_kernels():
         for ell in range(1, ring.top_degree):
             for i, kernel in enumerate(reference_annihilators(obj, ell)):
                 rows = _annihilator_candidates(ring, ring.basis_element(ell, i))
-                assert [x.vector(1) for x in rows] == kernel, (manifold, ell, i)
+                assert [dense_vector(x, 1) for x in rows] == kernel, (manifold, ell, i)
 
 
 def test_search_on_tori_neither_factors_nor_annihilates(monkeypatch):
@@ -715,8 +720,14 @@ def test_certificate_m_matches_family_parameters():
     for g in range(2, 6):
         ring, omega = _query(f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4)
         cert = search_obstruction(ring, omega, 4)
-        assert cert.kind == "H1Annihilator" and cert.inequality.lhs == 2 * g
+        assert cert.kind == "H1Annihilator" and cert.inequality.lhs == 4
+        assert len(cert.classes["annihilators"]) == len(cert.classes["duals"]) == 4
+        query = (f"surface({g}) * cp(2)", "vol(1)^sym(2)", 4)
+        assert len(found_system(query).rows) == 2 * g
     for nu in range(8, 11):
         ring, omega = _query(f"connsum(s2xs2,{nu}) * cp(2)", "vol(1)^sym(2)", 6)
         cert = search_obstruction(ring, omega, 6)
-        assert cert.kind == "DualPair" and cert.inequality.lhs == 2 * nu
+        assert cert.kind == "DualPair" and cert.inequality.lhs == 16
+        assert len(cert.classes["left"]) == len(cert.classes["right"]) == 16
+        query = (f"connsum(s2xs2,{nu}) * cp(2)", "vol(1)^sym(2)", 6)
+        assert len(found_system(query).rows) == 2 * nu

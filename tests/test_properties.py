@@ -128,9 +128,9 @@ def ring_elements(draw):
         k = draw(st.integers(min_value=0, max_value=ring.top_degree))
         if ring.dims[k] == 0:
             continue
-        vec = coords.setdefault(k, [Fraction(0)] * ring.dims[k])
+        vec = coords.setdefault(k, {})
         i = draw(st.integers(min_value=0, max_value=ring.dims[k] - 1))
-        vec[i] += draw(st.integers(min_value=-3, max_value=3))
+        vec[i] = vec.get(i, 0) + draw(st.integers(min_value=-3, max_value=3))
     from qrob.ring import RingElement
 
     return RingElement(ring, coords)
@@ -150,7 +150,7 @@ def test_ring_multiplication_laws(data):
                 Fraction(data.draw(st.integers(min_value=-2, max_value=2)))
                 for _ in range(ring.dims[k])
             ]
-            coords[k] = vec
+            coords[k] = dict(enumerate(vec))
         from qrob.ring import RingElement
 
         return RingElement(ring, coords)

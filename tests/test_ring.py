@@ -15,6 +15,7 @@ from conftest import (
     WORKLOAD_QUERIES,
     _oracle_mul,
     convolve,
+    dense_vector,
     first_associativity_failure,
     oracle_products,
     reference_factorizations,
@@ -352,51 +353,82 @@ def _verdict_classes(result):
     return [x for x in out if isinstance(x, RingElement)]
 
 
-def _dense_class_obj(x):
-    """A class document written coordinate by coordinate, zeros included."""
+def _pair_class_obj(x):
+    """A class document written coordinate by coordinate: an [index,
+    "coefficient"] pair for each nonzero one, in increasing index."""
     ring = x.ring
     return {"coords": {
-        str(k): [str(x.coefficient(k, i)) for i in range(ring.dims[k])]
+        str(k): [[i, str(x.coefficient(k, i))] for i in range(ring.dims[k])
+                 if x.coefficient(k, i)]
         for k in sorted(x.degrees())
     }}
 
 
-def test_class_documents_match_dense_reference():
+def test_class_documents_match_pair_reference():
     seen = 0
     for query in CATALOG:
         for x in _verdict_classes(run_query(Query(*query))):
             obj = x.to_obj()
-            assert obj == _dense_class_obj(x), query
+            assert obj == _pair_class_obj(x), query
             assert RingElement.from_obj(x.ring, obj) == x
             seen += 1
     assert seen > 2 * len(CATALOG)
 
 
 @pytest.mark.parametrize("coords, message", [
-    ({"3": ["1"]}, "degree 3 out of range"),
-    ({"-1": ["1"]}, "degree -1 out of range"),
-    ({"1": ["1", "0", "0"]}, "coordinate length mismatch in degree 1"),
-    ({"2": []}, "coordinate length mismatch in degree 2"),
-    ({"1": ["1/0", "0"]}, "zero denominator in '1/0'"),
-    ({"1": ["0", "0.5"]}, "not an exact rational literal: '0.5'"),
-    ({"1": [1, "0"]}, "not an exact rational literal: 1"),
+    ({"3": [[0, "1"]]}, "degree 3 out of range"),
+    ({"-1": [[0, "1"]]}, "degree -1 out of range"),
+    ({"1": [[2, "1"]]}, "index 2 out of range in degree 1"),
+    ({"2": [[-1, "1"]]}, "index -1 out of range in degree 2"),
+    ({"1": [[0, "1/0"]]}, "zero denominator in '1/0'"),
+    ({"1": [[1, "0.5"]]}, "not an exact rational literal: '0.5'"),
+    ({"1": [[0, 1]]}, "not an exact rational literal: 1"),
     # every literal is read before any degree is checked
-    ({"5": ["1"], "1": ["0", "1/0"]}, "zero denominator in '1/0'"),
+    ({"5": [[0, "1"]], "1": [[1, "1/0"]]}, "zero denominator in '1/0'"),
+    # the pair reader that ring files' products go through
+    ({"1": ["1", "0"]}, 'a class is written as [index, "coefficient"] pairs, got \'1\''),
+    ({"1": [[0, "1", "2"]]}, 'a class is written as [index, "coefficient"] pairs, '
+                             "got [0, '1', '2']"),
+    ({"1": [["0", "1"]]}, "class coordinate index must be an integer, got '0'"),
+    ({"1": [[1.0, "1"]]}, "class coordinate index must be an integer, got 1.0"),
+    ({"1": [[0, "1"], [0, "0"]]}, "class coordinate index 0 is repeated"),
 ])
 def test_class_document_errors(coords, message):
     ring = build(Torus(2))
-    with pytest.raises(ValueError) as err:
+    with pytest.raises((ValueError, RingValidationError)) as err:
         RingElement.from_obj(ring, {"coords": coords})
     assert str(err.value) == message
 
 
 def test_class_document_zero_degree_is_absent():
     ring = build(Torus(2))
-    x = RingElement.from_obj(ring, {"coords": {"0": ["0"], "1": ["0/3", "-2"], "2": ["0"]}})
+    obj = {"coords": {"0": [], "1": [[0, "0/3"], [1, "-2"]], "2": [[0, "0"]]}}
+    x = RingElement.from_obj(ring, obj)
     assert x.degrees() == {1} and x.coords() == {1: {1: Fraction(-2)}}
-    assert x == RingElement(ring, {1: [0, -2]})
-    assert RingElement.from_obj(ring, {"coords": {"1": ["0", "0"]}}).is_zero()
-    assert x.to_obj() == {"coords": {"1": ["0", "-2"]}}
+    assert x == RingElement(ring, {1: {0: 0, 1: -2}})
+    assert RingElement.from_obj(ring, {"coords": {"1": [[0, "0"], [1, "0"]]}}).is_zero()
+    assert x.to_obj() == {"coords": {"1": [[1, "-2"]]}}
+
+
+@pytest.mark.parametrize("coords, message", [
+    ({3: {0: 1}}, "degree 3 out of range"),
+    ({"1": {0: 1}}, "degree '1' out of range"),
+    ({True: {0: 1}}, "degree True out of range"),
+    ({1: {2: 1}}, "index 2 out of range in degree 1"),
+    ({1: {1.0: 1}}, "index 1.0 out of range in degree 1"),
+    ({2: {False: 1}}, "index False out of range in degree 2"),
+])
+def test_constructor_checks_degrees_and_indices(coords, message):
+    with pytest.raises(ValueError) as err:
+        RingElement(build(Torus(2)), coords)
+    assert str(err.value) == message
+
+
+def test_constructor_makes_coefficients_exact():
+    ring = build(Torus(2))
+    x = RingElement(ring, {0: {0: 0}, 1: {0: Fraction(4, 2), 1: 0.5}, 2: {0: 0.0}})
+    assert x.coords() == {1: {0: 2, 1: Fraction(1, 2)}}
+    assert [type(c) for c in x.coords()[1].values()] == [int, Fraction]
 
 
 def _torus3_with_word(k, i, word):
@@ -770,17 +802,17 @@ def test_presentation_words_multiply_out():
 def _random_element(ring, rng):
     coords = {}
     for k in rng.sample(range(ring.top_degree + 1), rng.randint(0, 2)):
-        coords[k] = [
-            Fraction(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 3]))
-            for _ in range(ring.dims[k])
-        ]
+        coords[k] = {
+            i: Fraction(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 3]))
+            for i in range(ring.dims[k])
+        }
     return RingElement(ring, coords)
 
 
 def _assert_stored_sparse(x):
     """x equals, and hashes and serializes like, the public constructor built
-    from its dense vectors, and stores no zero coefficient or empty degree."""
-    public = RingElement(x.ring, {k: x.vector(k) for k in x.degrees()})
+    from its coordinates, and stores no zero coefficient or empty degree."""
+    public = RingElement(x.ring, x.coords())
     assert x == public and hash(x) == hash(public)
     assert x.to_obj() == public.to_obj()
     assert x.degrees() == public.degrees()
@@ -801,15 +833,15 @@ def test_multiply_matches_public_constructor():
                 _assert_stored_sparse(result)
             assert (x - x).is_zero() and x.scale(0).is_zero()
             for k in range(ring.top_degree + 1):
-                xk, yk = x.vector(k), y.vector(k)
-                assert (x + y).vector(k) == [a + b for a, b in zip(xk, yk)]
-                assert (x - y).vector(k) == [a - b for a, b in zip(xk, yk)]
-                assert x.scale(f).vector(k) == [f * a for a in xk]
+                xk, yk = dense_vector(x, k), dense_vector(y, k)
+                assert dense_vector(x + y, k) == [a + b for a, b in zip(xk, yk)]
+                assert dense_vector(x - y, k) == [a - b for a, b in zip(xk, yk)]
+                assert dense_vector(x.scale(f), k) == [f * a for a in xk]
             zeros += prod.is_zero() and not (x.is_zero() or y.is_zero())
         assert zeros
         for k in range(ring.top_degree + 1):
             for i, x in enumerate(ring.basis(k)):
-                public = RingElement(ring, {k: [int(t == i) for t in range(ring.dims[k])]})
+                public = RingElement(ring, {k: {i: 1}})
                 assert x == public and hash(x) == hash(public)
 
 
